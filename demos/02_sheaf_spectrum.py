@@ -13,7 +13,6 @@ from otsheaf.laplacian import (
     SheafIncidence,
     assemble_laplacian,
     estimate_spectrum,
-    incidence_from_restrictions,
     normalized_range_gap,
 )
 from otsheaf.transport import LiftConfig, lift_all_edges
@@ -36,9 +35,7 @@ rng = np.random.default_rng(2)
 H = rng.uniform(0.5, 1.5, size=(g.n, 8))
 W_proj = rng.uniform(0.2, 0.8, size=(8, 5))
 W_theta = rng.normal(0.0, 0.6, size=(5, 3))   # edge stalks narrower than node stalks
-rset = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
-
-Ls = assemble_laplacian(incidence_from_restrictions(rset, g.n))
+Ls = assemble_laplacian(lift_all_edges(g, H, W_proj, W_theta, LiftConfig()))
 w = np.linalg.eigvalsh(Ls.to_dense())
 print(f"\nlifted sheaf on ER(30): operator size {Ls.N}, "
       f"smallest 6 raw eigenvalues:")

@@ -69,22 +69,6 @@ class shared_vjp:
         return self._out
 
 
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
-def add(a: Var, b: Var) -> Var:
-    return Var(a.value + b.value, [(a, lambda g: g), (b, lambda g: g)])
-
-
-def add_const(a: Var, c) -> Var:
-    return Var(a.value + c, [(a, lambda g: g)])
-
-
-def scale(a: Var, c: float) -> Var:
-    return Var(c * a.value, [(a, lambda g: c * g)])
-
-
 def linear(x: Var, W: Var) -> Var:
     """x @ W.T for row-major feature matrices."""
     out = x.value @ W.value.T

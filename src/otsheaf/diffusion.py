@@ -24,8 +24,6 @@ class DiffusionConfig:
     dt: float = 0.1
     cg_tol: float = 1e-8
     cg_max_iter: int = 1000
-    cheb_order: int = 3        # highest Chebyshev degree Q
-    use_sparsifier: bool = False
 
 
 @dataclass
@@ -98,8 +96,7 @@ class DiffusionInfo:
 
 
 def svr_diffuse(L, X: np.ndarray, cfg: DiffusionConfig,
-                warm: np.ndarray | None = None,
-                precondition: bool = True) -> tuple[np.ndarray, DiffusionInfo]:
+                warm: np.ndarray | None = None) -> tuple[np.ndarray, DiffusionInfo]:
     """Implicit smoothing (I + dt L)^{-1} X, one CG solve per signal column.
 
     `warm` (same shape as X) supplies previous-epoch solutions as starting
@@ -109,7 +106,7 @@ def svr_diffuse(L, X: np.ndarray, cfg: DiffusionConfig,
     squeeze = X.ndim == 1
     Xc = X[:, None] if squeeze else X
     apply_A = lambda v: v + cfg.dt * L.matvec(v)
-    precond = jacobi_block_preconditioner(L, cfg.dt) if precondition else None
+    precond = jacobi_block_preconditioner(L, cfg.dt)
     cgc = CGConfig(tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
     out = np.empty_like(Xc)
     iters, total, res, ok = 0, 0, 0.0, True

@@ -18,19 +18,25 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .transport import RestrictionSet
-
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class SheafIncidence:
-    """Per-edge block rows of the incidence operator (n nodes, m edges)."""
+    """Restriction maps of every edge: the block rows of the incidence operator.
+
+    Rij[e] maps the stalk at edges[e, 0] into the d_e-dimensional edge stalk,
+    Rji[e] the stalk at edges[e, 1] (n nodes, m edges).
+    """
 
     n: int
     edges: np.ndarray  # (m, 2)
     Rij: np.ndarray    # (m, d_e, d_v)
     Rji: np.ndarray    # (m, d_e, d_v)
+
+    @property
+    def m(self) -> int:
+        return int(self.edges.shape[0])
 
     @property
     def d_v(self) -> int:
@@ -50,10 +56,6 @@ class SheafIncidence:
         return B
 
 
-def incidence_from_restrictions(rset: RestrictionSet, n: int) -> SheafIncidence:
-    return SheafIncidence(n=n, edges=rset.edges, Rij=rset.Rij, Rji=rset.Rji)
-
-
 @dataclass(eq=False)
 class SheafLaplacian:
     """Symmetric PSD block operator stored as diagonal and (i, j) off blocks."""
@@ -63,8 +65,7 @@ class SheafLaplacian:
     edges: np.ndarray            # (m, 2)
     diag: np.ndarray             # (n, d_v, d_v) symmetric blocks
     off: np.ndarray              # (m, d_v, d_v) block at (i, j); (j, i) = off^T
-    restrictions: RestrictionSet | None = None
-    edge_weights: np.ndarray | None = None   # set by sparsify when it resamples
+    restrictions: SheafIncidence | None = None
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -111,26 +112,61 @@ class SheafLaplacian:
         return SheafLaplacian(
             n=self.n, d_v=self.d_v, edges=self.edges.copy(),
             diag=self.diag.copy(), off=self.off.copy(),
-            restrictions=self.restrictions, edge_weights=self.edge_weights,
+            restrictions=self.restrictions,
         )
 
 
 def assemble_laplacian(B: SheafIncidence,
                        weights: np.ndarray | None = None) -> SheafLaplacian:
-    """L = B^T diag(w) B accumulated block by block (w defaults to all-ones)."""
-    n, d_v = B.n, B.d_v
-    w = np.ones(B.edges.shape[0]) if weights is None else np.asarray(weights, float)
-    gii = np.einsum("e,eab,eac->ebc", w, B.Rij, B.Rij)
-    gjj = np.einsum("e,eab,eac->ebc", w, B.Rji, B.Rji)
-    off = -np.einsum("e,eab,eac->ebc", w, B.Rij, B.Rji)
-    diag = np.zeros((n, d_v, d_v))
+    """L = B^T diag(w) B accumulated block by block (w defaults to all-ones).
+
+    Each edge's Gram blocks are scaled by its weight after they are formed,
+    so weights of 1.0 give the same bits as no weights.
+    """
+    gii = np.einsum("eab,eac->ebc", B.Rij, B.Rij)
+    gjj = np.einsum("eab,eac->ebc", B.Rji, B.Rji)
+    off = -np.einsum("eab,eac->ebc", B.Rij, B.Rji)
+    if weights is not None:
+        w = np.asarray(weights, float)[:, None, None]
+        gii, gjj, off = w * gii, w * gjj, w * off
+    diag = np.zeros((B.n, B.d_v, B.d_v))
     np.add.at(diag, B.edges[:, 0], gii)
     np.add.at(diag, B.edges[:, 1], gjj)
-    rset = RestrictionSet(edges=B.edges, Rij=B.Rij, Rji=B.Rji)
-    return SheafLaplacian(
-        n=n, d_v=d_v, edges=B.edges, diag=diag, off=off,
-        restrictions=rset, edge_weights=None if weights is None else w,
-    )
+    return SheafLaplacian(n=B.n, d_v=B.d_v, edges=B.edges, diag=diag, off=off,
+                          restrictions=B)
+
+
+def pattern_matvec(edges: np.ndarray, diag: np.ndarray, off: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Apply the symmetric block matrix with blocks (diag, off) on the edges.
+
+    Suits blocks that change every call; an operator applied many times is
+    cheaper through SheafLaplacian.matvec and its cached CSR form.
+    """
+    n, d = diag.shape[:2]
+    X = x.reshape(n, d)
+    out = np.einsum("iab,ib->ia", diag, X)
+    I, J = edges[:, 0], edges[:, 1]
+    np.add.at(out, I, np.einsum("eab,eb->ea", off, X[J]))
+    np.add.at(out, J, np.einsum("eba,eb->ea", off, X[I]))
+    return out.reshape(x.shape)
+
+
+def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
+                  n: int, d_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of left' A right in the blocks (diag, off) of a pattern matrix A.
+
+    The off entry for edge (i, j) collects both the (i, j) block of
+    left right' and the transpose of its (j, i) block, because one off block
+    parametrizes both.  For left = right = v the pattern restriction of v v'
+    is therefore (diag, off / 2).
+    """
+    Lb, Rb = left.reshape(n, d_v), right.reshape(n, d_v)
+    I, J = edges[:, 0], edges[:, 1]
+    gd = np.einsum("ia,ib->iab", Lb, Rb)
+    go = (np.einsum("ea,eb->eab", Lb[I], Rb[J])
+          + np.einsum("ea,eb->eab", Rb[I], Lb[J]))
+    return gd, go
 
 
 def _block_isqrt(diag: np.ndarray, cutoff_rel: float = 1e-12):
@@ -557,13 +593,12 @@ def sparsify(L: SheafLaplacian, cfg: SparsifierConfig) -> SheafLaplacian:
     """
     if not 0.0 < cfg.eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if L.restrictions is None:
+    B = L.restrictions
+    if B is None:
         raise ValueError("sparsify needs a Laplacian assembled from restriction maps")
-    m = L.m
     q = int(np.ceil(cfg.sample_scale * L.n * np.log(max(L.n, 2)) / cfg.eps ** 2))
-    if m <= q:
+    if L.m <= q:
         return L
-    B = incidence_from_restrictions(L.restrictions, L.n)
     if L.N <= cfg.dense_cutoff:
         tau = _edge_leverage_dense(L, B)
     else:
@@ -573,12 +608,12 @@ def sparsify(L: SheafLaplacian, cfg: SparsifierConfig) -> SheafLaplacian:
     counts = np.random.default_rng(cfg.seed).multinomial(q, p)
     keep = counts > 0
     w = counts[keep] / (q * p[keep])
-    kept = RestrictionSet(edges=B.edges[keep], Rij=B.Rij[keep], Rji=B.Rji[keep])
-    out = assemble_laplacian(incidence_from_restrictions(kept, L.n), weights=w)
-    return out
+    kept = SheafIncidence(n=L.n, edges=B.edges[keep], Rij=B.Rij[keep],
+                          Rji=B.Rji[keep])
+    return assemble_laplacian(kept, weights=w)
 
 
-def reassemble_restrictions(L: SheafLaplacian, B: SheafIncidence) -> RestrictionSet:
+def reassemble_restrictions(L: SheafLaplacian, B: SheafIncidence) -> SheafIncidence:
     """Recover rank-d_e restriction pairs from the off-diagonal blocks of L.
 
     Each target -off[e] is factored by truncated SVD as R_ij^T R_ji with the
@@ -604,4 +639,4 @@ def reassemble_restrictions(L: SheafLaplacian, B: SheafIncidence) -> Restriction
     if fallbacks:
         logger.warning("reassembly kept previous maps on %d rank-deficient blocks",
                        fallbacks)
-    return RestrictionSet(edges=L.edges, Rij=Rij, Rji=Rji)
+    return SheafIncidence(n=L.n, edges=L.edges, Rij=Rij, Rji=Rji)

@@ -20,7 +20,14 @@ import numpy as np
 
 from .autodiff import Var, backward, concat_cols, linear, relu, shared_vjp
 from .diffusion import DiffusionConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
-from .laplacian import SheafLaplacian, _block_isqrt
+from .laplacian import (
+    SheafIncidence,
+    SheafLaplacian,
+    _block_isqrt,
+    assemble_laplacian,
+    pattern_matvec,
+    pattern_outer,
+)
 
 
 @dataclass
@@ -102,11 +109,8 @@ def laplacian_blocks(Rij: Var, Rji: Var, edges: np.ndarray,
     """Assemble diag_i = sum R'R over incident edges and off_e = -R_ij'R_ji."""
     Ri, Rj = Rij.value, Rji.value
     I, J = edges[:, 0], edges[:, 1]
-    d_v = Ri.shape[2]
-    diag = np.zeros((n, d_v, d_v))
-    np.add.at(diag, I, np.einsum("eab,eac->ebc", Ri, Ri))
-    np.add.at(diag, J, np.einsum("eab,eac->ebc", Rj, Rj))
-    off = -np.einsum("eab,eac->ebc", Ri, Rj)
+    L = assemble_laplacian(SheafIncidence(n=n, edges=edges, Rij=Ri, Rji=Rj))
+    diag, off = L.diag, L.off
 
     def d_diag_d_Rij(g):
         gs = g[I] + g[I].transpose(0, 2, 1)
@@ -127,27 +131,6 @@ def laplacian_blocks(Rij: Var, Rji: Var, edges: np.ndarray,
     return diag_var, off_var
 
 
-def _as_blocks(v: np.ndarray, n: int, d_v: int) -> np.ndarray:
-    return v.reshape(n, d_v)
-
-
-def _block_outer(left: np.ndarray, right: np.ndarray, edges: np.ndarray,
-                 n: int, d_v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern blocks of the rank-one matrix left @ right.T.
-
-    Returns (diag part, off part) where the off entry for edge (i, j)
-    collects both the (i, j) block and the transpose of the (j, i) block,
-    matching how a symmetric pattern matrix is parametrized by one off
-    block per edge.
-    """
-    Lb, Rb = _as_blocks(left, n, d_v), _as_blocks(right, n, d_v)
-    I, J = edges[:, 0], edges[:, 1]
-    gd = np.einsum("ia,ib->iab", Lb, Rb)
-    go = (np.einsum("ea,eb->eab", Lb[I], Rb[J])
-          + np.einsum("ea,eb->eab", Rb[I], Lb[J]))
-    return gd, go
-
-
 def svr_branch(diag: Var, off: Var, x, ctx: EpochContext) -> tuple[Var, object]:
     """(I + dt L)^(-1) x via CG; adjoint solves the same system once more.
 
@@ -164,7 +147,7 @@ def svr_branch(diag: Var, off: Var, x, ctx: EpochContext) -> tuple[Var, object]:
 
     def solve_adjoint(g):
         u, _ = svr_diffuse(L, g.reshape(-1), cfg)
-        gd, go = _block_outer(u, y, ctx.edges, ctx.n, ctx.d_v)
+        gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
         return {"diag": -ctx.dt * gd, "off": -ctx.dt * go,
                 "x": u.reshape(xv.shape)}
 
@@ -243,15 +226,10 @@ def cheb_branch(md: Var, mo: Var, gamma: Var, x, ctx: EpochContext) -> Var:
     x_var = x if isinstance(x, Var) else None
     xv = (x.value if x_var is not None else np.asarray(x, np.float64))
     n, d_v, scale = ctx.n, ctx.d_v, ctx.cheb_scale
-    I, J = ctx.edges[:, 0], ctx.edges[:, 1]
     mdv, mov = md.value, mo.value
 
     def apply_M(v):
-        Vc = v.reshape(n, d_v)
-        out = np.einsum("iab,ib->ia", mdv, Vc)
-        np.add.at(out, I, np.einsum("eab,eb->ea", mov, Vc[J]))
-        np.add.at(out, J, np.einsum("eba,eb->ea", mov, Vc[I]))
-        return scale * (v - out.reshape(-1))
+        return scale * (v - pattern_matvec(ctx.edges, mdv, mov, v))
 
     alphas = chebyshev_weights(gamma.value)
     out_flat, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
@@ -266,7 +244,7 @@ def cheb_branch(md: Var, mo: Var, gamma: Var, x, ctx: EpochContext) -> Var:
         go = np.zeros_like(mov)
 
         def accumulate(left, right):
-            a, b = _block_outer(left, right, ctx.edges, n, d_v)
+            a, b = pattern_outer(ctx.edges, left, right, n, d_v)
             # M = scale (I - SLS): push through the sign and scale
             nonlocal gd, go
             gd -= scale * a

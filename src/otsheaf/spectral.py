@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .laplacian import SheafLaplacian, estimate_spectrum
+from .laplacian import SheafLaplacian, estimate_spectrum, pattern_matvec, pattern_outer
 
 logger = logging.getLogger(__name__)
 
@@ -78,25 +78,6 @@ def rayleigh_lambda2(L: SheafLaplacian, seed: int = 0) -> tuple[float, np.ndarra
     return est.lambda2, est.v2
 
 
-def _restricted_outer(L: SheafLaplacian, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    V = v.reshape(L.n, L.d_v)
-    diag = np.einsum("ia,ib->iab", V, V)
-    I, J = L.edges[:, 0], L.edges[:, 1]
-    off = np.einsum("ea,eb->eab", V[I], V[J])
-    return diag, off
-
-
-def pattern_matvec(L: SheafLaplacian, diag: np.ndarray, off: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """Apply the symmetric pattern matrix given by (diag, off) blocks."""
-    X = x.reshape(L.n, L.d_v)
-    out = np.einsum("iab,ib->ia", diag, X)
-    I, J = L.edges[:, 0], L.edges[:, 1]
-    np.add.at(out, I, np.einsum("eab,eb->ea", off, X[J]))
-    np.add.at(out, J, np.einsum("eba,eb->ea", off, X[I]))
-    return out.reshape(x.shape)
-
-
 def gap_gradient(L: SheafLaplacian, v2: np.ndarray,
                  v3: np.ndarray | None = None) -> GapGradient:
     """Outer product of the gap eigenvector, dropped onto the sparsity pattern.
@@ -107,12 +88,13 @@ def gap_gradient(L: SheafLaplacian, v2: np.ndarray,
     for a single eigenvector this equals the squared Frobenius norm of the
     restricted outer product.
     """
-    diag, off = _restricted_outer(L, v2)
+    diag, off = pattern_outer(L.edges, v2, v2, L.n, L.d_v)
     if v3 is not None:
-        d3, o3 = _restricted_outer(L, v3)
+        d3, o3 = pattern_outer(L.edges, v3, v3, L.n, L.d_v)
         diag = 0.5 * (diag + d3)
         off = 0.5 * (off + o3)
-    directional = float(v2 @ pattern_matvec(L, diag, off, v2))
+    off = 0.5 * off   # pattern_outer counts each off block twice
+    directional = float(v2 @ pattern_matvec(L.edges, diag, off, v2))
     return GapGradient(diag=diag, off=off, directional=directional)
 
 
@@ -152,9 +134,9 @@ def project(L: SheafLaplacian, dense_cutoff: int = 500,
     if lam >= -MONOTONE_SLACK:
         return out
     for _ in range(max_rounds):
-        d, o = _restricted_outer(out, v)
+        d, o = pattern_outer(out.edges, v, v, out.n, out.d_v)
         out.diag = out.diag + (-lam) * d
-        out.off = out.off + (-lam) * o
+        out.off = out.off + (-lam) * (0.5 * o)
         out._csr = None
         lam, v = _min_eigpair(out, dense_cutoff)
         if lam >= -MONOTONE_SLACK:

@@ -1,11 +1,13 @@
 """Epoch loop tying the pipeline together.
 
-One epoch runs four stages in a fixed order: (1) transport lift and
-Laplacian assembly, (2) the two-branch diffusion forward pass, (3) the
+One epoch runs four stages in a fixed order: (1) restriction maps and
+Laplacian blocks on the tape, (2) the two-branch diffusion forward pass
+and the spectral-gap ascent on that same Laplacian, (3) the
 Beta-posterior fixed point that refreshes the calibration weights, and
-(4) loss assembly, the parameter step, and the spectral-gap ascent with
-projection and reassembly.  The transport plans depend only on the frozen
-feature projection, so they are computed once per run and cached.
+(4) loss assembly and the parameter step.  The ascent's first gap
+estimate prices the spectral penalty and its last one is reported.  The
+transport plans depend only on the frozen feature projection, so they
+are computed once per run and cached.
 
 Within an epoch the plans, calibration weights, coupling statistics, and
 both bound terms are constants of the loss; gradients flow through the
@@ -43,12 +45,9 @@ from .calibration import (
     posterior_update,
 )
 from .graphs import Graph, Labels, NodeFeatures, SplitMask, nrs
-from .laplacian import (
-    assemble_laplacian,
-    normalized_range_gap,
-    incidence_from_restrictions,
-    reassemble_restrictions,
-)
+from .laplacian import SheafLaplacian, normalized_range_gap
+# not called here; perfbench/spans.py rebinds these names to time them
+from .laplacian import assemble_laplacian, reassemble_restrictions  # noqa: F401
 from .model import (
     EpochContext,
     ModelParams,
@@ -58,7 +57,7 @@ from .model import (
     init_params,
 )
 from .spectral import WolfeConfig, run_gap_ascent, spec_penalty
-from .transport import LiftConfig, RestrictionSet, edge_plans
+from .transport import LiftConfig, edge_plans
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +123,12 @@ class TrainConfig:
             self.d_e = self.d_v
         if self.d_e < 1 or self.d_v < 1:
             raise ValueError("stalk dimensions must be positive")
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be at least 1")
+        if self.cheb_order < 0:
+            raise ValueError("cheb_order must be nonnegative")
+        if not self.gamma_cap > 0:
+            raise ValueError("gamma_cap must be positive")
 
     def lift_config(self) -> LiftConfig:
         return LiftConfig(eps=self.lift_eps, tau=self.lift_tau)
@@ -153,7 +158,6 @@ class TrainState:
     plans: np.ndarray
     X0: np.ndarray
     posterior: PosteriorState | None = None
-    rset: RestrictionSet | None = None   # post-ascent restriction maps
     epoch: int = 0
     frozen: frozenset = frozenset()
     opt_m: dict = field(default_factory=dict)
@@ -207,7 +211,7 @@ def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
 
 def train_epoch(state: TrainState, data: Dataset,
                 cfg: TrainConfig) -> tuple[TrainState, EpochReport]:
-    """One full pass: lift, forward, posterior fixed point, update, ascent."""
+    """One full pass: forward, gap ascent, posterior fixed point, update."""
     t0 = time.perf_counter()
     g, labels, split = data.g, data.labels, data.split
     ctx0 = EpochContext(
@@ -219,11 +223,10 @@ def train_epoch(state: TrainState, data: Dataset,
     logits, leaves, aux = forward_tape(state.params, ctx0)
     y_hat = _softmax(logits.value)
 
-    rset = RestrictionSet(edges=g.edges, Rij=aux["Rij"].value,
-                          Rji=aux["Rji"].value, plans=state.plans)
-    B = incidence_from_restrictions(rset, g.n)
-    L = assemble_laplacian(B)
-    est = normalized_range_gap(L, seed=cfg.seed)
+    L = SheafLaplacian(n=g.n, d_v=ctx0.d_v, edges=g.edges,
+                       diag=aux["diag"].value, off=aux["off"].value)
+    _, gap = run_gap_ascent(L, WolfeConfig(), steps=cfg.gap_steps,
+                            seed=cfg.seed, estimator=normalized_range_gap)
 
     posterior = posterior_update(
         state.prior, y_hat, g, labels, split.train,
@@ -232,7 +235,7 @@ def train_epoch(state: TrainState, data: Dataset,
     coupling = class_coupling(posterior.kappa_bar, labels, g, split.train)
 
     kl = kl_term(posterior, state.prior, split.train.size, cfg.delta)
-    spec = spec_penalty(coupling.c_het, est.lambda2)
+    spec = spec_penalty(coupling.c_het, gap.lambda2_history[0])
     ctx = replace(ctx0, kappa=kappa, kl_value=kl, spec_value=spec)
     ce, _ = calibrated_ce(logits, ctx)
     raw_loss = total_loss(float(ce.value), kl, spec, cfg)
@@ -260,10 +263,6 @@ def train_epoch(state: TrainState, data: Dataset,
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
 
-    L_up, gap = run_gap_ascent(L, WolfeConfig(), steps=cfg.gap_steps,
-                               seed=cfg.seed, estimator=normalized_range_gap)
-    rset_up = reassemble_restrictions(L_up, B)
-
     cal = calibrate_prediction(y_hat, kappa)
     emp_norm = float(np.clip(ce.value / np.log(labels.C), 0.0, 1.0))
     ece_val, _ = ece(cal, labels, split.test)
@@ -283,7 +282,6 @@ def train_epoch(state: TrainState, data: Dataset,
         wall_ms=(time.perf_counter() - t0) * 1e3)
     state.params = new_params
     state.posterior = posterior
-    state.rset = rset_up
     state.epoch += 1
     return state, report
 

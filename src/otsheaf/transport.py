@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .laplacian import SheafIncidence
+
 
 @dataclass
 class LiftConfig:
@@ -35,34 +37,6 @@ class TransportPlan:
     nu: np.ndarray
     iterations: int
     violation: float          # achieved L1 marginal error
-
-
-@dataclass
-class RestrictionSet:
-    """Stacked restriction maps for every edge of a graph.
-
-    Rij[e] maps the stalk at edges[e, 0] into the d_e-dimensional edge stalk,
-    Rji[e] the stalk at edges[e, 1].  Both come from one transport plan per
-    edge: Rij = W^T P and Rji = W^T P^T, so the pair is transpose-compatible
-    by construction.
-    """
-
-    edges: np.ndarray         # (m, 2)
-    Rij: np.ndarray           # (m, d_e, d_v)
-    Rji: np.ndarray           # (m, d_e, d_v)
-    plans: np.ndarray | None = None  # (m, p, p) underlying plans, when lifted
-
-    @property
-    def m(self) -> int:
-        return int(self.edges.shape[0])
-
-    @property
-    def d_e(self) -> int:
-        return int(self.Rij.shape[1])
-
-    @property
-    def d_v(self) -> int:
-        return int(self.Rij.shape[2])
 
 
 class SinkhornDivergence(RuntimeError):
@@ -216,16 +190,20 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     return np.exp(log_P)
 
 
-def restrictions_from_plans(edges: np.ndarray, plans: np.ndarray,
-                            W_theta: np.ndarray) -> RestrictionSet:
-    """Apply the learned matrix to a stack of plans: Rij = W^T P, Rji = W^T P^T."""
+def restrictions_from_plans(g, plans: np.ndarray,
+                            W_theta: np.ndarray) -> SheafIncidence:
+    """Apply the learned matrix to the plans of g's edges: Rij = W^T P, Rji = W^T P^T.
+
+    Both maps of an edge come from its one plan, so the pair is
+    transpose-compatible by construction.
+    """
     Rij = np.einsum("pd,mpq->mdq", W_theta, plans)
     Rji = np.einsum("pd,mqp->mdq", W_theta, plans)
-    return RestrictionSet(edges=edges, Rij=Rij, Rji=Rji, plans=plans)
+    return SheafIncidence(n=g.n, edges=g.edges, Rij=Rij, Rji=Rji)
 
 
 def lift_all_edges(g, H: np.ndarray, W_proj: np.ndarray, W_theta: np.ndarray,
-                   cfg: LiftConfig) -> RestrictionSet:
-    """Lift every edge of a graph into a RestrictionSet (see edge_plans)."""
+                   cfg: LiftConfig) -> SheafIncidence:
+    """Restriction maps of every edge of a graph (see edge_plans)."""
     plans = edge_plans(g.edges, H, W_proj, cfg)
-    return restrictions_from_plans(g.edges, plans, W_theta)
+    return restrictions_from_plans(g, plans, W_theta)

@@ -12,13 +12,11 @@ from otsheaf.laplacian import (
     blockwise_constant_basis,
     estimate_range_gap,
     estimate_spectrum,
-    incidence_from_restrictions,
     normalized_laplacian,
     normalized_range_gap,
     reassemble_restrictions,
     sparsify,
 )
-from otsheaf.transport import RestrictionSet
 
 
 def random_sheaf(g: Graph, d_v: int, d_e: int, seed: int = 0) -> SheafIncidence:
@@ -98,6 +96,13 @@ class TestAssembly:
         Bd = B.to_dense()
         W = np.kron(np.diag(w), np.eye(1))
         np.testing.assert_allclose(L.to_dense(), Bd.T @ W @ Bd, atol=1e-10)
+
+    def test_unit_weights_change_no_bits(self):
+        g = erdos_renyi(8, 3.0, seed=9)
+        B = random_sheaf(g, d_v=3, d_e=2, seed=9)
+        L, Lw = assemble_laplacian(B), assemble_laplacian(B, weights=np.ones(g.m))
+        assert np.array_equal(L.diag, Lw.diag)
+        assert np.array_equal(L.off, Lw.off)
 
     def test_coo_rows_reconstruct(self):
         g = erdos_renyi(5, 2.5, seed=8)
@@ -182,20 +187,20 @@ class TestSparsifier:
         n = 5
         g = Graph.from_edges(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
         L = assemble_laplacian(scalar_sheaf(g))
-        tau = _edge_leverage_dense(L, incidence_from_restrictions(L.restrictions, n))
+        tau = _edge_leverage_dense(L, L.restrictions)
         np.testing.assert_allclose(tau, np.full(g.m, 2.0 / n), atol=1e-10)
 
     def test_leverage_sums_to_rank(self):
         g = erdos_renyi(15, 5.0, seed=14, ensure_connected=True)
         L = assemble_laplacian(scalar_sheaf(g))
-        tau = _edge_leverage_dense(L, incidence_from_restrictions(L.restrictions, g.n))
+        tau = _edge_leverage_dense(L, L.restrictions)
         assert tau.sum() == pytest.approx(g.n - 1, rel=1e-8)
 
     def test_sketched_leverage_tracks_dense(self):
         n = 20
         g = Graph.from_edges(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
         L = assemble_laplacian(scalar_sheaf(g))
-        B = incidence_from_restrictions(L.restrictions, n)
+        B = L.restrictions
         exact = _edge_leverage_dense(L, B)
         from otsheaf.laplacian import _edge_leverage_sketched
         est = _edge_leverage_sketched(L, B, SparsifierConfig(probes=200, seed=0))
@@ -238,7 +243,7 @@ class TestReassembly:
         B = random_sheaf(g, d_v=4, d_e=2, seed=15)
         L = assemble_laplacian(B)
         rec = reassemble_restrictions(L, B)
-        L2 = assemble_laplacian(incidence_from_restrictions(rec, g.n))
+        L2 = assemble_laplacian(rec)
         np.testing.assert_allclose(L2.off, L.off, atol=1e-8)
         assert np.all(np.linalg.eigvalsh(L2.to_dense()) >= -1e-10)
 

@@ -5,8 +5,8 @@ from otsheaf.autodiff import Var, backward, linear
 from otsheaf.diffusion import afm_filter, fuse, predict, svr_diffuse, DiffusionConfig
 from otsheaf.graphs import Graph
 from otsheaf.laplacian import (
+    SheafIncidence,
     assemble_laplacian,
-    incidence_from_restrictions,
     normalized_laplacian,
 )
 from otsheaf.model import (
@@ -24,7 +24,7 @@ from otsheaf.model import (
     sandwich_blocks,
     svr_branch,
 )
-from otsheaf.transport import LiftConfig, RestrictionSet, edge_plans
+from otsheaf.transport import LiftConfig, edge_plans
 
 
 def rel_err(a, b):
@@ -241,12 +241,18 @@ class TestFullGradcheck:
 class TestForwardParity:
     def test_tape_matches_inference_pipeline(self):
         params, ctx = make_context()
-        logits, _, _ = forward_tape(params, ctx)
-        rset = RestrictionSet(
-            edges=ctx.edges,
+        logits, _, aux = forward_tape(params, ctx)
+        B = SheafIncidence(
+            n=ctx.n, edges=ctx.edges,
             Rij=np.einsum("pd,mpq->mdq", params.W_theta, ctx.plans),
             Rji=np.einsum("pd,mqp->mdq", params.W_theta, ctx.plans))
-        L = assemble_laplacian(incidence_from_restrictions(rset, ctx.n))
+        L = assemble_laplacian(B)
+        # the tape and the assembly share one block formula, bit for bit
+        tape_L = assemble_laplacian(SheafIncidence(
+            n=ctx.n, edges=ctx.edges, Rij=aux["Rij"].value,
+            Rji=aux["Rji"].value))
+        assert np.array_equal(tape_L.diag, aux["diag"].value)
+        assert np.array_equal(tape_L.off, aux["off"].value)
         cfg = DiffusionConfig(dt=ctx.dt, cg_tol=ctx.cg_tol,
                               cg_max_iter=ctx.cg_max_iter)
         h_svr, _ = svr_diffuse(L, ctx.X0.reshape(-1), cfg)

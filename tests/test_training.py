@@ -16,7 +16,6 @@ from otsheaf.graphs import Graph, Labels, NodeFeatures, SplitMask
 from otsheaf.laplacian import (
     assemble_laplacian,
     normalized_range_gap,
-    incidence_from_restrictions,
     normalized_laplacian,
 )
 from otsheaf.training import (
@@ -123,6 +122,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
 
+    def test_rejects_zero_layers(self):
+        with pytest.raises(ValueError, match="n_layers"):
+            TrainConfig(n_layers=0)
+
+    def test_rejects_negative_cheb_order(self):
+        with pytest.raises(ValueError, match="cheb_order"):
+            TrainConfig(cheb_order=-1)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0])
+    def test_rejects_nonpositive_gamma_cap(self, cap):
+        with pytest.raises(ValueError, match="gamma_cap"):
+            TrainConfig(gamma_cap=cap)
+
 
 class TestTrainEpoch:
     def test_zero_rates_leave_params_unchanged(self):
@@ -134,6 +146,21 @@ class TestTrainEpoch:
         for k, v in state.params.trainable().items():
             assert np.array_equal(v, before[k])
         assert np.isfinite(rep.raw_loss)
+
+    def test_one_gap_estimate_per_epoch(self, monkeypatch):
+        import otsheaf.training as training
+        calls = []
+        real = training.normalized_range_gap
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "normalized_range_gap", counted)
+        data = two_cluster_dataset()
+        cfg = small_cfg(gap_steps=0)
+        train_epoch(init_state(data, cfg), data, cfg)
+        assert len(calls) == 1
 
     def test_bound_identity(self):
         data = two_cluster_dataset()
@@ -148,8 +175,7 @@ class TestTrainEpoch:
         cfg = small_cfg(gap_steps=3)
         state = init_state(data, cfg)
         plans, params = state.plans, state.params
-        rset = restrictions_from_plans(data.g.edges, plans, params.W_theta)
-        L = assemble_laplacian(incidence_from_restrictions(rset, data.g.n))
+        L = assemble_laplacian(restrictions_from_plans(data.g, plans, params.W_theta))
         pre = normalized_range_gap(L, seed=cfg.seed).lambda2
         _, rep = train_epoch(state, data, cfg)
         assert rep.lambda2 >= pre - 1e-8
@@ -178,8 +204,7 @@ class TestTrainEpoch:
         plans = state.plans.copy()
         _, rep = train_epoch(state, data, cfg)
 
-        rset = restrictions_from_plans(g.edges, plans, params.W_theta)
-        L = assemble_laplacian(incidence_from_restrictions(rset, g.n))
+        L = assemble_laplacian(restrictions_from_plans(g, plans, params.W_theta))
         dcfg = DiffusionConfig(dt=cfg.dt, cg_tol=cfg.cg_tol,
                                cg_max_iter=cfg.cg_max_iter)
         h_svr, info = svr_diffuse(L, X0.reshape(-1), dcfg)
