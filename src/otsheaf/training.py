@@ -129,6 +129,10 @@ class TrainConfig:
             raise ValueError("cheb_order must be nonnegative")
         if not self.gamma_cap > 0:
             raise ValueError("gamma_cap must be positive")
+        if not self.lift_eps > 0:
+            raise ValueError("lift_eps must be positive")
+        if not self.lift_tau >= 0:
+            raise ValueError("lift_tau must be nonnegative")
 
     def lift_config(self) -> LiftConfig:
         return LiftConfig(eps=self.lift_eps, tau=self.lift_tau)

@@ -135,6 +135,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="gamma_cap"):
             TrainConfig(gamma_cap=cap)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
+    def test_rejects_nonpositive_lift_eps(self, eps):
+        with pytest.raises(ValueError, match="lift_eps"):
+            TrainConfig(lift_eps=eps)
+
+    @pytest.mark.parametrize("tau", [-2.0, float("nan")])
+    def test_rejects_negative_lift_tau(self, tau):
+        with pytest.raises(ValueError, match="lift_tau"):
+            TrainConfig(lift_tau=tau)
+
 
 class TestTrainEpoch:
     def test_zero_rates_leave_params_unchanged(self):

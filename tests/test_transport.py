@@ -1,8 +1,12 @@
+import logging
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from otsheaf.graphs import Graph
+from otsheaf.graphs import Graph, synthetic_dataset
 from otsheaf.transport import (
     LiftConfig,
     SinkhornDivergence,
@@ -47,6 +51,22 @@ def _oracle_two_point(mu, nu, C, eps, P0=None, tau=None):
     res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-14})
     return _two_point_plan(res.x, mu, nu)
+
+
+class TestLiftConfig:
+    @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
+    def test_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            LiftConfig(eps=eps)
+
+    @pytest.mark.parametrize("tau", [-2.0, float("nan")])
+    def test_rejects_negative_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            LiftConfig(tau=tau)
+
+    def test_rejects_zero_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            LiftConfig(max_iter=0)
 
 
 class TestCostMatrix:
@@ -187,26 +207,28 @@ class TestJkoRefine:
                     <= entropic_objective(P0.P, C, cfg.eps) + 1e-9)
 
 
-class TestLift:
-    def _setup(self, seed=0, n=6, d0=10, p=5, d_e=3):
-        rng = np.random.default_rng(seed)
-        g = Graph.from_edges(n, [[i, (i + 1) % n] for i in range(n - 1)] + [[0, 3]])
-        H = np.abs(rng.normal(size=(n, d0)))
-        W_proj = rng.normal(size=(d0, p)) / np.sqrt(p)
-        W_theta = rng.normal(size=(p, d_e))
-        return g, H, W_proj, W_theta
+def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
+    """A path through n nodes plus the edge (0, 3), with features and weights."""
+    rng = np.random.default_rng(seed)
+    g = Graph.from_edges(n, [[i, (i + 1) % n] for i in range(n - 1)] + [[0, 3]])
+    H = np.abs(rng.normal(size=(n, d0)))
+    W_proj = rng.normal(size=(d0, p)) / np.sqrt(p)
+    W_theta = rng.normal(size=(p, d_e))
+    return g, H, W_proj, W_theta
 
+
+class TestLift:
     def test_identity_plan_identity_weight(self):
         P = np.eye(4)
         np.testing.assert_array_equal(restriction_from_plan(P, np.eye(4)), np.eye(4))
 
     def test_shapes(self):
-        g, H, W_proj, W_theta = self._setup()
+        g, H, W_proj, W_theta = _lift_fixture()
         Rij, Rji = lift_edge(H[0], H[1], W_proj, W_theta, LiftConfig())
         assert Rij.shape == (3, 5) and Rji.shape == (3, 5)
 
     def test_pair_comes_from_one_plan(self):
-        g, H, W_proj, W_theta = self._setup()
+        g, H, W_proj, W_theta = _lift_fixture()
         rset = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
         plans = edge_plans(g.edges, H, W_proj, LiftConfig())
         for e in range(rset.m):
@@ -218,7 +240,7 @@ class TestLift:
             )
 
     def test_batch_matches_single_edge(self):
-        g, H, W_proj, W_theta = self._setup()
+        g, H, W_proj, W_theta = _lift_fixture()
         cfg = LiftConfig(tol=1e-11)
         rset = lift_all_edges(g, H, W_proj, W_theta, cfg)
         for e in range(rset.m):
@@ -228,7 +250,7 @@ class TestLift:
             np.testing.assert_allclose(rset.Rji[e], Rji, atol=1e-8)
 
     def test_deterministic(self):
-        g, H, W_proj, W_theta = self._setup()
+        g, H, W_proj, W_theta = _lift_fixture()
         a = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
         b = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
         np.testing.assert_array_equal(a.Rij, b.Rij)
@@ -237,7 +259,7 @@ class TestLift:
                                       edge_plans(g.edges, H, W_proj, LiftConfig()))
 
     def test_plan_marginals_are_projected_features(self):
-        g, H, W_proj, W_theta = self._setup()
+        g, H, W_proj, W_theta = _lift_fixture()
         cfg = LiftConfig()
         plans = edge_plans(g.edges, H, W_proj, cfg)
         X = H @ W_proj
@@ -254,3 +276,73 @@ class TestLift:
                               rng.normal(size=(4, 2)), rng.normal(size=(2, 2)),
                               LiftConfig())
         assert rset.m == 0 and rset.Rij.shape == (0, 2, 2)
+
+
+class TestEdgePlans:
+    @pytest.mark.parametrize("tau, refine", [(0.0, True), (1.0, True),
+                                             (5.0, True), (1.0, False)])
+    @pytest.mark.parametrize("p", [1, 2, 16])
+    @pytest.mark.parametrize("eps", [0.01, 0.5, 50.0])
+    def test_matches_dense_single_pair_solves(self, eps, tau, p, refine):
+        """The structured batch agrees with the dense per-edge reference.
+
+        tau does not enter the entropic pass, so refine=False runs once.
+        The graph is a 4-cycle: the dense reference solves edge by edge,
+        and at eps=0.01 each solve takes hundreds of iterations.
+        """
+        g, H, W_proj, _ = _lift_fixture(n=4, p=p)
+        cfg = LiftConfig(eps=eps, tau=tau, tol=1e-12)
+        plans = edge_plans(g.edges, H, W_proj, cfg, refine=refine)
+        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        C = feature_cost_matrix(p)
+        for e, (i, j) in enumerate(g.edges):
+            plan = sinkhorn(M[i], M[j], C, cfg)
+            if refine:
+                plan = jko_refine(plan, C, cfg)
+            np.testing.assert_allclose(plans[e], plan.P, rtol=0, atol=1e-10)
+
+    def test_nonfinite_features_name_the_node(self):
+        g, H, W_proj, _ = _lift_fixture(p=4)
+        H[3, 2] = np.nan
+        with pytest.raises(ValueError, match="node 3 "):
+            edge_plans(g.edges, H, W_proj, LiftConfig())
+
+    def test_divergence_names_pass_and_worst_edge(self, caplog):
+        g, H, W_proj, _ = _lift_fixture()
+        caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
+        with pytest.raises(SinkhornDivergence, match="entropic pass") as exc:
+            edge_plans(g.edges, H, W_proj, LiftConfig(tol=1e-14, max_iter=2))
+        m = re.search(r"worst edge (\d+) \((\d+), (\d+)\)", str(exc.value))
+        assert m is not None
+        e, i, j = (int(x) for x in m.groups())
+        assert (i, j) == tuple(g.edges[e])
+        records = [r for r in caplog.records if r.name == "otsheaf.transport"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "entropic pass: 2 iterations" in records[0].getMessage()
+
+    @pytest.mark.parametrize("refine, passes", [(True, ["entropic", "proximal"]),
+                                                (False, ["entropic"])])
+    def test_one_debug_record_per_pass(self, caplog, refine, passes):
+        g, H, W_proj, _ = _lift_fixture()
+        caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
+        edge_plans(g.edges, H, W_proj, LiftConfig(), refine=refine)
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "otsheaf.transport"]
+        assert [msg.split(" pass:")[0] for msg in msgs] == passes
+        assert all("iterations, marginal violation" in msg for msg in msgs)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_traced_peak_stays_near_output_size(self, refine):
+        """Guards against iterating on dense (m, p, p) arrays again: the old
+        dense loop peaked near 9-11x the returned plans on this fixture."""
+        g, feats, _ = synthetic_dataset(n=60, num_classes=3, d0=16, seed=0)
+        W_proj = np.random.default_rng(0).normal(size=(16, 16)) / 4.0
+        tracemalloc.start()
+        try:
+            plans = edge_plans(g.edges, feats.H, W_proj, LiftConfig(),
+                               refine=refine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plans.shape == (193, 16, 16)
+        assert peak < 4 * plans.nbytes
