@@ -177,7 +177,7 @@ def _block_isqrt(diag: np.ndarray, cutoff_rel: float = 1e-12):
     w, V = np.linalg.eigh(diag)  # (n, d), (n, d, d)
     scale = np.maximum(w[:, -1:], 1.0)
     inv = np.where(w > cutoff_rel * scale, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    S = np.einsum("nab,nb,ncb->nac", V, inv, V)
+    S = (V * inv[:, None, :]) @ V.transpose(0, 2, 1)
     return S, w, V
 
 
@@ -223,8 +223,8 @@ class NormalizedSheafOperator:
         """
         if self._lmax is None:
             rng = np.random.default_rng(seed)
-            T, _ = _lanczos(self.matvec, self.N, min(self.N, iters), rng)
-            w = np.linalg.eigvalsh(T)
+            run = _lanczos(self.matvec, self.N, min(self.N, iters), rng)
+            w = np.linalg.eigvalsh(run.T)
             self._lmax = float(np.abs(w).max())
         return self._lmax
 
@@ -261,40 +261,91 @@ class SpectralEstimates:
     converged: bool
 
 
-def _lanczos(matvec, N, k, rng, ortho_against=None, q0=None):
-    """Lanczos with full reorthogonalization; returns (T, Q) with T (k, k)."""
-    Q = np.zeros((N, k))
-    alphas = np.zeros(k)
-    betas = np.zeros(k)
+class LanczosRun:
+    """One Lanczos run with full reorthogonalization, grown in place.
+
+    The basis is stored as rows (steps, N), so each reorthogonalization
+    reads contiguous memory.  After `steps` steps the run keeps the
+    tridiagonal coefficients and the reorthogonalized residual of the last
+    step, so grow(k) continues exactly where the run stopped: at every k
+    it holds the bits a fresh run of k steps from the same start vector
+    would.  A residual norm under 1e-12 is a breakdown (the Krylov space
+    is invariant); growing a broken-down run does nothing.
+    """
+
+    def __init__(self, matvec, q, ortho_against=None):
+        self.matvec = matvec
+        self.ortho_against = ortho_against
+        self._Q = q[None, :]
+        self.alphas: list[float] = []
+        self.betas: list[float] = []
+        self._w = None           # reorthogonalized residual of the last step
+        self._beta = 0.0
+        self.broken_down = False
+
+    @property
+    def steps(self) -> int:
+        return len(self.alphas)
+
+    @property
+    def Q(self) -> np.ndarray:
+        """Orthonormal basis rows (steps, N)."""
+        return self._Q[:self.steps]
+
+    @property
+    def T(self) -> np.ndarray:
+        """Tridiagonal projection (steps, steps)."""
+        T = np.diag(self.alphas)
+        if self.steps > 1:
+            T += np.diag(self.betas, 1) + np.diag(self.betas, -1)
+        return T
+
+    def grow(self, k: int) -> "LanczosRun":
+        """Run until k steps, or until the run breaks down."""
+        if k > self._Q.shape[0]:
+            rows = max(self.steps, 1)
+            Q = np.empty((k, self._Q.shape[1]))
+            Q[:rows] = self._Q[:rows]
+            self._Q = Q
+        U = self.ortho_against
+        while self.steps < k and not self.broken_down:
+            t = self.steps
+            if t > 0:
+                if self._beta < 1e-12:
+                    self.broken_down = True
+                    break
+                self.betas.append(self._beta)
+                self._Q[t] = self._w / self._beta
+            q = self._Q[t]
+            w = self.matvec(q)
+            alpha = q @ w
+            w = w - alpha * q
+            if t > 0:
+                w -= self.betas[-1] * self._Q[t - 1]
+            # full reorthogonalization (twice) keeps the basis usable at this scale
+            B = self._Q[:t + 1]
+            for _ in range(2):
+                w -= (B @ w) @ B
+                if U is not None:
+                    w -= U @ (U.T @ w)
+            self.alphas.append(float(alpha))
+            self._w, self._beta = w, np.linalg.norm(w)
+        return self
+
+
+def _lanczos(matvec, N, k, rng, ortho_against=None, q0=None) -> LanczosRun:
+    """Lanczos with full reorthogonalization: a LanczosRun grown to k steps.
+
+    The start vector is q0, or one rng draw when q0 is None, projected off
+    ortho_against (orthonormal columns) and normalized.  The run's T is the
+    (k, k) tridiagonal and its Q the basis as rows (k, N); grow() extends
+    the same run in place, so every caller shares this one implementation.
+    """
     q = rng.normal(size=N) if q0 is None else q0.copy()
     if ortho_against is not None:
         q -= ortho_against @ (ortho_against.T @ q)
     q /= np.linalg.norm(q)
-    Q[:, 0] = q
-    beta = 0.0
-    q_prev = np.zeros(N)
-    steps = k
-    for t in range(k):
-        w = matvec(Q[:, t])
-        alphas[t] = Q[:, t] @ w
-        w = w - alphas[t] * Q[:, t] - beta * q_prev
-        # full reorthogonalization (twice) keeps the basis usable at this scale
-        for _ in range(2):
-            w -= Q[:, :t + 1] @ (Q[:, :t + 1].T @ w)
-            if ortho_against is not None:
-                w -= ortho_against @ (ortho_against.T @ w)
-        beta = np.linalg.norm(w)
-        if t + 1 < k:
-            if beta < 1e-12:
-                steps = t + 1
-                break
-            betas[t] = beta
-            q_prev = Q[:, t]
-            Q[:, t + 1] = w / beta
-    T = np.diag(alphas[:steps])
-    if steps > 1:
-        T += np.diag(betas[:steps - 1], 1) + np.diag(betas[:steps - 1], -1)
-    return T, Q[:, :steps]
+    return LanczosRun(matvec, q, ortho_against).grow(k)
 
 
 def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = 200,
@@ -332,8 +383,7 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = 200,
     rng = np.random.default_rng(seed)
     # pass 1: plain Lanczos for the top of the spectrum
     k = min(N, 60)
-    T, _ = _lanczos(L.matvec, N, k, rng)
-    lam_max = float(np.linalg.eigvalsh(T)[-1])
+    lam_max = float(np.linalg.eigvalsh(_lanczos(L.matvec, N, k, rng).T)[-1])
     sigma = lam_max + 1.0
 
     # pass 2: largest eigenvalues of sigma*I - L restricted to the deflation
@@ -350,9 +400,10 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = 200,
 
     k = min(N - U.shape[1], 80)
     while True:
-        T, Q = _lanczos(shifted_mv, N, k, rng, ortho_against=U)
+        run = _lanczos(shifted_mv, N, k, rng, ortho_against=U)
+        T, Q = run.T, run.Q
         w, Y = np.linalg.eigh(T)
-        v2 = Q @ Y[:, -1]
+        v2 = Y[:, -1] @ Q
         v2 /= np.linalg.norm(v2)
         lam2 = float(sigma - w[-1])
         res = float(np.linalg.norm(deflated_mv(v2) - lam2 * v2))
@@ -360,7 +411,7 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = 200,
             break
         k = min(2 * k, N - U.shape[1], max_budget)
     if T.shape[0] >= 2:
-        v3 = Q @ Y[:, -2]
+        v3 = Y[:, -2] @ Q
         v3 /= np.linalg.norm(v3)
         lam3 = float(sigma - w[-2])
     else:
@@ -388,7 +439,11 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
     Larger ones run Lanczos with the start vector pushed through the
     operator once, which keeps the Krylov space out of the null space up
     to roundoff; Ritz values under the cutoff (leakage) are skipped rather
-    than reported.  Returns lambda2 = 0 with converged=False when nothing
+    than reported.  The budget doubles from 80 steps up to max_budget
+    until the eigenpair residual meets tol * max(lambda_max, 1); each
+    checkpoint grows the one LanczosRun (row basis) in place rather than
+    restarting it, so a check at k steps costs k - k_prev operator
+    applications.  Returns lambda2 = 0 with converged=False when nothing
     clears the cutoff.
     """
 
@@ -420,9 +475,10 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
                                  converged=True)
 
     rng = np.random.default_rng(seed)
-    T, _ = _lanczos(matvec, N, min(N, 60), rng)
+    T = _lanczos(matvec, N, min(N, 60), rng).T
     lam_max = float(np.linalg.eigvalsh(T)[-1])
     cutoff = cutoff_of(lam_max)
+    res_tol = tol * max(lam_max, 1.0)
 
     # one application of the operator strips the null component
     q0 = matvec(rng.normal(size=N))
@@ -432,17 +488,19 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
         return _empty(lam_max)
 
     k = min(N, 80)
+    run = _lanczos(matvec, N, 0, rng, q0=q0)
     while True:
-        T, Q = _lanczos(matvec, N, k, rng, q0=q0)
-        w, Y = np.linalg.eigh(T)
+        run.grow(k)
+        Q = run.Q
+        w, Y = np.linalg.eigh(run.T)
         keep = np.flatnonzero(w > cutoff)
         if keep.size > 0:
             i0 = keep[0]
-            v2 = Q @ Y[:, i0]
+            v2 = Y[:, i0] @ Q
             v2 /= np.linalg.norm(v2)
             lam2 = float(w[i0])
             res = float(np.linalg.norm(matvec(v2) - lam2 * v2))
-            if res <= tol * max(lam_max, 1.0) or k >= min(N, max_budget):
+            if res <= res_tol or k >= min(N, max_budget):
                 break
         elif k >= min(N, max_budget):
             logger.warning("no Ritz value above the null cutoff within "
@@ -450,14 +508,16 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
             return _empty(lam_max)
         k = min(2 * k, N, max_budget)
     if keep.size >= 2:
-        v3 = Q @ Y[:, keep[1]]
+        v3 = Y[:, keep[1]] @ Q
         v3 /= np.linalg.norm(v3)
         lam3 = float(w[keep[1]])
     else:
         lam3, v3 = lam2, v2.copy()
-    converged = res <= tol * max(lam_max, 1.0)
+    converged = res <= res_tol
     if not converged:
-        logger.warning("range-gap estimate residual %.2e above tolerance", res)
+        logger.warning("range-gap estimate residual %.2e above tolerance %.2e "
+                       "after %d Lanczos steps (N=%d)", res, res_tol,
+                       run.steps, N)
     return SpectralEstimates(lambda2=lam2, lambda_max=lam_max, v2=v2,
                              lambda3=lam3, v3=v3, residual2=res,
                              converged=converged)
@@ -540,9 +600,9 @@ def _edge_leverage_dense(L: SheafLaplacian, B: SheafIncidence) -> np.ndarray:
     Pii = Lpr[I, :, I, :]
     Pjj = Lpr[J, :, J, :]
     Pij = Lpr[I, :, J, :]
-    t1 = np.einsum("eab,ebc,eac->e", B.Rij, Pii, B.Rij)
-    t2 = np.einsum("eab,ebc,eac->e", B.Rji, Pjj, B.Rji)
-    t3 = np.einsum("eab,ebc,eac->e", B.Rij, Pij, B.Rji)
+    t1 = ((B.Rij @ Pii) * B.Rij).sum((1, 2))
+    t2 = ((B.Rji @ Pjj) * B.Rji).sum((1, 2))
+    t3 = ((B.Rij @ Pij) * B.Rji).sum((1, 2))
     return t1 + t2 - 2.0 * t3
 
 

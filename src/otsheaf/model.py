@@ -14,6 +14,7 @@ flattened (n * d_v,) form.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,8 @@ from .laplacian import (
     pattern_matvec,
     pattern_outer,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -131,22 +134,32 @@ def laplacian_blocks(Rij: Var, Rji: Var, edges: np.ndarray,
     return diag_var, off_var
 
 
-def svr_branch(diag: Var, off: Var, x, ctx: EpochContext) -> tuple[Var, object]:
+def _warn_unconverged(solve: str, info) -> None:
+    if not info.converged:
+        logger.warning("%s solve stopped unconverged: %d CG iterations, "
+                       "residual %.2e", solve, info.total_iterations,
+                       info.residual)
+
+
+def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
+               ctx: EpochContext) -> tuple[Var, object]:
     """(I + dt L)^(-1) x via CG; adjoint solves the same system once more.
 
-    With A = I + dt L symmetric, y = A~x gives dL = -dt * (A~g) y' restricted
-    to the pattern, and dx = A~g.
+    L is the operator with the blocks (diag.value, off.value); sharing one
+    instance across layers builds its CSR form once.  With A = I + dt L
+    symmetric, y = A~x gives dL = -dt * (A~g) y' restricted to the pattern,
+    and dx = A~g.  An unconverged forward or adjoint solve logs a warning.
     """
     x_var = x if isinstance(x, Var) else None
     xv = x.value if x_var is not None else np.asarray(x, dtype=np.float64)
-    L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
-                       diag=diag.value, off=off.value)
     cfg = DiffusionConfig(dt=ctx.dt, cg_tol=ctx.cg_tol,
                           cg_max_iter=ctx.cg_max_iter)
     y, info = svr_diffuse(L, xv.reshape(-1), cfg)
+    _warn_unconverged("svr forward", info)
 
     def solve_adjoint(g):
-        u, _ = svr_diffuse(L, g.reshape(-1), cfg)
+        u, adj_info = svr_diffuse(L, g.reshape(-1), cfg)
+        _warn_unconverged("svr adjoint", adj_info)
         gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
         return {"diag": -ctx.dt * gd, "off": -ctx.dt * go,
                 "x": u.reshape(xv.shape)}
@@ -176,13 +189,14 @@ def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> Var:
     hp = np.where(keep, -0.5 * wsafe ** -1.5, 0.0)
 
     def vjp(g):
-        gt = np.einsum("iba,ibc,icd->iad", V, g, V)
+        Vt = V.transpose(0, 2, 1)
+        gt = Vt @ g @ V
         dw = w[:, :, None] - w[:, None, :]
         dh = h[:, :, None] - h[:, None, :]
         close = np.abs(dw) < 1e-9 * wscale[:, :, None]
         avg_hp = 0.5 * (hp[:, :, None] + hp[:, None, :])
         phi = np.where(close, avg_hp, dh / np.where(close, 1.0, dw))
-        gb = np.einsum("iab,ibc,idc->iad", V, phi * gt, V)
+        gb = V @ (phi * gt) @ Vt
         return 0.5 * (gb + gb.transpose(0, 2, 1))
 
     return Var(S, [(diag, vjp)])
@@ -193,8 +207,9 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     """Blocks of S L S: md_i = S_i D_i S_i, mo_e = S_i O_e S_j."""
     Sv, Dv, Ov = S.value, diag.value, off.value
     I, J = edges[:, 0], edges[:, 1]
-    md = np.einsum("iab,ibc,icd->iad", Sv, Dv, Sv)
-    mo = np.einsum("eab,ebc,ecd->ead", Sv[I], Ov, Sv[J])
+    SI, SJ = Sv[I], Sv[J]
+    md = Sv @ Dv @ Sv
+    mo = SI @ Ov @ SJ
 
     def d_md_d_S(g):
         SD = np.einsum("iab,ibc->iac", Sv, Dv)
@@ -203,18 +218,19 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
                 + np.einsum("iba,ibc->iac", SD, g))
 
     def d_md_d_D(g):
-        return np.einsum("iba,ibc,idc->iad", Sv, g, Sv)
+        St = Sv.transpose(0, 2, 1)
+        return St @ g @ St
 
     def d_mo_d_S(g):
         out = np.zeros_like(Sv)
-        OSj = np.einsum("eab,ebc->eac", Ov, Sv[J])
-        SiO = np.einsum("eab,ebc->eac", Sv[I], Ov)
+        OSj = np.einsum("eab,ebc->eac", Ov, SJ)
+        SiO = np.einsum("eab,ebc->eac", SI, Ov)
         np.add.at(out, I, np.einsum("eab,ecb->eac", g, OSj))
         np.add.at(out, J, np.einsum("eba,ebc->eac", SiO, g))
         return out
 
     def d_mo_d_O(g):
-        return np.einsum("eba,ebc,edc->ead", Sv[I], g, Sv[J])
+        return SI.transpose(0, 2, 1) @ g @ SJ.transpose(0, 2, 1)
 
     md_var = Var(md, [(S, d_md_d_S), (diag, d_md_d_D)])
     mo_var = Var(mo, [(S, d_mo_d_S), (off, d_mo_d_O)])
@@ -303,8 +319,9 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     """Build the tape from frozen context to logits.
 
     Returns (logits Var, leaves dict, aux dict).  aux carries the block
-    Vars (for spectral reuse), forward CG iteration counts, and the fused
-    embeddings per layer.
+    Vars, the SheafLaplacian built once from their values (every layer's
+    CG solves and the epoch's gap estimate share it), forward CG iteration
+    counts, and the fused embeddings per layer.
     """
     if leaves is None:
         leaves = {name: Var(value) for name, value in params.trainable().items()}
@@ -312,13 +329,15 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     diag, off = laplacian_blocks(Rij, Rji, ctx.edges, ctx.n)
     S = isqrt_blocks(diag)
     md, mo = sandwich_blocks(S, diag, off, ctx.edges)
+    L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
+                       diag=diag.value, off=off.value)
     x = ctx.X0
     cg_iters = 0
     embeddings = []
     pre_acts = []
     z = None
     for _ in range(ctx.n_layers):
-        h_svr, info = svr_branch(diag, off, x, ctx)
+        h_svr, info = svr_branch(diag, off, L, x, ctx)
         cg_iters += info.total_iterations
         h_afm = cheb_branch(md, mo, leaves["gamma"], x, ctx)
         pre = linear(concat_cols(h_svr, h_afm), leaves["W_mix"])
@@ -327,7 +346,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
         embeddings.append(z.value)
         x = z
     logits = linear(z, leaves["W_cls"])
-    aux = {"diag": diag, "off": off, "cg_iters": cg_iters,
+    aux = {"diag": diag, "off": off, "L": L, "cg_iters": cg_iters,
            "embeddings": embeddings, "pre_acts": pre_acts,
            "Rij": Rij, "Rji": Rji}
     return logits, leaves, aux

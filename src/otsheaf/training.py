@@ -45,7 +45,7 @@ from .calibration import (
     posterior_update,
 )
 from .graphs import Graph, Labels, NodeFeatures, SplitMask, nrs
-from .laplacian import SheafLaplacian, normalized_range_gap
+from .laplacian import normalized_range_gap
 # not called here; perfbench/spans.py rebinds these names to time them
 from .laplacian import assemble_laplacian, reassemble_restrictions  # noqa: F401
 from .model import (
@@ -227,9 +227,7 @@ def train_epoch(state: TrainState, data: Dataset,
     logits, leaves, aux = forward_tape(state.params, ctx0)
     y_hat = _softmax(logits.value)
 
-    L = SheafLaplacian(n=g.n, d_v=ctx0.d_v, edges=g.edges,
-                       diag=aux["diag"].value, off=aux["off"].value)
-    _, gap = run_gap_ascent(L, WolfeConfig(), steps=cfg.gap_steps,
+    _, gap = run_gap_ascent(aux["L"], WolfeConfig(), steps=cfg.gap_steps,
                             seed=cfg.seed, estimator=normalized_range_gap)
 
     posterior = posterior_update(

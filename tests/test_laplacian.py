@@ -6,8 +6,11 @@ import pytest
 from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import (
     SheafIncidence,
+    SheafLaplacian,
     SparsifierConfig,
+    _block_isqrt,
     _edge_leverage_dense,
+    _lanczos,
     assemble_laplacian,
     blockwise_constant_basis,
     estimate_range_gap,
@@ -143,6 +146,20 @@ class TestNormalized:
         dense_lmax = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
         assert op.lambda_max(iters=200) == pytest.approx(dense_lmax, rel=1e-3)
 
+    def test_block_isqrt_matches_einsum_formula(self):
+        rng = np.random.default_rng(21)
+        base = rng.normal(size=(30, 4, 4))
+        D = np.einsum("nab,ncb->nac", base, base)
+        D[3] = 0.0                       # a null block keeps S = 0
+        D[5, :, 0] = D[5, 0, :] = 0.0    # and a rank-deficient one
+        S, w, V = _block_isqrt(D)
+        scale = np.maximum(w[:, -1:], 1.0)
+        inv = np.where(w > 1e-12 * scale,
+                       1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+        ref = np.einsum("nab,nb,ncb->nac", V, inv, V)
+        assert np.linalg.norm(S - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert not S[3].any()
+
 
 class TestSpectrum:
     def test_path_two_nodes(self):
@@ -180,6 +197,66 @@ class TestSpectrum:
         est = estimate_spectrum(L)
         U = blockwise_constant_basis(L.n, L.d_v)
         assert np.abs(U.T @ est.v2).max() < 1e-8
+
+
+def counting_matvec(monkeypatch) -> list:
+    """Count every SheafLaplacian.matvec call; returns the growing tally."""
+    calls = []
+    real = SheafLaplacian.matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(SheafLaplacian, "matvec", counted)
+    return calls
+
+
+class TestLanczos:
+    def _operator(self):
+        g = cycle_graph(60)
+        return assemble_laplacian(random_sheaf(g, d_v=2, d_e=1, seed=19))
+
+    @pytest.mark.parametrize("deflate", [False, True])
+    def test_grown_run_equals_fresh_run_at_each_checkpoint(self, deflate):
+        L = self._operator()
+        U = blockwise_constant_basis(L.n, L.d_v) if deflate else None
+        q0 = np.random.default_rng(4).normal(size=L.N)
+        grown = _lanczos(L.matvec, L.N, 10, None, ortho_against=U, q0=q0)
+        for k in (10, 25, 40, 55):
+            grown.grow(k)
+            fresh = _lanczos(L.matvec, L.N, k, None, ortho_against=U, q0=q0)
+            assert grown.steps == fresh.steps == k
+            assert np.array_equal(grown.T, fresh.T)
+            assert np.array_equal(grown.Q, fresh.Q)
+
+    def test_rng_start_draws_once(self):
+        L = self._operator()
+        grown = _lanczos(L.matvec, L.N, 5, np.random.default_rng(7)).grow(30)
+        fresh = _lanczos(L.matvec, L.N, 30, np.random.default_rng(7))
+        assert np.array_equal(grown.T, fresh.T)
+        assert np.array_equal(grown.Q, fresh.Q)
+
+    def test_basis_rows_are_orthonormal(self):
+        L = self._operator()
+        run = _lanczos(L.matvec, L.N, 60, np.random.default_rng(1))
+        assert run.Q.shape == (60, L.N)
+        np.testing.assert_allclose(run.Q @ run.Q.T, np.eye(60), atol=1e-12)
+
+    def test_growing_a_broken_down_run_is_a_noop(self):
+        # three distinct eigenvalues: the Krylov space is invariant after 3 steps
+        lam = np.repeat([1.0, 2.0, 5.0], 10)
+        mv = lambda x: lam * x
+        q0 = np.ones(lam.size)
+        run = _lanczos(mv, lam.size, 8, None, q0=q0)
+        assert run.steps == 3 and run.broken_down
+        T, Q = run.T, run.Q.copy()
+        run.grow(20)
+        assert run.steps == 3
+        assert np.array_equal(run.T, T) and np.array_equal(run.Q, Q)
+        np.testing.assert_allclose(np.linalg.eigvalsh(T), [1.0, 2.0, 5.0])
+        fresh = _lanczos(mv, lam.size, 20, None, q0=q0)
+        assert np.array_equal(fresh.T, T)
 
 
 class TestSparsifier:
@@ -373,3 +450,21 @@ class TestNormalizedRangeGap:
         est = normalized_range_gap(assemble_laplacian(B))
         assert est.lambda2 == 0.0
         assert not est.converged
+
+    def test_budget_checkpoints_grow_one_run(self, monkeypatch, caplog):
+        # 60 steps for lambda_max, 1 application for the start vector, one
+        # run grown to 80 and then 120 steps, one residual check at each
+        # checkpoint; restarting the run at 120 would cost 80 more
+        L = assemble_laplacian(random_sheaf(erdos_renyi(80, 4.0, seed=5),
+                                            d_v=3, d_e=2, seed=6))
+        assert L.N > 200
+        calls = counting_matvec(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
+            est = normalized_range_gap(L, tol=1e-30, max_budget=120)
+        assert len(calls) == 60 + 1 + 120 + 2
+        assert not est.converged
+        records = [r.getMessage() for r in caplog.records]
+        assert len(records) == 1
+        assert "after 120 Lanczos steps (N=240)" in records[0]
+        tol = 1e-30 * max(est.lambda_max, 1.0)
+        assert f"above tolerance {tol:.2e}" in records[0]

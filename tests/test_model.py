@@ -1,3 +1,6 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from otsheaf.diffusion import afm_filter, fuse, predict, svr_diffuse, DiffusionC
 from otsheaf.graphs import Graph
 from otsheaf.laplacian import (
     SheafIncidence,
+    SheafLaplacian,
     assemble_laplacian,
     normalized_laplacian,
 )
@@ -177,12 +181,17 @@ class TestPrimitiveGradients:
         O0 = aux["off"].value.copy()
         probe = self.rng.standard_normal(self.ctx.X0.shape)
 
+        def operator():
+            return SheafLaplacian(n=self.ctx.n, d_v=self.ctx.d_v,
+                                  edges=self.ctx.edges, diag=D0, off=O0)
+
         def value():
-            h, _ = svr_branch(Var(D0), Var(O0), self.ctx.X0, self.ctx)
+            h, _ = svr_branch(Var(D0), Var(O0), operator(), self.ctx.X0,
+                              self.ctx)
             return float(np.vdot(probe, h.value))
 
         Dv, Ov = Var(D0), Var(O0)
-        h, _ = svr_branch(Dv, Ov, self.ctx.X0, self.ctx)
+        h, _ = svr_branch(Dv, Ov, operator(), self.ctx.X0, self.ctx)
         backward(probe_sum(h, probe))
         assert rel_err(Dv.grad, fd_tensor(value, D0)) < 1e-6
         assert rel_err(Ov.grad, fd_tensor(value, O0)) < 1e-6
@@ -207,6 +216,90 @@ class TestPrimitiveGradients:
         assert rel_err(mdv.grad, fd_tensor(value, md0)) < 1e-6
         assert rel_err(mov.grad, fd_tensor(value, mo0)) < 1e-6
         assert rel_err(gv.grad, fd_tensor(value, gam)) < 1e-6
+
+
+def rel_close(a, b, tol=1e-13):
+    return np.linalg.norm(a - b) <= tol * max(np.linalg.norm(b), 1e-300)
+
+
+class TestContractionFormulas:
+    """The tape's matmul contractions against their einsum formulas."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        self.edges = np.array([(i, (i + 1) % 12) for i in range(12)]
+                              + [(0, 6), (3, 9)])
+        base = rng.normal(size=(12, 4, 4))
+        self.D = np.einsum("iab,icb->iac", base, base) + 0.1 * np.eye(4)
+        self.O = rng.normal(size=(len(self.edges), 4, 4))
+        self.S = rng.normal(size=(12, 4, 4))   # not symmetric on purpose
+        self.rng = rng
+
+    def test_sandwich_forward(self):
+        I, J = self.edges[:, 0], self.edges[:, 1]
+        md, mo = sandwich_blocks(Var(self.S), Var(self.D), Var(self.O),
+                                 self.edges)
+        assert rel_close(md.value, np.einsum("iab,ibc,icd->iad",
+                                             self.S, self.D, self.S))
+        assert rel_close(mo.value, np.einsum("eab,ebc,ecd->ead",
+                                             self.S[I], self.O, self.S[J]))
+
+    def test_sandwich_block_vjps(self):
+        I, J = self.edges[:, 0], self.edges[:, 1]
+        g_md = self.rng.normal(size=self.D.shape)
+        g_mo = self.rng.normal(size=self.O.shape)
+        Dv = Var(self.D)
+        md, _ = sandwich_blocks(Var(self.S), Dv, Var(self.O), self.edges)
+        backward(probe_sum(md, g_md))
+        assert rel_close(Dv.grad, np.einsum("iba,ibc,idc->iad",
+                                            self.S, g_md, self.S))
+        Ov = Var(self.O)
+        _, mo = sandwich_blocks(Var(self.S), Var(self.D), Ov, self.edges)
+        backward(probe_sum(mo, g_mo))
+        assert rel_close(Ov.grad, np.einsum("eba,ebc,edc->ead",
+                                            self.S[I], g_mo, self.S[J]))
+
+    def test_isqrt_blocks_vjp(self):
+        g = self.rng.normal(size=self.D.shape)
+        Dv = Var(self.D)
+        backward(probe_sum(isqrt_blocks(Dv), g))
+        w, V = np.linalg.eigh(self.D)
+        h, hp = w ** -0.5, -0.5 * w ** -1.5
+        dw = w[:, :, None] - w[:, None, :]
+        close = np.abs(dw) < 1e-9 * np.maximum(w[:, -1:], 1.0)[:, :, None]
+        phi = np.where(close, 0.5 * (hp[:, :, None] + hp[:, None, :]),
+                       (h[:, :, None] - h[:, None, :])
+                       / np.where(close, 1.0, dw))
+        gt = np.einsum("iba,ibc,icd->iad", V, g, V)
+        gb = np.einsum("iab,ibc,idc->iad", V, phi * gt, V)
+        assert rel_close(Dv.grad, 0.5 * (gb + gb.transpose(0, 2, 1)))
+
+
+class TestSolverStatus:
+    def test_unconverged_svr_solves_warn(self, caplog):
+        params, ctx = make_context()
+        ctx = replace(ctx, cg_max_iter=1)
+        _, _, aux = forward_tape(params, ctx)
+        Dv = Var(aux["diag"].value.copy())
+        Ov = Var(aux["off"].value.copy())
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="otsheaf.model"):
+            h, info = svr_branch(Dv, Ov, aux["L"], ctx.X0, ctx)
+            assert not info.converged
+            backward(probe_sum(h, np.ones(h.value.shape)))
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "otsheaf.model"]
+        assert len(msgs) == 2
+        assert msgs[0].startswith("svr forward solve")
+        assert msgs[1].startswith("svr adjoint solve")
+        for msg in msgs:
+            assert ": 1 CG iterations, residual " in msg
+
+    def test_converged_solves_stay_quiet(self, caplog):
+        params, ctx = make_context()
+        with caplog.at_level(logging.WARNING, logger="otsheaf.model"):
+            grad_params(params, ctx)
+        assert not [r for r in caplog.records if r.name == "otsheaf.model"]
 
 
 class TestFullGradcheck:
@@ -264,6 +357,13 @@ class TestForwardParity:
         e = np.exp(logits.value - logits.value.max(axis=1, keepdims=True))
         tape_probs = e / e.sum(axis=1, keepdims=True)
         assert np.allclose(tape_probs, probs, atol=1e-10)
+
+    def test_one_operator_serves_every_layer(self):
+        params, ctx = make_context(n_layers=2)
+        _, _, aux = forward_tape(params, ctx)
+        L = aux["L"]
+        assert L.diag is aux["diag"].value and L.off is aux["off"].value
+        assert L._csr is not None   # built by the first layer's CG solve
 
     def test_loss_includes_frozen_terms(self):
         params, ctx = make_context()

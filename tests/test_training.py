@@ -172,6 +172,23 @@ class TestTrainEpoch:
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(calls) == 1
 
+    def test_one_csr_build_per_epoch(self, monkeypatch):
+        # the tape's operator serves the CG solves and the gap estimate
+        from otsheaf.laplacian import SheafLaplacian
+        builds = []
+        real = SheafLaplacian.to_csr
+
+        def counted(self):
+            if self._csr is None:
+                builds.append(1)
+            return real(self)
+
+        monkeypatch.setattr(SheafLaplacian, "to_csr", counted)
+        data = two_cluster_dataset()
+        cfg = small_cfg(gap_steps=0)
+        train_epoch(init_state(data, cfg), data, cfg)
+        assert len(builds) == 1
+
     def test_bound_identity(self):
         data = two_cluster_dataset()
         cfg = small_cfg(lambda_kl=0.7, lambda_spec=0.3)
