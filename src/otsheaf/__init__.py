@@ -56,7 +56,7 @@ from .training import (
     write_curves,
     write_reliability,
 )
-from .transport import LiftConfig, edge_plans, lift_edge, sinkhorn
+from .transport import LiftConfig, edge_plans, sinkhorn
 from .verify import CHECKS, CheckResult, run_checks
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ REGISTRY: dict[str, tuple] = {
     "data.per_class": (int, 20),
     "data.val_fraction": (float, 1.0 / 3.0),
     "ot.eps": (float, 0.5),
-    "ot.tau": (float, 1.0),
     "train.lambda_kl": (float, 1.0),
     "train.lambda_spec": (float, 1.0),
     "train.lr": (float, 1e-3),
@@ -140,7 +139,6 @@ class RunConfig:
             b0=v["train.b0"],
             gamma_cap=v["train.gamma_cap"],
             lift_eps=v["ot.eps"],
-            lift_tau=v["ot.tau"],
             optimizer=v["train.optimizer"],
             seed=v["seed"],
         )

@@ -29,6 +29,7 @@ from .laplacian import (
     pattern_matvec,
     pattern_outer,
 )
+from .transport import restriction_from_plan
 
 logger = logging.getLogger(__name__)
 
@@ -100,10 +101,11 @@ class EpochContext:
 def restriction_maps(W_theta: Var, plans: np.ndarray) -> tuple[Var, Var]:
     """R_ij = W' P_e and R_ji = W' P_e' for every edge."""
     W = W_theta.value
-    Rij = np.einsum("pd,mpq->mdq", W, plans)
-    Rji = np.einsum("pd,mqp->mdq", W, plans)
-    vij = Var(Rij, [(W_theta, lambda g: np.einsum("mpq,mdq->pd", plans, g))])
-    vji = Var(Rji, [(W_theta, lambda g: np.einsum("mqp,mdq->pd", plans, g))])
+    Rij = restriction_from_plan(plans, W)
+    Rji = restriction_from_plan(plans.transpose(0, 2, 1), W)
+    # dW[p, d] = sum over (m, q) of P[m, p, q] g[m, d, q]; P[m, q, p] for Rji
+    vij = Var(Rij, [(W_theta, lambda g: np.tensordot(plans, g, ([0, 2], [0, 2])))])
+    vji = Var(Rji, [(W_theta, lambda g: np.tensordot(plans, g, ([0, 1], [0, 2])))])
     return vij, vji
 
 

@@ -62,7 +62,7 @@ from .transport import LiftConfig, edge_plans
 logger = logging.getLogger(__name__)
 
 DIVERGENCE_LIMIT = 1e6
-VARIANTS = ("we_lift", "sinkhorn_only", "scalar_edge")
+VARIANTS = ("we_lift", "scalar_edge")
 
 CURVE_COLUMNS = ("epoch", "emp_risk", "kl", "spec", "bound", "lambda2",
                  "train_acc", "val_acc", "test_acc", "ece", "cg_iters",
@@ -103,20 +103,27 @@ class TrainConfig:
     b0: float = 1.0
     gamma_cap: float = 50.0
     lift_eps: float = 0.5
-    lift_tau: float = 1.0
     optimizer: str = "gd"
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_kl < 0 or self.lambda_spec < 0:
-            raise ValueError("penalty weights must be nonnegative")
-        for name in ("lr", "weight_decay", "dt", "cg_tol"):
-            if getattr(self, name) < 0:
+        for name in ("lr", "weight_decay", "dt", "cg_tol", "lambda_kl",
+                     "lambda_spec"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("a0", "b0"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.epochs < 0 or self.patience <= 0 or self.gap_steps < 0:
-            raise ValueError("epoch counts must be sensible")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.patience < 1:
+            raise ValueError("patience must be at least 1")
+        if self.gap_steps < 0:
+            raise ValueError("gap_steps must be nonnegative")
+        if self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be at least 1")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError("optimizer must be 'gd' or 'adam'")
         if self.d_e is None:
@@ -131,11 +138,9 @@ class TrainConfig:
             raise ValueError("gamma_cap must be positive")
         if not self.lift_eps > 0:
             raise ValueError("lift_eps must be positive")
-        if not self.lift_tau >= 0:
-            raise ValueError("lift_tau must be nonnegative")
 
     def lift_config(self) -> LiftConfig:
-        return LiftConfig(eps=self.lift_eps, tau=self.lift_tau)
+        return LiftConfig(eps=self.lift_eps)
 
 
 @dataclass
@@ -297,8 +302,7 @@ def init_state(data: Dataset, cfg: TrainConfig,
     """Seeded parameter draw plus the run-constant lift cache.
 
     scalar_edge pins every restriction map to the identity (the plain graph
-    Laplacian baseline) and freezes it; sinkhorn_only lifts without the
-    proximal refinement step.
+    Laplacian baseline) and freezes it.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -312,9 +316,7 @@ def init_state(data: Dataset, cfg: TrainConfig,
         plans = _identity_plans(g.m, cfg.d_v)
         frozen = frozenset({"W_theta"})
     else:
-        plans = edge_plans(g.edges, feats.H, params.W_proj,
-                           cfg.lift_config(),
-                           refine=(variant != "sinkhorn_only"))
+        plans = edge_plans(g.edges, feats.H, params.W_proj, cfg.lift_config())
     X0 = feats.H @ params.W_proj
     prior = init_prior(g.m, cfg.a0, cfg.b0)
     return TrainState(params=params, prior=prior, plans=plans, X0=X0,
@@ -368,8 +370,7 @@ def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
             plans = _identity_plans(g.m, cfg.d_v)
         else:
             plans = edge_plans(g.edges, feats.H, params.W_proj,
-                               cfg.lift_config(),
-                               refine=(variant != "sinkhorn_only"))
+                               cfg.lift_config())
     X0 = feats.H @ params.W_proj
     ctx = EpochContext(
         n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,

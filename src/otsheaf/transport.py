@@ -2,9 +2,16 @@
 
 Features are projected to a common p-dimensional space, normalized to
 probability vectors over the canonical basis, and coupled by Sinkhorn
-iteration under the basis cost ||e_a - e_b||^2 = 2 * (a != b).  A single
-proximal (KL) refinement step sharpens the entropic plan, and a learned
+iteration under the basis cost ||e_a - e_b||^2 = 2 * (a != b).  A learned
 matrix turns each plan into the pair of restriction maps for its edge.
+
+The lift runs one entropic pass and no KL-proximal step after it.  The
+entropic optimum P0, with log P0 = (f + g - C)/eps, is a fixed point of
+the proximal step min <P,C> + eps*H(P) + KL(P||P0)/tau for every tau: the
+stationarity condition C + eps*log P + (log P - log P0)/tau = f' + g' holds
+at P = P0 with f' = f and g' = g, since the KL gradient vanishes there
+(Peyre & Cuturi 2019, Computational Optimal Transport, section 4).  A
+second pass would return the plan it was given.
 
 All Sinkhorn arithmetic is done in the log domain, so tiny regularization
 values and plans with severely underflowing entries are handled without
@@ -13,10 +20,9 @@ special cases.
 The batched lift (`edge_plans`) uses the structure of the basis cost: the
 kernel exp(-C/eps) is c*11^T + (1-c)*I with c = exp(-2/eps), so one kernel
 product is a sum plus a diagonal term and each scaling step costs O(m*p)
-for m edges, not O(m*p^2) (Peyre & Cuturi 2019, Computational Optimal
-Transport, section 4).  The dense (m, p, p) plans are materialised once,
-after both passes.  The single-pair `sinkhorn` and `jko_refine` keep a
-dense kernel and accept any cost; they serve as the reference solver.
+for m edges, not O(m*p^2) (ibid.).  The dense (m, p, p) plans are
+materialised once, at the end.  The single-pair `sinkhorn` keeps a dense
+kernel and accepts any cost; it serves as the reference solver.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ logger = logging.getLogger(__name__)
 @dataclass
 class LiftConfig:
     eps: float = 0.5          # entropic regularization strength
-    tau: float = 1.0          # proximal step size for the refinement
     tol: float = 1e-9         # L1 marginal violation tolerance
     max_iter: int = 5000
     floor: float = 1e-6       # additive floor when normalizing features
@@ -43,8 +48,6 @@ class LiftConfig:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if not self.tau >= 0:
-            raise ValueError("tau must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -131,31 +134,6 @@ def sinkhorn(mu: np.ndarray, nu: np.ndarray, C: np.ndarray,
     return TransportPlan(P=np.exp(log_P[0]), mu=mu, nu=nu, iterations=it, violation=viol)
 
 
-def _proximal_log_kernel(log_P0, C, cfg):
-    # surrogate of one Wasserstein gradient-flow step: minimizing
-    # <P,C> + eps*H(P) + KL(P||P0)/tau over couplings has scaling form with
-    # kernel P0^(1/(1+eps*tau)) * exp(-tau*C/(1+eps*tau))
-    denom = 1.0 + cfg.eps * cfg.tau
-    return log_P0 / denom - (cfg.tau / denom) * C
-
-
-def jko_refine(plan0: TransportPlan, C: np.ndarray, cfg: LiftConfig) -> TransportPlan:
-    """One KL-proximal refinement of an entropic plan (same marginals)."""
-    with np.errstate(divide="ignore"):
-        log_P0 = np.log(plan0.P)
-    log_kernel = _proximal_log_kernel(log_P0, C, cfg)[None, :, :]
-    log_P, it, viol = _sinkhorn_log(
-        log_kernel,
-        np.log(plan0.mu)[None, :],
-        np.log(plan0.nu)[None, :],
-        cfg.tol,
-        cfg.max_iter,
-    )
-    return TransportPlan(
-        P=np.exp(log_P[0]), mu=plan0.mu, nu=plan0.nu, iterations=it, violation=viol
-    )
-
-
 def entropic_objective(P: np.ndarray, C: np.ndarray, eps: float) -> float:
     """<P, C> + eps * sum P (log P - 1), with 0 log 0 = 0."""
     P = np.asarray(P, dtype=np.float64)
@@ -165,22 +143,11 @@ def entropic_objective(P: np.ndarray, C: np.ndarray, eps: float) -> float:
 
 
 def restriction_from_plan(P: np.ndarray, W_theta: np.ndarray) -> np.ndarray:
-    """R = W_theta^T P, mapping a node stalk into the edge stalk."""
-    return W_theta.T @ P
+    """R = W_theta^T P, mapping a node stalk into the edge stalk.
 
-
-def lift_edge(h_i, h_j, W_proj, W_theta, cfg: LiftConfig):
-    """Restriction-map pair for one edge from its endpoint features.
-
-    Returns (R_ij, R_ji), each d_e x p, where p is the projection width.
+    P may be one (p, p) plan or a stack (m, p, p); the product broadcasts.
     """
-    x_i = np.asarray(h_i, dtype=np.float64) @ W_proj
-    x_j = np.asarray(h_j, dtype=np.float64) @ W_proj
-    mu = normalize_to_measure(x_i, cfg.floor)
-    nu = normalize_to_measure(x_j, cfg.floor)
-    C = feature_cost_matrix(mu.shape[-1])
-    plan = jko_refine(sinkhorn(mu, nu, C, cfg), C, cfg)
-    return restriction_from_plan(plan.P, W_theta), restriction_from_plan(plan.P.T, W_theta)
+    return W_theta.T @ P
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -198,19 +165,19 @@ def _log_kernel_apply(log_c: float, log_1mc: float, log_x: np.ndarray) -> np.nda
     return np.logaddexp(log_c + _row_logsumexp(log_x)[:, None], log_1mc + log_x)
 
 
-def _sinkhorn_structured(log_c, log_mu, log_nu, log_v, tol, max_iter,
+def _sinkhorn_structured(log_c, log_mu, log_nu, tol, max_iter,
                          check_every=5):
     """Batched log-domain scaling loop for the kernel c*11^T + (1-c)*I.
 
-    log_mu/log_nu/log_v: (m, p); log_v is the starting column scaling.
-    Every step and every marginal check costs O(m*p).  Returns
+    log_mu/log_nu: (m, p); the column scaling starts at v = 1.  Every step
+    and every marginal check costs O(m*p).  Returns
     (log_u, log_v, iterations, per-edge L1 marginal violation); the caller
     decides what a violation above tol means.
     """
     log_1mc = np.log(-np.expm1(log_c))
     mu, nu = np.exp(log_mu), np.exp(log_nu)
     violation = np.full(log_mu.shape[0], np.inf)
-    log_Kv = _log_kernel_apply(log_c, log_1mc, log_v)
+    log_Kv = _log_kernel_apply(log_c, log_1mc, np.zeros_like(log_nu))
     it = 0
     while it < max_iter:
         it += 1
@@ -240,18 +207,17 @@ def _materialise_plans(log_c: float, log_u: np.ndarray,
 
 
 def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
-               cfg: LiftConfig, refine: bool = True) -> np.ndarray:
-    """Refined transport plans for every edge, batched across the edge set.
+               cfg: LiftConfig) -> np.ndarray:
+    """Entropic transport plans for every edge, batched across the edge set.
 
     This is the feature-only part of the lift: it does not involve the
     learned matrix, so a trainer can cache its output across epochs.
-    refine=False stops after the entropic solve, skipping the proximal step.
 
-    Both passes run on the structured kernel of the basis cost (see the
+    The pass runs on the structured kernel of the basis cost (see the
     module docstring): each scaling step is O(m*p), and the dense (m, p, p)
     plans are materialised once, at the end.  Raises ValueError if a node's
     projected features are not finite, and SinkhornDivergence, naming the
-    pass and the worst edge, if a pass misses the marginal tolerance.
+    pass and the worst edge, if the pass misses the marginal tolerance.
     """
     X = np.asarray(H, dtype=np.float64) @ W_proj
     bad = ~np.isfinite(X).all(axis=1)
@@ -265,29 +231,17 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     log_mu = np.log(M[g_edges[:, 0]])
     log_nu = np.log(M[g_edges[:, 1]])
     log_c = -2.0 / cfg.eps
-
-    def solve(name, log_v0):
-        log_u, log_v, it, viol = _sinkhorn_structured(
-            log_c, log_mu, log_nu, log_v0, cfg.tol, cfg.max_iter)
-        worst = int(np.argmax(viol))
-        logger.debug("%s pass: %d iterations, marginal violation %.3e",
-                     name, it, viol[worst])
-        if not viol[worst] <= cfg.tol:
-            i, j = g_edges[worst]
-            raise SinkhornDivergence(
-                f"{name} pass: marginal violation {viol[worst]:.3e} > tol "
-                f"{cfg.tol:.3e} after {it} iterations; worst edge {worst} "
-                f"({int(i)}, {int(j)})")
-        return log_u, log_v
-
-    log_u, log_v = solve("entropic", np.zeros_like(log_nu))
-    if refine:
-        # The proximal kernel P0^s * exp(-tau*s*C), s = 1/(1+eps*tau), with
-        # P0 = diag(u) K diag(v), is diag(u^s) K' diag(v^s) where K' has
-        # off-diagonal log s*(-2/eps) - 2*tau*s = -2/eps: K' = K.  Absorbing
-        # u^s and v^s into the scalings leaves the entropic iteration,
-        # started from log v = s*log v0 (jko_refine's v = 1 start).
-        log_u, log_v = solve("proximal", log_v / (1.0 + cfg.eps * cfg.tau))
+    log_u, log_v, it, viol = _sinkhorn_structured(
+        log_c, log_mu, log_nu, cfg.tol, cfg.max_iter)
+    worst = int(np.argmax(viol))
+    logger.debug("entropic pass: %d iterations, marginal violation %.3e",
+                 it, viol[worst])
+    if not viol[worst] <= cfg.tol:
+        i, j = g_edges[worst]
+        raise SinkhornDivergence(
+            f"entropic pass: marginal violation {viol[worst]:.3e} > tol "
+            f"{cfg.tol:.3e} after {it} iterations; worst edge {worst} "
+            f"({int(i)}, {int(j)})")
     return _materialise_plans(log_c, log_u, log_v)
 
 
@@ -298,9 +252,9 @@ def restrictions_from_plans(g, plans: np.ndarray,
     Both maps of an edge come from its one plan, so the pair is
     transpose-compatible by construction.
     """
-    Rij = np.einsum("pd,mpq->mdq", W_theta, plans)
-    Rji = np.einsum("pd,mqp->mdq", W_theta, plans)
-    return SheafIncidence(n=g.n, edges=g.edges, Rij=Rij, Rji=Rji)
+    return SheafIncidence(
+        n=g.n, edges=g.edges, Rij=restriction_from_plan(plans, W_theta),
+        Rji=restriction_from_plan(plans.transpose(0, 2, 1), W_theta))
 
 
 def lift_all_edges(g, H: np.ndarray, W_proj: np.ndarray, W_theta: np.ndarray,

@@ -60,6 +60,10 @@ class TestOverrides:
         assert parse_overrides(["seed=5", "train.lr=0.01"]) == {
             "seed": 5, "train.lr": 0.01}
 
+    def test_removed_tau_key_is_rejected(self):
+        with pytest.raises(KeyError, match="ot.tau"):
+            build_config(overrides=["ot.tau=1"])
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             parse_overrides(["seed"])
@@ -76,10 +80,9 @@ class TestBuildConfig:
 
     def test_train_config_mapping(self):
         cfg = build_config(overrides=[
-            "ot.eps=0.07", "ot.tau=2.0", "seed=9", "train.d_v=5"])
+            "ot.eps=0.07", "seed=9", "train.d_v=5"])
         tc = cfg.train_config()
         assert tc.lift_eps == pytest.approx(0.07)
-        assert tc.lift_tau == pytest.approx(2.0)
         assert tc.seed == 9
         assert tc.d_v == 5
         assert tc.d_e == 5        # unset edge dimension follows d_v

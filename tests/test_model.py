@@ -28,7 +28,7 @@ from otsheaf.model import (
     sandwich_blocks,
     svr_branch,
 )
-from otsheaf.transport import LiftConfig, edge_plans
+from otsheaf.transport import LiftConfig, edge_plans, restrictions_from_plans
 
 
 def rel_err(a, b):
@@ -258,6 +258,29 @@ class TestContractionFormulas:
         backward(probe_sum(mo, g_mo))
         assert rel_close(Ov.grad, np.einsum("eba,ebc,edc->ead",
                                             self.S[I], g_mo, self.S[J]))
+
+    def test_restriction_maps_forward_and_vjp(self):
+        plans = self.rng.random(size=(len(self.edges), 4, 4))
+        W = self.rng.normal(size=(4, 3))
+        g_ij = self.rng.normal(size=(len(self.edges), 3, 4))
+        g_ji = self.rng.normal(size=(len(self.edges), 3, 4))
+        Rij, Rji = restriction_maps(Var(W), plans)
+        assert rel_close(Rij.value, np.einsum("pd,mpq->mdq", W, plans))
+        assert rel_close(Rji.value, np.einsum("pd,mqp->mdq", W, plans))
+        Wv = Var(W)
+        backward(probe_sum(restriction_maps(Wv, plans)[0], g_ij))
+        assert rel_close(Wv.grad, np.einsum("mpq,mdq->pd", plans, g_ij))
+        Wv = Var(W)
+        backward(probe_sum(restriction_maps(Wv, plans)[1], g_ji))
+        assert rel_close(Wv.grad, np.einsum("mqp,mdq->pd", plans, g_ji))
+
+    def test_restriction_maps_match_transport_formula(self):
+        params, ctx = make_context()
+        g = Graph.from_edges(ctx.n, ctx.edges)
+        Rij, Rji = restriction_maps(Var(params.W_theta), ctx.plans)
+        rset = restrictions_from_plans(g, ctx.plans, params.W_theta)
+        assert np.array_equal(Rij.value, rset.Rij)
+        assert np.array_equal(Rji.value, rset.Rji)
 
     def test_isqrt_blocks_vjp(self):
         g = self.rng.normal(size=self.D.shape)

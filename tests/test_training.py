@@ -140,10 +140,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="lift_eps"):
             TrainConfig(lift_eps=eps)
 
-    @pytest.mark.parametrize("tau", [-2.0, float("nan")])
-    def test_rejects_negative_lift_tau(self, tau):
-        with pytest.raises(ValueError, match="lift_tau"):
-            TrainConfig(lift_tau=tau)
+    @pytest.mark.parametrize("name", ["lr", "weight_decay", "dt", "cg_tol",
+                                      "lambda_kl", "lambda_spec"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_rate(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["a0", "b0"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_prior_below_one(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("epochs", -1), ("patience", 0),
+                                             ("gap_steps", -1),
+                                             ("cg_max_iter", 0)])
+    def test_rejects_bad_count(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
 
 
 class TestTrainEpoch:
@@ -371,7 +386,7 @@ class TestOversmoothingSweep:
         data = two_cluster_dataset()
         cfg = small_cfg(epochs=2)
         rows = oversmoothing_sweep(data, [1, 2], cfg=cfg)
-        assert len(rows) == 6
+        assert len(rows) == 4
         keys = {(r["variant"], r["depth"]) for r in rows}
         assert ("scalar_edge", 2) in keys
         assert all(0.0 <= r["nrs"] <= 1.0 + 1e-9 for r in rows)

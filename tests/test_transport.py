@@ -13,9 +13,7 @@ from otsheaf.transport import (
     edge_plans,
     entropic_objective,
     feature_cost_matrix,
-    jko_refine,
     lift_all_edges,
-    lift_edge,
     normalize_to_measure,
     restriction_from_plan,
     restrictions_from_plans,
@@ -58,11 +56,6 @@ class TestLiftConfig:
     def test_rejects_nonpositive_eps(self, eps):
         with pytest.raises(ValueError, match="eps"):
             LiftConfig(eps=eps)
-
-    @pytest.mark.parametrize("tau", [-2.0, float("nan")])
-    def test_rejects_negative_tau(self, tau):
-        with pytest.raises(ValueError, match="tau"):
-            LiftConfig(tau=tau)
 
     def test_rejects_zero_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -110,6 +103,23 @@ class TestSinkhorn:
             oracle = _oracle_two_point(mu, nu, C, cfg.eps)
             np.testing.assert_allclose(plan.P, oracle, atol=1e-6)
 
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 5.0])
+    def test_entropic_plan_is_proximal_fixed_point(self, tau):
+        """The entropic plan P0 minimizes <P,C> + eps*H(P) + KL(P||P0)/tau.
+
+        This is why the lift runs no proximal pass after the entropic one:
+        that pass would return its own input, whatever the step size.
+        """
+        rng = np.random.default_rng(4)
+        cfg = LiftConfig(eps=0.6, tol=1e-12)
+        C = feature_cost_matrix(2)
+        for _ in range(25):
+            mu = normalize_to_measure(rng.random(2), floor=1e-3)
+            nu = normalize_to_measure(rng.random(2), floor=1e-3)
+            P0 = sinkhorn(mu, nu, C, cfg).P
+            oracle = _oracle_two_point(mu, nu, C, cfg.eps, P0=P0, tau=tau)
+            np.testing.assert_allclose(P0, oracle, atol=1e-6)
+
     def test_near_delta_marginals_concentrate(self):
         cfg = LiftConfig(eps=0.5)
         mu = normalize_to_measure(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -155,58 +165,6 @@ class TestSinkhorn:
                      feature_cost_matrix(2), LiftConfig())
 
 
-class TestJkoRefine:
-    def test_matches_two_point_oracle(self):
-        rng = np.random.default_rng(4)
-        cfg = LiftConfig(eps=0.6, tau=2.0, tol=1e-12)
-        C = feature_cost_matrix(2)
-        for _ in range(25):
-            mu = normalize_to_measure(rng.random(2), floor=1e-3)
-            nu = normalize_to_measure(rng.random(2), floor=1e-3)
-            # start from the independent coupling (feasible, not optimal)
-            from otsheaf.transport import TransportPlan
-            P0 = TransportPlan(P=np.outer(mu, nu), mu=mu, nu=nu, iterations=0,
-                               violation=0.0)
-            refined = jko_refine(P0, C, cfg)
-            oracle = _oracle_two_point(mu, nu, C, cfg.eps, P0=P0.P, tau=cfg.tau)
-            np.testing.assert_allclose(refined.P, oracle, atol=1e-6)
-
-    def test_tiny_tau_returns_start(self):
-        rng = np.random.default_rng(5)
-        mu = normalize_to_measure(rng.random(4))
-        nu = normalize_to_measure(rng.random(4))
-        C = feature_cost_matrix(4)
-        from otsheaf.transport import TransportPlan
-        P0 = TransportPlan(P=np.outer(mu, nu), mu=mu, nu=nu, iterations=0, violation=0.0)
-        refined = jko_refine(P0, C, LiftConfig(eps=0.5, tau=1e-10, tol=1e-12))
-        np.testing.assert_allclose(refined.P, P0.P, atol=1e-7)
-
-    def test_entropic_optimum_is_fixed_point(self):
-        rng = np.random.default_rng(6)
-        cfg = LiftConfig(eps=0.4, tau=1.5, tol=1e-12)
-        C = feature_cost_matrix(6)
-        mu = normalize_to_measure(rng.random(6))
-        nu = normalize_to_measure(rng.random(6))
-        P0 = sinkhorn(mu, nu, C, cfg)
-        refined = jko_refine(P0, C, cfg)
-        np.testing.assert_allclose(refined.P, P0.P, atol=1e-7)
-
-    def test_objective_never_increases(self):
-        rng = np.random.default_rng(7)
-        cfg = LiftConfig(eps=0.5, tau=1.0, tol=1e-11)
-        for _ in range(20):
-            p = int(rng.integers(2, 10))
-            C = feature_cost_matrix(p)
-            mu = normalize_to_measure(rng.random(p))
-            nu = normalize_to_measure(rng.random(p))
-            from otsheaf.transport import TransportPlan
-            P0 = TransportPlan(P=np.outer(mu, nu), mu=mu, nu=nu, iterations=0,
-                               violation=0.0)
-            refined = jko_refine(P0, C, cfg)
-            assert (entropic_objective(refined.P, C, cfg.eps)
-                    <= entropic_objective(P0.P, C, cfg.eps) + 1e-9)
-
-
 def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
     """A path through n nodes plus the edge (0, 3), with features and weights."""
     rng = np.random.default_rng(seed)
@@ -217,6 +175,14 @@ def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
     return g, H, W_proj, W_theta
 
 
+def _single_edge_maps(h_i, h_j, W_proj, W_theta, cfg):
+    """Per-edge reference lift: the dense solve, then the learned matrix."""
+    mu = normalize_to_measure(h_i @ W_proj, cfg.floor)
+    nu = normalize_to_measure(h_j @ W_proj, cfg.floor)
+    P = sinkhorn(mu, nu, feature_cost_matrix(mu.shape[0]), cfg).P
+    return restriction_from_plan(P, W_theta), restriction_from_plan(P.T, W_theta)
+
+
 class TestLift:
     def test_identity_plan_identity_weight(self):
         P = np.eye(4)
@@ -224,7 +190,7 @@ class TestLift:
 
     def test_shapes(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        Rij, Rji = lift_edge(H[0], H[1], W_proj, W_theta, LiftConfig())
+        Rij, Rji = _single_edge_maps(H[0], H[1], W_proj, W_theta, LiftConfig())
         assert Rij.shape == (3, 5) and Rji.shape == (3, 5)
 
     def test_pair_comes_from_one_plan(self):
@@ -245,7 +211,7 @@ class TestLift:
         rset = lift_all_edges(g, H, W_proj, W_theta, cfg)
         for e in range(rset.m):
             i, j = rset.edges[e]
-            Rij, Rji = lift_edge(H[i], H[j], W_proj, W_theta, cfg)
+            Rij, Rji = _single_edge_maps(H[i], H[j], W_proj, W_theta, cfg)
             np.testing.assert_allclose(rset.Rij[e], Rij, atol=1e-8)
             np.testing.assert_allclose(rset.Rji[e], Rji, atol=1e-8)
 
@@ -279,26 +245,21 @@ class TestLift:
 
 
 class TestEdgePlans:
-    @pytest.mark.parametrize("tau, refine", [(0.0, True), (1.0, True),
-                                             (5.0, True), (1.0, False)])
     @pytest.mark.parametrize("p", [1, 2, 16])
     @pytest.mark.parametrize("eps", [0.01, 0.5, 50.0])
-    def test_matches_dense_single_pair_solves(self, eps, tau, p, refine):
+    def test_matches_dense_single_pair_solves(self, eps, p):
         """The structured batch agrees with the dense per-edge reference.
 
-        tau does not enter the entropic pass, so refine=False runs once.
         The graph is a 4-cycle: the dense reference solves edge by edge,
         and at eps=0.01 each solve takes hundreds of iterations.
         """
         g, H, W_proj, _ = _lift_fixture(n=4, p=p)
-        cfg = LiftConfig(eps=eps, tau=tau, tol=1e-12)
-        plans = edge_plans(g.edges, H, W_proj, cfg, refine=refine)
+        cfg = LiftConfig(eps=eps, tol=1e-12)
+        plans = edge_plans(g.edges, H, W_proj, cfg)
         M = normalize_to_measure(H @ W_proj, cfg.floor)
         C = feature_cost_matrix(p)
         for e, (i, j) in enumerate(g.edges):
             plan = sinkhorn(M[i], M[j], C, cfg)
-            if refine:
-                plan = jko_refine(plan, C, cfg)
             np.testing.assert_allclose(plans[e], plan.P, rtol=0, atol=1e-10)
 
     def test_nonfinite_features_name_the_node(self):
@@ -320,27 +281,23 @@ class TestEdgePlans:
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "entropic pass: 2 iterations" in records[0].getMessage()
 
-    @pytest.mark.parametrize("refine, passes", [(True, ["entropic", "proximal"]),
-                                                (False, ["entropic"])])
-    def test_one_debug_record_per_pass(self, caplog, refine, passes):
+    def test_one_debug_record_per_pass(self, caplog):
         g, H, W_proj, _ = _lift_fixture()
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
-        edge_plans(g.edges, H, W_proj, LiftConfig(), refine=refine)
+        edge_plans(g.edges, H, W_proj, LiftConfig())
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "otsheaf.transport"]
-        assert [msg.split(" pass:")[0] for msg in msgs] == passes
+        assert [msg.split(" pass:")[0] for msg in msgs] == ["entropic"]
         assert all("iterations, marginal violation" in msg for msg in msgs)
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_traced_peak_stays_near_output_size(self, refine):
+    def test_traced_peak_stays_near_output_size(self):
         """Guards against iterating on dense (m, p, p) arrays again: the old
         dense loop peaked near 9-11x the returned plans on this fixture."""
         g, feats, _ = synthetic_dataset(n=60, num_classes=3, d0=16, seed=0)
         W_proj = np.random.default_rng(0).normal(size=(16, 16)) / 4.0
         tracemalloc.start()
         try:
-            plans = edge_plans(g.edges, feats.H, W_proj, LiftConfig(),
-                               refine=refine)
+            plans = edge_plans(g.edges, feats.H, W_proj, LiftConfig())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
