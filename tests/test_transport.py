@@ -245,11 +245,20 @@ class TestLift:
 
 
 class TestEdgePlans:
+    @pytest.mark.parametrize("tau, proximal", [(0.0, True), (1.0, True),
+                                               (5.0, True), (1.0, False)])
     @pytest.mark.parametrize("p", [1, 2, 16])
     @pytest.mark.parametrize("eps", [0.01, 0.5, 50.0])
-    def test_matches_dense_single_pair_solves(self, eps, p):
+    def test_matches_dense_single_pair_solves(self, eps, tau, p, proximal):
         """The structured batch agrees with the dense per-edge reference.
 
+        With proximal=True the reference is also passed through one dense
+        KL-proximal step of size tau started from it: minimizing
+        <P,C> + eps*H(P) + KL(P||P0)/tau is, after scaling by
+        tau/(1+eps*tau), entropic OT with eps=1 and cost
+        (tau*C - log P0)/(1+eps*tau). The batch must match that solve too,
+        which checks the fixed point for every p, not only p=2. tau does not
+        enter the entropic solve, so proximal=False runs once.
         The graph is a 4-cycle: the dense reference solves edge by edge,
         and at eps=0.01 each solve takes hundreds of iterations.
         """
@@ -258,8 +267,13 @@ class TestEdgePlans:
         plans = edge_plans(g.edges, H, W_proj, cfg)
         M = normalize_to_measure(H @ W_proj, cfg.floor)
         C = feature_cost_matrix(p)
+        prox_cfg = LiftConfig(eps=1.0, tol=cfg.tol, max_iter=cfg.max_iter)
         for e, (i, j) in enumerate(g.edges):
             plan = sinkhorn(M[i], M[j], C, cfg)
+            if proximal:
+                with np.errstate(divide="ignore"):
+                    C_prox = (tau * C - np.log(plan.P)) / (1.0 + eps * tau)
+                plan = sinkhorn(M[i], M[j], C_prox, prox_cfg)
             np.testing.assert_allclose(plans[e], plan.P, rtol=0, atol=1e-10)
 
     def test_nonfinite_features_name_the_node(self):
