@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 logger = logging.getLogger(__name__)
 
@@ -169,15 +170,27 @@ def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     return gd, go
 
 
+def _block_frames(w: np.ndarray, V: np.ndarray, cutoff_rel: float = 1e-12):
+    """T_i = V_i w_i^{-1/2} on the directions that clear the cutoff, else 0.
+
+    A direction is kept when its eigenvalue exceeds cutoff_rel * max(w_max, 1)
+    of its block.  Returns (T, kept) with T (n, d, d) and kept (n, d); since
+    w ascends, the kept columns of each block are its last ones.
+    """
+    scale = np.maximum(w[:, -1:], 1.0)
+    kept = w > cutoff_rel * scale
+    inv = np.where(kept, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+    return V * inv[:, None, :], kept
+
+
 def _block_isqrt(diag: np.ndarray, cutoff_rel: float = 1e-12):
     """Per-block inverse square root via eigh, zeroing near-null directions.
 
     Returns (S, eigvals, eigvecs) so callers can reuse the factorizations.
     """
     w, V = np.linalg.eigh(diag)  # (n, d), (n, d, d)
-    scale = np.maximum(w[:, -1:], 1.0)
-    inv = np.where(w > cutoff_rel * scale, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    S = (V * inv[:, None, :]) @ V.transpose(0, 2, 1)
+    T, _ = _block_frames(w, V, cutoff_rel)
+    S = T @ V.transpose(0, 2, 1)
     return S, w, V
 
 
@@ -428,51 +441,109 @@ NULL_REL_TOL = 1e-8
 # normalized-operator null cutoff, absolute on a spectrum inside [0, 2]:
 # modes mixing slower than ~1e3 diffusion time units count as null
 NORMALIZED_NULL_TOL = 1e-3
+# ARPACK's stopping tolerance in the normalized gap estimate; it runs on a
+# spectrum shifted into [1, 3], where this is an absolute residual bound far
+# under the estimate's own residual test
+ARPACK_TOL = 1e-10
+# ARPACK's restarts in that estimate, 12 operator applications each at k=8:
+# converging runs took 8 (ascent_n40) to 83 (lift_n300); a run that needs
+# more is given up for the Lanczos fallback rather than left to ARPACK's
+# default of 10 restarts per dimension
+ARPACK_MAX_RESTARTS = 160
+
+
+def _null_estimate(N: int, lam_max: float) -> SpectralEstimates:
+    """The estimate of an operator with nothing above its null cutoff."""
+    z = np.zeros(N)
+    return SpectralEstimates(lambda2=0.0, lambda_max=lam_max, v2=z,
+                             lambda3=0.0, v3=z.copy(), residual2=0.0,
+                             converged=False)
+
+
+def _pairs_above(w, V, cutoff, lam_max, matvec) -> SpectralEstimates | None:
+    """The two lowest eigenpairs (w ascending, V columns) above the cutoff.
+
+    residual2 is ||matvec(v2) - lambda2 v2||; converged is left True for the
+    caller to judge.  None when nothing clears the cutoff.
+    """
+    keep = np.flatnonzero(w > cutoff)
+    if keep.size == 0:
+        return None
+    lam2, v2 = float(w[keep[0]]), V[:, keep[0]]
+    if keep.size >= 2:
+        lam3, v3 = float(w[keep[1]]), V[:, keep[1]]
+    else:
+        lam3, v3 = lam2, v2.copy()
+    res = float(np.linalg.norm(matvec(v2) - lam2 * v2))
+    return SpectralEstimates(lambda2=lam2, lambda_max=lam_max, v2=v2,
+                             lambda3=lam3, v3=v3, residual2=res,
+                             converged=True)
+
+
+def _warn_null() -> None:
+    logger.warning("no spectrum above the null cutoff; operator is "
+                   "numerically null")
+
+
+def _arpack_low_end(A: sp.csr_matrix, rng: np.random.Generator):
+    """The 8 lowest eigenpairs of A by ARPACK, or None when it stops short.
+
+    ARPACK runs on A + I, whose Ritz values are all at least 1: it stops a
+    pair at residual <= tol * |theta|, so on A itself the pairs near zero
+    would have to converge to roundoff.  Restarts are capped at
+    ARPACK_MAX_RESTARTS; a run that stops short leaves one DEBUG record
+    with its iterations, k and dim A.  rng draws the start vector and any
+    restart vector, so no result depends on ARPACK's own generator.
+    Returns (w ascending, Y).
+    """
+    r = A.shape[0]
+    k = min(8, r - 1)
+    if k < 1:
+        return None
+    try:
+        w, Y = eigsh(A + sp.identity(r, format="csr"), k=k, which="SA",
+                     tol=ARPACK_TOL, maxiter=ARPACK_MAX_RESTARTS, rng=rng)
+    except ArpackNoConvergence as err:
+        logger.debug("range-gap estimate: ARPACK %s (k=%d, dim A=%d); "
+                     "continuing with Lanczos", err, k, r)
+        return None
+    order = np.argsort(w)
+    return w[order] - 1.0, Y[:, order]
 
 
 def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
-                      max_budget) -> SpectralEstimates:
+                      max_budget=300, arpack=None) -> SpectralEstimates:
     """Smallest eigenpair above a null cutoff for a PSD operator.
 
     cutoff_of maps the estimated lambda_max to the null threshold.  Small
     operators are decomposed densely (dense() materializes the matrix).
-    Larger ones run Lanczos with the start vector pushed through the
-    operator once, which keeps the Krylov space out of the null space up
-    to roundoff; Ritz values under the cutoff (leakage) are skipped rather
-    than reported.  The budget doubles from 80 steps up to max_budget
-    until the eigenpair residual meets tol * max(lambda_max, 1); each
-    checkpoint grows the one LanczosRun (row basis) in place rather than
-    restarting it, so a check at k steps costs k - k_prev operator
-    applications.  Returns lambda2 = 0 with converged=False when nothing
-    clears the cutoff.
+    Larger ones first get lambda_max from 60 Lanczos steps.  When arpack
+    (the operator as a sparse matrix) is given, ARPACK's 8 lowest pairs are
+    tried next and kept if two clear the cutoff and the lower one meets the
+    residual test below.  ARPACK converges the 8 lowest pairs whether or
+    not they clear the cutoff, so it stalls or comes back empty when many
+    slow modes sit under it: raw operators with kernels of about N/2
+    (estimate_range_gap passes no matrix) and small normalized operators
+    with dozens of modes under 1e-3.  Otherwise a Lanczos run starts from
+    a vector pushed through the operator once, which keeps the Krylov space
+    out of the null space up to roundoff; Ritz values under the cutoff
+    (leakage) are skipped rather than reported.  Its budget doubles from
+    80 steps up to max_budget until the eigenpair residual meets
+    tol * max(lambda_max, 1); each checkpoint grows the one LanczosRun (row
+    basis) in place rather than restarting it, so a check at k steps costs
+    k - k_prev operator applications.
+    Returns lambda2 = 0 with converged=False when nothing clears the cutoff.
     """
-
-    def _empty(lam_max: float) -> SpectralEstimates:
-        z = np.zeros(N)
-        return SpectralEstimates(lambda2=0.0, lambda_max=lam_max, v2=z,
-                                 lambda3=0.0, v3=z.copy(), residual2=0.0,
-                                 converged=False)
-
     if N <= dense_cutoff:
         A = dense()
         A = 0.5 * (A + A.T)
         w, V = np.linalg.eigh(A)
         lam_max = float(w[-1])
-        keep = np.flatnonzero(w > cutoff_of(lam_max))
-        if keep.size == 0:
-            logger.warning("no spectrum above the null cutoff; operator is "
-                           "numerically null")
-            return _empty(lam_max)
-        i0 = keep[0]
-        lam2, v2 = float(w[i0]), V[:, i0]
-        if keep.size >= 2:
-            lam3, v3 = float(w[keep[1]]), V[:, keep[1]]
-        else:
-            lam3, v3 = lam2, v2.copy()
-        res = float(np.linalg.norm(A @ v2 - lam2 * v2))
-        return SpectralEstimates(lambda2=lam2, lambda_max=lam_max, v2=v2,
-                                 lambda3=lam3, v3=v3, residual2=res,
-                                 converged=True)
+        est = _pairs_above(w, V, cutoff_of(lam_max), lam_max, A.__matmul__)
+        if est is None:
+            _warn_null()
+            return _null_estimate(N, lam_max)
+        return est
 
     rng = np.random.default_rng(seed)
     T = _lanczos(matvec, N, min(N, 60), rng).T
@@ -480,12 +551,18 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
     cutoff = cutoff_of(lam_max)
     res_tol = tol * max(lam_max, 1.0)
 
+    if arpack is not None:
+        low = _arpack_low_end(arpack, rng)
+        if low is not None and np.count_nonzero(low[0] > cutoff) >= 2:
+            est = _pairs_above(*low, cutoff, lam_max, matvec)
+            if est.residual2 <= res_tol:
+                return est
+
     # one application of the operator strips the null component
     q0 = matvec(rng.normal(size=N))
     if np.linalg.norm(q0) <= cutoff:
-        logger.warning("no spectrum above the null cutoff; operator is "
-                       "numerically null")
-        return _empty(lam_max)
+        _warn_null()
+        return _null_estimate(N, lam_max)
 
     k = min(N, 80)
     run = _lanczos(matvec, N, 0, rng, q0=q0)
@@ -505,7 +582,7 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
         elif k >= min(N, max_budget):
             logger.warning("no Ritz value above the null cutoff within "
                            "budget %d", k)
-            return _empty(lam_max)
+            return _null_estimate(N, lam_max)
         k = min(2 * k, N, max_budget)
     if keep.size >= 2:
         v3 = Y[:, keep[1]] @ Q
@@ -540,9 +617,47 @@ def estimate_range_gap(L: SheafLaplacian, dense_cutoff: int = 200,
         dense_cutoff, seed, tol, max_budget)
 
 
+def _compressed_normalized(L: SheafLaplacian):
+    """S L S compressed to range(S): A = T' L T, with T = blockdiag(T_i).
+
+    T_i = V_i w_i^{-1/2} over the directions of the diagonal block D_i that
+    clear _block_isqrt's cutoff, so S_i = T_i T_i' and S L S = Q A Q' with
+    Q = blockdiag(V_i kept) orthonormal: A has the spectrum of S L S minus
+    the structural zeros of null(S).  Its diagonal blocks T_i' D_i T_i are
+    the identity up to roundoff divided by the smallest kept w; they are
+    computed, not assumed, so A is the operator the tape's S D S and S O S
+    blocks describe.  Returns (A, T, kept): A as CSR of dimension
+    kept.sum(), T (n, d, d) with zero columns where a direction was
+    dropped, and the (n, d) kept mask in the row order of A.
+    """
+    n, d = L.n, L.d_v
+    w, V = np.linalg.eigh(L.diag)
+    T, kept = _block_frames(w, V)
+    r = int(kept.sum())
+    pos = np.full(n * d, -1)
+    pos[np.flatnonzero(kept)] = np.arange(r)
+    pos = pos.reshape(n, d)
+
+    def entries(blocks, a, b):
+        rows, cols = np.broadcast_arrays(pos[a][:, :, None], pos[b][:, None, :])
+        on = (rows >= 0) & (cols >= 0)
+        return rows[on], cols[on], blocks[on]
+
+    Tt = T.transpose(0, 2, 1)
+    Pd = Tt @ L.diag @ T
+    I, J = L.edges[:, 0], L.edges[:, 1]
+    nodes = np.arange(n)
+    dr, dc, dv = entries(0.5 * (Pd + Pd.transpose(0, 2, 1)), nodes, nodes)
+    orow, ocol, ov = entries(Tt[I] @ L.off @ T[J], I, J)
+    A = sp.coo_matrix(
+        (np.concatenate([dv, ov, ov]),
+         (np.concatenate([dr, orow, ocol]), np.concatenate([dc, ocol, orow]))),
+        shape=(r, r)).tocsr()
+    return A, T, kept
+
+
 def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = 200,
-                         seed: int = 0, tol: float = 1e-6,
-                         max_budget: int = 300) -> SpectralEstimates:
+                         seed: int = 0, tol: float = 1e-6) -> SpectralEstimates:
     """Connectivity of the degree-normalized operator S L S, above null modes.
 
     The raw spectrum of a transport-built sheaf mixes three populations:
@@ -554,25 +669,26 @@ def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = 200,
     absolute cutoff (NORMALIZED_NULL_TOL, on a spectrum inside [0, 2])
     separates it from modes too slow to mix at any training horizon.
 
-    The returned v2/v3 are the normalized eigenvectors mapped back through
-    S, the ascent direction for the raw Laplacian under a frozen-S
-    linearization; residual2 refers to the normalized operator.
+    The estimate runs on _compressed_normalized(L), which drops the exact
+    kernel null(S) before any solver sees it: dense eigh up to dense_cutoff,
+    above it ARPACK with the Lanczos run as fallback (_gap_above_cutoff).
+
+    The returned v2/v3 are T y, normalized: the eigenvector Q y of S L S
+    mapped back through S, the ascent direction for the raw Laplacian
+    under a frozen-S linearization; residual2 refers to A.
     """
-    Nop = normalized_laplacian(L)
-
-    def sls_matvec(x):
-        return x - Nop.matvec(x)
-
-    def sls_dense():
-        return np.eye(L.N) - Nop.to_dense()
-
+    A, T, kept = _compressed_normalized(L)
+    if A.shape[0] == 0:
+        _warn_null()
+        return _null_estimate(L.N, 0.0)
     est = _gap_above_cutoff(
-        sls_matvec, sls_dense, L.N, lambda lam_max: NORMALIZED_NULL_TOL,
-        dense_cutoff, seed, tol, max_budget)
+        A.dot, A.toarray, A.shape[0], lambda lam_max: NORMALIZED_NULL_TOL,
+        dense_cutoff, seed, tol, arpack=A)
 
-    def back(v):
-        n, d = L.n, L.d_v
-        out = np.einsum("nab,nb->na", Nop.S, v.reshape(n, d)).reshape(-1)
+    def back(y):
+        full = np.zeros(kept.shape)
+        full[kept] = y
+        out = (T @ full[:, :, None]).reshape(-1)
         norm = np.linalg.norm(out)
         return out / norm if norm > 0 else out
 

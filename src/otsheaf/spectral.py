@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .laplacian import SheafLaplacian, estimate_spectrum, pattern_matvec, pattern_outer
@@ -109,7 +110,8 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
 def _min_eigpair(L: SheafLaplacian, dense_cutoff: int):
     N = L.n * L.d_v
     if N <= dense_cutoff:
-        w, U = np.linalg.eigh(L.to_dense())
+        # only the lowest pair is read: LAPACK's subset driver skips the rest
+        w, U = scipy.linalg.eigh(L.to_dense(), subset_by_index=[0, 0])
         return float(w[0]), U[:, 0]
     A = spla.LinearOperator((N, N), matvec=L.matvec, dtype=np.float64)
     w, U = spla.eigsh(A, k=1, which="SA", tol=1e-8)

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import (
@@ -9,6 +10,7 @@ from otsheaf.laplacian import (
     SheafLaplacian,
     SparsifierConfig,
     _block_isqrt,
+    _compressed_normalized,
     _edge_leverage_dense,
     _lanczos,
     assemble_laplacian,
@@ -406,6 +408,40 @@ class TestRangeGap:
         assert not est.converged
         assert "null" in caplog.text
 
+    def test_budget_checkpoints_grow_one_run(self, monkeypatch, caplog):
+        # 60 steps for lambda_max, 1 application for the start vector, one
+        # run grown to 80 and then 120 steps, one residual check at each
+        # checkpoint; restarting the run at 120 would cost 80 more
+        L = assemble_laplacian(random_sheaf(erdos_renyi(80, 4.0, seed=5),
+                                            d_v=3, d_e=2, seed=6))
+        assert L.N > 200
+        calls = counting_matvec(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
+            est = estimate_range_gap(L, tol=1e-30, max_budget=120)
+        assert len(calls) == 60 + 1 + 120 + 2
+        assert not est.converged
+        records = [r.getMessage() for r in caplog.records]
+        assert len(records) == 1
+        assert "after 120 Lanczos steps (N=240)" in records[0]
+        tol = 1e-30 * max(est.lambda_max, 1.0)
+        assert f"above tolerance {tol:.2e}" in records[0]
+
+
+def large_kernel_operator() -> SheafLaplacian:
+    """d_e < d_v: nodes of degree 1 have rank-deficient diagonal blocks.
+
+    N = 320 and dim A = 314, so null(S) has dimension 6.
+    """
+    return assemble_laplacian(random_sheaf(erdos_renyi(80, 4.0, seed=3),
+                                           d_v=4, d_e=2, seed=6))
+
+
+def exact_kernel_operator() -> SheafLaplacian:
+    """Sparse graph with d_e < d_v: m * d_e < dim A = 254, so the compressed
+    operator keeps an exact kernel (34 eigenvalues under 1e-10)."""
+    return assemble_laplacian(random_sheaf(erdos_renyi(70, 3.0, seed=3),
+                                           d_v=4, d_e=2, seed=6))
+
 
 class TestNormalizedRangeGap:
     def test_scalar_complete_graph(self):
@@ -435,13 +471,88 @@ class TestNormalizedRangeGap:
         assert np.linalg.norm(est.v3) == pytest.approx(1.0, abs=1e-12)
 
     def test_iterative_path_matches_dense(self):
-        g = cycle_graph(110)
-        L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=1, seed=6))
+        L = large_kernel_operator()
+        A, _, _ = _compressed_normalized(L)
+        assert 200 < A.shape[0] < L.N
         SLS = np.eye(L.N) - normalized_laplacian(L).to_dense()
         w = np.linalg.eigvalsh(0.5 * (SLS + SLS.T))
         oracle = w[w > 1e-3][0]
         est = normalized_range_gap(L, seed=3)
-        assert est.lambda2 == pytest.approx(oracle, rel=1e-5)
+        assert est.converged
+        assert est.lambda2 == pytest.approx(oracle, rel=1e-8)
+
+    def test_compressed_operator_spectrum(self):
+        L = large_kernel_operator()
+        A, _, kept = _compressed_normalized(L)
+        Ad = A.toarray()
+        r = kept.sum(axis=1)
+        starts = np.concatenate([[0], np.cumsum(r)])
+        for i in range(L.n):
+            blk = slice(starts[i], starts[i + 1])
+            np.testing.assert_allclose(Ad[blk, blk], np.eye(r[i]), atol=1e-12)
+        SLS = np.eye(L.N) - normalized_laplacian(L).to_dense()
+        w_full = np.linalg.eigvalsh(0.5 * (SLS + SLS.T))
+        w_A = np.linalg.eigvalsh(Ad)
+        # the structural zeros of null(S) are the N - dim A lowest
+        np.testing.assert_allclose(w_full[:L.N - A.shape[0]], 0.0, atol=1e-10)
+        np.testing.assert_allclose(w_full[L.N - A.shape[0]:], w_A, atol=1e-10)
+
+    def test_exact_kernel_of_compressed_operator(self):
+        # more exact zeros than ARPACK's 8 pairs: they must not stall it
+        L = exact_kernel_operator()
+        A, _, _ = _compressed_normalized(L)
+        w = np.linalg.eigvalsh(A.toarray())
+        assert A.shape[0] > 200
+        assert np.count_nonzero(np.abs(w) < 1e-10) > 8
+        est = normalized_range_gap(L, seed=1)
+        assert est.converged
+        assert est.lambda2 == pytest.approx(w[w > 1e-3][0], rel=1e-8)
+
+    def test_seeded_start_is_deterministic(self):
+        # ARPACK's own start and restart vectors come from an RNG that
+        # persists across calls; the seeded estimate must not depend on it
+        L = exact_kernel_operator()
+        first = normalized_range_gap(L, seed=4)
+        other = assemble_laplacian(random_sheaf(cycle_graph(90), d_v=3,
+                                                d_e=2, seed=1)).to_csr()
+        eigsh(other, k=3, which="SA")
+        second = normalized_range_gap(L, seed=4)
+        assert first.lambda2 == second.lambda2
+        assert np.array_equal(first.v2, second.v2)
+
+    def test_arpack_stall_falls_back_to_lanczos(self, monkeypatch, caplog):
+        import otsheaf.laplacian as laplacian
+        L = large_kernel_operator()
+        exact = normalized_range_gap(L, seed=3)
+
+        def stalled(A, k, **kwargs):
+            raise ArpackNoConvergence("No convergence (7 iterations, "
+                                      f"0/{k} eigenvectors converged)",
+                                      np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(laplacian, "eigsh", stalled)
+        with caplog.at_level(logging.DEBUG, logger="otsheaf.laplacian"):
+            est = normalized_range_gap(L, seed=3)
+        assert est.converged
+        assert est.lambda2 == pytest.approx(exact.lambda2, rel=1e-8)
+        records = caplog.records
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        assert "range-gap estimate" in message
+        assert "7 iterations" in message
+        assert "dim A=314" in message
+
+    def test_unconverged_fallback_warns_once(self, caplog):
+        # an unreachable tolerance rejects ARPACK's pairs and exhausts the
+        # Lanczos budget: one warning, and the estimate says so
+        L = large_kernel_operator()
+        with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
+            est = normalized_range_gap(L, tol=1e-30)
+        assert not est.converged
+        records = [r.getMessage() for r in caplog.records]
+        assert len(records) == 1
+        assert "after 300 Lanczos steps (N=314)" in records[0]
 
     def test_zero_operator_reports_degenerate(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -450,21 +561,3 @@ class TestNormalizedRangeGap:
         est = normalized_range_gap(assemble_laplacian(B))
         assert est.lambda2 == 0.0
         assert not est.converged
-
-    def test_budget_checkpoints_grow_one_run(self, monkeypatch, caplog):
-        # 60 steps for lambda_max, 1 application for the start vector, one
-        # run grown to 80 and then 120 steps, one residual check at each
-        # checkpoint; restarting the run at 120 would cost 80 more
-        L = assemble_laplacian(random_sheaf(erdos_renyi(80, 4.0, seed=5),
-                                            d_v=3, d_e=2, seed=6))
-        assert L.N > 200
-        calls = counting_matvec(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, tol=1e-30, max_budget=120)
-        assert len(calls) == 60 + 1 + 120 + 2
-        assert not est.converged
-        records = [r.getMessage() for r in caplog.records]
-        assert len(records) == 1
-        assert "after 120 Lanczos steps (N=240)" in records[0]
-        tol = 1e-30 * max(est.lambda_max, 1.0)
-        assert f"above tolerance {tol:.2e}" in records[0]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -186,6 +187,32 @@ class TestTrainEpoch:
         cfg = small_cfg(gap_steps=0)
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(calls) == 1
+
+    def test_arpack_stall_does_not_stop_the_epoch(self, monkeypatch, caplog):
+        # compressed dimension 257 > 200: the estimate takes the ARPACK path
+        import otsheaf.laplacian as laplacian
+        from scipy.sparse.linalg import ArpackNoConvergence
+        data = two_cluster_dataset(n_per=30)
+        cfg = small_cfg(gap_steps=0, d_v=8, d_e=None)
+        _, ref = train_epoch(init_state(data, cfg), data, cfg)
+
+        def stalled(A, k, **kwargs):
+            raise ArpackNoConvergence("No convergence (5 iterations, "
+                                      f"0/{k} eigenvectors converged)",
+                                      np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(laplacian, "eigsh", stalled)
+        with caplog.at_level(logging.DEBUG, logger="otsheaf"):
+            _, rep = train_epoch(init_state(data, cfg), data, cfg)
+        assert rep.lambda2 == pytest.approx(ref.lambda2, rel=1e-8)
+        assert rep.lambda2 > 1e-3
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "otsheaf.laplacian"]
+        assert len(records) == 1
+        assert "range-gap estimate" in records[0]
+        assert "5 iterations" in records[0]
+        assert "dim A=257" in records[0]
 
     def test_one_csr_build_per_epoch(self, monkeypatch):
         # the tape's operator serves the CG solves and the gap estimate
