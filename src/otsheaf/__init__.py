@@ -12,7 +12,7 @@ from .calibration import (
     variance_bound,
 )
 from .config import RunConfig, build_config
-from .diffusion import CGConfig, DiffusionConfig, afm_filter, cg_solve, svr_diffuse
+from .diffusion import CGConfig, DiffusionConfig, cg_solve, svr_diffuse
 from .graphs import (
     Graph,
     Labels,
@@ -32,9 +32,7 @@ from .laplacian import (
     SheafLaplacian,
     SparsifierConfig,
     assemble_laplacian,
-    estimate_range_gap,
     estimate_spectrum,
-    normalized_laplacian,
     normalized_range_gap,
     sparsify,
 )

@@ -151,22 +151,6 @@ def chebyshev_apply(apply_M, X: np.ndarray, alphas: np.ndarray):
     return out, terms
 
 
-def afm_filter(L_norm, X: np.ndarray, gamma: np.ndarray,
-               scale: float | None = None):
-    """Adaptive-frequency filtering on the normalized operator.
-
-    The recurrence input is rescaled by 1/max(1, lambda_max) so Chebyshev
-    iterates stay bounded on operators whose spectrum leaves [-1, 1].
-    Returns (filtered, weights, scale).
-    """
-    if scale is None:
-        scale = 1.0 / max(1.0, L_norm.lambda_max())
-    alphas = chebyshev_weights(gamma)
-    apply_M = lambda v: scale * L_norm.matvec(v)
-    out, _ = chebyshev_apply(apply_M, X, alphas)
-    return out, alphas, scale
-
-
 def fuse(H_svr: np.ndarray, H_afm: np.ndarray, W_mix: np.ndarray) -> np.ndarray:
     """ReLU(W_mix [H_svr ; H_afm]) applied row-wise."""
     Z = np.concatenate([H_svr, H_afm], axis=1)

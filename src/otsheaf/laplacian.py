@@ -194,59 +194,6 @@ def _block_isqrt(diag: np.ndarray, cutoff_rel: float = 1e-12):
     return S, w, V
 
 
-@dataclass(eq=False)
-class NormalizedSheafOperator:
-    """L_tilde = I - S L S with S = pinv-sqrt of the diagonal blocks of L.
-
-    Isolated (zero-degree) blocks have S = 0, so they pass through as an
-    identity contribution.  Eigenvalue factorizations of the diagonal blocks
-    are kept for reuse by gradient code.
-    """
-
-    L: SheafLaplacian
-    S: np.ndarray           # (n, d_v, d_v)
-    diag_eigvals: np.ndarray
-    diag_eigvecs: np.ndarray
-    _lmax: float | None = field(default=None, repr=False)
-
-    @property
-    def N(self) -> int:
-        return self.L.N
-
-    def _scale(self, x: np.ndarray) -> np.ndarray:
-        n, d = self.L.n, self.L.d_v
-        xs = x.reshape(n, d, -1)
-        return np.einsum("nab,nbk->nak", self.S, xs).reshape(x.shape)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return x - self._scale(self.L.matvec(self._scale(x)))
-
-    def to_dense(self) -> np.ndarray:
-        n, d = self.L.n, self.L.d_v
-        Sfull = np.zeros((n * d, n * d))
-        for i in range(n):
-            Sfull[i * d:(i + 1) * d, i * d:(i + 1) * d] = self.S[i]
-        return np.eye(n * d) - Sfull @ self.L.to_dense() @ Sfull
-
-    def lambda_max(self, seed: int = 0, iters: int = 40) -> float:
-        """Cached Lanczos estimate of the largest eigenvalue magnitude.
-
-        The normalized spectrum can extend below -1, so both Ritz extremes
-        matter.
-        """
-        if self._lmax is None:
-            rng = np.random.default_rng(seed)
-            run = _lanczos(self.matvec, self.N, min(self.N, iters), rng)
-            w = np.linalg.eigvalsh(run.T)
-            self._lmax = float(np.abs(w).max())
-        return self._lmax
-
-
-def normalized_laplacian(L: SheafLaplacian) -> NormalizedSheafOperator:
-    S, w, V = _block_isqrt(L.diag)
-    return NormalizedSheafOperator(L=L, S=S, diag_eigvals=w, diag_eigvecs=V)
-
-
 def blockwise_constant_basis(n: int, d_v: int) -> np.ndarray:
     """Orthonormal (N, d_v) basis of signals constant across nodes per coordinate."""
     U = np.zeros((n * d_v, d_v))
@@ -436,8 +383,6 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = 200,
                              lambda3=lam3, v3=v3, residual2=res, converged=converged)
 
 
-# raw-operator null cutoff, relative to lambda_max (machine-zero kernels)
-NULL_REL_TOL = 1e-8
 # normalized-operator null cutoff, absolute on a spectrum inside [0, 2]:
 # modes mixing slower than ~1e3 diffusion time units count as null
 NORMALIZED_NULL_TOL = 1e-3
@@ -511,52 +456,49 @@ def _arpack_low_end(A: sp.csr_matrix, rng: np.random.Generator):
     return w[order] - 1.0, Y[:, order]
 
 
-def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
-                      max_budget=300, arpack=None) -> SpectralEstimates:
-    """Smallest eigenpair above a null cutoff for a PSD operator.
+def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int, seed: int,
+                      tol: float) -> SpectralEstimates:
+    """Smallest eigenpair above NORMALIZED_NULL_TOL of the PSD matrix A.
 
-    cutoff_of maps the estimated lambda_max to the null threshold.  Small
-    operators are decomposed densely (dense() materializes the matrix).
-    Larger ones first get lambda_max from 60 Lanczos steps.  When arpack
-    (the operator as a sparse matrix) is given, ARPACK's 8 lowest pairs are
-    tried next and kept if two clear the cutoff and the lower one meets the
+    A of dimension up to dense_cutoff is decomposed densely.  Larger ones
+    first get lambda_max from 60 Lanczos steps, then ARPACK's 8 lowest
+    pairs, kept if two clear the cutoff and the lower one meets the
     residual test below.  ARPACK converges the 8 lowest pairs whether or
-    not they clear the cutoff, so it stalls or comes back empty when many
-    slow modes sit under it: raw operators with kernels of about N/2
-    (estimate_range_gap passes no matrix) and small normalized operators
-    with dozens of modes under 1e-3.  Otherwise a Lanczos run starts from
-    a vector pushed through the operator once, which keeps the Krylov space
-    out of the null space up to roundoff; Ritz values under the cutoff
-    (leakage) are skipped rather than reported.  Its budget doubles from
-    80 steps up to max_budget until the eigenpair residual meets
-    tol * max(lambda_max, 1); each checkpoint grows the one LanczosRun (row
-    basis) in place rather than restarting it, so a check at k steps costs
-    k - k_prev operator applications.
+    not they clear the cutoff, so it stalls or comes back empty when more
+    slow modes sit under it, as on small operators with dozens of modes
+    under 1e-3.  Then a Lanczos run starts from a vector pushed through A
+    once, which keeps the Krylov space out of the null space up to
+    roundoff; Ritz values under the cutoff (leakage) are skipped rather
+    than reported.  Its budget doubles from 80 steps up to 300 until the
+    eigenpair residual meets tol * max(lambda_max, 1); each checkpoint
+    grows the one LanczosRun (row basis) in place rather than restarting
+    it, so a check at k steps costs k - k_prev operator applications.
     Returns lambda2 = 0 with converged=False when nothing clears the cutoff.
     """
+    N = A.shape[0]
+    cutoff = NORMALIZED_NULL_TOL
     if N <= dense_cutoff:
-        A = dense()
-        A = 0.5 * (A + A.T)
-        w, V = np.linalg.eigh(A)
+        Ad = A.toarray()
+        Ad = 0.5 * (Ad + Ad.T)
+        w, V = np.linalg.eigh(Ad)
         lam_max = float(w[-1])
-        est = _pairs_above(w, V, cutoff_of(lam_max), lam_max, A.__matmul__)
+        est = _pairs_above(w, V, cutoff, lam_max, Ad.__matmul__)
         if est is None:
             _warn_null()
             return _null_estimate(N, lam_max)
         return est
 
+    matvec = A.dot
     rng = np.random.default_rng(seed)
     T = _lanczos(matvec, N, min(N, 60), rng).T
     lam_max = float(np.linalg.eigvalsh(T)[-1])
-    cutoff = cutoff_of(lam_max)
     res_tol = tol * max(lam_max, 1.0)
 
-    if arpack is not None:
-        low = _arpack_low_end(arpack, rng)
-        if low is not None and np.count_nonzero(low[0] > cutoff) >= 2:
-            est = _pairs_above(*low, cutoff, lam_max, matvec)
-            if est.residual2 <= res_tol:
-                return est
+    low = _arpack_low_end(A, rng)
+    if low is not None and np.count_nonzero(low[0] > cutoff) >= 2:
+        est = _pairs_above(*low, cutoff, lam_max, matvec)
+        if est.residual2 <= res_tol:
+            return est
 
     # one application of the operator strips the null component
     q0 = matvec(rng.normal(size=N))
@@ -564,6 +506,7 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
         _warn_null()
         return _null_estimate(N, lam_max)
 
+    budget = min(N, 300)
     k = min(N, 80)
     run = _lanczos(matvec, N, 0, rng, q0=q0)
     while True:
@@ -577,13 +520,13 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
             v2 /= np.linalg.norm(v2)
             lam2 = float(w[i0])
             res = float(np.linalg.norm(matvec(v2) - lam2 * v2))
-            if res <= res_tol or k >= min(N, max_budget):
+            if res <= res_tol or k >= budget:
                 break
-        elif k >= min(N, max_budget):
+        elif k >= budget:
             logger.warning("no Ritz value above the null cutoff within "
                            "budget %d", k)
             return _null_estimate(N, lam_max)
-        k = min(2 * k, N, max_budget)
+        k = min(2 * k, budget)
     if keep.size >= 2:
         v3 = Y[:, keep[1]] @ Q
         v3 /= np.linalg.norm(v3)
@@ -598,23 +541,6 @@ def _gap_above_cutoff(matvec, dense, N, cutoff_of, dense_cutoff, seed, tol,
     return SpectralEstimates(lambda2=lam2, lambda_max=lam_max, v2=v2,
                              lambda3=lam3, v3=v3, residual2=res,
                              converged=converged)
-
-
-def estimate_range_gap(L: SheafLaplacian, dense_cutoff: int = 200,
-                       seed: int = 0, tol: float = 1e-6,
-                       max_budget: int = 300) -> SpectralEstimates:
-    """Smallest eigenvalue above the machine-zero kernel: the gap on range(L).
-
-    Suits sheaves whose kernel is exact (rank-deficient restriction stacks,
-    disconnected components): eigenvalues at or below lambda_max *
-    NULL_REL_TOL count as harmonic and the gap is the smallest eigenvalue
-    above.  Transport-built sheaves with floored plan mass spread near-null
-    energy over a continuum of scales; use normalized_range_gap for those.
-    """
-    return _gap_above_cutoff(
-        L.matvec, L.to_dense, L.N,
-        lambda lam_max: max(lam_max, 0.0) * NULL_REL_TOL,
-        dense_cutoff, seed, tol, max_budget)
 
 
 def _compressed_normalized(L: SheafLaplacian):
@@ -681,9 +607,7 @@ def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = 200,
     if A.shape[0] == 0:
         _warn_null()
         return _null_estimate(L.N, 0.0)
-    est = _gap_above_cutoff(
-        A.dot, A.toarray, A.shape[0], lambda lam_max: NORMALIZED_NULL_TOL,
-        dense_cutoff, seed, tol, arpack=A)
+    est = _gap_above_cutoff(A, dense_cutoff, seed, tol)
 
     def back(y):
         full = np.zeros(kept.shape)

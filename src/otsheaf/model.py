@@ -88,7 +88,6 @@ class EpochContext:
     dt: float = 0.1
     cg_tol: float = 1e-8
     cg_max_iter: int = 1000
-    cheb_scale: float = 1.0
     n_layers: int = 1
     kl_value: float = 0.0
     spec_value: float = 0.0
@@ -118,18 +117,16 @@ def laplacian_blocks(Rij: Var, Rji: Var, edges: np.ndarray,
     diag, off = L.diag, L.off
 
     def d_diag_d_Rij(g):
-        gs = g[I] + g[I].transpose(0, 2, 1)
-        return np.einsum("eac,ecb->eab", Ri, gs)
+        return Ri @ (g[I] + g[I].transpose(0, 2, 1))
 
     def d_diag_d_Rji(g):
-        gs = g[J] + g[J].transpose(0, 2, 1)
-        return np.einsum("eac,ecb->eab", Rj, gs)
+        return Rj @ (g[J] + g[J].transpose(0, 2, 1))
 
     def d_off_d_Rij(g):
-        return -np.einsum("eac,ebc->eab", Rj, g)
+        return -(Rj @ g.transpose(0, 2, 1))
 
     def d_off_d_Rji(g):
-        return -np.einsum("eac,ecb->eab", Ri, g)
+        return -(Ri @ g)
 
     diag_var = Var(diag, [(Rij, d_diag_d_Rij), (Rji, d_diag_d_Rji)])
     off_var = Var(off, [(Rij, d_off_d_Rij), (Rji, d_off_d_Rji)])
@@ -214,10 +211,8 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     mo = SI @ Ov @ SJ
 
     def d_md_d_S(g):
-        SD = np.einsum("iab,ibc->iac", Sv, Dv)
-        DS = np.einsum("iab,ibc->iac", Dv, Sv)
-        return (np.einsum("iab,icb->iac", g, DS)
-                + np.einsum("iba,ibc->iac", SD, g))
+        SD, DS = Sv @ Dv, Dv @ Sv
+        return g @ DS.transpose(0, 2, 1) + SD.transpose(0, 2, 1) @ g
 
     def d_md_d_D(g):
         St = Sv.transpose(0, 2, 1)
@@ -225,10 +220,9 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
 
     def d_mo_d_S(g):
         out = np.zeros_like(Sv)
-        OSj = np.einsum("eab,ebc->eac", Ov, SJ)
-        SiO = np.einsum("eab,ebc->eac", SI, Ov)
-        np.add.at(out, I, np.einsum("eab,ecb->eac", g, OSj))
-        np.add.at(out, J, np.einsum("eba,ebc->eac", SiO, g))
+        OSj, SiO = Ov @ SJ, SI @ Ov
+        np.add.at(out, I, g @ OSj.transpose(0, 2, 1))
+        np.add.at(out, J, SiO.transpose(0, 2, 1) @ g)
         return out
 
     def d_mo_d_O(g):
@@ -240,14 +234,21 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
 
 
 def cheb_branch(md: Var, mo: Var, gamma: Var, x, ctx: EpochContext) -> Var:
-    """Chebyshev filter bank on M = scale (I - S L S), reverse recurrence VJP."""
+    """Chebyshev filter bank on M = I - S L S, reverse recurrence VJP.
+
+    M needs no rescaling into [-1, 1]: x'Lx = sum_e ||R_ij x_i - R_ji x_j||^2
+    <= 2 x'Dx for every sheaf Laplacian, so 0 <= S L S <= 2 S D S, and
+    S D S is the projector onto range(S).  md and mo are the blocks of S L S
+    (sandwich_blocks); a node without edges has S = 0, so M passes its
+    signal through.
+    """
     x_var = x if isinstance(x, Var) else None
     xv = (x.value if x_var is not None else np.asarray(x, np.float64))
-    n, d_v, scale = ctx.n, ctx.d_v, ctx.cheb_scale
+    n, d_v = ctx.n, ctx.d_v
     mdv, mov = md.value, mo.value
 
     def apply_M(v):
-        return scale * (v - pattern_matvec(ctx.edges, mdv, mov, v))
+        return v - pattern_matvec(ctx.edges, mdv, mov, v)
 
     alphas = chebyshev_weights(gamma.value)
     out_flat, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
@@ -263,10 +264,10 @@ def cheb_branch(md: Var, mo: Var, gamma: Var, x, ctx: EpochContext) -> Var:
 
         def accumulate(left, right):
             a, b = pattern_outer(ctx.edges, left, right, n, d_v)
-            # M = scale (I - SLS): push through the sign and scale
+            # M = I - SLS: push through the sign
             nonlocal gd, go
-            gd -= scale * a
-            go -= scale * b
+            gd -= a
+            go -= b
 
         for q in range(Q - 1, 0, -1):
             accumulate(2.0 * u[q + 1], terms[q])

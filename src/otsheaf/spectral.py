@@ -70,15 +70,6 @@ class GapGradient:
         return float(np.sqrt((self.diag ** 2).sum() + 2 * (self.off ** 2).sum()))
 
 
-def rayleigh_lambda2(L: SheafLaplacian, seed: int = 0) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue over the deflation complement, with eigenvector."""
-    est = estimate_spectrum(L, seed=seed)
-    if not est.converged:
-        logger.warning("connectivity eigensolve did not converge "
-                       "(residual %.2e)", est.residual2)
-    return est.lambda2, est.v2
-
-
 def gap_gradient(L: SheafLaplacian, v2: np.ndarray,
                  v3: np.ndarray | None = None) -> GapGradient:
     """Outer product of the gap eigenvector, dropped onto the sparsity pattern.

@@ -4,7 +4,6 @@ import pytest
 from otsheaf.diffusion import (
     CGConfig,
     DiffusionConfig,
-    afm_filter,
     cg_solve,
     chebyshev_apply,
     chebyshev_weights,
@@ -14,8 +13,8 @@ from otsheaf.diffusion import (
     svr_diffuse,
 )
 from otsheaf.graphs import erdos_renyi
-from otsheaf.laplacian import assemble_laplacian, normalized_laplacian
-from tests.test_laplacian import random_sheaf, scalar_sheaf
+from otsheaf.laplacian import assemble_laplacian
+from tests.test_laplacian import dense_sls, random_sheaf, scalar_sheaf
 
 
 def _spd_system(seed, n=30):
@@ -160,29 +159,12 @@ class TestChebyshev:
 
     def test_afm_identity_filter_when_only_t0(self):
         g = erdos_renyi(8, 3.0, seed=8)
-        op = normalized_laplacian(assemble_laplacian(scalar_sheaf(g)))
-        X = np.random.default_rng(8).normal(size=(op.N, 2))
-        gamma = np.array([40.0, 0.0, 0.0])  # softmax ~ (1, 0, 0)
-        out, alphas, scale = afm_filter(op, X, gamma)
+        L = assemble_laplacian(scalar_sheaf(g))
+        M = np.eye(L.N) - dense_sls(L)
+        X = np.random.default_rng(8).normal(size=(L.N, 2))
+        alphas = chebyshev_weights(np.array([40.0, 0.0, 0.0]))  # ~ (1, 0, 0)
+        out, _ = chebyshev_apply(lambda v: M @ v, X, alphas)
         np.testing.assert_allclose(out, X, atol=1e-10)
-
-    def test_afm_scale_is_one_for_scalar_sheaf(self):
-        g = erdos_renyi(10, 3.0, seed=9, ensure_connected=True)
-        op = normalized_laplacian(assemble_laplacian(scalar_sheaf(g)))
-        _, _, scale = afm_filter(op, np.ones((op.N, 1)), np.zeros(3))
-        assert scale == pytest.approx(1.0, abs=1e-9)
-
-    def test_afm_rescales_wide_spectrum(self):
-        g = erdos_renyi(10, 3.0, seed=10, ensure_connected=True)
-        L = assemble_laplacian(random_sheaf(g, 3, 2, seed=10))
-        op = normalized_laplacian(L)
-        lmax = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
-        X = np.random.default_rng(10).normal(size=(op.N, 2))
-        out, _, scale = afm_filter(op, X, np.zeros(4))
-        if lmax > 1.0:
-            assert scale == pytest.approx(1.0 / lmax, rel=1e-6)
-        # rescaled recurrence stays bounded
-        assert np.abs(out).max() <= np.abs(X).max() * 4.0
 
 
 class TestFusePredict:

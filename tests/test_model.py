@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from otsheaf.autodiff import Var, backward, linear
-from otsheaf.diffusion import afm_filter, fuse, predict, svr_diffuse, DiffusionConfig
+from otsheaf.diffusion import (
+    DiffusionConfig,
+    chebyshev_apply,
+    chebyshev_weights,
+    fuse,
+    predict,
+    svr_diffuse,
+)
 from otsheaf.graphs import Graph
 from otsheaf.laplacian import (
     SheafIncidence,
     SheafLaplacian,
     assemble_laplacian,
-    normalized_laplacian,
 )
 from otsheaf.model import (
     EpochContext,
@@ -29,6 +35,7 @@ from otsheaf.model import (
     svr_branch,
 )
 from otsheaf.transport import LiftConfig, edge_plans, restrictions_from_plans
+from tests.test_laplacian import dense_sls
 
 
 def rel_err(a, b):
@@ -64,8 +71,7 @@ def make_context(seed=0, n_layers=1, C=3, d_v=3, d_e=3):
             n=g.n, d_v=d_v, edges=g.edges, plans=plans, X0=X0,
             y=y, C=C, train_idx=np.arange(0, 10, 2),
             kappa=rng.uniform(0.4, 0.9, size=g.n),
-            dt=0.1, cg_tol=1e-12, cg_max_iter=4000,
-            cheb_scale=1.0, n_layers=n_layers,
+            dt=0.1, cg_tol=1e-12, cg_max_iter=4000, n_layers=n_layers,
             kl_value=0.3, spec_value=0.2,
         )
         logits, _, aux = forward_tape(params, ctx)
@@ -259,6 +265,45 @@ class TestContractionFormulas:
         assert rel_close(Ov.grad, np.einsum("eba,ebc,edc->ead",
                                             self.S[I], g_mo, self.S[J]))
 
+    def test_sandwich_block_vjps_in_S(self):
+        I, J = self.edges[:, 0], self.edges[:, 1]
+        g_md = self.rng.normal(size=self.D.shape)
+        g_mo = self.rng.normal(size=self.O.shape)
+        Sv = Var(self.S)
+        md, _ = sandwich_blocks(Sv, Var(self.D), Var(self.O), self.edges)
+        backward(probe_sum(md, g_md))
+        assert rel_close(Sv.grad,
+                         np.einsum("iad,ibc,icd->iab", g_md, self.D, self.S)
+                         + np.einsum("iad,iab,ibc->icd", g_md, self.S, self.D))
+        Sv = Var(self.S)
+        _, mo = sandwich_blocks(Sv, Var(self.D), Var(self.O), self.edges)
+        backward(probe_sum(mo, g_mo))
+        ref = np.zeros_like(self.S)
+        np.add.at(ref, I, np.einsum("ead,ebc,ecd->eab", g_mo, self.O,
+                                    self.S[J]))
+        np.add.at(ref, J, np.einsum("ead,eab,ebc->ecd", g_mo, self.S[I],
+                                    self.O))
+        assert rel_close(Sv.grad, ref)
+
+    def test_laplacian_blocks_vjps(self):
+        I, J = self.edges[:, 0], self.edges[:, 1]
+        Ri = self.rng.normal(size=self.O.shape)
+        Rj = self.rng.normal(size=self.O.shape)
+        g_d = self.rng.normal(size=self.D.shape)   # not symmetric
+        g_o = self.rng.normal(size=self.O.shape)
+        vi, vj = Var(Ri), Var(Rj)
+        d, o = laplacian_blocks(vi, vj, self.edges, 12)
+        backward(Var(np.vdot(g_d, d.value) + np.vdot(g_o, o.value),
+                     [(d, lambda g: g * g_d), (o, lambda g: g * g_o)]))
+        assert rel_close(vi.grad,
+                         np.einsum("exc,eyc->exy", Ri, g_d[I])
+                         + np.einsum("exb,eby->exy", Ri, g_d[I])
+                         - np.einsum("exc,eyc->exy", Rj, g_o))
+        assert rel_close(vj.grad,
+                         np.einsum("exc,eyc->exy", Rj, g_d[J])
+                         + np.einsum("exb,eby->exy", Rj, g_d[J])
+                         - np.einsum("exb,eby->exy", Ri, g_o))
+
     def test_restriction_maps_forward_and_vjp(self):
         plans = self.rng.random(size=(len(self.edges), 4, 4))
         W = self.rng.normal(size=(4, 3))
@@ -372,8 +417,9 @@ class TestForwardParity:
         cfg = DiffusionConfig(dt=ctx.dt, cg_tol=ctx.cg_tol,
                               cg_max_iter=ctx.cg_max_iter)
         h_svr, _ = svr_diffuse(L, ctx.X0.reshape(-1), cfg)
-        h_afm, _, _ = afm_filter(normalized_laplacian(L), ctx.X0.reshape(-1),
-                                 params.gamma, scale=ctx.cheb_scale)
+        SLS = dense_sls(L)
+        h_afm, _ = chebyshev_apply(lambda v: v - SLS @ v, ctx.X0.reshape(-1),
+                                   chebyshev_weights(params.gamma))
         Z = fuse(h_svr.reshape(ctx.X0.shape), h_afm.reshape(ctx.X0.shape),
                  params.W_mix)
         probs = predict(Z, params.W_cls)

@@ -5,13 +5,17 @@ import pytest
 from scipy.linalg import null_space
 
 from otsheaf.graphs import Graph, erdos_renyi
-from otsheaf.laplacian import assemble_laplacian, blockwise_constant_basis, pattern_matvec
+from otsheaf.laplacian import (
+    assemble_laplacian,
+    blockwise_constant_basis,
+    estimate_spectrum,
+    pattern_matvec,
+)
 from otsheaf.spectral import (
     GapState,
     WolfeConfig,
     gap_gradient,
     project,
-    rayleigh_lambda2,
     run_gap_ascent,
     spec_penalty,
     wolfe_ascent_step,
@@ -35,21 +39,30 @@ def single_edge_laplacian():
 
 class TestRayleighLambda2:
     def test_single_edge(self):
-        lam, v = rayleigh_lambda2(single_edge_laplacian())
-        assert lam == pytest.approx(2.0)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
+        est = estimate_spectrum(single_edge_laplacian())
+        assert est.lambda2 == pytest.approx(2.0)
+        assert np.linalg.norm(est.v2) == pytest.approx(1.0)
 
     def test_disconnected_gap_zero(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        lam, _ = rayleigh_lambda2(assemble_laplacian(scalar_sheaf(g)))
-        assert abs(lam) < 1e-8
+        est = estimate_spectrum(assemble_laplacian(scalar_sheaf(g)))
+        assert abs(est.lambda2) < 1e-8
 
     def test_matches_dense_oracle_on_sheaf(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
                                  (0, 3), (1, 4)])
         L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=1, seed=3))
-        lam, _ = rayleigh_lambda2(L)
+        lam = estimate_spectrum(L).lambda2
         assert lam == pytest.approx(dense_deflated_min(L)[0], abs=1e-8)
+
+    def test_unconverged_solve_warns_once(self, caplog):
+        g = erdos_renyi(30, 4.0, seed=6, ensure_connected=True)
+        L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=1, seed=6))
+        with caplog.at_level(logging.WARNING, logger="otsheaf"):
+            est = estimate_spectrum(L, dense_cutoff=0, tol=1e-30)
+        assert not est.converged
+        assert len(caplog.records) == 1
+        assert caplog.records[0].levelno == logging.WARNING
 
 
 class TestGapGradient:
@@ -71,15 +84,13 @@ class TestGapGradient:
     def test_trace_equals_one(self):
         g_graph = erdos_renyi(12, 3.0, seed=1)
         L = assemble_laplacian(random_sheaf(g_graph, d_v=2, d_e=1, seed=0))
-        _, v = rayleigh_lambda2(L)
-        g = gap_gradient(L, v)
+        g = gap_gradient(L, estimate_spectrum(L).v2)
         assert np.einsum("iaa->", g.diag) == pytest.approx(1.0)
 
     def test_directional_is_restricted_frobenius_squared(self):
         g_graph = erdos_renyi(10, 3.0, seed=2)
         L = assemble_laplacian(random_sheaf(g_graph, d_v=2, d_e=2, seed=5))
-        _, v = rayleigh_lambda2(L)
-        g = gap_gradient(L, v)
+        g = gap_gradient(L, estimate_spectrum(L).v2)
         assert g.directional == pytest.approx(g.frobenius_norm() ** 2)
         assert g.directional > 0
 
@@ -105,7 +116,6 @@ class TestGapGradient:
     def test_degenerate_average(self):
         L = assemble_laplacian(scalar_sheaf(Graph.from_edges(
             4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
-        from otsheaf.laplacian import estimate_spectrum
         est = estimate_spectrum(L)
         g = gap_gradient(L, est.v2, est.v3)
         assert g.directional > 0
@@ -168,21 +178,22 @@ class TestWolfeStep:
 
     def test_single_edge_strict_increase(self):
         L = single_edge_laplacian()
-        lam0, v = rayleigh_lambda2(L)
-        g = gap_gradient(L, v)
+        est = estimate_spectrum(L)
+        lam0 = est.lambda2
+        g = gap_gradient(L, est.v2)
         out, eta, accepted = wolfe_ascent_step(L, g, WolfeConfig(), lambda2=lam0)
         assert accepted and eta > 0
-        lam1, _ = rayleigh_lambda2(out)
+        lam1 = estimate_spectrum(out).lambda2
         # closed form: the non-trivial eigenvalue moves from 2 to 2 + eta
         assert lam1 == pytest.approx(2.0 + eta)
         assert lam1 > lam0
 
     def test_trust_region_caps_step(self):
         L = single_edge_laplacian()
-        lam0, v = rayleigh_lambda2(L)
-        g = gap_gradient(L, v)
+        est = estimate_spectrum(L)
+        g = gap_gradient(L, est.v2)
         cfg = WolfeConfig(trust_region=0.05)
-        _, eta, accepted = wolfe_ascent_step(L, g, cfg, lambda2=lam0)
+        _, eta, accepted = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2)
         Lnorm = np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum())
         assert accepted
         assert eta * g.frobenius_norm() <= 0.05 * Lnorm + 1e-12
@@ -194,7 +205,6 @@ class TestWolfeStep:
         K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
                                   (2, 3)])
         L = assemble_laplacian(scalar_sheaf(K4))
-        from otsheaf.laplacian import estimate_spectrum
         est = estimate_spectrum(L)
         g = gap_gradient(L, est.v2, est.v3)
         out, eta, accepted = wolfe_ascent_step(L, g, WolfeConfig(),

@@ -12,12 +12,18 @@ from otsheaf.calibration import (
     node_kappa,
     posterior_update,
 )
-from otsheaf.diffusion import DiffusionConfig, afm_filter, fuse, predict, svr_diffuse
+from otsheaf.diffusion import (
+    DiffusionConfig,
+    chebyshev_apply,
+    chebyshev_weights,
+    fuse,
+    predict,
+    svr_diffuse,
+)
 from otsheaf.graphs import Graph, Labels, NodeFeatures, SplitMask
 from otsheaf.laplacian import (
     assemble_laplacian,
     normalized_range_gap,
-    normalized_laplacian,
 )
 from otsheaf.training import (
     CURVE_COLUMNS,
@@ -40,6 +46,7 @@ from otsheaf.training import (
     write_reliability,
 )
 from otsheaf.transport import restrictions_from_plans
+from tests.test_laplacian import dense_sls
 
 
 def two_cluster_dataset(n_per=10, noise=0.05, seed=0, cross_edges=1):
@@ -277,8 +284,9 @@ class TestTrainEpoch:
         dcfg = DiffusionConfig(dt=cfg.dt, cg_tol=cfg.cg_tol,
                                cg_max_iter=cfg.cg_max_iter)
         h_svr, info = svr_diffuse(L, X0.reshape(-1), dcfg)
-        h_afm, _, _ = afm_filter(normalized_laplacian(L), X0.reshape(-1),
-                                 params.gamma, scale=1.0)
+        SLS = dense_sls(L)
+        h_afm, _ = chebyshev_apply(lambda v: v - SLS @ v, X0.reshape(-1),
+                                   chebyshev_weights(params.gamma))
         Z = fuse(h_svr.reshape(X0.shape), h_afm.reshape(X0.shape),
                  params.W_mix)
         y_hat = predict(Z, params.W_cls)
@@ -298,6 +306,22 @@ class TestTrainEpoch:
             normalized_range_gap(L, seed=cfg.seed).lambda2, abs=1e-9)
         assert rep.train_acc == pytest.approx(
             (cal.argmax(axis=1) == y).mean())
+
+
+class TestNormalizedSpectrum:
+    def test_sls_spectrum_on_two_cluster_operators(self):
+        # S L S lies in [0, 2] for every sheaf; on the first-epoch operators
+        # of two-cluster fits the dense product strays from it by roundoff
+        # that S amplifies (_block_isqrt keeps directions down to 1e-12 of
+        # a block's largest eigenvalue): up to 1.4e-5 above 2, 6.1e-8 below 0
+        for n_per in (20, 30, 40, 50):
+            data = two_cluster_dataset(n_per=n_per)
+            for d_v in (4, 6, 8, 12):
+                state = init_state(data, small_cfg(d_v=d_v))
+                L = assemble_laplacian(restrictions_from_plans(
+                    data.g, state.plans, state.params.W_theta))
+                w = np.linalg.eigvalsh(dense_sls(L))
+                assert w.min() >= -1e-4 and w.max() <= 2.0 + 1e-4
 
 
 class TestFit:
