@@ -15,10 +15,16 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from .laplacian import SheafLaplacian, estimate_spectrum, pattern_matvec, pattern_outer
+from .laplacian import (
+    DENSE_CUTOFF,
+    SheafLaplacian,
+    _extreme_eigs,
+    estimate_spectrum,
+    pattern_matvec,
+    pattern_outer,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -99,17 +105,16 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
 
 
 def _min_eigpair(L: SheafLaplacian, dense_cutoff: int):
-    N = L.n * L.d_v
-    if N <= dense_cutoff:
-        # only the lowest pair is read: LAPACK's subset driver skips the rest
-        w, U = scipy.linalg.eigh(L.to_dense(), subset_by_index=[0, 0])
-        return float(w[0]), U[:, 0]
-    A = spla.LinearOperator((N, N), matvec=L.matvec, dtype=np.float64)
-    w, U = spla.eigsh(A, k=1, which="SA", tol=1e-8)
+    try:
+        w, U = _extreme_eigs(L.to_csr(), 1, "SA", 0, dense_cutoff, tol=1e-8)
+    except ArpackNoConvergence as err:
+        raise ArpackNoConvergence(
+            f"project: ARPACK stalled on the lowest eigenpair (N={L.N}, k=1)",
+            err.eigenvalues, err.eigenvectors) from err
     return float(w[0]), U[:, 0]
 
 
-def project(L: SheafLaplacian, dense_cutoff: int = 500,
+def project(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
             max_rounds: int = 3) -> SheafLaplacian:
     """Return the nearest representable PSD iterate.
 

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .calibration import beta_variance, variance_bound
 from .diffusion import CGConfig, cg_solve
 from .graphs import Graph, SplitMask, erdos_renyi, synthetic_dataset
 from .laplacian import (
+    LAMBDA_MAX_TOL,
     SheafIncidence,
     SparsifierConfig,
+    _extreme_eigs,
     assemble_laplacian,
     estimate_spectrum,
     sparsify,
@@ -71,11 +72,8 @@ def _scalar_sheaf(g: Graph) -> SheafIncidence:
 
 
 def _lambda_max(L) -> float:
-    if L.N <= 400:
-        return float(np.linalg.eigvalsh(L.to_dense())[-1])
-    A = spla.LinearOperator((L.N, L.N), matvec=L.matvec, dtype=np.float64)
-    return float(spla.eigsh(A, k=1, which="LA", tol=1e-6,
-                            return_eigenvectors=False)[0])
+    return float(_extreme_eigs(L.to_csr(), 1, "LA", 0, tol=LAMBDA_MAX_TOL,
+                               vectors=False)[-1])
 
 
 def check_cg_bound(sizes=(100, 1000, 10000), trials: int = 100,

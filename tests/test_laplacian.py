@@ -15,7 +15,6 @@ from otsheaf.laplacian import (
     _block_isqrt,
     _compressed_normalized,
     _edge_leverage_dense,
-    _lanczos,
     assemble_laplacian,
     blockwise_constant_basis,
     estimate_spectrum,
@@ -232,19 +231,6 @@ class TestSpectrum:
         assert np.abs(U.T @ est.v2).max() < 1e-8
 
 
-def counting_dot(monkeypatch) -> list:
-    """Count every CSR matrix-vector product; returns the growing tally."""
-    calls = []
-    real = sp.csr_matrix.dot
-
-    def counted(self, x):
-        calls.append(1)
-        return real(self, x)
-
-    monkeypatch.setattr(sp.csr_matrix, "dot", counted)
-    return calls
-
-
 def stalled_eigsh(A, k, **kwargs):
     """An eigsh that gives up at once, as ARPACK does at its restart cap."""
     raise ArpackNoConvergence("No convergence (7 iterations, "
@@ -252,51 +238,23 @@ def stalled_eigsh(A, k, **kwargs):
                               np.zeros(0), np.zeros((A.shape[0], 0)))
 
 
-class TestLanczos:
-    def _operator(self):
-        g = cycle_graph(60)
-        return assemble_laplacian(random_sheaf(g, d_v=2, d_e=1, seed=19))
+def stall_low_end(monkeypatch, times=None) -> list:
+    """Make the first `times` low-end eigsh calls (all when None) stall.
 
-    @pytest.mark.parametrize("deflate", [False, True])
-    def test_grown_run_equals_fresh_run_at_each_checkpoint(self, deflate):
-        L = self._operator()
-        U = blockwise_constant_basis(L.n, L.d_v) if deflate else None
-        q0 = np.random.default_rng(4).normal(size=L.N)
-        grown = _lanczos(L.matvec, L.N, 10, None, ortho_against=U, q0=q0)
-        for k in (10, 25, 40, 55):
-            grown.grow(k)
-            fresh = _lanczos(L.matvec, L.N, k, None, ortho_against=U, q0=q0)
-            assert grown.steps == fresh.steps == k
-            assert np.array_equal(grown.T, fresh.T)
-            assert np.array_equal(grown.Q, fresh.Q)
+    Returns the growing list of (which, k) of every eigsh call.
+    """
+    import otsheaf.laplacian as laplacian
+    calls = []
 
-    def test_rng_start_draws_once(self):
-        L = self._operator()
-        grown = _lanczos(L.matvec, L.N, 5, np.random.default_rng(7)).grow(30)
-        fresh = _lanczos(L.matvec, L.N, 30, np.random.default_rng(7))
-        assert np.array_equal(grown.T, fresh.T)
-        assert np.array_equal(grown.Q, fresh.Q)
+    def patched(A, k, **kwargs):
+        calls.append((kwargs["which"], k))
+        low = [c for c in calls if c[0] == "SA"]
+        if kwargs["which"] == "SA" and (times is None or len(low) <= times):
+            return stalled_eigsh(A, k, **kwargs)
+        return eigsh(A, k, **kwargs)
 
-    def test_basis_rows_are_orthonormal(self):
-        L = self._operator()
-        run = _lanczos(L.matvec, L.N, 60, np.random.default_rng(1))
-        assert run.Q.shape == (60, L.N)
-        np.testing.assert_allclose(run.Q @ run.Q.T, np.eye(60), atol=1e-12)
-
-    def test_growing_a_broken_down_run_is_a_noop(self):
-        # three distinct eigenvalues: the Krylov space is invariant after 3 steps
-        lam = np.repeat([1.0, 2.0, 5.0], 10)
-        mv = lambda x: lam * x
-        q0 = np.ones(lam.size)
-        run = _lanczos(mv, lam.size, 8, None, q0=q0)
-        assert run.steps == 3 and run.broken_down
-        T, Q = run.T, run.Q.copy()
-        run.grow(20)
-        assert run.steps == 3
-        assert np.array_equal(run.T, T) and np.array_equal(run.Q, Q)
-        np.testing.assert_allclose(np.linalg.eigvalsh(T), [1.0, 2.0, 5.0])
-        fresh = _lanczos(mv, lam.size, 20, None, q0=q0)
-        assert np.array_equal(fresh.T, T)
+    monkeypatch.setattr(laplacian, "eigsh", patched)
+    return calls
 
 
 class TestSparsifier:
@@ -396,7 +354,8 @@ def cycle_graph(n: int) -> Graph:
 
 class TestRangeGap:
     """normalized_range_gap against closed forms, the deflated estimate and
-    the generalized eigenproblem, and the schedule of its Lanczos run."""
+    the generalized eigenproblem, and the block schedule of its ARPACK
+    path."""
 
     def test_connected_scalar_agrees_with_deflated_estimate(self):
         # on a 2-regular scalar sheaf S = I/sqrt(2), so S L S = L/2
@@ -425,23 +384,19 @@ class TestRangeGap:
         assert res <= 1e-8 * np.linalg.norm(SD @ v2)
 
     def test_budget_checkpoints_grow_one_run(self, monkeypatch, caplog):
-        # ARPACK stalled and an unreachable tolerance: 60 steps for
-        # lambda_max, 1 application for the start vector, one run grown to
-        # 80, 160 and 300 steps, and one residual check at each checkpoint;
-        # restarting the run at each checkpoint would cost 240 more
-        import otsheaf.laplacian as laplacian
+        # every low-end ARPACK call stalled: the block doubles from
+        # ARPACK_K0 to ARPACK_MAX_K, then one call at the top for
+        # lambda_max; one WARNING, and the estimate says it did not converge
         L = large_kernel_operator()
-        monkeypatch.setattr(laplacian, "eigsh", stalled_eigsh)
-        calls = counting_dot(monkeypatch)
+        calls = stall_low_end(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, tol=1e-30)
-        assert len(calls) == 60 + 1 + 300 + 3
+            est = normalized_range_gap(L, dense_cutoff=0)
+        assert calls == [("SA", 16), ("SA", 32), ("SA", 64), ("SA", 128),
+                         ("LA", 1)]
         assert not est.converged
         records = [r.getMessage() for r in caplog.records]
         assert len(records) == 1
-        assert "after 300 Lanczos steps (N=314)" in records[0]
-        tol = 1e-30 * max(est.lambda_max, 1.0)
-        assert f"above tolerance {tol:.2e}" in records[0]
+        assert "ARPACK stalled at k=128 (dim A=314)" in records[0]
 
     def test_zero_operator_reports_degenerate(self, caplog):
         # all restriction maps zero: S = 0, nothing reaches a solver; one
@@ -511,7 +466,7 @@ class TestNormalizedRangeGap:
         SLS = dense_sls(L)
         w = np.linalg.eigvalsh(0.5 * (SLS + SLS.T))
         oracle = w[w > 1e-3][0]
-        est = normalized_range_gap(L, seed=3)
+        est = normalized_range_gap(L, dense_cutoff=0, seed=3)
         assert est.converged
         assert est.lambda2 == pytest.approx(oracle, rel=1e-8)
 
@@ -532,13 +487,13 @@ class TestNormalizedRangeGap:
         np.testing.assert_allclose(w_full[L.N - A.shape[0]:], w_A, atol=1e-10)
 
     def test_exact_kernel_of_compressed_operator(self):
-        # more exact zeros than ARPACK's 8 pairs: they must not stall it
+        # more exact zeros than ARPACK's first block of 16 pairs: the block
+        # doubles past them
         L = exact_kernel_operator()
         A, _, _ = _compressed_normalized(L)
         w = np.linalg.eigvalsh(A.toarray())
-        assert A.shape[0] > 200
-        assert np.count_nonzero(np.abs(w) < 1e-10) > 8
-        est = normalized_range_gap(L, seed=1)
+        assert np.count_nonzero(np.abs(w) < 1e-10) > 16
+        est = normalized_range_gap(L, dense_cutoff=0, seed=1)
         assert est.converged
         assert est.lambda2 == pytest.approx(w[w > 1e-3][0], rel=1e-8)
 
@@ -546,21 +501,23 @@ class TestNormalizedRangeGap:
         # ARPACK's own start and restart vectors come from an RNG that
         # persists across calls; the seeded estimate must not depend on it
         L = exact_kernel_operator()
-        first = normalized_range_gap(L, seed=4)
+        first = normalized_range_gap(L, dense_cutoff=0, seed=4)
         other = assemble_laplacian(random_sheaf(cycle_graph(90), d_v=3,
                                                 d_e=2, seed=1)).to_csr()
         eigsh(other, k=3, which="SA")
-        second = normalized_range_gap(L, seed=4)
+        second = normalized_range_gap(L, dense_cutoff=0, seed=4)
         assert first.lambda2 == second.lambda2
         assert np.array_equal(first.v2, second.v2)
 
     def test_arpack_stall_falls_back_to_lanczos(self, monkeypatch, caplog):
-        import otsheaf.laplacian as laplacian
+        # the first block stalls: the estimate doubles it and converges to
+        # the same pair, leaving one DEBUG record and no warning
         L = large_kernel_operator()
-        exact = normalized_range_gap(L, seed=3)
-        monkeypatch.setattr(laplacian, "eigsh", stalled_eigsh)
+        exact = normalized_range_gap(L, dense_cutoff=0, seed=3)
+        calls = stall_low_end(monkeypatch, times=1)
         with caplog.at_level(logging.DEBUG, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, seed=3)
+            est = normalized_range_gap(L, dense_cutoff=0, seed=3)
+        assert calls == [("SA", 16), ("SA", 32), ("LA", 1)]
         assert est.converged
         assert est.lambda2 == pytest.approx(exact.lambda2, rel=1e-8)
         records = caplog.records
@@ -569,18 +526,18 @@ class TestNormalizedRangeGap:
         message = records[0].getMessage()
         assert "range-gap estimate" in message
         assert "7 iterations" in message
-        assert "dim A=314" in message
+        assert "k=16, dim A=314" in message
 
-    def test_unconverged_fallback_warns_once(self, caplog):
-        # an unreachable tolerance rejects ARPACK's pairs and exhausts the
-        # Lanczos budget: one warning, and the estimate says so
+    def test_unconverged_fallback_warns_once(self, monkeypatch, caplog):
+        # ARPACK stalls at every block: one warning, and the estimate says so
         L = large_kernel_operator()
+        stall_low_end(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, tol=1e-30)
+            est = normalized_range_gap(L, dense_cutoff=0)
         assert not est.converged
         records = [r.getMessage() for r in caplog.records]
         assert len(records) == 1
-        assert "after 300 Lanczos steps (N=314)" in records[0]
+        assert "ARPACK stalled at k=128 (dim A=314)" in records[0]
 
     def test_zero_operator_reports_degenerate(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 from scipy.linalg import null_space
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import (
@@ -30,6 +31,15 @@ def dense_deflated_min(L, k=1):
     Q = null_space(U.T)
     w = np.linalg.eigvalsh(Q.T @ L.to_dense() @ Q)
     return w[:k]
+
+
+def indefinite_sheaf():
+    """A random sheaf on 40 nodes (N = 80) shifted to negative modes."""
+    L = assemble_laplacian(random_sheaf(erdos_renyi(40, 3.0, seed=8), d_v=2,
+                                        d_e=1, seed=8))
+    L.diag = L.diag - 0.3 * np.eye(2)[None]
+    L._csr = None
+    return L
 
 
 def single_edge_laplacian():
@@ -167,6 +177,31 @@ class TestProject:
         L._csr = None
         out = project(L, dense_cutoff=1)  # force the sparse eigensolver
         assert np.linalg.eigvalsh(out.to_dense())[0] >= -1e-8
+
+    def test_iterative_path_is_deterministic(self):
+        # ARPACK's start and restart vectors are seeded, so an unrelated
+        # eigsh call between two projections changes nothing
+        L = indefinite_sheaf()
+        first = project(L, dense_cutoff=1)
+        other = assemble_laplacian(scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
+        eigsh(other.to_csr(), k=3, which="LA")
+        second = project(L, dense_cutoff=1)
+        assert np.array_equal(first.diag, second.diag)
+        assert np.array_equal(first.off, second.off)
+
+    def test_stall_names_the_stage(self, monkeypatch):
+        import otsheaf.laplacian as laplacian
+        L = indefinite_sheaf()
+
+        def stalled(A, k, **kwargs):
+            raise ArpackNoConvergence("No convergence (9 iterations, "
+                                      f"0/{k} eigenvectors converged)",
+                                      np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(laplacian, "eigsh", stalled)
+        with pytest.raises(ArpackNoConvergence,
+                           match=r"project: .*\(N=80, k=1\)"):
+            project(L, dense_cutoff=1)
 
 
 class TestWolfeStep:

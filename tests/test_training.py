@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from otsheaf.diffusion import (
 )
 from otsheaf.graphs import Graph, Labels, NodeFeatures, SplitMask
 from otsheaf.laplacian import (
+    DENSE_CUTOFF,
+    NORMALIZED_NULL_TOL,
+    _compressed_normalized,
     assemble_laplacian,
     normalized_range_gap,
 )
@@ -196,21 +200,44 @@ class TestTrainEpoch:
         assert len(calls) == 1
 
     def test_arpack_stall_does_not_stop_the_epoch(self, monkeypatch, caplog):
-        # compressed dimension 257 > 200: the estimate takes the ARPACK path
+        # the estimate forced onto its ARPACK path (compressed dimension
+        # 257), whose first low-end call stalls: the block doubles and the
+        # epoch reports the same lambda2
         import otsheaf.laplacian as laplacian
+        import otsheaf.training as training
         from scipy.sparse.linalg import ArpackNoConvergence
         data = two_cluster_dataset(n_per=30)
         cfg = small_cfg(gap_steps=0, d_v=8, d_e=None)
+        monkeypatch.setattr(training, "normalized_range_gap", partial(
+            normalized_range_gap, dense_cutoff=0))
+        real = laplacian.eigsh
+
+        def record_low_end(stall_first):
+            """Patch eigsh to list the low-end block sizes it is asked for."""
+            calls = []
+
+            def patched(A, k, **kwargs):
+                if kwargs["which"] == "SA":
+                    calls.append(k)
+                    if stall_first and len(calls) == 1:
+                        raise ArpackNoConvergence(
+                            "No convergence (5 iterations, "
+                            f"0/{k} eigenvectors converged)",
+                            np.zeros(0), np.zeros((A.shape[0], 0)))
+                return real(A, k, **kwargs)
+
+            monkeypatch.setattr(laplacian, "eigsh", patched)
+            return calls
+
+        schedule = record_low_end(stall_first=False)
         _, ref = train_epoch(init_state(data, cfg), data, cfg)
-
-        def stalled(A, k, **kwargs):
-            raise ArpackNoConvergence("No convergence (5 iterations, "
-                                      f"0/{k} eigenvectors converged)",
-                                      np.zeros(0), np.zeros((A.shape[0], 0)))
-
-        monkeypatch.setattr(laplacian, "eigsh", stalled)
+        low_end = record_low_end(stall_first=True)
         with caplog.at_level(logging.DEBUG, logger="otsheaf"):
             _, rep = train_epoch(init_state(data, cfg), data, cfg)
+        # the stalled first block is retried at twice its size, which the
+        # unstalled run reached too, so both ask for the same blocks
+        assert schedule[:2] == [16, 32]
+        assert low_end == schedule
         assert rep.lambda2 == pytest.approx(ref.lambda2, rel=1e-8)
         assert rep.lambda2 > 1e-3
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
@@ -219,7 +246,7 @@ class TestTrainEpoch:
         assert len(records) == 1
         assert "range-gap estimate" in records[0]
         assert "5 iterations" in records[0]
-        assert "dim A=257" in records[0]
+        assert "k=16, dim A=257" in records[0]
 
     def test_one_csr_build_per_epoch(self, monkeypatch):
         # the tape's operator serves the CG solves and the gap estimate
@@ -322,6 +349,23 @@ class TestNormalizedSpectrum:
                     data.g, state.plans, state.params.W_theta))
                 w = np.linalg.eigvalsh(dense_sls(L))
                 assert w.min() >= -1e-4 and w.max() <= 2.0 + 1e-4
+
+    def test_mid_size_estimate_is_converged(self):
+        # first-epoch operator with dim A 424 and 23 modes under the null
+        # cutoff: dense at the default cutoff, and the doubling ARPACK block
+        # reaches the same pair
+        data = two_cluster_dataset(n_per=30)
+        state = init_state(data, small_cfg(d_v=12, d_e=None))
+        L = assemble_laplacian(restrictions_from_plans(
+            data.g, state.plans, state.params.W_theta))
+        A, _, _ = _compressed_normalized(L)
+        assert A.shape[0] == 424
+        w = np.linalg.eigvalsh(dense_sls(L))
+        oracle = w[w > NORMALIZED_NULL_TOL][0]
+        for cutoff in (DENSE_CUTOFF, 0):
+            est = normalized_range_gap(L, dense_cutoff=cutoff)
+            assert est.converged
+            assert est.lambda2 == pytest.approx(oracle, rel=1e-8)
 
 
 class TestFit:

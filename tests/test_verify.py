@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
-from otsheaf.verify import CHECKS, CheckResult, run_checks
+from otsheaf.graphs import erdos_renyi
+from otsheaf.laplacian import DENSE_CUTOFF, assemble_laplacian
+from otsheaf.verify import CHECKS, CheckResult, _lambda_max, _scalar_sheaf, run_checks
 
 EXPECTED_CHECKS = {"cg-bound", "gap-ascent", "variance", "contraction",
                    "bound-validity", "gradcheck", "oversmoothing",
@@ -24,6 +28,20 @@ class TestRegistry:
         assert "toy" in r.summary() and "PASS" in r.summary()
         r = CheckResult("toy", False, measured=3.0, bound=2.0)
         assert "FAIL" in r.summary()
+
+
+class TestLambdaMax:
+    def test_iterative_path_is_deterministic(self):
+        # above the dense cutoff ARPACK runs from a seeded start, so an
+        # unrelated eigsh call in between leaves the bits unchanged
+        L = assemble_laplacian(_scalar_sheaf(erdos_renyi(1200, 6.0, seed=3)))
+        assert L.N > DENSE_CUTOFF
+        first = _lambda_max(L)
+        other = assemble_laplacian(_scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
+        eigsh(other.to_csr(), k=3, which="LA")
+        assert _lambda_max(L) == first
+        dense = np.linalg.eigvalsh(L.to_dense())[-1]
+        assert first == pytest.approx(dense, rel=1e-6)
 
 
 class TestIndividualChecks:
