@@ -171,21 +171,6 @@ def calibrate_prediction(y_hat: np.ndarray, kappa: np.ndarray,
     return k * y_hat + (1.0 - k) * y_prior
 
 
-def empirical_risk(labels: Labels, predictions: np.ndarray,
-                   posterior: PosteriorState, g: Graph,
-                   mask: np.ndarray) -> float:
-    """Mean cross-entropy of calibrated predictions over the masked nodes."""
-    kappa = node_kappa(posterior, g)
-    cal = calibrate_prediction(predictions, kappa)
-    idx = np.asarray(mask)
-    if idx.dtype == bool:
-        idx = np.flatnonzero(idx)
-    if idx.size == 0:
-        raise ValueError("empirical risk over an empty mask")
-    p = cal[idx, labels.y[idx]]
-    return float(-np.log(np.maximum(p, 1e-300)).mean())
-
-
 def beta_kl(a1, b1, a0, b0):
     """KL(Beta(a1, b1) || Beta(a0, b0)) in closed form."""
     return (betaln(a0, b0) - betaln(a1, b1)

@@ -8,6 +8,11 @@ L = B^T B accumulates per edge:
     off[e]   = -R_ij^T R_ji     (block at position (i, j); (j, i) is its transpose)
 
 so x^T L x = sum_e ||R_ij x_i - R_ji x_j||^2 >= 0 by construction.
+
+Every matrix with this block pattern (L, the incidence B, S L S and the
+compressed normalized operator) is built by block_sparse and applied as
+CSR through SheafLaplacian.matvec; pattern_outer is the gradient of a
+bilinear form in the blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +31,32 @@ from scipy.sparse.linalg import (
 )
 
 logger = logging.getLogger(__name__)
+
+
+def block_sparse(rows: np.ndarray, cols: np.ndarray, blocks: list,
+                 n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """Canonical CSR matrix with block k at block position (rows[k], cols[k]).
+
+    blocks is a list of (k_i, a, b) stacks whose concatenation holds block
+    k at index k; each stack is copied once, straight into sorted order.
+    The matrix is (n_rows * a, n_cols * b).  Blocks at one position are
+    summed; zero entries of a block stay explicit, so the pattern depends
+    on the block positions alone.
+    """
+    order = np.lexsort((cols, rows))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    _, a, b = blocks[0].shape
+    data = np.empty((order.size, a, b))
+    start = 0
+    for part in blocks:
+        data[rank[start:start + len(part)]] = part
+        start += len(part)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    A = sp.bsr_matrix((data, cols[order], indptr),
+                      shape=(n_rows * a, n_cols * b)).tocsr()
+    A.sum_duplicates()
+    return A
 
 
 @dataclass
@@ -53,19 +84,26 @@ class SheafIncidence:
     def d_e(self) -> int:
         return int(self.Rij.shape[1])
 
+    def to_csr(self) -> sp.csr_matrix:
+        """B as an (m * d_e, n * d_v) CSR matrix: [Rij, -Rji] at (e, i), (e, j)."""
+        e = np.arange(self.m)
+        return block_sparse(np.concatenate([e, e]), self.edges.T.ravel(),
+                            [self.Rij, -self.Rji],
+                            self.m, self.n)
+
     def to_dense(self) -> np.ndarray:
-        m, d_e, d_v = self.Rij.shape
-        B = np.zeros((m * d_e, self.n * d_v))
-        for e in range(m):
-            i, j = self.edges[e]
-            B[e * d_e:(e + 1) * d_e, i * d_v:(i + 1) * d_v] = self.Rij[e]
-            B[e * d_e:(e + 1) * d_e, j * d_v:(j + 1) * d_v] = -self.Rji[e]
-        return B
+        return self.to_csr().toarray()
 
 
 @dataclass(eq=False)
 class SheafLaplacian:
-    """Symmetric PSD block operator stored as diagonal and (i, j) off blocks."""
+    """Symmetric block operator stored as diagonal and (i, j) off blocks.
+
+    Holds L itself and every other matrix on L's pattern: S L S, a gradient
+    direction, the compressed normalized operator before its restriction.
+    Its CSR form is built once, on first use, and matvec is the one way the
+    package applies such a matrix.
+    """
 
     n: int
     d_v: int
@@ -85,21 +123,12 @@ class SheafLaplacian:
 
     def to_csr(self) -> sp.csr_matrix:
         if self._csr is None:
-            d = self.d_v
-            a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-            rows = [(self.edges[:, 0][:, None, None] * d + a).ravel(),
-                    (self.edges[:, 1][:, None, None] * d + a).ravel(),
-                    (np.arange(self.n)[:, None, None] * d + a).ravel()]
-            cols = [(self.edges[:, 1][:, None, None] * d + b).ravel(),
-                    (self.edges[:, 0][:, None, None] * d + b).ravel(),
-                    (np.arange(self.n)[:, None, None] * d + b).ravel()]
-            offT = np.swapaxes(self.off, 1, 2)
-            data = [self.off.ravel(), offT.ravel(), self.diag.ravel()]
-            coo = sp.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.N, self.N),
-            )
-            self._csr = coo.tocsr()
+            I, J = self.edges[:, 0], self.edges[:, 1]
+            nodes = np.arange(self.n)
+            self._csr = block_sparse(
+                np.concatenate([I, J, nodes]), np.concatenate([J, I, nodes]),
+                [self.off, self.off.transpose(0, 2, 1), self.diag],
+                self.n, self.n)
         return self._csr
 
     def to_dense(self) -> np.ndarray:
@@ -110,10 +139,12 @@ class SheafLaplacian:
         return self.to_csr() @ x
 
     def coo_rows(self):
-        """(row, col, value) triples of the explicit blocks, row-major order."""
+        """(row, col, value) triples of the explicit blocks, row-major order.
+
+        to_csr is canonical, so its entries already come in that order.
+        """
         coo = self.to_csr().tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
+        return coo.row, coo.col, coo.data
 
     def copy(self) -> "SheafLaplacian":
         return SheafLaplacian(
@@ -141,22 +172,6 @@ def assemble_laplacian(B: SheafIncidence,
     np.add.at(diag, B.edges[:, 1], gjj)
     return SheafLaplacian(n=B.n, d_v=B.d_v, edges=B.edges, diag=diag, off=off,
                           restrictions=B)
-
-
-def pattern_matvec(edges: np.ndarray, diag: np.ndarray, off: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """Apply the symmetric block matrix with blocks (diag, off) on the edges.
-
-    Suits blocks that change every call; an operator applied many times is
-    cheaper through SheafLaplacian.matvec and its cached CSR form.
-    """
-    n, d = diag.shape[:2]
-    X = x.reshape(n, d)
-    out = np.einsum("iab,ib->ia", diag, X)
-    I, J = edges[:, 0], edges[:, 1]
-    np.add.at(out, I, np.einsum("eab,eb->ea", off, X[J]))
-    np.add.at(out, J, np.einsum("eba,eb->ea", off, X[I]))
-    return out.reshape(x.shape)
 
 
 def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -192,12 +207,13 @@ def _block_frames(w: np.ndarray, V: np.ndarray, cutoff_rel: float = 1e-12):
 def _block_isqrt(diag: np.ndarray, cutoff_rel: float = 1e-12):
     """Per-block inverse square root via eigh, zeroing near-null directions.
 
-    Returns (S, eigvals, eigvecs) so callers can reuse the factorizations.
+    Returns (S, eigvals, eigvecs, kept) so callers can reuse the
+    factorizations and the cutoff's (n, d) mask of kept directions.
     """
     w, V = np.linalg.eigh(diag)  # (n, d), (n, d, d)
-    T, _ = _block_frames(w, V, cutoff_rel)
+    T, kept = _block_frames(w, V, cutoff_rel)
     S = T @ V.transpose(0, 2, 1)
-    return S, w, V
+    return S, w, V, kept
 
 
 def blockwise_constant_basis(n: int, d_v: int) -> np.ndarray:
@@ -431,33 +447,21 @@ def _compressed_normalized(L: SheafLaplacian):
     the structural zeros of null(S).  Its diagonal blocks T_i' D_i T_i are
     the identity up to roundoff divided by the smallest kept w; they are
     computed, not assumed, so A is the operator the tape's S D S and S O S
-    blocks describe.  Returns (A, T, kept): A as CSR of dimension
-    kept.sum(), T (n, d, d) with zero columns where a direction was
-    dropped, and the (n, d) kept mask in the row order of A.
+    blocks describe.  A is the CSR form of the blocks T_i' D_i T_i and
+    T_I' O T_J on L's pattern, restricted to the kept rows and columns.
+    Returns (A, T, kept): A of dimension kept.sum(), T (n, d, d) with zero
+    columns where a direction was dropped, and the (n, d) kept mask in the
+    row order of A.
     """
-    n, d = L.n, L.d_v
     w, V = np.linalg.eigh(L.diag)
     T, kept = _block_frames(w, V)
-    r = int(kept.sum())
-    pos = np.full(n * d, -1)
-    pos[np.flatnonzero(kept)] = np.arange(r)
-    pos = pos.reshape(n, d)
-
-    def entries(blocks, a, b):
-        rows, cols = np.broadcast_arrays(pos[a][:, :, None], pos[b][:, None, :])
-        on = (rows >= 0) & (cols >= 0)
-        return rows[on], cols[on], blocks[on]
-
     Tt = T.transpose(0, 2, 1)
     Pd = Tt @ L.diag @ T
     I, J = L.edges[:, 0], L.edges[:, 1]
-    nodes = np.arange(n)
-    dr, dc, dv = entries(0.5 * (Pd + Pd.transpose(0, 2, 1)), nodes, nodes)
-    orow, ocol, ov = entries(Tt[I] @ L.off @ T[J], I, J)
-    A = sp.coo_matrix(
-        (np.concatenate([dv, ov, ov]),
-         (np.concatenate([dr, orow, ocol]), np.concatenate([dc, ocol, orow]))),
-        shape=(r, r)).tocsr()
+    idx = np.flatnonzero(kept)
+    A = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges,
+                       diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
+                       off=Tt[I] @ L.off @ T[J]).to_csr()[idx][:, idx]
     return A, T, kept
 
 
@@ -527,21 +531,6 @@ def _edge_leverage_dense(L: SheafLaplacian, B: SheafIncidence) -> np.ndarray:
     return t1 + t2 - 2.0 * t3
 
 
-def _apply_Bt(B: SheafIncidence, g: np.ndarray) -> np.ndarray:
-    """B^T g for g shaped (m, d_e): scatter +R_ij^T g_e to i and -R_ji^T g_e to j."""
-    n, d = B.n, B.d_v
-    out = np.zeros((n, d))
-    np.add.at(out, B.edges[:, 0], np.einsum("eab,ea->eb", B.Rij, g))
-    np.add.at(out, B.edges[:, 1], -np.einsum("eab,ea->eb", B.Rji, g))
-    return out.reshape(-1)
-
-
-def _apply_B(B: SheafIncidence, x: np.ndarray) -> np.ndarray:
-    xs = x.reshape(B.n, B.d_v)
-    return (np.einsum("eab,eb->ea", B.Rij, xs[B.edges[:, 0]])
-            - np.einsum("eab,eb->ea", B.Rji, xs[B.edges[:, 1]]))
-
-
 def _edge_leverage_sketched(L: SheafLaplacian, B: SheafIncidence,
                             cfg: SparsifierConfig) -> np.ndarray:
     """tau_e ~ mean_s ||(B L^+ B^T g_s)_e||^2 over Gaussian probes g_s.
@@ -556,11 +545,11 @@ def _edge_leverage_sketched(L: SheafLaplacian, B: SheafIncidence,
     m, d_e = B.edges.shape[0], B.d_e
     acc = np.zeros(m)
     cgc = CGConfig(tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    Bc = B.to_csr()
     for _ in range(cfg.probes):
         gpr = rng.normal(size=(m, d_e))
-        rhs = _apply_Bt(B, gpr)
-        z = cg_solve(L.matvec, rhs, cgc).x
-        Mg = _apply_B(B, z)
+        z = cg_solve(L.matvec, Bc.T @ gpr.reshape(-1), cgc).x
+        Mg = (Bc @ z).reshape(m, d_e)
         acc += np.einsum("ea,ea->e", Mg, Mg)
     return acc / cfg.probes
 

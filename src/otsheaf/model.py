@@ -26,7 +26,6 @@ from .laplacian import (
     SheafLaplacian,
     _block_isqrt,
     assemble_laplacian,
-    pattern_matvec,
     pattern_outer,
 )
 from .transport import restriction_from_plan
@@ -180,9 +179,8 @@ def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> Var:
     divided-difference weights, using h' on (near-)coincident eigenvalues.
     """
     D = 0.5 * (diag.value + diag.value.transpose(0, 2, 1))
-    S, w, V = _block_isqrt(D, cutoff_rel=cutoff_rel)
+    S, w, V, keep = _block_isqrt(D, cutoff_rel=cutoff_rel)
     wscale = np.maximum(w[:, -1:], 1.0)
-    keep = w > cutoff_rel * wscale
     wsafe = np.where(keep, w, 1.0)   # dropped modes never feed the powers
     h = np.where(keep, 1.0 / np.sqrt(wsafe), 0.0)
     hp = np.where(keep, -0.5 * wsafe ** -1.5, 0.0)
@@ -233,22 +231,24 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     return md_var, mo_var
 
 
-def cheb_branch(md: Var, mo: Var, gamma: Var, x, ctx: EpochContext) -> Var:
+def cheb_branch(md: Var, mo: Var, SLS: SheafLaplacian, gamma: Var, x,
+                ctx: EpochContext) -> Var:
     """Chebyshev filter bank on M = I - S L S, reverse recurrence VJP.
 
     M needs no rescaling into [-1, 1]: x'Lx = sum_e ||R_ij x_i - R_ji x_j||^2
     <= 2 x'Dx for every sheaf Laplacian, so 0 <= S L S <= 2 S D S, and
     S D S is the projector onto range(S).  md and mo are the blocks of S L S
-    (sandwich_blocks); a node without edges has S = 0, so M passes its
-    signal through.
+    (sandwich_blocks) and SLS the operator with the blocks (md.value,
+    mo.value): the forward and reverse recurrences apply M through its
+    matvec, and sharing one instance across layers builds its CSR form
+    once.  A node without edges has S = 0, so M passes its signal through.
     """
     x_var = x if isinstance(x, Var) else None
     xv = (x.value if x_var is not None else np.asarray(x, np.float64))
     n, d_v = ctx.n, ctx.d_v
-    mdv, mov = md.value, mo.value
 
     def apply_M(v):
-        return v - pattern_matvec(ctx.edges, mdv, mov, v)
+        return v - SLS.matvec(v)
 
     alphas = chebyshev_weights(gamma.value)
     out_flat, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
@@ -259,8 +259,8 @@ def cheb_branch(md: Var, mo: Var, gamma: Var, x, ctx: EpochContext) -> Var:
         d_alpha = np.array([float(gf @ t) for t in terms])
         d_gamma = alphas * (d_alpha - float(alphas @ d_alpha))
         u = [a * gf for a in alphas]
-        gd = np.zeros_like(mdv)
-        go = np.zeros_like(mov)
+        gd = np.zeros_like(md.value)
+        go = np.zeros_like(mo.value)
 
         def accumulate(left, right):
             a, b = pattern_outer(ctx.edges, left, right, n, d_v)
@@ -324,7 +324,9 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     Returns (logits Var, leaves dict, aux dict).  aux carries the block
     Vars, the SheafLaplacian built once from their values (every layer's
     CG solves and the epoch's gap estimate share it), forward CG iteration
-    counts, and the fused embeddings per layer.
+    counts, and the fused embeddings per layer.  The operator S L S is
+    built once too, from the sandwich blocks, and every layer's Chebyshev
+    filter shares it.
     """
     if leaves is None:
         leaves = {name: Var(value) for name, value in params.trainable().items()}
@@ -334,6 +336,8 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     md, mo = sandwich_blocks(S, diag, off, ctx.edges)
     L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
                        diag=diag.value, off=off.value)
+    SLS = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
+                         diag=md.value, off=mo.value)
     x = ctx.X0
     cg_iters = 0
     embeddings = []
@@ -342,7 +346,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     for _ in range(ctx.n_layers):
         h_svr, info = svr_branch(diag, off, L, x, ctx)
         cg_iters += info.total_iterations
-        h_afm = cheb_branch(md, mo, leaves["gamma"], x, ctx)
+        h_afm = cheb_branch(md, mo, SLS, leaves["gamma"], x, ctx)
         pre = linear(concat_cols(h_svr, h_afm), leaves["W_mix"])
         pre_acts.append(pre.value)
         z = relu(pre)

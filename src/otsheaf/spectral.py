@@ -22,7 +22,6 @@ from .laplacian import (
     SheafLaplacian,
     _extreme_eigs,
     estimate_spectrum,
-    pattern_matvec,
     pattern_outer,
 )
 
@@ -31,6 +30,11 @@ logger = logging.getLogger(__name__)
 LAMBDA2_FLOOR = 1e-8
 DEGENERACY_REL_GAP = 1e-6
 MONOTONE_SLACK = 1e-8
+# ARPACK's restarts for project's lowest eigenpair, in place of its default
+# of 10 per dimension: the clipped iterates of a random N=80 sheaf need up
+# to 270, while a raw transport operator with a large near-null cluster
+# stalls at any budget (N=720: still at 2000, and 7201 by default, 5.3 s)
+PROJECT_MAX_RESTARTS = 1000
 
 
 @dataclass
@@ -92,7 +96,8 @@ def gap_gradient(L: SheafLaplacian, v2: np.ndarray,
         diag = 0.5 * (diag + d3)
         off = 0.5 * (off + o3)
     off = 0.5 * off   # pattern_outer counts each off block twice
-    directional = float(v2 @ pattern_matvec(L.edges, diag, off, v2))
+    G = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges, diag=diag, off=off)
+    directional = float(v2 @ G.matvec(v2))
     return GapGradient(diag=diag, off=off, directional=directional)
 
 
@@ -106,7 +111,8 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
 
 def _min_eigpair(L: SheafLaplacian, dense_cutoff: int):
     try:
-        w, U = _extreme_eigs(L.to_csr(), 1, "SA", 0, dense_cutoff, tol=1e-8)
+        w, U = _extreme_eigs(L.to_csr(), 1, "SA", 0, dense_cutoff, tol=1e-8,
+                             maxiter=PROJECT_MAX_RESTARTS)
     except ArpackNoConvergence as err:
         raise ArpackNoConvergence(
             f"project: ARPACK stalled on the lowest eigenpair (N={L.N}, k=1)",

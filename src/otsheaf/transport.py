@@ -256,9 +256,3 @@ def restrictions_from_plans(g, plans: np.ndarray,
         n=g.n, edges=g.edges, Rij=restriction_from_plan(plans, W_theta),
         Rji=restriction_from_plan(plans.transpose(0, 2, 1), W_theta))
 
-
-def lift_all_edges(g, H: np.ndarray, W_proj: np.ndarray, W_theta: np.ndarray,
-                   cfg: LiftConfig) -> SheafIncidence:
-    """Restriction maps of every edge of a graph (see edge_plans)."""
-    plans = edge_plans(g.edges, H, W_proj, cfg)
-    return restrictions_from_plans(g, plans, W_theta)

@@ -10,7 +10,6 @@ from otsheaf.calibration import (
     calibrate_prediction,
     class_coupling,
     ece,
-    empirical_risk,
     init_prior,
     kl_term,
     node_kappa,
@@ -294,30 +293,6 @@ class TestCalibratePrediction:
         out = calibrate_prediction(y, rng.uniform(size=8))
         assert np.allclose(out.sum(axis=1), 1.0)
         assert np.all(out >= 0)
-
-
-class TestEmpiricalRisk:
-    def test_uniform_predictions_give_log_C(self):
-        g, labels, mask = labeled_path_fixture()
-        pred = np.full((g.n, 2), 0.5)
-        post = make_posterior(np.random.default_rng(0).uniform(size=g.m))
-        assert empirical_risk(labels, pred, post, g, mask) == pytest.approx(np.log(2))
-
-    def test_matches_hand_mix(self):
-        g, labels, mask = labeled_path_fixture()
-        pred = np.zeros((g.n, 2))
-        pred[np.arange(g.n), labels.y] = 1.0  # perfect predictions
-        post = make_posterior(np.full(g.m, 0.5))
-        kappa = node_kappa(post, g)
-        expected = -np.mean(np.log(kappa[mask] + (1 - kappa[mask]) / 2))
-        assert empirical_risk(labels, pred, post, g, mask) == pytest.approx(expected)
-
-    def test_empty_mask_rejected(self):
-        g, labels, _ = labeled_path_fixture()
-        pred = np.full((g.n, 2), 0.5)
-        post = make_posterior(np.full(g.m, 0.5))
-        with pytest.raises(ValueError):
-            empirical_risk(labels, pred, post, g, np.array([], dtype=int))
 
 
 class TestKLTerm:

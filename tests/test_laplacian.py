@@ -18,8 +18,8 @@ from otsheaf.laplacian import (
     assemble_laplacian,
     blockwise_constant_basis,
     estimate_spectrum,
+    block_sparse,
     normalized_range_gap,
-    pattern_matvec,
     reassemble_restrictions,
     sparsify,
 )
@@ -132,6 +132,112 @@ class TestAssembly:
         np.testing.assert_allclose(dense, L.to_dense(), atol=1e-12)
 
 
+def coo_reference_csr(L: SheafLaplacian) -> sp.csr_matrix:
+    """L's CSR form through one COO of every block entry, index by index."""
+    d = L.d_v
+    a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    rows = [(L.edges[:, 0][:, None, None] * d + a).ravel(),
+            (L.edges[:, 1][:, None, None] * d + a).ravel(),
+            (np.arange(L.n)[:, None, None] * d + a).ravel()]
+    cols = [(L.edges[:, 1][:, None, None] * d + b).ravel(),
+            (L.edges[:, 0][:, None, None] * d + b).ravel(),
+            (np.arange(L.n)[:, None, None] * d + b).ravel()]
+    data = [L.off.ravel(), np.swapaxes(L.off, 1, 2).ravel(), L.diag.ravel()]
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(L.N, L.N)).tocsr()
+
+
+def compressed_reference(L: SheafLaplacian) -> sp.csr_matrix:
+    """A = T' L T through one COO of the entries on kept rows and columns."""
+    n, d = L.n, L.d_v
+    _, T, kept = _compressed_normalized(L)
+    pos = np.full(n * d, -1)
+    pos[np.flatnonzero(kept)] = np.arange(kept.sum())
+    pos = pos.reshape(n, d)
+
+    def entries(blocks, a, b):
+        rows, cols = np.broadcast_arrays(pos[a][:, :, None], pos[b][:, None, :])
+        on = (rows >= 0) & (cols >= 0)
+        return rows[on], cols[on], blocks[on]
+
+    Tt = T.transpose(0, 2, 1)
+    Pd = Tt @ L.diag @ T
+    I, J = L.edges[:, 0], L.edges[:, 1]
+    nodes = np.arange(n)
+    dr, dc, dv = entries(0.5 * (Pd + Pd.transpose(0, 2, 1)), nodes, nodes)
+    orow, ocol, ov = entries(Tt[I] @ L.off @ T[J], I, J)
+    r = int(kept.sum())
+    return sp.coo_matrix(
+        (np.concatenate([dv, ov, ov]),
+         (np.concatenate([dr, orow, ocol]), np.concatenate([dc, ocol, orow]))),
+        shape=(r, r)).tocsr()
+
+
+def incidence_loop_reference(B: SheafIncidence) -> np.ndarray:
+    """Dense B written block by block."""
+    m, d_e, d_v = B.Rij.shape
+    out = np.zeros((m * d_e, B.n * d_v))
+    for e in range(m):
+        i, j = B.edges[e]
+        out[e * d_e:(e + 1) * d_e, i * d_v:(i + 1) * d_v] = B.Rij[e]
+        out[e * d_e:(e + 1) * d_e, j * d_v:(j + 1) * d_v] = -B.Rji[e]
+    return out
+
+
+BUILDER_FIXTURES = {
+    "random": lambda: random_sheaf(erdos_renyi(15, 3.5, seed=4), d_v=3,
+                                   d_e=2, seed=4),
+    "edgeless": lambda: random_sheaf(Graph.from_edges(4, []), d_v=3, d_e=2),
+    "isolated": lambda: random_sheaf(Graph.from_edges(5, [(0, 1), (1, 2),
+                                                          (2, 3)]),
+                                     d_v=2, d_e=2, seed=1),
+}
+
+
+def assert_same_csr(A: sp.csr_matrix, ref: sp.csr_matrix) -> None:
+    assert A.shape == ref.shape
+    np.testing.assert_array_equal(A.indptr, ref.indptr)
+    np.testing.assert_array_equal(A.indices, ref.indices)
+    np.testing.assert_array_equal(A.data, ref.data)
+
+
+class TestBlockSparse:
+    """block_sparse builds every block-pattern matrix; each one keeps the
+    bits of its entry-by-entry construction."""
+
+    @pytest.mark.parametrize("fixture", sorted(BUILDER_FIXTURES))
+    def test_laplacian_csr_matches_coo_reference(self, fixture):
+        L = assemble_laplacian(BUILDER_FIXTURES[fixture]())
+        assert_same_csr(L.to_csr(), coo_reference_csr(L))
+
+    @pytest.mark.parametrize("fixture", sorted(BUILDER_FIXTURES))
+    def test_incidence_csr_matches_loop_and_laplacian(self, fixture):
+        B = BUILDER_FIXTURES[fixture]()
+        Bc = B.to_csr()
+        assert Bc.shape == (B.m * B.d_e, B.n * B.d_v)
+        np.testing.assert_array_equal(Bc.toarray(), incidence_loop_reference(B))
+        np.testing.assert_allclose((Bc.T @ Bc).toarray(),
+                                   assemble_laplacian(B).to_dense(), atol=1e-12)
+
+    def test_compressed_operator_matches_coo_reference(self):
+        L = large_kernel_operator()
+        A, _, kept = _compressed_normalized(L)
+        assert kept.sum() < L.N
+        assert_same_csr(A, compressed_reference(L))
+
+    def test_blocks_at_one_position_are_summed(self):
+        rng = np.random.default_rng(5)
+        blocks = rng.normal(size=(4, 2, 3))
+        rows, cols = np.array([1, 0, 1, 1]), np.array([2, 0, 0, 2])
+        A = block_sparse(rows, cols, [blocks[:1], blocks[1:]], 2, 3)
+        dense = np.zeros((4, 9))
+        for r, c, blk in zip(rows, cols, blocks):
+            dense[2 * r:2 * r + 2, 3 * c:3 * c + 3] += blk
+        assert A.has_canonical_format
+        np.testing.assert_array_equal(A.toarray(), dense)
+
+
 class TestNormalized:
     def test_scalar_single_edge(self):
         g = Graph.from_edges(2, [[0, 1]])
@@ -144,11 +250,13 @@ class TestNormalized:
         g = Graph.from_edges(3, [[0, 1]])  # node 2 isolated
         L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=2, seed=3))
         md, mo = tape_blocks(L)
+        SLS = SheafLaplacian(n=3, d_v=2, edges=g.edges, diag=md.value,
+                             off=mo.value)
         ctx = EpochContext(n=3, d_v=2, edges=g.edges, plans=None, X0=None,
                            y=None, C=2, train_idx=None, kappa=None)
         x = np.random.default_rng(3).normal(size=(3, 2))
-        out = cheb_branch(md, mo, Var(np.array([0.3, -0.2, 0.5, 0.1])), x,
-                          ctx).value
+        out = cheb_branch(md, mo, SLS, Var(np.array([0.3, -0.2, 0.5, 0.1])),
+                          x, ctx).value
         np.testing.assert_allclose(out[2], x[2], rtol=1e-14)
         assert not np.allclose(out[:2], x[:2])
 
@@ -157,10 +265,10 @@ class TestNormalized:
         g = erdos_renyi(7, 3.0, seed=9)
         L = assemble_laplacian(random_sheaf(g, 3, 2, seed=9))
         md, mo = tape_blocks(L)
+        SLS = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges, diag=md.value,
+                             off=mo.value)
         x = np.random.default_rng(2).normal(size=L.N)
-        np.testing.assert_allclose(
-            pattern_matvec(L.edges, md.value, mo.value, x), dense_sls(L) @ x,
-            atol=1e-10)
+        np.testing.assert_allclose(SLS.matvec(x), dense_sls(L) @ x, atol=1e-10)
 
     def test_scalar_spectrum_in_unit_band(self):
         g = erdos_renyi(20, 4.0, seed=10, ensure_connected=True)
@@ -184,7 +292,7 @@ class TestNormalized:
         D = np.einsum("nab,ncb->nac", base, base)
         D[3] = 0.0                       # a null block keeps S = 0
         D[5, :, 0] = D[5, 0, :] = 0.0    # and a rank-deficient one
-        S, w, V = _block_isqrt(D)
+        S, w, V, _ = _block_isqrt(D)
         scale = np.maximum(w[:, -1:], 1.0)
         inv = np.where(w > 1e-12 * scale,
                        1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)

@@ -212,12 +212,17 @@ class TestPrimitiveGradients:
         gam = self.params.gamma.copy()
         probe = self.rng.standard_normal(self.ctx.X0.shape)
 
+        def operator():
+            return SheafLaplacian(n=self.ctx.n, d_v=self.ctx.d_v,
+                                  edges=self.ctx.edges, diag=md0, off=mo0)
+
         def value():
-            h = cheb_branch(Var(md0), Var(mo0), Var(gam), self.ctx.X0, self.ctx)
+            h = cheb_branch(Var(md0), Var(mo0), operator(), Var(gam),
+                            self.ctx.X0, self.ctx)
             return float(np.vdot(probe, h.value))
 
         mdv, mov, gv = Var(md0), Var(mo0), Var(gam)
-        h = cheb_branch(mdv, mov, gv, self.ctx.X0, self.ctx)
+        h = cheb_branch(mdv, mov, operator(), gv, self.ctx.X0, self.ctx)
         backward(probe_sum(h, probe))
         assert rel_err(mdv.grad, fd_tensor(value, md0)) < 1e-6
         assert rel_err(mov.grad, fd_tensor(value, mo0)) < 1e-6

@@ -7,12 +7,13 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import (
+    SheafLaplacian,
     assemble_laplacian,
     blockwise_constant_basis,
     estimate_spectrum,
-    pattern_matvec,
 )
 from otsheaf.spectral import (
+    PROJECT_MAX_RESTARTS,
     GapState,
     WolfeConfig,
     gap_gradient,
@@ -121,7 +122,9 @@ class TestGapGradient:
             G[i * dv:(i + 1) * dv, j * dv:(j + 1) * dv] = g.off[e]
             G[j * dv:(j + 1) * dv, i * dv:(i + 1) * dv] = g.off[e].T
         x = rng.standard_normal(N)
-        assert np.allclose(pattern_matvec(L.edges, g.diag, g.off, x), G @ x)
+        op = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges, diag=g.diag,
+                            off=g.off)
+        assert np.allclose(op.matvec(x), G @ x)
 
     def test_degenerate_average(self):
         L = assemble_laplacian(scalar_sheaf(Graph.from_edges(
@@ -202,6 +205,26 @@ class TestProject:
         with pytest.raises(ArpackNoConvergence,
                            match=r"project: .*\(N=80, k=1\)"):
             project(L, dense_cutoff=1)
+
+    def test_stall_is_capped(self, monkeypatch):
+        # ARPACK's default budget is 10 restarts per dimension; project
+        # passes its own cap, and a stall at the cap still names the stage
+        import otsheaf.laplacian as laplacian
+        L = indefinite_sheaf()
+        budgets = []
+
+        def stalled_at_cap(A, k, **kwargs):
+            budgets.append(kwargs.get("maxiter"))
+            raise ArpackNoConvergence(
+                f"No convergence ({kwargs.get('maxiter')} iterations, "
+                f"0/{k} eigenvectors converged)",
+                np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(laplacian, "eigsh", stalled_at_cap)
+        with pytest.raises(ArpackNoConvergence,
+                           match=r"project: .*\(N=80, k=1\)"):
+            project(L, dense_cutoff=1)
+        assert budgets == [PROJECT_MAX_RESTARTS]
 
 
 class TestWolfeStep:

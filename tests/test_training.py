@@ -249,21 +249,43 @@ class TestTrainEpoch:
         assert "k=16, dim A=257" in records[0]
 
     def test_one_csr_build_per_epoch(self, monkeypatch):
-        # the tape's operator serves the CG solves and the gap estimate
+        # each operator is built once and shared by both layers: L by the
+        # CG solves, S L S by the Chebyshev forward and reverse recurrences,
+        # and T' L T by the gap estimate, which restricts it to range(S)
+        import otsheaf.training as training
         from otsheaf.laplacian import SheafLaplacian
-        builds = []
-        real = SheafLaplacian.to_csr
+        builds, applied = [], []
+        real_to_csr, real_matvec = SheafLaplacian.to_csr, SheafLaplacian.matvec
 
         def counted(self):
             if self._csr is None:
-                builds.append(1)
-            return real(self)
+                builds.append(id(self))
+            return real_to_csr(self)
+
+        def traced(self, x):
+            applied.append(id(self))
+            return real_matvec(self, x)
+
+        tapes = []
+        real_tape = training.forward_tape
+
+        def kept_tape(*args, **kwargs):
+            out = real_tape(*args, **kwargs)
+            tapes.append(out[2])
+            return out
 
         monkeypatch.setattr(SheafLaplacian, "to_csr", counted)
+        monkeypatch.setattr(SheafLaplacian, "matvec", traced)
+        monkeypatch.setattr(training, "forward_tape", kept_tape)
         data = two_cluster_dataset()
-        cfg = small_cfg(gap_steps=0)
+        cfg = small_cfg(gap_steps=0, n_layers=2)
         train_epoch(init_state(data, cfg), data, cfg)
-        assert len(builds) == 1
+        assert len(tapes) == 1
+        L = tapes[0]["L"]
+        assert len(builds) == len(set(builds)) == 3
+        assert builds[0] == id(L)
+        # two operators are applied: L and S L S, both across both layers
+        assert set(applied) == {id(L), builds[1]}
 
     def test_bound_identity(self):
         data = two_cluster_dataset()

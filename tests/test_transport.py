@@ -13,7 +13,6 @@ from otsheaf.transport import (
     edge_plans,
     entropic_objective,
     feature_cost_matrix,
-    lift_all_edges,
     normalize_to_measure,
     restriction_from_plan,
     restrictions_from_plans,
@@ -195,8 +194,8 @@ class TestLift:
 
     def test_pair_comes_from_one_plan(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        rset = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
         plans = edge_plans(g.edges, H, W_proj, LiftConfig())
+        rset = restrictions_from_plans(g, plans, W_theta)
         for e in range(rset.m):
             np.testing.assert_allclose(
                 rset.Rij[e], restriction_from_plan(plans[e], W_theta), atol=1e-12
@@ -208,7 +207,8 @@ class TestLift:
     def test_batch_matches_single_edge(self):
         g, H, W_proj, W_theta = _lift_fixture()
         cfg = LiftConfig(tol=1e-11)
-        rset = lift_all_edges(g, H, W_proj, W_theta, cfg)
+        rset = restrictions_from_plans(g, edge_plans(g.edges, H, W_proj, cfg),
+                                       W_theta)
         for e in range(rset.m):
             i, j = rset.edges[e]
             Rij, Rji = _single_edge_maps(H[i], H[j], W_proj, W_theta, cfg)
@@ -217,8 +217,10 @@ class TestLift:
 
     def test_deterministic(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        a = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
-        b = lift_all_edges(g, H, W_proj, W_theta, LiftConfig())
+        a = restrictions_from_plans(
+            g, edge_plans(g.edges, H, W_proj, LiftConfig()), W_theta)
+        b = restrictions_from_plans(
+            g, edge_plans(g.edges, H, W_proj, LiftConfig()), W_theta)
         np.testing.assert_array_equal(a.Rij, b.Rij)
         np.testing.assert_array_equal(a.Rji, b.Rji)
         np.testing.assert_array_equal(edge_plans(g.edges, H, W_proj, LiftConfig()),
@@ -238,9 +240,9 @@ class TestLift:
     def test_empty_graph(self):
         g = Graph.from_edges(3, np.zeros((0, 2)))
         rng = np.random.default_rng(0)
-        rset = lift_all_edges(g, np.abs(rng.normal(size=(3, 4))),
-                              rng.normal(size=(4, 2)), rng.normal(size=(2, 2)),
-                              LiftConfig())
+        plans = edge_plans(g.edges, np.abs(rng.normal(size=(3, 4))),
+                           rng.normal(size=(4, 2)), LiftConfig())
+        rset = restrictions_from_plans(g, plans, rng.normal(size=(2, 2)))
         assert rset.m == 0 and rset.Rij.shape == (0, 2, 2)
 
 
