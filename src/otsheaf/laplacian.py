@@ -111,6 +111,9 @@ class SheafLaplacian:
     diag: np.ndarray             # (n, d_v, d_v) symmetric blocks
     off: np.ndarray              # (m, d_v, d_v) block at (i, j); (j, i) = off^T
     restrictions: SheafIncidence | None = None
+    # eigh(diag) as (w, V), when whoever built L already decomposed its
+    # blocks; _compressed_normalized decomposes them itself otherwise
+    diag_eigh: tuple | None = field(default=None, repr=False)
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -453,7 +456,7 @@ def _compressed_normalized(L: SheafLaplacian):
     columns where a direction was dropped, and the (n, d) kept mask in the
     row order of A.
     """
-    w, V = np.linalg.eigh(L.diag)
+    w, V = L.diag_eigh if L.diag_eigh is not None else np.linalg.eigh(L.diag)
     T, kept = _block_frames(w, V)
     Tt = T.transpose(0, 2, 1)
     Pd = Tt @ L.diag @ T

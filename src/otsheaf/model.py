@@ -170,13 +170,14 @@ def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
     return Var(y.reshape(xv.shape), parents), info
 
 
-def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> Var:
+def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> tuple[Var, tuple]:
     """Per-block pinv-sqrt through eigh, with the matrix-function adjoint.
 
     The forward symmetrizes the blocks first (they are symmetric whenever
     they come from an assembly, so this is the identity on the model path);
     the adjoint maps upstream gradients through the eigenbasis with
     divided-difference weights, using h' on (near-)coincident eigenvalues.
+    Returns the Var and the blocks' eigendecomposition (w, V).
     """
     D = 0.5 * (diag.value + diag.value.transpose(0, 2, 1))
     S, w, V, keep = _block_isqrt(D, cutoff_rel=cutoff_rel)
@@ -196,7 +197,7 @@ def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> Var:
         gb = V @ (phi * gt) @ Vt
         return 0.5 * (gb + gb.transpose(0, 2, 1))
 
-    return Var(S, [(diag, vjp)])
+    return Var(S, [(diag, vjp)]), (w, V)
 
 
 def sandwich_blocks(S: Var, diag: Var, off: Var,
@@ -323,7 +324,8 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
 
     Returns (logits Var, leaves dict, aux dict).  aux carries the block
     Vars, the SheafLaplacian built once from their values (every layer's
-    CG solves and the epoch's gap estimate share it), forward CG iteration
+    CG solves and the epoch's gap estimate share it, and it carries the
+    blocks' eigendecomposition from isqrt_blocks), forward CG iteration
     counts, and the fused embeddings per layer.  The operator S L S is
     built once too, from the sandwich blocks, and every layer's Chebyshev
     filter shares it.
@@ -332,10 +334,10 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
         leaves = {name: Var(value) for name, value in params.trainable().items()}
     Rij, Rji = restriction_maps(leaves["W_theta"], ctx.plans)
     diag, off = laplacian_blocks(Rij, Rji, ctx.edges, ctx.n)
-    S = isqrt_blocks(diag)
+    S, diag_eigh = isqrt_blocks(diag)
     md, mo = sandwich_blocks(S, diag, off, ctx.edges)
     L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
-                       diag=diag.value, off=off.value)
+                       diag=diag.value, off=off.value, diag_eigh=diag_eigh)
     SLS = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
                          diag=md.value, off=mo.value)
     x = ctx.X0

@@ -1,28 +1,46 @@
 """Entropic optimal transport between node feature measures.
 
 Features are projected to a common p-dimensional space, normalized to
-probability vectors over the canonical basis, and coupled by Sinkhorn
-iteration under the basis cost ||e_a - e_b||^2 = 2 * (a != b).  A learned
-matrix turns each plan into the pair of restriction maps for its edge.
+probability vectors over the canonical basis, and coupled by entropic
+optimal transport under the basis cost ||e_a - e_b||^2 = 2 * (a != b).  A
+learned matrix turns each plan into the pair of restriction maps for its
+edge.
 
 The lift runs one entropic pass and no KL-proximal step after it.  The
 entropic optimum P0, with log P0 = (f + g - C)/eps, is a fixed point of
-the proximal step min <P,C> + eps*H(P) + KL(P||P0)/tau for every tau: the
-stationarity condition C + eps*log P + (log P - log P0)/tau = f' + g' holds
-at P = P0 with f' = f and g' = g, since the KL gradient vanishes there
-(Peyre & Cuturi 2019, Computational Optimal Transport, section 4).  A
-second pass would return the plan it was given.
+the proximal step min <P,C> + eps*H(P) + KL(P||P0)/t for every step size
+t: the stationarity condition C + eps*log P + (log P - log P0)/t = f' + g'
+holds at P = P0 with f' = f and g' = g, since the KL gradient vanishes
+there (Peyre & Cuturi 2019, Computational Optimal Transport, section 4).
+A second pass would return the plan it was given.
 
-All Sinkhorn arithmetic is done in the log domain, so tiny regularization
-values and plans with severely underflowing entries are handled without
-special cases.
+The batched lift (`edge_plans`) solves the entropic problem in closed form
+up to one scalar per edge.  For the basis cost the kernel exp(-C/eps) is
+c*11^T + beta*I with c = exp(-2/eps) and beta = 1 - c (ibid.), so the
+optimum diag(u) K diag(v) is
 
-The batched lift (`edge_plans`) uses the structure of the basis cost: the
-kernel exp(-C/eps) is c*11^T + (1-c)*I with c = exp(-2/eps), so one kernel
-product is a sum plus a diagonal term and each scaling step costs O(m*p)
-for m edges, not O(m*p^2) (ibid.).  The dense (m, p, p) plans are
-materialised once, at the end.  The single-pair `sinkhorn` keeps a dense
-kernel and accepts any cost; it serves as the reference solver.
+    P = beta*diag(x) + r s^T / tau,
+
+with x = u*v, r = mu - beta*x, s = nu - beta*x and tau = sum_a r_a =
+c*sum(u)*sum(v).  The scaling form ties them by r_a*s_a = c*tau*x_a: given
+tau, x_a in [0, min(mu_a, nu_a)/beta] is the smaller root of
+(mu_a - beta*x_a)(nu_a - beta*x_a) = c*tau*x_a, and tau in (0, 1] is the
+root of F(tau) = tau - 1 + beta*sum_a x_a(tau).  Each x_a(tau) inverts a
+convex decreasing function, so F is convex with F(0) <= 0 < F(1), and
+Newton from tau = 1 descends monotonically onto its largest root (mu = nu
+adds a spurious one at 0), with dx_a/dtau = -c*x_a/sqrt(disc_a) for the
+discriminant disc_a of that quadratic.  An iteration costs O(m*p) for m
+edges; the dense (m, p, p) plans are materialised once, at the end.  r and
+s are taken from their own positive quadratic roots rather than by
+subtraction, so P >= 0 by construction, and c = 0 (underflow at small eps)
+needs no special case: the plan becomes the unregularized optimum.
+
+With tau taken as sum_a r_a, P meets its marginals for any x, so the
+marginal violation cannot tell a converged root from a truncated one.  The
+scaling-form residual |tau - sum_a r_a| can, and it is what LiftConfig.tol
+bounds in `edge_plans`.  The single-pair `sinkhorn` keeps a dense kernel,
+iterates in the log domain and accepts any cost; it serves as the
+reference solver.
 """
 
 from __future__ import annotations
@@ -41,8 +59,9 @@ logger = logging.getLogger(__name__)
 @dataclass
 class LiftConfig:
     eps: float = 0.5          # entropic regularization strength
-    tol: float = 1e-9         # L1 marginal violation tolerance
-    max_iter: int = 5000
+    tol: float = 1e-9         # edge_plans: per-edge residual |tau - sum r|;
+                              # sinkhorn: L1 marginal violation
+    max_iter: int = 5000      # edge_plans: Newton iterations; sinkhorn: sweeps
     floor: float = 1e-6       # additive floor when normalizing features
 
     def __post_init__(self):
@@ -62,7 +81,7 @@ class TransportPlan:
 
 
 class SinkhornDivergence(RuntimeError):
-    """Raised when the scaling iteration fails to meet the marginal tolerance."""
+    """Raised when a solve misses LiftConfig.tol (see its comment)."""
 
 
 def feature_cost_matrix(p: int) -> np.ndarray:
@@ -86,40 +105,14 @@ def normalize_to_measure(h: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     return out
 
 
-def _sinkhorn_log(log_kernel, log_mu, log_nu, tol, max_iter, check_every=5):
-    """Batched log-domain scaling loop.
-
-    log_kernel: (m, p, p) or broadcastable; log_mu/log_nu: (m, p).
-    Returns (log_P, iterations, violation) where violation is the largest
-    L1 marginal error across the batch.
-    """
-    log_u = np.zeros_like(log_mu)
-    log_v = np.zeros_like(log_nu)
-    violation = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        log_u = log_mu - logsumexp(log_kernel + log_v[:, None, :], axis=2)
-        log_v = log_nu - logsumexp(log_kernel + log_u[:, :, None], axis=1)
-        if it % check_every == 0 or it == max_iter:
-            log_P = log_kernel + log_u[:, :, None] + log_v[:, None, :]
-            P = np.exp(log_P)
-            row_err = np.abs(P.sum(axis=2) - np.exp(log_mu)).sum(axis=1)
-            col_err = np.abs(P.sum(axis=1) - np.exp(log_nu)).sum(axis=1)
-            violation = float(np.maximum(row_err, col_err).max())
-            if violation <= tol:
-                return log_P, it, violation
-    raise SinkhornDivergence(
-        f"marginal violation {violation:.3e} > tol {tol:.3e} after {max_iter} iterations"
-    )
-
-
 def sinkhorn(mu: np.ndarray, nu: np.ndarray, C: np.ndarray,
              cfg: LiftConfig) -> TransportPlan:
     """Entropy-regularized optimal transport plan between two measures.
 
     Solves min <P, C> + eps * sum P (log P - 1) over couplings of (mu, nu);
-    the optimum has the scaling form diag(u) exp(-C/eps) diag(v).
+    the optimum has the scaling form diag(u) exp(-C/eps) diag(v), found by
+    log-domain scaling, so tiny eps and underflowing entries need no special
+    case.  The marginals are checked every fifth sweep.
     """
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
@@ -127,11 +120,22 @@ def sinkhorn(mu: np.ndarray, nu: np.ndarray, C: np.ndarray,
         raise ValueError("mu and nu must be 1-D with matching length")
     if np.any(mu <= 0) or np.any(nu <= 0):
         raise ValueError("marginals must be strictly positive (normalize first)")
-    log_kernel = (-C / cfg.eps)[None, :, :]
-    log_P, it, viol = _sinkhorn_log(
-        log_kernel, np.log(mu)[None, :], np.log(nu)[None, :], cfg.tol, cfg.max_iter
-    )
-    return TransportPlan(P=np.exp(log_P[0]), mu=mu, nu=nu, iterations=it, violation=viol)
+    log_K, log_mu, log_nu = -C / cfg.eps, np.log(mu), np.log(nu)
+    log_v = np.zeros_like(log_nu)
+    violation = np.inf
+    for it in range(1, cfg.max_iter + 1):
+        log_u = log_mu - logsumexp(log_K + log_v[None, :], axis=1)
+        log_v = log_nu - logsumexp(log_K + log_u[:, None], axis=0)
+        if it % 5 == 0 or it == cfg.max_iter:
+            P = np.exp(log_K + log_u[:, None] + log_v[None, :])
+            violation = max(np.abs(P.sum(axis=1) - mu).sum(),
+                            np.abs(P.sum(axis=0) - nu).sum())
+            if violation <= cfg.tol:
+                return TransportPlan(P=P, mu=mu, nu=nu, iterations=it,
+                                     violation=float(violation))
+    raise SinkhornDivergence(
+        f"marginal violation {violation:.3e} > tol {cfg.tol:.3e} after "
+        f"{cfg.max_iter} iterations")
 
 
 def entropic_objective(P: np.ndarray, C: np.ndarray, eps: float) -> float:
@@ -150,60 +154,45 @@ def restriction_from_plan(P: np.ndarray, W_theta: np.ndarray) -> np.ndarray:
     return W_theta.T @ P
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum_j exp(a[:, j]) for a (m, p) array whose rows are not all -inf.
+def _off_mass(mu, nu, q):
+    """Positive root r of r^2 + (q - (mu - nu))*r - q*mu = 0, q = c*tau/beta.
 
-    scipy's logsumexp takes about 3x as long at (890, 16), and this runs
-    twice per scaling step.
+    This is r = mu - beta*x without the subtraction, so r >= 0 exactly.
+    Returns r and the square root of the discriminant, 2r + q - (mu - nu).
     """
-    mx = a.max(axis=1)
-    return mx + np.log(np.exp(a - mx[:, None]).sum(axis=1))
+    b = q - (mu - nu)
+    sq = np.sqrt(b * b + 4.0 * q * mu)
+    den = sq + np.abs(b)
+    return np.divide(2.0 * q * mu, den, out=0.5 * den, where=b > 0), sq
 
 
-def _log_kernel_apply(log_c: float, log_1mc: float, log_x: np.ndarray) -> np.ndarray:
-    """Row-wise log(K x) for K = c*11^T + (1-c)*I, from log x of shape (m, p)."""
-    return np.logaddexp(log_c + _row_logsumexp(log_x)[:, None], log_1mc + log_x)
+def _scaling_roots(mu, nu, c, beta, tol, max_iter):
+    """Newton on F(tau) = tau - sum_a r_a(tau), one tau per edge.
 
-
-def _sinkhorn_structured(log_c, log_mu, log_nu, tol, max_iter,
-                         check_every=5):
-    """Batched log-domain scaling loop for the kernel c*11^T + (1-c)*I.
-
-    log_mu/log_nu: (m, p); the column scaling starts at v = 1.  Every step
-    and every marginal check costs O(m*p).  Returns
-    (log_u, log_v, iterations, per-edge L1 marginal violation); the caller
-    decides what a violation above tol means.
+    Starts at tau = 1 and keeps each iterate inside its bracket [lo, hi]
+    with a bisection step.  x = mu*nu / (beta*(nu + r) + c*tau) is the
+    smaller root written with positive terms only.  Returns (tau, x, r,
+    iterations, per-edge residual |tau - sum r|); the caller decides what a
+    residual above tol means.
     """
-    log_1mc = np.log(-np.expm1(log_c))
-    mu, nu = np.exp(log_mu), np.exp(log_nu)
-    violation = np.full(log_mu.shape[0], np.inf)
-    log_Kv = _log_kernel_apply(log_c, log_1mc, np.zeros_like(log_nu))
+    tau = np.ones(mu.shape[0])
+    lo, hi = np.zeros_like(tau), np.ones_like(tau)
     it = 0
-    while it < max_iter:
+    while True:
+        ct = c * tau[:, None]
+        r, sq = _off_mass(mu, nu, ct / beta)
+        den = beta * (nu + r) + ct
+        x = np.divide(mu * nu, den, out=np.zeros_like(den), where=den > 0)
+        F = tau - r.sum(axis=1)
+        if it == max_iter or np.abs(F).max() <= tol:
+            return tau, x, r, it, np.abs(F)
         it += 1
-        log_u = log_mu - log_Kv
-        log_Ku = _log_kernel_apply(log_c, log_1mc, log_u)
-        log_v = log_nu - log_Ku
-        log_Kv = _log_kernel_apply(log_c, log_1mc, log_v)
-        if it % check_every == 0 or it == max_iter:
-            rows = np.exp(log_u + log_Kv)
-            cols = np.exp(log_v + log_Ku)
-            violation = np.maximum(np.abs(rows - mu).sum(axis=1),
-                                   np.abs(cols - nu).sum(axis=1))
-            if violation.max() <= tol:
-                break
-    return log_u, log_v, it, violation
-
-
-def _materialise_plans(log_c: float, log_u: np.ndarray,
-                       log_v: np.ndarray) -> np.ndarray:
-    """Dense (m, p, p) plans diag(u) (c*11^T + (1-c)*I) diag(v), built in place."""
-    p = log_u.shape[1]
-    log_K = np.full((p, p), log_c)
-    np.fill_diagonal(log_K, 0.0)
-    out = log_u[:, :, None] + log_K
-    out += log_v[:, None, :]
-    return np.exp(out, out=out)
+        hi = np.where(F > 0, tau, hi)
+        lo = np.where(F > 0, lo, tau)
+        dr = np.divide(c * x, sq, out=np.zeros_like(x), where=sq > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = tau - F / (1.0 - dr.sum(axis=1))
+        tau = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
 
 
 def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
@@ -213,11 +202,12 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     This is the feature-only part of the lift: it does not involve the
     learned matrix, so a trainer can cache its output across epochs.
 
-    The pass runs on the structured kernel of the basis cost (see the
-    module docstring): each scaling step is O(m*p), and the dense (m, p, p)
-    plans are materialised once, at the end.  Raises ValueError if a node's
-    projected features are not finite, and SinkhornDivergence, naming the
-    pass and the worst edge, if the pass misses the marginal tolerance.
+    Each plan is beta*diag(x) + r s^T / tau in closed form up to one scalar
+    tau per edge (see the module docstring), found by Newton in O(m*p) per
+    iteration; the dense (m, p, p) plans are materialised once, at the end.
+    Raises ValueError if a node's projected features are not finite, and
+    SinkhornDivergence, naming the pass and the worst edge, if a root
+    misses cfg.tol on the scaling-form residual |tau - sum r|.
     """
     X = np.asarray(H, dtype=np.float64) @ W_proj
     bad = ~np.isfinite(X).all(axis=1)
@@ -228,21 +218,29 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     p = M.shape[1]
     if g_edges.shape[0] == 0:
         return np.zeros((0, p, p))
-    log_mu = np.log(M[g_edges[:, 0]])
-    log_nu = np.log(M[g_edges[:, 1]])
-    log_c = -2.0 / cfg.eps
-    log_u, log_v, it, viol = _sinkhorn_structured(
-        log_c, log_mu, log_nu, cfg.tol, cfg.max_iter)
-    worst = int(np.argmax(viol))
-    logger.debug("entropic pass: %d iterations, marginal violation %.3e",
-                 it, viol[worst])
-    if not viol[worst] <= cfg.tol:
+    mu, nu = M[g_edges[:, 0]], M[g_edges[:, 1]]
+    c, beta = np.exp(-2.0 / cfg.eps), -np.expm1(-2.0 / cfg.eps)
+    tau, x, r, it, residual = _scaling_roots(mu, nu, c, beta, cfg.tol,
+                                             cfg.max_iter)
+    total = r.sum(axis=1)[:, None]
+    s = (_off_mass(nu, mu, c * tau[:, None] / beta)[0]
+         / np.maximum(total, np.finfo(float).tiny))
+    rows = np.abs(beta * x + r * s.sum(axis=1)[:, None] - mu).sum(axis=1)
+    cols = np.abs(beta * x + s * total - nu).sum(axis=1)
+    worst = int(np.argmax(residual))
+    logger.debug("entropic pass: %d iterations, marginal violation %.3e, "
+                 "scaling residual %.3e", it, np.maximum(rows, cols).max(),
+                 residual[worst])
+    if not residual[worst] <= cfg.tol:
         i, j = g_edges[worst]
         raise SinkhornDivergence(
-            f"entropic pass: marginal violation {viol[worst]:.3e} > tol "
+            f"entropic pass: scaling residual {residual[worst]:.3e} > tol "
             f"{cfg.tol:.3e} after {it} iterations; worst edge {worst} "
             f"({int(i)}, {int(j)})")
-    return _materialise_plans(log_c, log_u, log_v)
+    plans = r[:, :, None] * s[:, None, :]
+    diag = np.arange(p)
+    plans[:, diag, diag] += beta * x
+    return plans
 
 
 def restrictions_from_plans(g, plans: np.ndarray,

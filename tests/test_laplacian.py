@@ -50,7 +50,7 @@ def dense_sls(L: SheafLaplacian) -> np.ndarray:
 def tape_blocks(L: SheafLaplacian):
     """The tape's blocks (md, mo) of S L S, as cheb_branch receives them."""
     D = Var(L.diag)
-    return sandwich_blocks(isqrt_blocks(D), D, Var(L.off), L.edges)
+    return sandwich_blocks(isqrt_blocks(D)[0], D, Var(L.off), L.edges)
 
 
 def combinatorial_laplacian(g: Graph) -> np.ndarray:

@@ -199,6 +199,23 @@ class TestTrainEpoch:
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(calls) == 1
 
+    def test_one_block_eigendecomposition_per_epoch(self, monkeypatch):
+        # the tape's isqrt_blocks decomposes the diagonal blocks and the
+        # epoch's gap estimate reuses (w, V) instead of decomposing them again
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        data = two_cluster_dataset()
+        cfg = small_cfg(gap_steps=0)
+        train_epoch(init_state(data, cfg), data, cfg)
+        assert calls == [(data.g.n, cfg.d_v, cfg.d_v)]
+
     def test_arpack_stall_does_not_stop_the_epoch(self, monkeypatch, caplog):
         # the estimate forced onto its ARPACK path (compressed dimension
         # 257), whose first low-end call stalls: the block doubles and the

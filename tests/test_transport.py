@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from otsheaf.graphs import Graph, synthetic_dataset
+from otsheaf.graphs import Graph, make_split, synthetic_dataset
+from otsheaf.training import Dataset, TrainConfig, init_state
 from otsheaf.transport import (
     LiftConfig,
     SinkhornDivergence,
@@ -297,6 +298,19 @@ class TestEdgePlans:
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "entropic pass: 2 iterations" in records[0].getMessage()
 
+    def test_truncated_root_raises_though_marginals_are_exact(self):
+        """The plan meets its marginals for any root estimate, so only the
+        scaling-form residual can tell a truncated Newton solve."""
+        g, H, W_proj, _ = _lift_fixture()
+        cfg = LiftConfig(max_iter=1, tol=1.0)
+        plans = edge_plans(g.edges, H, W_proj, cfg)
+        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        I, J = g.edges[:, 0], g.edges[:, 1]
+        assert np.abs(plans.sum(axis=2) - M[I]).max() <= 1e-15
+        assert np.abs(plans.sum(axis=1) - M[J]).max() <= 1e-15
+        with pytest.raises(SinkhornDivergence, match="scaling residual"):
+            edge_plans(g.edges, H, W_proj, LiftConfig(max_iter=1, tol=1e-14))
+
     def test_one_debug_record_per_pass(self, caplog):
         g, H, W_proj, _ = _lift_fixture()
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
@@ -319,3 +333,91 @@ class TestEdgePlans:
             tracemalloc.stop()
         assert plans.shape == (193, 16, 16)
         assert peak < 4 * plans.nbytes
+
+
+def _assert_structured_optimum(plans, mu, nu, eps):
+    """Finite, nonnegative, on the marginals, and of the Gibbs form
+    P_ab * P_ba = c^2 * P_aa * P_bb that every diag(u) K diag(v) has."""
+    assert np.isfinite(plans).all()
+    assert plans.min() >= 0.0
+    assert np.abs(plans.sum(axis=2) - mu).max() <= 1e-13
+    assert np.abs(plans.sum(axis=1) - nu).max() <= 1e-13
+    c = np.exp(-2.0 / eps)
+    if c == 0.0:
+        return
+    d = np.einsum("eaa->ea", plans)
+    gibbs = c * c * d[:, :, None] * d[:, None, :]
+    off = ~np.eye(plans.shape[1], dtype=bool)
+    err = np.abs(plans * plans.transpose(0, 2, 1) - gibbs)[:, off]
+    assert (err <= 1e-10 * gibbs[:, off]).all()
+
+
+@pytest.fixture(scope="module")
+def n300():
+    g, feats, labels = synthetic_dataset(n=300, num_classes=5, d0=64, seed=0)
+    return Dataset(g, feats, labels, make_split(labels, per_class=20, seed=0))
+
+
+class TestClosedForm:
+    """The structured lift on inputs that stress the scalar root."""
+
+    def _check(self, g_edges, H, W_proj, cfg):
+        plans = edge_plans(g_edges, H, W_proj, cfg)
+        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        _assert_structured_optimum(plans, M[g_edges[:, 0]], M[g_edges[:, 1]],
+                                   cfg.eps)
+        return plans
+
+    @pytest.mark.parametrize("eps", [0.5, 5.0])
+    def test_identical_endpoint_measures(self, eps):
+        g, H, W_proj, _ = _lift_fixture()
+        H[1] = H[0]
+        plans = self._check(g.edges, H, W_proj, LiftConfig(eps=eps))
+        np.testing.assert_allclose(plans[0], plans[0].T, rtol=1e-14, atol=0)
+
+    def test_one_dimensional_stalk(self):
+        g, H, W_proj, _ = _lift_fixture(p=1)
+        plans = self._check(g.edges, H, W_proj, LiftConfig())
+        np.testing.assert_allclose(plans, 1.0, rtol=0, atol=1e-15)
+
+    def test_kernel_underflow_gives_unregularized_plan(self):
+        """At eps=1e-3, c = exp(-2000) is 0 and the plan is the exact OT
+        plan of the basis cost: min(mu, nu) on the diagonal."""
+        g, H, W_proj, _ = _lift_fixture()
+        cfg = LiftConfig(eps=1e-3)
+        assert np.exp(-2.0 / cfg.eps) == 0.0
+        plans = self._check(g.edges, H, W_proj, cfg)
+        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        np.testing.assert_allclose(
+            np.einsum("eaa->ea", plans),
+            np.minimum(M[g.edges[:, 0]], M[g.edges[:, 1]]), rtol=0, atol=1e-15)
+
+    def test_large_eps_approaches_independent_coupling(self):
+        g, H, W_proj, _ = _lift_fixture()
+        cfg = LiftConfig(eps=50.0)
+        plans = self._check(g.edges, H, W_proj, cfg)
+        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        indep = M[g.edges[:, 0], :, None] * M[g.edges[:, 1], None, :]
+        np.testing.assert_allclose(plans, indep, rtol=0, atol=0.05)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    def test_small_eps_lifts_n300(self, n300, eps):
+        state = init_state(n300, TrainConfig(d_v=16, lift_eps=eps))
+        M = normalize_to_measure(n300.feats.H @ state.params.W_proj,
+                                 LiftConfig().floor)
+        E = n300.g.edges
+        _assert_structured_optimum(state.plans, M[E[:, 0]], M[E[:, 1]], eps)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 5.0])
+    def test_iterations_do_not_grow_with_eps(self, n300, eps, caplog):
+        """A cost guard: a scaling loop needs 115 sweeps on this graph at
+        eps=0.5 and more as eps shrinks; the scalar root needs a handful
+        at any eps."""
+        caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
+        W_proj = np.random.default_rng(0).normal(size=(64, 16)) / 4.0
+        edge_plans(n300.g.edges, n300.feats.H, W_proj, LiftConfig(eps=eps))
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "otsheaf.transport"]
+        assert len(msgs) == 1
+        m = re.search(r"entropic pass: (\d+) iterations", msgs[0])
+        assert int(m.group(1)) <= 64
