@@ -18,6 +18,7 @@ bilinear form in the blocks.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,22 @@ def block_sparse(rows: np.ndarray, cols: np.ndarray, blocks: list,
                       shape=(n_rows * a, n_cols * b)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of values[k] over every k with index[k] == i.
+
+    The sum is one product of a (n, K) incidence of ones, built by
+    block_sparse, with values flattened to (K, -1).  Each row of the
+    incidence lists its k in ascending order, so every out[i] is summed in
+    k order from zero: the bits of np.add.at into zeros.  Rows of out
+    that no k reaches are zero, and K = 0 gives all zeros.
+    """
+    K = index.size
+    inc = block_sparse(index, np.arange(K), [np.ones((K, 1, 1))], n, K)
+    tail = values.shape[1:]
+    flat = values.reshape(K, int(np.prod(tail)))
+    return (inc @ flat).reshape((n, *tail))
 
 
 @dataclass
@@ -161,18 +178,20 @@ def assemble_laplacian(B: SheafIncidence,
                        weights: np.ndarray | None = None) -> SheafLaplacian:
     """L = B^T diag(w) B accumulated block by block (w defaults to all-ones).
 
-    Each edge's Gram blocks are scaled by its weight after they are formed,
-    so weights of 1.0 give the same bits as no weights.
+    The Gram blocks R'R of both edge ends and -R_ij'R_ji are batched
+    matmuls; the diagonal blocks are then one incidence product
+    (scatter_add), which sums each node's Gram blocks in edge order, the
+    first ends before the second ends.  Each edge's blocks are scaled by
+    its weight after they are formed, so weights of 1.0 give the same
+    bits as no weights, and every diagonal block is exactly symmetric.
     """
-    gii = np.einsum("eab,eac->ebc", B.Rij, B.Rij)
-    gjj = np.einsum("eab,eac->ebc", B.Rji, B.Rji)
-    off = -np.einsum("eab,eac->ebc", B.Rij, B.Rji)
+    R = np.concatenate([B.Rij, B.Rji])
+    gram = R.transpose(0, 2, 1) @ R
+    off = -(B.Rij.transpose(0, 2, 1) @ B.Rji)
     if weights is not None:
         w = np.asarray(weights, float)[:, None, None]
-        gii, gjj, off = w * gii, w * gjj, w * off
-    diag = np.zeros((B.n, B.d_v, B.d_v))
-    np.add.at(diag, B.edges[:, 0], gii)
-    np.add.at(diag, B.edges[:, 1], gjj)
+        gram, off = np.concatenate([w, w]) * gram, w * off
+    diag = scatter_add(B.edges.T.ravel(), gram, B.n)
     return SheafLaplacian(n=B.n, d_v=B.d_v, edges=B.edges, diag=diag, off=off,
                           restrictions=B)
 
@@ -240,15 +259,26 @@ class SpectralEstimates:
     lowest eigenvalues of A above NORMALIZED_NULL_TOL, v2/v3 their
     eigenvectors mapped back to the stalks, and residual2 is measured
     against A.  converged says whether the solver met its tolerance.
+
+    _lambda_max holds lambda_max or the function that computes it; the
+    lambda_max property calls that function on first read and keeps its
+    value, so an estimate whose lambda_max nothing reads never pays for
+    the solve.
     """
 
     lambda2: float
-    lambda_max: float
     v2: np.ndarray
     lambda3: float
     v3: np.ndarray
     residual2: float
     converged: bool
+    _lambda_max: float | Callable[[], float] = field(repr=False)
+
+    @property
+    def lambda_max(self) -> float:
+        if callable(self._lambda_max):
+            self._lambda_max = float(self._lambda_max())
+        return self._lambda_max
 
 
 # operators of dimension up to this are decomposed densely, larger ones by
@@ -351,8 +381,9 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
     converged = res <= tol * max(lam_max, 1.0)
     if not converged:
         logger.warning("spectrum estimate residual %.2e above tolerance", res)
-    return SpectralEstimates(lambda2=lam2, lambda_max=lam_max, v2=v2,
-                             lambda3=lam3, v3=v3, residual2=res, converged=converged)
+    return SpectralEstimates(lambda2=lam2, v2=v2, lambda3=lam3, v3=v3,
+                             residual2=res, converged=converged,
+                             _lambda_max=lam_max)
 
 
 # normalized-operator null cutoff, absolute on a spectrum inside [0, 2]:
@@ -370,12 +401,16 @@ ARPACK_MAX_K = 128
 ARPACK_MAX_RESTARTS = 160
 
 
-def _null_estimate(N: int, lam_max: float) -> SpectralEstimates:
-    """The estimate of an operator with nothing above its null cutoff."""
+def _null_estimate(N: int, lam_max: float | Callable[[], float]
+                   ) -> SpectralEstimates:
+    """The estimate of an operator with nothing above its null cutoff.
+
+    lam_max is lambda_max or the function that computes it on first read.
+    """
     z = np.zeros(N)
-    return SpectralEstimates(lambda2=0.0, lambda_max=lam_max, v2=z,
-                             lambda3=0.0, v3=z.copy(), residual2=0.0,
-                             converged=False)
+    return SpectralEstimates(lambda2=0.0, v2=z, lambda3=0.0, v3=z.copy(),
+                             residual2=0.0, converged=False,
+                             _lambda_max=lam_max)
 
 
 def _warn_null() -> None:
@@ -393,7 +428,10 @@ def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int,
     leaves one DEBUG record) or returns fewer than two pairs above the
     cutoff: ARPACK converges the lowest pairs whether or not they clear
     it, so the block must hold every mode under it plus two.  lambda_max
-    then comes from ARPACK at the top, to LAMBDA_MAX_TOL.  On A + I, whose
+    is the top of the dense spectrum; on the ARPACK path it is computed on
+    first read, by ARPACK at the top to LAMBDA_MAX_TOL, with the next draws
+    of the same generator, so it has the same bits whenever it is read
+    (and a stall there raises at that read).  On A + I, whose
     spectrum lies in [1, 3], a converged pair has residual at most
     3 * ARPACK_TOL.  When ARPACK still stalls at the largest block, the
     lowest of the pairs that did converge is reported with converged=False
@@ -419,8 +457,9 @@ def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int,
     if w.size == N:
         lam_max = float(w[-1])
     else:
-        lam_max = float(_extreme_eigs(A, 1, "LA", rng, dense_cutoff,
-                                      tol=LAMBDA_MAX_TOL, vectors=False)[-1])
+        def lam_max():
+            return _extreme_eigs(A, 1, "LA", rng, dense_cutoff,
+                                 tol=LAMBDA_MAX_TOL, vectors=False)[-1]
     if not converged:
         logger.warning("range-gap estimate: ARPACK stalled at k=%d "
                        "(dim A=%d)", k, N)
@@ -436,9 +475,9 @@ def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int,
     else:
         lam3, v3 = lam2, v2.copy()
     res = float(np.linalg.norm(A @ v2 - lam2 * v2))
-    return SpectralEstimates(lambda2=lam2, lambda_max=lam_max, v2=v2,
-                             lambda3=lam3, v3=v3, residual2=res,
-                             converged=converged)
+    return SpectralEstimates(lambda2=lam2, v2=v2, lambda3=lam3, v3=v3,
+                             residual2=res, converged=converged,
+                             _lambda_max=lam_max)
 
 
 def _compressed_normalized(L: SheafLaplacian):
@@ -485,7 +524,9 @@ def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
     kernel null(S) before any solver sees it: dense eigh up to dense_cutoff,
     above it ARPACK on A + I with a block that doubles until it holds two
     pairs above the cutoff (_gap_above_cutoff).  A converged estimate is a
-    converged eigenpair of A: its residual is at most 3 * ARPACK_TOL.
+    converged eigenpair of A: its residual is at most 3 * ARPACK_TOL.  On
+    the ARPACK path lambda_max is computed on first read, so an epoch that
+    reads only lambda2 runs one eigensolve.
 
     The returned v2/v3 are T y, normalized: the eigenvector Q y of S L S
     mapped back through S, the ascent direction for the raw Laplacian

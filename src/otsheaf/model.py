@@ -27,6 +27,7 @@ from .laplacian import (
     _block_isqrt,
     assemble_laplacian,
     pattern_outer,
+    scatter_add,
 )
 from .transport import restriction_from_plan
 
@@ -218,11 +219,10 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
         return St @ g @ St
 
     def d_mo_d_S(g):
-        out = np.zeros_like(Sv)
         OSj, SiO = Ov @ SJ, SI @ Ov
-        np.add.at(out, I, g @ OSj.transpose(0, 2, 1))
-        np.add.at(out, J, SiO.transpose(0, 2, 1) @ g)
-        return out
+        ends = np.concatenate([g @ OSj.transpose(0, 2, 1),
+                               SiO.transpose(0, 2, 1) @ g])
+        return scatter_add(edges.T.ravel(), ends, len(Sv))
 
     def d_mo_d_O(g):
         return SI.transpose(0, 2, 1) @ g @ SJ.transpose(0, 2, 1)

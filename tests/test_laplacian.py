@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from otsheaf.autodiff import Var
-from otsheaf.graphs import Graph, erdos_renyi
+from otsheaf.graphs import Graph, erdos_renyi, synthetic_dataset
 from otsheaf.laplacian import (
     SheafIncidence,
     SheafLaplacian,
@@ -21,6 +21,7 @@ from otsheaf.laplacian import (
     block_sparse,
     normalized_range_gap,
     reassemble_restrictions,
+    scatter_add,
     sparsify,
 )
 from otsheaf.model import EpochContext, cheb_branch, isqrt_blocks, sandwich_blocks
@@ -61,6 +62,18 @@ def combinatorial_laplacian(g: Graph) -> np.ndarray:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_diagonal_blocks_exactly_symmetric(self, weighted):
+        # the graph and stalk sizes of the lift_n300 benchmark fixture;
+        # the normalized operator reads these blocks as they are
+        g, _, _ = synthetic_dataset(n=300, num_classes=5, d0=64, seed=0,
+                                    homophily=0.8, avg_degree=6.0)
+        B = random_sheaf(g, d_v=16, d_e=16, seed=2)
+        weights = (np.random.default_rng(3).uniform(0.5, 2.0, g.m)
+                   if weighted else None)
+        diag = assemble_laplacian(B, weights).diag
+        assert np.array_equal(diag, diag.transpose(0, 2, 1))
+
     def test_scalar_sheaf_is_graph_laplacian(self):
         g = erdos_renyi(12, 4.0, seed=1)
         L = assemble_laplacian(scalar_sheaf(g))
@@ -236,6 +249,20 @@ class TestBlockSparse:
             dense[2 * r:2 * r + 2, 3 * c:3 * c + 3] += blk
         assert A.has_canonical_format
         np.testing.assert_array_equal(A.toarray(), dense)
+
+    @pytest.mark.parametrize("K", [0, 1, 40])
+    def test_scatter_add_matches_add_at(self, K):
+        # repeated indices sum in index order from zero, as np.add.at does;
+        # rows 5 and 6 receive nothing and stay zero
+        rng = np.random.default_rng(K)
+        index = rng.choice([0, 1, 2, 3, 4, 7], size=K)
+        values = rng.normal(size=(K, 3, 2))
+        ref = np.zeros((8, 3, 2))
+        np.add.at(ref, index, values)
+        out = scatter_add(index, values, 8)
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out, ref)
+        assert not out[5:7].any()
 
 
 class TestNormalized:
@@ -493,14 +520,19 @@ class TestRangeGap:
 
     def test_budget_checkpoints_grow_one_run(self, monkeypatch, caplog):
         # every low-end ARPACK call stalled: the block doubles from
-        # ARPACK_K0 to ARPACK_MAX_K, then one call at the top for
-        # lambda_max; one WARNING, and the estimate says it did not converge
+        # ARPACK_K0 to ARPACK_MAX_K; lambda_max costs one call at the top
+        # on its first read and none after; one WARNING, and the estimate
+        # says it did not converge
         L = large_kernel_operator()
         calls = stall_low_end(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
             est = normalized_range_gap(L, dense_cutoff=0)
-        assert calls == [("SA", 16), ("SA", 32), ("SA", 64), ("SA", 128),
-                         ("LA", 1)]
+        low = [("SA", 16), ("SA", 32), ("SA", 64), ("SA", 128)]
+        assert calls == low
+        first = est.lambda_max
+        assert calls == low + [("LA", 1)]
+        assert est.lambda_max == first
+        assert calls == low + [("LA", 1)]
         assert not est.converged
         records = [r.getMessage() for r in caplog.records]
         assert len(records) == 1
@@ -617,6 +649,18 @@ class TestNormalizedRangeGap:
         assert first.lambda2 == second.lambda2
         assert np.array_equal(first.v2, second.v2)
 
+    def test_lambda_max_on_first_read_is_seeded(self):
+        # the top solve runs when lambda_max is first read, with the
+        # estimate's own generator: reading it after another estimate ran
+        # gives the same bits, and it agrees with the dense top eigenvalue
+        L = large_kernel_operator()
+        first = normalized_range_gap(L, dense_cutoff=0, seed=2)
+        second = normalized_range_gap(L, dense_cutoff=0, seed=2)
+        assert second.lambda_max == first.lambda_max
+        A, _, _ = _compressed_normalized(L)
+        top = np.linalg.eigvalsh(A.toarray())[-1]
+        assert first.lambda_max == pytest.approx(top, rel=1e-4)
+
     def test_arpack_stall_falls_back_to_lanczos(self, monkeypatch, caplog):
         # the first block stalls: the estimate doubles it and converges to
         # the same pair, leaving one DEBUG record and no warning
@@ -625,6 +669,10 @@ class TestNormalizedRangeGap:
         calls = stall_low_end(monkeypatch, times=1)
         with caplog.at_level(logging.DEBUG, logger="otsheaf.laplacian"):
             est = normalized_range_gap(L, dense_cutoff=0, seed=3)
+        assert calls == [("SA", 16), ("SA", 32)]
+        first = est.lambda_max
+        assert calls == [("SA", 16), ("SA", 32), ("LA", 1)]
+        assert est.lambda_max == first
         assert calls == [("SA", 16), ("SA", 32), ("LA", 1)]
         assert est.converged
         assert est.lambda2 == pytest.approx(exact.lambda2, rel=1e-8)

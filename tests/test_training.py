@@ -21,7 +21,14 @@ from otsheaf.diffusion import (
     predict,
     svr_diffuse,
 )
-from otsheaf.graphs import Graph, Labels, NodeFeatures, SplitMask
+from otsheaf.graphs import (
+    Graph,
+    Labels,
+    NodeFeatures,
+    SplitMask,
+    make_split,
+    synthetic_dataset,
+)
 from otsheaf.laplacian import (
     DENSE_CUTOFF,
     NORMALIZED_NULL_TOL,
@@ -198,6 +205,30 @@ class TestTrainEpoch:
         cfg = small_cfg(gap_steps=0)
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(calls) == 1
+
+    def test_one_eigensolve_per_epoch_above_dense_cutoff(self, monkeypatch):
+        # with gap_steps=0 the epoch reads lambda2 alone: the ARPACK path
+        # runs its low-end block and never the solve for lambda_max
+        import otsheaf.laplacian as laplacian
+        g, feats, labels = synthetic_dataset(n=100, num_classes=3, d0=16,
+                                             seed=0, avg_degree=6.0)
+        data = Dataset(g, feats, labels, make_split(labels, per_class=5,
+                                                    seed=0))
+        cfg = TrainConfig(d_v=16, gap_steps=0, epochs=1, seed=0)
+        state = init_state(data, cfg)
+        L = assemble_laplacian(restrictions_from_plans(
+            g, state.plans, state.params.W_theta))
+        assert _compressed_normalized(L)[0].shape[0] > DENSE_CUTOFF
+        calls = []
+        real = laplacian._extreme_eigs
+
+        def counted(A, k, which, *args, **kwargs):
+            calls.append((which, k))
+            return real(A, k, which, *args, **kwargs)
+
+        monkeypatch.setattr(laplacian, "_extreme_eigs", counted)
+        train_epoch(state, data, cfg)
+        assert calls == [("SA", 16)]
 
     def test_one_block_eigendecomposition_per_epoch(self, monkeypatch):
         # the tape's isqrt_blocks decomposes the diagonal blocks and the
@@ -416,6 +447,16 @@ class TestFit:
         assert reports == []
         for k, v in params.trainable().items():
             assert np.array_equal(v, fresh.trainable()[k])
+
+    def test_edgeless_graph_trains_one_epoch(self):
+        # no edges: every Gram block, scatter and restriction stack is
+        # empty, the operators are zero, and the epoch still reports
+        data = two_cluster_dataset()
+        data = dataclasses.replace(data, g=Graph.from_edges(data.g.n, []))
+        _, reports = fit(data, small_cfg(epochs=1, gap_steps=0))
+        assert len(reports) == 1
+        assert np.isfinite(reports[0].raw_loss)
+        assert reports[0].lambda2 == 0.0
 
     def test_separable_toy_reaches_full_train_accuracy(self):
         data = two_cluster_dataset(noise=0.02)
