@@ -51,7 +51,7 @@ print(f"\nsvr_diffuse: cold start {info.iterations} iterations, "
 # the adaptive filter is a Chebyshev series in M = I - D^{-1/2} L D^{-1/2};
 # the normalized Laplacian has its spectrum in [0, 2], so M's lies in [-1, 1]
 D_isqrt = sp.diags(1.0 / np.sqrt(L.diag[:, 0, 0]))   # scalar stalks: degrees
-M = sp.identity(L.N, format="csr") - D_isqrt @ L.to_csr() @ D_isqrt
+M = sp.identity(L.N, format="csr") - D_isqrt @ L.to_bsr() @ D_isqrt
 gamma = np.array([0.5, -1.0, 0.25, 0.0])       # logits over frequency bands
 weights = chebyshev_weights(gamma)
 F, _ = chebyshev_apply(M.dot, X, weights)

@@ -76,13 +76,20 @@ def cg_solve(apply_A, b: np.ndarray, cfg: CGConfig, x0: np.ndarray | None = None
 
 
 def jacobi_block_preconditioner(L, dt: float):
-    """Inverse of the block diagonal of I + dt L, applied block by block."""
+    """Inverse of the block diagonal of I + dt L, applied block by block.
+
+    One factorization per block: with D_i = V_i diag(w_i) V_i', the inverse
+    of I + dt D_i is V_i diag(1 / (1 + dt w_i)) V_i'.  (w, V) is
+    L.diag_eigh, the decomposition the tape's isqrt_blocks already made,
+    or eigh(L.diag) when L carries none.  The inverse is applied as one
+    batched matmul.
+    """
     n, d = L.n, L.d_v
-    blocks = np.eye(d)[None, :, :] + dt * L.diag
-    inv = np.linalg.inv(blocks)
+    w, V = L.diag_eigh if L.diag_eigh is not None else np.linalg.eigh(L.diag)
+    inv = (V / (1.0 + dt * w)[:, None, :]) @ V.transpose(0, 2, 1)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return np.einsum("nab,nb->na", inv, r.reshape(n, d)).reshape(-1)
+        return (inv @ r.reshape(n, d, 1)).reshape(-1)
 
     return apply
 

@@ -10,9 +10,11 @@ L = B^T B accumulates per edge:
 so x^T L x = sum_e ||R_ij x_i - R_ji x_j||^2 >= 0 by construction.
 
 Every matrix with this block pattern (L, the incidence B, S L S and the
-compressed normalized operator) is built by block_sparse and applied as
-CSR through SheafLaplacian.matvec; pattern_outer is the gradient of a
-bilinear form in the blocks.
+compressed normalized operator) is built by block_sparse and held and
+applied as BSR (block sparse rows, d_v x d_v blocks) through
+SheafLaplacian.matvec; CSR copies are made only to restrict rows and
+columns and to densify.  pattern_outer is the gradient of a bilinear form
+in the blocks.
 """
 
 from __future__ import annotations
@@ -35,14 +37,17 @@ logger = logging.getLogger(__name__)
 
 
 def block_sparse(rows: np.ndarray, cols: np.ndarray, blocks: list,
-                 n_rows: int, n_cols: int) -> sp.csr_matrix:
-    """Canonical CSR matrix with block k at block position (rows[k], cols[k]).
+                 n_rows: int, n_cols: int) -> sp.bsr_matrix:
+    """Canonical BSR matrix with block k at block position (rows[k], cols[k]).
 
     blocks is a list of (k_i, a, b) stacks whose concatenation holds block
     k at index k; each stack is copied once, straight into sorted order.
-    The matrix is (n_rows * a, n_cols * b).  Blocks at one position are
+    The matrix is (n_rows * a, n_cols * b) with (a, b) blocks, block
+    columns sorted within each block row.  Blocks at one position are
     summed; zero entries of a block stay explicit, so the pattern depends
-    on the block positions alone.
+    on the block positions alone.  Its matvec sums each row in column
+    order, as CSR's does, so the two give the same bits; densify it
+    through tocsr(), which is faster than BSR's own toarray.
     """
     order = np.lexsort((cols, rows))
     rank = np.empty_like(order)
@@ -55,7 +60,7 @@ def block_sparse(rows: np.ndarray, cols: np.ndarray, blocks: list,
         start += len(part)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
     A = sp.bsr_matrix((data, cols[order], indptr),
-                      shape=(n_rows * a, n_cols * b)).tocsr()
+                      shape=(n_rows * a, n_cols * b))
     A.sum_duplicates()
     return A
 
@@ -64,10 +69,11 @@ def scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """out[i] = sum of values[k] over every k with index[k] == i.
 
     The sum is one product of a (n, K) incidence of ones, built by
-    block_sparse, with values flattened to (K, -1).  Each row of the
-    incidence lists its k in ascending order, so every out[i] is summed in
-    k order from zero: the bits of np.add.at into zeros.  Rows of out
-    that no k reaches are zero, and K = 0 gives all zeros.
+    block_sparse as a BSR of 1 x 1 blocks, with values flattened to
+    (K, -1).  Each row of the incidence lists its k in ascending order, so
+    every out[i] is summed in k order from zero: the bits of np.add.at
+    into zeros.  Rows of out that no k reaches are zero, and K = 0 gives
+    all zeros.
     """
     K = index.size
     inc = block_sparse(index, np.arange(K), [np.ones((K, 1, 1))], n, K)
@@ -101,15 +107,15 @@ class SheafIncidence:
     def d_e(self) -> int:
         return int(self.Rij.shape[1])
 
-    def to_csr(self) -> sp.csr_matrix:
-        """B as an (m * d_e, n * d_v) CSR matrix: [Rij, -Rji] at (e, i), (e, j)."""
+    def to_bsr(self) -> sp.bsr_matrix:
+        """B as an (m * d_e, n * d_v) BSR matrix: [Rij, -Rji] at (e, i), (e, j)."""
         e = np.arange(self.m)
         return block_sparse(np.concatenate([e, e]), self.edges.T.ravel(),
                             [self.Rij, -self.Rji],
                             self.m, self.n)
 
     def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        return self.to_bsr().tocsr().toarray()
 
 
 @dataclass(eq=False)
@@ -118,7 +124,7 @@ class SheafLaplacian:
 
     Holds L itself and every other matrix on L's pattern: S L S, a gradient
     direction, the compressed normalized operator before its restriction.
-    Its CSR form is built once, on first use, and matvec is the one way the
+    Its BSR form is built once, on first use, and matvec is the one way the
     package applies such a matrix.
     """
 
@@ -129,9 +135,10 @@ class SheafLaplacian:
     off: np.ndarray              # (m, d_v, d_v) block at (i, j); (j, i) = off^T
     restrictions: SheafIncidence | None = None
     # eigh(diag) as (w, V), when whoever built L already decomposed its
-    # blocks; _compressed_normalized decomposes them itself otherwise
+    # blocks; _compressed_normalized and the CG preconditioner decompose
+    # them themselves otherwise
     diag_eigh: tuple | None = field(default=None, repr=False)
-    _csr: sp.csr_matrix | None = field(default=None, repr=False)
+    _bsr: sp.bsr_matrix | None = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
@@ -141,29 +148,29 @@ class SheafLaplacian:
     def m(self) -> int:
         return int(self.edges.shape[0])
 
-    def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
+    def to_bsr(self) -> sp.bsr_matrix:
+        if self._bsr is None:
             I, J = self.edges[:, 0], self.edges[:, 1]
             nodes = np.arange(self.n)
-            self._csr = block_sparse(
+            self._bsr = block_sparse(
                 np.concatenate([I, J, nodes]), np.concatenate([J, I, nodes]),
                 [self.off, self.off.transpose(0, 2, 1), self.diag],
                 self.n, self.n)
-        return self._csr
+        return self._bsr
 
     def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        return self.to_bsr().tocsr().toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply L to a vector (N,) or to k stacked signals (N, k)."""
-        return self.to_csr() @ x
+        return self.to_bsr() @ x
 
     def coo_rows(self):
         """(row, col, value) triples of the explicit blocks, row-major order.
 
-        to_csr is canonical, so its entries already come in that order.
+        The CSR copy of the canonical BSR lists its entries in that order.
         """
-        coo = self.to_csr().tocoo()
+        coo = self.to_bsr().tocsr().tocoo()
         return coo.row, coo.col, coo.data
 
     def copy(self) -> "SheafLaplacian":
@@ -315,7 +322,7 @@ def _extreme_eigs(A, k: int, which: str, rng, dense_cutoff: int = DENSE_CUTOFF,
     """
     N = A.shape[0]
     if N <= dense_cutoff or k >= N:
-        Ad = A.toarray() if sp.issparse(A) else A @ np.eye(N)
+        Ad = A.tocsr().toarray() if sp.issparse(A) else A @ np.eye(N)
         Ad = 0.5 * (Ad + Ad.T)
         if not vectors:
             return np.linalg.eigvalsh(Ad)
@@ -358,7 +365,7 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
         raise ValueError("operator too small for a deflated second eigenvalue")
 
     rng = np.random.default_rng(seed)
-    lam_max = float(_extreme_eigs(L.to_csr(), 1, "LA", rng, dense_cutoff,
+    lam_max = float(_extreme_eigs(L.to_bsr(), 1, "LA", rng, dense_cutoff,
                                   tol=LAMBDA_MAX_TOL, vectors=False)[-1])
     sigma = lam_max + 1.0
 
@@ -503,7 +510,7 @@ def _compressed_normalized(L: SheafLaplacian):
     idx = np.flatnonzero(kept)
     A = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges,
                        diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
-                       off=Tt[I] @ L.off @ T[J]).to_csr()[idx][:, idx]
+                       off=Tt[I] @ L.off @ T[J]).to_bsr().tocsr()[idx][:, idx]
     return A, T, kept
 
 
@@ -589,7 +596,7 @@ def _edge_leverage_sketched(L: SheafLaplacian, B: SheafIncidence,
     m, d_e = B.edges.shape[0], B.d_e
     acc = np.zeros(m)
     cgc = CGConfig(tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-    Bc = B.to_csr()
+    Bc = B.to_bsr()
     for _ in range(cfg.probes):
         gpr = rng.normal(size=(m, d_e))
         z = cg_solve(L.matvec, Bc.T @ gpr.reshape(-1), cgc).x

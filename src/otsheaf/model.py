@@ -145,7 +145,7 @@ def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
     """(I + dt L)^(-1) x via CG; adjoint solves the same system once more.
 
     L is the operator with the blocks (diag.value, off.value); sharing one
-    instance across layers builds its CSR form once.  With A = I + dt L
+    instance across layers builds its BSR form once.  With A = I + dt L
     symmetric, y = A~x gives dL = -dt * (A~g) y' restricted to the pattern,
     and dx = A~g.  An unconverged forward or adjoint solve logs a warning.
     """
@@ -206,9 +206,8 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     """Blocks of S L S: md_i = S_i D_i S_i, mo_e = S_i O_e S_j."""
     Sv, Dv, Ov = S.value, diag.value, off.value
     I, J = edges[:, 0], edges[:, 1]
-    SI, SJ = Sv[I], Sv[J]
     md = Sv @ Dv @ Sv
-    mo = SI @ Ov @ SJ
+    mo = Sv[I] @ Ov @ Sv[J]
 
     def d_md_d_S(g):
         SD, DS = Sv @ Dv, Dv @ Sv
@@ -218,14 +217,16 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
         St = Sv.transpose(0, 2, 1)
         return St @ g @ St
 
+    # backward gathers Sv[I] and Sv[J] again: holding the forward's two
+    # (m, d, d) gathers until then would raise the tape's peak memory
     def d_mo_d_S(g):
-        OSj, SiO = Ov @ SJ, SI @ Ov
+        OSj, SiO = Ov @ Sv[J], Sv[I] @ Ov
         ends = np.concatenate([g @ OSj.transpose(0, 2, 1),
                                SiO.transpose(0, 2, 1) @ g])
         return scatter_add(edges.T.ravel(), ends, len(Sv))
 
     def d_mo_d_O(g):
-        return SI.transpose(0, 2, 1) @ g @ SJ.transpose(0, 2, 1)
+        return Sv[I].transpose(0, 2, 1) @ g @ Sv[J].transpose(0, 2, 1)
 
     md_var = Var(md, [(S, d_md_d_S), (diag, d_md_d_D)])
     mo_var = Var(mo, [(S, d_mo_d_S), (off, d_mo_d_O)])
@@ -241,7 +242,7 @@ def cheb_branch(md: Var, mo: Var, SLS: SheafLaplacian, gamma: Var, x,
     S D S is the projector onto range(S).  md and mo are the blocks of S L S
     (sandwich_blocks) and SLS the operator with the blocks (md.value,
     mo.value): the forward and reverse recurrences apply M through its
-    matvec, and sharing one instance across layers builds its CSR form
+    matvec, and sharing one instance across layers builds its BSR form
     once.  A node without edges has S = 0, so M passes its signal through.
     """
     x_var = x if isinstance(x, Var) else None

@@ -105,13 +105,13 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
     out = L.copy()
     out.diag = L.diag + eta * g.diag
     out.off = L.off + eta * g.off
-    out._csr = None
+    out._bsr = None
     return out
 
 
 def _min_eigpair(L: SheafLaplacian, dense_cutoff: int):
     try:
-        w, U = _extreme_eigs(L.to_csr(), 1, "SA", 0, dense_cutoff, tol=1e-8,
+        w, U = _extreme_eigs(L.to_bsr(), 1, "SA", 0, dense_cutoff, tol=1e-8,
                              maxiter=PROJECT_MAX_RESTARTS)
     except ArpackNoConvergence as err:
         raise ArpackNoConvergence(
@@ -133,7 +133,7 @@ def project(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
     """
     out = L.copy()
     out.diag = 0.5 * (out.diag + out.diag.transpose(0, 2, 1))
-    out._csr = None
+    out._bsr = None
     lam, v = _min_eigpair(out, dense_cutoff)
     if lam >= -MONOTONE_SLACK:
         return out
@@ -141,7 +141,7 @@ def project(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
         d, o = pattern_outer(out.edges, v, v, out.n, out.d_v)
         out.diag = out.diag + (-lam) * d
         out.off = out.off + (-lam) * (0.5 * o)
-        out._csr = None
+        out._bsr = None
         lam, v = _min_eigpair(out, dense_cutoff)
         if lam >= -MONOTONE_SLACK:
             return out
@@ -149,7 +149,7 @@ def project(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
                  "diagonal shift", lam)
     eye = np.eye(L.d_v)[None, :, :]
     out.diag = out.diag + (-lam) * eye
-    out._csr = None
+    out._bsr = None
     return out
 
 
@@ -197,18 +197,29 @@ def run_gap_ascent(L: SheafLaplacian, cfg: WolfeConfig | None = None,
                    steps: int | None = None, seed: int = 0,
                    estimator=estimate_spectrum
                    ) -> tuple[SheafLaplacian, GapState]:
-    """Run several accepted-or-skipped ascent steps, keeping the ledger."""
+    """Run up to `steps` ascent steps, keeping the ledger of lambda2.
+
+    The ledger holds steps + 1 entries, the first for L itself.  A rejected
+    step returns L unchanged, and the estimator is deterministic in
+    (L, seed), so every later step would replay it exactly: the ascent
+    stops at its first rejected step and records the unchanged lambda2
+    once for it and once for each step left.
+    """
     cfg = cfg or WolfeConfig()
     steps = cfg.inner_steps if steps is None else steps
     state = GapState()
     est = estimator(L, seed=seed)
     state.record(est.lambda2, est.v2)
-    for _ in range(steps):
+    for step in range(steps):
         degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
             est.lambda_max, 1.0)
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
-        L, _, _ = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2, seed=seed,
-                                    estimator=estimator)
+        L, _, accepted = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2,
+                                           seed=seed, estimator=estimator)
+        if not accepted:
+            for _ in range(steps - step):
+                state.record(est.lambda2, est.v2)
+            break
         est = estimator(L, seed=seed)
         state.record(est.lambda2, est.v2)
     return L, state

@@ -72,7 +72,7 @@ def _scalar_sheaf(g: Graph) -> SheafIncidence:
 
 
 def _lambda_max(L) -> float:
-    return float(_extreme_eigs(L.to_csr(), 1, "LA", 0, tol=LAMBDA_MAX_TOL,
+    return float(_extreme_eigs(L.to_bsr(), 1, "LA", 0, tol=LAMBDA_MAX_TOL,
                                vectors=False)[-1])
 
 

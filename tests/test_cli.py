@@ -115,6 +115,28 @@ class TestTrain:
         for (r, c), v in entries.items():
             assert entries[(c, r)] == pytest.approx(v, abs=1e-12)
 
+    def test_laplacian_dump_lists_every_block_entry_row_major(
+            self, toy_json, tmp_path, monkeypatch):
+        # the file holds the operator's explicit entries in row-major order,
+        # as the COO reference of the same blocks lists them
+        import otsheaf.cli as cli
+        from tests.test_laplacian import coo_reference_csr
+        built = []
+        real = cli.assemble_laplacian
+
+        def kept(B):
+            built.append(real(B))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "assemble_laplacian", kept)
+        out = tmp_path / "run"
+        assert main(_train_args(toy_json, out, "--dump-laplacian")) == 0
+        assert len(built) == 1
+        ref = coo_reference_csr(built[0]).tocoo()
+        expected = "".join(f"{r} {c} {v:.17g}\n"
+                           for r, c, v in zip(ref.row, ref.col, ref.data))
+        assert (out / "laplacian.txt").read_text() == expected
+
     def test_missing_data_path_exits_one(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "x")])
         assert code == 1

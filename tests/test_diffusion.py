@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otsheaf.autodiff import Var
 from otsheaf.diffusion import (
     CGConfig,
     DiffusionConfig,
@@ -12,8 +13,9 @@ from otsheaf.diffusion import (
     predict,
     svr_diffuse,
 )
-from otsheaf.graphs import erdos_renyi
+from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import assemble_laplacian
+from otsheaf.model import isqrt_blocks
 from tests.test_laplacian import dense_sls, random_sheaf, scalar_sheaf
 
 
@@ -120,13 +122,41 @@ class TestSvrDiffuse:
         L = self._fixture(seed=5)
         pre = jacobi_block_preconditioner(L, dt=0.2)
         r = np.random.default_rng(5).normal(size=L.N)
-        M = np.eye(L.N) + 0.2 * np.kron(np.eye(L.n), np.ones((L.d_v, L.d_v)))
-        # build the true block diagonal instead of the kron sketch above
         M = np.zeros((L.N, L.N))
         for i in range(L.n):
             sl = slice(i * L.d_v, (i + 1) * L.d_v)
             M[sl, sl] = np.eye(L.d_v) + 0.2 * L.diag[i]
         np.testing.assert_allclose(pre(r), np.linalg.solve(M, r), atol=1e-10)
+
+    @pytest.mark.parametrize("with_eigh", [False, True])
+    def test_jacobi_preconditioner_matches_block_solves(self, with_eigh):
+        # d_e = 1 < d_v: the end nodes 0 and 3 have rank-one blocks, 1 and 2
+        # rank two, and the isolated node 4 a zero block
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        L = assemble_laplacian(random_sheaf(g, d_v=3, d_e=1, seed=7))
+        if with_eigh:
+            L.diag_eigh = isqrt_blocks(Var(L.diag))[1]
+        ranks = np.linalg.matrix_rank(L.diag)
+        assert list(ranks) == [1, 2, 2, 1, 0]
+        dt = 0.3
+        r = np.random.default_rng(7).normal(size=(L.n, L.d_v))
+        out = jacobi_block_preconditioner(L, dt)(r.reshape(-1))
+        out = out.reshape(L.n, L.d_v)
+        ref = np.linalg.solve(np.eye(L.d_v) + dt * L.diag, r[:, :, None])[..., 0]
+        err = np.linalg.norm(out - ref, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
+        np.testing.assert_array_equal(out[4], r[4])
+
+    def test_jacobi_preconditioner_reads_the_carried_decomposition(self):
+        # L.diag_eigh is taken as given: no block is factored again, so a
+        # decomposition of 2 D_i yields the inverse of I + dt 2 D_i
+        L = self._fixture(seed=6)
+        L.diag_eigh = np.linalg.eigh(2.0 * L.diag)
+        r = np.random.default_rng(6).normal(size=(L.n, L.d_v))
+        out = jacobi_block_preconditioner(L, dt=0.2)(r.reshape(-1))
+        ref = np.linalg.solve(np.eye(L.d_v) + 0.4 * L.diag, r[:, :, None])
+        np.testing.assert_allclose(out, ref.reshape(-1), rtol=1e-12,
+                                   atol=1e-14)
 
 
 class TestChebyshev:

@@ -222,12 +222,31 @@ class TestBlockSparse:
     @pytest.mark.parametrize("fixture", sorted(BUILDER_FIXTURES))
     def test_laplacian_csr_matches_coo_reference(self, fixture):
         L = assemble_laplacian(BUILDER_FIXTURES[fixture]())
-        assert_same_csr(L.to_csr(), coo_reference_csr(L))
+        assert_same_csr(L.to_bsr().tocsr(), coo_reference_csr(L))
+
+    @pytest.mark.parametrize("fixture", sorted(BUILDER_FIXTURES))
+    def test_matvec_has_the_bits_of_the_csr_product(self, fixture):
+        # the BSR matvec sums each row in column order, as CSR does
+        L = assemble_laplacian(BUILDER_FIXTURES[fixture]())
+        ref = coo_reference_csr(L)
+        rng = np.random.default_rng(11)
+        for x in (rng.normal(size=L.N), rng.normal(size=(L.N, 3))):
+            assert np.array_equal(L.matvec(x), ref @ x)
+
+    @pytest.mark.parametrize("fixture", sorted(BUILDER_FIXTURES))
+    def test_coo_rows_are_row_major(self, fixture):
+        L = assemble_laplacian(BUILDER_FIXTURES[fixture]())
+        rows, cols, vals = L.coo_rows()
+        ref = coo_reference_csr(L).tocoo()
+        np.testing.assert_array_equal(rows, ref.row)
+        np.testing.assert_array_equal(cols, ref.col)
+        np.testing.assert_array_equal(vals, ref.data)
+        assert np.all(np.diff(rows * L.N + cols) > 0)
 
     @pytest.mark.parametrize("fixture", sorted(BUILDER_FIXTURES))
     def test_incidence_csr_matches_loop_and_laplacian(self, fixture):
         B = BUILDER_FIXTURES[fixture]()
-        Bc = B.to_csr()
+        Bc = B.to_bsr()
         assert Bc.shape == (B.m * B.d_e, B.n * B.d_v)
         np.testing.assert_array_equal(Bc.toarray(), incidence_loop_reference(B))
         np.testing.assert_allclose((Bc.T @ Bc).toarray(),
@@ -464,7 +483,7 @@ class TestReassembly:
         L = assemble_laplacian(B)
         rng = np.random.default_rng(3)
         L.off[0] += 0.05 * rng.normal(size=(4, 4))
-        L._csr = None
+        L._bsr = None
         rec = reassemble_restrictions(L, B)
         product = rec.Rij[0].T @ rec.Rji[0]
         U, s, Vt = np.linalg.svd(-L.off[0])
@@ -476,7 +495,7 @@ class TestReassembly:
         B = random_sheaf(g, d_v=3, d_e=1, seed=17)
         L = assemble_laplacian(B)
         L.off[0] = np.zeros((3, 3))
-        L._csr = None
+        L._bsr = None
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
             rec = reassemble_restrictions(L, B)
         np.testing.assert_array_equal(rec.Rij[0], B.Rij[0])
@@ -643,7 +662,7 @@ class TestNormalizedRangeGap:
         L = exact_kernel_operator()
         first = normalized_range_gap(L, dense_cutoff=0, seed=4)
         other = assemble_laplacian(random_sheaf(cycle_graph(90), d_v=3,
-                                                d_e=2, seed=1)).to_csr()
+                                                d_e=2, seed=1)).to_bsr()
         eigsh(other, k=3, which="SA")
         second = normalized_range_gap(L, dense_cutoff=0, seed=4)
         assert first.lambda2 == second.lambda2

@@ -437,7 +437,7 @@ class TestForwardParity:
         _, _, aux = forward_tape(params, ctx)
         L = aux["L"]
         assert L.diag is aux["diag"].value and L.off is aux["off"].value
-        assert L._csr is not None   # built by the first layer's CG solve
+        assert L._bsr is not None   # built by the first layer's CG solve
 
     def test_loss_includes_frozen_terms(self):
         params, ctx = make_context()

@@ -18,6 +18,7 @@ ALLOWED = {
     "_extreme_eigs",            # the entry point
     "_block_isqrt",             # per-block eigh of the diagonal blocks
     "_compressed_normalized",   # the same, for the compressed operator
+    "jacobi_block_preconditioner",  # the same, when L carries no diag_eigh
     "_gradcheck_fixture",       # per-block eigvalsh of a fixture's blocks
 }
 

@@ -1,8 +1,9 @@
 """Block-pattern matrices are built in one place.
 
-`laplacian.block_sparse` sorts the block coordinates once, builds a BSR
-matrix and returns canonical CSR; the sheaf Laplacian, the incidence
-operator, S L S and the compressed normalized operator all go through it.
+`laplacian.block_sparse` sorts the block coordinates once and returns
+canonical BSR, with duplicates summed and explicit zeros kept; the sheaf
+Laplacian, the incidence operator, S L S and the compressed normalized
+operator all go through it, and the package applies them as BSR.
 A sparse-matrix constructor called anywhere else in the package would bring
 back a second assembler, with its own entry order and its own handling of
 duplicates and explicit zeros.

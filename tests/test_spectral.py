@@ -6,13 +6,16 @@ from scipy.linalg import null_space
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from otsheaf.graphs import Graph, erdos_renyi
+import otsheaf.spectral as spectral
 from otsheaf.laplacian import (
     SheafLaplacian,
     assemble_laplacian,
     blockwise_constant_basis,
     estimate_spectrum,
+    normalized_range_gap,
 )
 from otsheaf.spectral import (
+    DEGENERACY_REL_GAP,
     PROJECT_MAX_RESTARTS,
     GapState,
     WolfeConfig,
@@ -39,7 +42,7 @@ def indefinite_sheaf():
     L = assemble_laplacian(random_sheaf(erdos_renyi(40, 3.0, seed=8), d_v=2,
                                         d_e=1, seed=8))
     L.diag = L.diag - 0.3 * np.eye(2)[None]
-    L._csr = None
+    L._bsr = None
     return L
 
 
@@ -147,7 +150,7 @@ class TestProject:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         L = assemble_laplacian(scalar_sheaf(g))
         L.diag = L.diag - 0.3 * np.eye(1)[None]
-        L._csr = None
+        L._bsr = None
         assert np.linalg.eigvalsh(L.to_dense())[0] < -0.2
         out = project(L)
         dense = out.to_dense()
@@ -159,7 +162,7 @@ class TestProject:
         g_graph = erdos_renyi(6, 2.5, seed=5)
         L = assemble_laplacian(random_sheaf(g_graph, d_v=2, d_e=1, seed=3))
         L.diag[0] += np.array([[0.0, 0.2], [0.0, 0.0]])
-        L._csr = None
+        L._bsr = None
         out = project(L)
         assert np.allclose(out.diag, out.diag.transpose(0, 2, 1))
 
@@ -167,7 +170,7 @@ class TestProject:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         L = assemble_laplacian(scalar_sheaf(g))
         L.diag = L.diag - 0.5 * np.eye(1)[None]
-        L._csr = None
+        L._bsr = None
         once = project(L)
         twice = project(once)
         assert np.allclose(once.diag, twice.diag, atol=1e-10)
@@ -177,7 +180,7 @@ class TestProject:
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         L = assemble_laplacian(scalar_sheaf(g))
         L.diag = L.diag - 0.4 * np.eye(1)[None]
-        L._csr = None
+        L._bsr = None
         out = project(L, dense_cutoff=1)  # force the sparse eigensolver
         assert np.linalg.eigvalsh(out.to_dense())[0] >= -1e-8
 
@@ -187,7 +190,7 @@ class TestProject:
         L = indefinite_sheaf()
         first = project(L, dense_cutoff=1)
         other = assemble_laplacian(scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
-        eigsh(other.to_csr(), k=3, which="LA")
+        eigsh(other.to_bsr(), k=3, which="LA")
         second = project(L, dense_cutoff=1)
         assert np.array_equal(first.diag, second.diag)
         assert np.array_equal(first.off, second.off)
@@ -293,6 +296,46 @@ class TestGapAscentLoop:
         L = single_edge_laplacian()
         _, state = run_gap_ascent(L, WolfeConfig(inner_steps=3))
         assert len(state.lambda2_history) == 4
+
+    def test_stops_at_first_rejected_step(self, monkeypatch):
+        # the second step rejects and returns L unchanged; the loop that
+        # runs every step replays it three more times, with the same
+        # outcome, so stopping there keeps the ledger and the operator
+        g = erdos_renyi(10, 3.5, seed=4)
+        L = assemble_laplacian(random_sheaf(g, d_v=3, d_e=2, seed=4))
+        ref_L, ref = explicit_ascent(L, 5, normalized_range_gap)
+        outcomes = []
+        real = spectral.wolfe_ascent_step
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            outcomes.append(out[2])
+            return out
+
+        monkeypatch.setattr(spectral, "wolfe_ascent_step", counted)
+        out, state = run_gap_ascent(L, steps=5, seed=0,
+                                    estimator=normalized_range_gap)
+        assert outcomes == [True, False]
+        assert len(state.lambda2_history) == 6
+        assert state.lambda2_history == ref
+        assert np.array_equal(out.diag, ref_L.diag)
+        assert np.array_equal(out.off, ref_L.off)
+
+
+def explicit_ascent(L, steps, estimator, seed=0):
+    """Every step of the ascent run, rejected or not: (L, lambda2 ledger)."""
+    cfg = WolfeConfig()
+    est = estimator(L, seed=seed)
+    history = [est.lambda2]
+    for _ in range(steps):
+        degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
+            est.lambda_max, 1.0)
+        g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
+        L, _, _ = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2, seed=seed,
+                                    estimator=estimator)
+        est = estimator(L, seed=seed)
+        history.append(est.lambda2)
+    return L, history
 
 
 class TestSpecPenalty:

@@ -303,12 +303,12 @@ class TestTrainEpoch:
         import otsheaf.training as training
         from otsheaf.laplacian import SheafLaplacian
         builds, applied = [], []
-        real_to_csr, real_matvec = SheafLaplacian.to_csr, SheafLaplacian.matvec
+        real_to_bsr, real_matvec = SheafLaplacian.to_bsr, SheafLaplacian.matvec
 
         def counted(self):
-            if self._csr is None:
+            if self._bsr is None:
                 builds.append(id(self))
-            return real_to_csr(self)
+            return real_to_bsr(self)
 
         def traced(self, x):
             applied.append(id(self))
@@ -322,7 +322,7 @@ class TestTrainEpoch:
             tapes.append(out[2])
             return out
 
-        monkeypatch.setattr(SheafLaplacian, "to_csr", counted)
+        monkeypatch.setattr(SheafLaplacian, "to_bsr", counted)
         monkeypatch.setattr(SheafLaplacian, "matvec", traced)
         monkeypatch.setattr(training, "forward_tape", kept_tape)
         data = two_cluster_dataset()

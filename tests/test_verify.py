@@ -38,7 +38,7 @@ class TestLambdaMax:
         assert L.N > DENSE_CUTOFF
         first = _lambda_max(L)
         other = assemble_laplacian(_scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
-        eigsh(other.to_csr(), k=3, which="LA")
+        eigsh(other.to_bsr(), k=3, which="LA")
         assert _lambda_max(L) == first
         dense = np.linalg.eigvalsh(L.to_dense())[-1]
         assert first == pytest.approx(dense, rel=1e-6)
