@@ -36,7 +36,7 @@ from .laplacian import (
     normalized_range_gap,
     sparsify,
 )
-from .model import ModelParams, grad_params, init_params, model_loss
+from .model import ModelParams, grad_params, init_params
 from .spectral import WolfeConfig, gap_gradient, run_gap_ascent, spec_penalty, wolfe_ascent_step
 from .training import (
     Dataset,

@@ -19,8 +19,14 @@ from .config import REGISTRY, build_config
 from .graphs import convert_csv, homophily_ratio, load_graph, make_split, save_graph
 from .laplacian import SheafIncidence, assemble_laplacian
 from .model import restriction_maps
-from .training import Dataset, evaluate, fit, write_curves, write_reliability
-from .transport import edge_plans
+from .training import (
+    Dataset,
+    evaluate,
+    fit,
+    run_plans,
+    write_curves,
+    write_reliability,
+)
 from .verify import CHECKS, run_checks
 
 SWEEP_PARAMS = {"lambda_kl": "train.lambda_kl",
@@ -55,8 +61,7 @@ def cmd_convert(args) -> int:
 
 def _dump_laplacian(params, data, cfg, path: Path) -> None:
     """Block-expanded `row col value` triplets of the trained operator."""
-    plans = edge_plans(data.g.edges, data.feats.H, params.W_proj,
-                       cfg.lift_config())
+    plans = run_plans(data, params.W_proj, cfg, "we_lift")
     Rij, Rji = restriction_maps(Var(params.W_theta), plans)
     B = SheafIncidence(n=data.g.n, edges=data.g.edges,
                        Rij=Rij.value, Rji=Rji.value)

@@ -10,7 +10,7 @@ win over file values.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .training import TrainConfig
@@ -32,33 +32,25 @@ def _optional_int(text: str):
     return int(text)
 
 
-# dotted key -> (coercion, default)
+# TrainConfig annotation -> coercion; the annotations are strings under
+# postponed evaluation
+_COERCIONS = {"int": int, "float": float, "bool": _bool, "str": str,
+              "int | None": _optional_int}
+# TrainConfig fields whose key is not train.<field>
+_TRAIN_KEYS = {"seed": "seed", "lift_eps": "ot.eps"}
+
+
+def _train_key(name: str) -> str:
+    return _TRAIN_KEYS.get(name, f"train.{name}")
+
+
+# dotted key -> (coercion, default); trainer defaults come from TrainConfig
 REGISTRY: dict[str, tuple] = {
-    "seed": (int, 0),
     "data.path": (str, ""),
     "data.per_class": (int, 20),
     "data.val_fraction": (float, 1.0 / 3.0),
-    "ot.eps": (float, 0.5),
-    "train.lambda_kl": (float, 1.0),
-    "train.lambda_spec": (float, 1.0),
-    "train.lr": (float, 1e-3),
-    "train.weight_decay": (float, 5e-4),
-    "train.epochs": (int, 200),
-    "train.patience": (int, 30),
-    "train.delta": (float, 0.05),
-    "train.dt": (float, 0.1),
-    "train.gap_steps": (int, 5),
-    "train.fd_check": (_bool, False),
-    "train.d_v": (int, 16),
-    "train.d_e": (_optional_int, None),
-    "train.n_layers": (int, 1),
-    "train.cheb_order": (int, 3),
-    "train.cg_tol": (float, 1e-8),
-    "train.cg_max_iter": (int, 1000),
-    "train.a0": (float, 1.0),
-    "train.b0": (float, 1.0),
-    "train.gamma_cap": (float, 50.0),
-    "train.optimizer": (str, "gd"),
+    **{_train_key(f.name): (_COERCIONS[f.type], f.default)
+       for f in fields(TrainConfig)},
 }
 
 
@@ -117,31 +109,8 @@ class RunConfig:
         return self.values[key]
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            lambda_kl=v["train.lambda_kl"],
-            lambda_spec=v["train.lambda_spec"],
-            lr=v["train.lr"],
-            weight_decay=v["train.weight_decay"],
-            epochs=v["train.epochs"],
-            patience=v["train.patience"],
-            delta=v["train.delta"],
-            dt=v["train.dt"],
-            gap_steps=v["train.gap_steps"],
-            fd_check=v["train.fd_check"],
-            d_v=v["train.d_v"],
-            d_e=v["train.d_e"],
-            n_layers=v["train.n_layers"],
-            cheb_order=v["train.cheb_order"],
-            cg_tol=v["train.cg_tol"],
-            cg_max_iter=v["train.cg_max_iter"],
-            a0=v["train.a0"],
-            b0=v["train.b0"],
-            gamma_cap=v["train.gamma_cap"],
-            lift_eps=v["ot.eps"],
-            optimizer=v["train.optimizer"],
-            seed=v["seed"],
-        )
+        return TrainConfig(**{f.name: self.values[_train_key(f.name)]
+                              for f in fields(TrainConfig)})
 
     def hash(self) -> str:
         """Stable digest of the merged configuration, for run manifests."""

@@ -1,10 +1,10 @@
 """Differentiable sheaf diffusion classifier.
 
 The trainable surface is W_theta (restriction maps), gamma (filter logits),
-W_mix (branch fusion), and W_cls (classifier).  The feature projection and
-the per-edge transport plans are frozen inputs, and within an epoch the
-calibration weights, coupling statistics, and spectral terms are constants
-of the loss; gradients for everything else are exact reverse-mode, with
+W_mix (branch fusion), and W_cls (classifier).  The loss is the calibrated
+cross-entropy over the train mask.  The feature projection, the per-edge
+transport plans and, within an epoch, the calibration weights are frozen
+inputs; gradients for everything else are exact reverse-mode, with
 hand-derived adjoints for the implicit solve, the Chebyshev recurrence, and
 the inverse-square-root matrix function.
 
@@ -89,10 +89,6 @@ class EpochContext:
     cg_tol: float = 1e-8
     cg_max_iter: int = 1000
     n_layers: int = 1
-    kl_value: float = 0.0
-    spec_value: float = 0.0
-    lambda_kl: float = 1.0
-    lambda_spec: float = 1.0
 
 
 # ---------------------------------------------------------------- primitives
@@ -362,41 +358,37 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     return logits, leaves, aux
 
 
-def model_loss(params: ModelParams, ctx: EpochContext):
-    """Total loss Var: calibrated CE plus the frozen KL/spectral terms."""
-    logits, leaves, aux = forward_tape(params, ctx)
-    ce, probs = calibrated_ce(logits, ctx)
-    loss = Var(ce.value + ctx.lambda_kl * ctx.kl_value
-               + ctx.lambda_spec * ctx.spec_value, [(ce, lambda g: g)])
-    aux["probs"] = probs
-    aux["logits"] = logits.value
-    aux["ce"] = ce.value
-    return loss, leaves, aux
-
-
 def loss_value(params: ModelParams, ctx: EpochContext) -> float:
-    loss, _, _ = model_loss(params, ctx)
-    return float(loss.value)
+    """The epoch loss: calibrated CE of one forward pass."""
+    logits, _, _ = forward_tape(params, ctx)
+    return float(calibrated_ce(logits, ctx)[0].value)
 
 
-def grad_params(params: ModelParams, ctx: EpochContext):
-    """Exact gradients of the epoch loss for every trainable block."""
-    loss, leaves, aux = model_loss(params, ctx)
-    backward(loss)
+def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
+    """Each leaf's accumulated gradient, zero where none reached it.
+
+    Raises FloatingPointError naming the first leaf with a non-finite entry.
+    """
     grads = {}
     for name, leaf in leaves.items():
         g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
         if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in {name}: |g|_max="
-                f"{np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else np.nan}")
+            raise FloatingPointError(f"non-finite gradient in {name}")
         grads[name] = g
-    return grads, float(loss.value), aux
+    return grads
+
+
+def grad_params(params: ModelParams, ctx: EpochContext):
+    """Exact gradients of the epoch loss for every trainable block."""
+    logits, leaves, aux = forward_tape(params, ctx)
+    ce, _ = calibrated_ce(logits, ctx)
+    backward(ce)
+    return leaf_grads(leaves), float(ce.value), aux
 
 
 def finite_difference_gradients(params: ModelParams, ctx: EpochContext,
                                 step: float = 1e-4) -> dict[str, np.ndarray]:
-    """Central differences of the full loss, one entry at a time."""
+    """Central differences of the epoch loss, one entry at a time."""
     out = {}
     for name, base in params.trainable().items():
         g = np.zeros_like(base)

@@ -7,11 +7,14 @@ Beta-posterior fixed point that refreshes the calibration weights, and
 (4) loss assembly and the parameter step.  The ascent's first gap
 estimate prices the spectral penalty and its last one is reported.  The
 transport plans depend only on the frozen feature projection, so they
-are computed once per run and cached.
+are computed once per run and cached; `run_plans` builds them and
+`epoch_context` gathers them with the rest of the loss's frozen inputs.
 
-Within an epoch the plans, calibration weights, coupling statistics, and
-both bound terms are constants of the loss; gradients flow through the
-restriction maps into both diffusion branches.
+The loss on the tape is the calibrated cross-entropy alone.  Within an
+epoch the plans and calibration weights are constants of it, and
+gradients flow through the restriction maps into both diffusion branches.
+The KL and spectral bound terms are computed and reported here, and never
+enter the tape.
 
 Connectivity here means the gap of the degree-normalized operator above
 its null modes.  Transport-built restriction stacks are rank-deficient
@@ -55,6 +58,7 @@ from .model import (
     finite_difference_gradients,
     forward_tape,
     init_params,
+    leaf_grads,
 )
 from .spectral import WolfeConfig, run_gap_ascent, spec_penalty
 from .transport import LiftConfig, edge_plans
@@ -223,13 +227,8 @@ def train_epoch(state: TrainState, data: Dataset,
     """One full pass: forward, gap ascent, posterior fixed point, update."""
     t0 = time.perf_counter()
     g, labels, split = data.g, data.labels, data.split
-    ctx0 = EpochContext(
-        n=g.n, d_v=state.X0.shape[1], edges=g.edges, plans=state.plans,
-        X0=state.X0, y=labels.y, C=labels.C, train_idx=split.train,
-        kappa=np.zeros(g.n), dt=cfg.dt, cg_tol=cfg.cg_tol,
-        cg_max_iter=cfg.cg_max_iter, n_layers=cfg.n_layers,
-        lambda_kl=cfg.lambda_kl, lambda_spec=cfg.lambda_spec)
-    logits, leaves, aux = forward_tape(state.params, ctx0)
+    ctx = epoch_context(data, state.plans, state.X0, cfg)
+    logits, leaves, aux = forward_tape(state.params, ctx)
     y_hat = _softmax(logits.value)
 
     _, gap = run_gap_ascent(aux["L"], WolfeConfig(), steps=cfg.gap_steps,
@@ -243,7 +242,7 @@ def train_epoch(state: TrainState, data: Dataset,
 
     kl = kl_term(posterior, state.prior, split.train.size, cfg.delta)
     spec = spec_penalty(coupling.c_het, gap.lambda2_history[0])
-    ctx = replace(ctx0, kappa=kappa, kl_value=kl, spec_value=spec)
+    ctx = replace(ctx, kappa=kappa)
     ce, _ = calibrated_ce(logits, ctx)
     raw_loss = total_loss(float(ce.value), kl, spec, cfg)
     if not np.isfinite(raw_loss) or raw_loss > DIVERGENCE_LIMIT:
@@ -252,13 +251,10 @@ def train_epoch(state: TrainState, data: Dataset,
             f"{DIVERGENCE_LIMIT:.0e}")
 
     backward(ce)
-    grads = {}
-    for name, leaf in leaves.items():
-        gmat = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        if not np.all(np.isfinite(gmat)):
-            raise FloatingPointError(
-                f"epoch {state.epoch}: non-finite gradient in {name}")
-        grads[name] = gmat
+    try:
+        grads = leaf_grads(leaves)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"epoch {state.epoch}: {exc}") from exc
     if cfg.fd_check:
         fd = finite_difference_gradients(state.params, ctx, step=1e-4)
         for name in grads:
@@ -293,8 +289,28 @@ def train_epoch(state: TrainState, data: Dataset,
     return state, report
 
 
-def _identity_plans(m: int, d_v: int) -> np.ndarray:
-    return np.tile(np.eye(d_v), (m, 1, 1))
+def run_plans(data: Dataset, W_proj: np.ndarray, cfg: TrainConfig,
+              variant: str) -> np.ndarray:
+    """The run-constant transport plans of a fit, one (d_v, d_v) per edge.
+
+    scalar_edge uses identity plans; we_lift lifts the projected features.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "scalar_edge":
+        return np.tile(np.eye(cfg.d_v), (data.g.m, 1, 1))
+    return edge_plans(data.g.edges, data.feats.H, W_proj, cfg.lift_config())
+
+
+def epoch_context(data: Dataset, plans: np.ndarray, X0: np.ndarray,
+                  cfg: TrainConfig) -> EpochContext:
+    """The loss's frozen inputs, with calibration weights still at zero."""
+    g, labels = data.g, data.labels
+    return EpochContext(
+        n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,
+        y=labels.y, C=labels.C, train_idx=data.split.train,
+        kappa=np.zeros(g.n), dt=cfg.dt, cg_tol=cfg.cg_tol,
+        cg_max_iter=cfg.cg_max_iter, n_layers=cfg.n_layers)
 
 
 def init_state(data: Dataset, cfg: TrainConfig,
@@ -304,8 +320,6 @@ def init_state(data: Dataset, cfg: TrainConfig,
     scalar_edge pins every restriction map to the identity (the plain graph
     Laplacian baseline) and freezes it.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     g, feats, labels = data.g, data.feats, data.labels
     d_e = cfg.d_v if variant == "scalar_edge" else cfg.d_e
     params = init_params(feats.d0, cfg.d_v, d_e, labels.C,
@@ -313,10 +327,8 @@ def init_state(data: Dataset, cfg: TrainConfig,
     frozen = frozenset()
     if variant == "scalar_edge":
         params.W_theta = np.eye(cfg.d_v)
-        plans = _identity_plans(g.m, cfg.d_v)
         frozen = frozenset({"W_theta"})
-    else:
-        plans = edge_plans(g.edges, feats.H, params.W_proj, cfg.lift_config())
+    plans = run_plans(data, params.W_proj, cfg, variant)
     X0 = feats.H @ params.W_proj
     prior = init_prior(g.m, cfg.a0, cfg.b0)
     return TrainState(params=params, prior=prior, plans=plans, X0=X0,
@@ -361,22 +373,11 @@ class EvalResult:
 
 
 def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
-             plans: np.ndarray | None = None,
              variant: str = "we_lift") -> EvalResult:
     """Forward pass plus one posterior refresh, no parameter movement."""
-    g, feats, labels, split = data.g, data.feats, data.labels, data.split
-    if plans is None:
-        if variant == "scalar_edge":
-            plans = _identity_plans(g.m, cfg.d_v)
-        else:
-            plans = edge_plans(g.edges, feats.H, params.W_proj,
-                               cfg.lift_config())
-    X0 = feats.H @ params.W_proj
-    ctx = EpochContext(
-        n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,
-        y=labels.y, C=labels.C, train_idx=split.train, kappa=np.zeros(g.n),
-        dt=cfg.dt, cg_tol=cfg.cg_tol, cg_max_iter=cfg.cg_max_iter,
-        n_layers=cfg.n_layers)
+    g, labels, split = data.g, data.labels, data.split
+    plans = run_plans(data, params.W_proj, cfg, variant)
+    ctx = epoch_context(data, plans, data.feats.H @ params.W_proj, cfg)
     logits, _, aux = forward_tape(params, ctx)
     y_hat = _softmax(logits.value)
     posterior = posterior_update(
@@ -435,24 +436,19 @@ def risk_variance_series(reports: list[EpochReport], warmup: int = 0,
 
 def stability_metric(params_t: ModelParams, params_0: ModelParams,
                      data: Dataset, cfg: TrainConfig,
-                     probe_idx: np.ndarray | None = None) -> float:
+                     probe_idx: np.ndarray | None = None,
+                     variant: str = "we_lift") -> float:
     """Encoder drift: 2-norm of the pre-softmax output difference.
 
-    Both parameter sets share the frozen projection, so one lift serves
-    both forward passes.
+    Both parameter sets share the frozen projection, so one set of the
+    variant's plans serves both forward passes.
     """
-    g, feats, labels, split = data.g, data.feats, data.labels, data.split
-    plans = edge_plans(g.edges, feats.H, params_0.W_proj, cfg.lift_config())
-    X0 = feats.H @ params_0.W_proj
-    ctx = EpochContext(
-        n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,
-        y=labels.y, C=labels.C, train_idx=split.train, kappa=np.zeros(g.n),
-        dt=cfg.dt, cg_tol=cfg.cg_tol, cg_max_iter=cfg.cg_max_iter,
-        n_layers=cfg.n_layers)
+    plans = run_plans(data, params_0.W_proj, cfg, variant)
+    ctx = epoch_context(data, plans, data.feats.H @ params_0.W_proj, cfg)
     z_t = forward_tape(params_t, ctx)[0].value
     z_0 = forward_tape(params_0, ctx)[0].value
     if probe_idx is None:
-        probe_idx = np.arange(g.n)
+        probe_idx = np.arange(data.g.n)
     return float(np.linalg.norm(z_t[probe_idx] - z_0[probe_idx]))
 
 

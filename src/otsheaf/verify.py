@@ -273,8 +273,7 @@ def _gradcheck_fixture(seed_base: int = 0, C: int = 3, d_v: int = 3):
             n=g.n, d_v=d_v, edges=g.edges, plans=plans,
             X0=H @ params.W_proj, y=y, C=C, train_idx=np.arange(0, 10, 2),
             kappa=rng.uniform(0.4, 0.9, size=g.n),
-            dt=0.1, cg_tol=1e-12, cg_max_iter=4000, n_layers=1,
-            kl_value=0.3, spec_value=0.2)
+            dt=0.1, cg_tol=1e-12, cg_max_iter=4000, n_layers=1)
         _, _, aux = forward_tape(params, ctx)
         pre = np.concatenate([p.ravel() for p in aux["pre_acts"]])
         diag = aux["diag"].value

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from otsheaf.config import (
@@ -9,6 +11,7 @@ from otsheaf.config import (
     parse_config_file,
     parse_overrides,
 )
+from otsheaf.training import TrainConfig
 
 
 class TestCoercion:
@@ -86,6 +89,11 @@ class TestBuildConfig:
         assert tc.seed == 9
         assert tc.d_v == 5
         assert tc.d_e == 5        # unset edge dimension follows d_v
+
+    def test_defaults_are_train_config_defaults(self):
+        # the trainer's keys are read off TrainConfig, one per field
+        assert build_config().train_config() == TrainConfig()
+        assert len(REGISTRY) == 3 + len(dataclasses.fields(TrainConfig))
 
     def test_hash_stable_and_value_sensitive(self):
         a = RunConfig(values=default_values(), out_dir="runs")

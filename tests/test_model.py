@@ -29,7 +29,6 @@ from otsheaf.model import (
     isqrt_blocks,
     laplacian_blocks,
     loss_value,
-    model_loss,
     restriction_maps,
     sandwich_blocks,
     svr_branch,
@@ -72,7 +71,6 @@ def make_context(seed=0, n_layers=1, C=3, d_v=3, d_e=3):
             y=y, C=C, train_idx=np.arange(0, 10, 2),
             kappa=rng.uniform(0.4, 0.9, size=g.n),
             dt=0.1, cg_tol=1e-12, cg_max_iter=4000, n_layers=n_layers,
-            kl_value=0.3, spec_value=0.2,
         )
         logits, _, aux = forward_tape(params, ctx)
         pre = np.concatenate([p.ravel() for p in aux["pre_acts"]])
@@ -391,8 +389,7 @@ class TestFullGradcheck:
         ctx0 = replace(ctx, kappa=np.zeros(ctx.n))
         grads, loss, _ = grad_params(params, ctx0)
         # fully shrunk predictions are constant, so the loss is flat
-        assert loss == pytest.approx(np.log(ctx.C) + ctx.kl_value
-                                     + ctx.spec_value)
+        assert loss == pytest.approx(np.log(ctx.C))
         for g in grads.values():
             assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -438,12 +435,6 @@ class TestForwardParity:
         L = aux["L"]
         assert L.diag is aux["diag"].value and L.off is aux["off"].value
         assert L._bsr is not None   # built by the first layer's CG solve
-
-    def test_loss_includes_frozen_terms(self):
-        params, ctx = make_context()
-        loss, _, aux = model_loss(params, ctx)
-        assert loss.value == pytest.approx(
-            aux["ce"] + ctx.kl_value + ctx.spec_value)
 
     def test_loss_deterministic(self):
         params, ctx = make_context()

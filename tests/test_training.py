@@ -36,6 +36,7 @@ from otsheaf.laplacian import (
     assemble_laplacian,
     normalized_range_gap,
 )
+from otsheaf.model import forward_tape
 from otsheaf.training import (
     CURVE_COLUMNS,
     ContractionStats,
@@ -43,6 +44,7 @@ from otsheaf.training import (
     EpochReport,
     TrainConfig,
     TrainingDiverged,
+    epoch_context,
     evaluate,
     fit,
     init_state,
@@ -361,6 +363,30 @@ class TestTrainEpoch:
         with pytest.raises(TrainingDiverged):
             train_epoch(state, data, cfg)
 
+    def test_nonfinite_gradient_names_the_epoch(self, monkeypatch):
+        import otsheaf.training as training
+        leaves = []
+        real_tape, real_backward = training.forward_tape, training.backward
+
+        def kept_tape(*args, **kwargs):
+            out = real_tape(*args, **kwargs)
+            leaves.append(out[1])
+            return out
+
+        def poisoned(root):
+            real_backward(root)
+            leaves[-1]["W_cls"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "forward_tape", kept_tape)
+        monkeypatch.setattr(training, "backward", poisoned)
+        data = two_cluster_dataset()
+        cfg = small_cfg()
+        state = init_state(data, cfg)
+        state.epoch = 4
+        with pytest.raises(FloatingPointError,
+                           match="epoch 4: non-finite gradient in W_cls"):
+            train_epoch(state, data, cfg)
+
     def test_one_edge_toy_matches_module_chain(self):
         g = Graph.from_edges(2, [(0, 1)])
         rng = np.random.default_rng(5)
@@ -550,6 +576,24 @@ class TestStability:
         for _ in range(3):
             state, _ = train_epoch(state, data, cfg)
         assert stability_metric(state.params, start, data, cfg) > 0.0
+
+    def test_scalar_edge_drift_uses_identity_plans(self):
+        # a scalar_edge fit never sees the lift, so its drift is measured on
+        # the operator its identity plans build
+        data = two_cluster_dataset()
+        cfg = small_cfg(lr=0.5)
+        state = init_state(data, cfg, "scalar_edge")
+        start = state.params.copy()
+        for _ in range(2):
+            state, _ = train_epoch(state, data, cfg)
+        identity = np.tile(np.eye(cfg.d_v), (data.g.m, 1, 1))
+        ctx = epoch_context(data, identity, data.feats.H @ start.W_proj, cfg)
+        z_t = forward_tape(state.params, ctx)[0].value
+        z_0 = forward_tape(start, ctx)[0].value
+        drift = stability_metric(state.params, start, data, cfg,
+                                 variant="scalar_edge")
+        assert drift == float(np.linalg.norm(z_t - z_0))
+        assert drift != stability_metric(state.params, start, data, cfg)
 
     def test_bound_formula(self):
         val = stability_bound(4.0, 1.0, 0.1, 2.0, 1e-8, 50)
