@@ -1,4 +1,4 @@
-"""Command-line drivers: convert, train, verify, sweep.
+"""Command-line drivers: convert, train, verify.
 
 Exit codes: 0 success, 1 runtime error, 2 verification failure.  Every
 command is deterministic given its configuration and seed; run artifacts
@@ -9,16 +9,13 @@ configuration hash they were produced from.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from .autodiff import Var
 from .config import REGISTRY, build_config
 from .graphs import convert_csv, homophily_ratio, load_graph, make_split, save_graph
-from .laplacian import SheafIncidence, assemble_laplacian
-from .model import restriction_maps
+from .laplacian import assemble_laplacian
 from .training import (
     Dataset,
     evaluate,
@@ -27,10 +24,8 @@ from .training import (
     write_curves,
     write_reliability,
 )
+from .transport import restrictions_from_plans
 from .verify import CHECKS, run_checks
-
-SWEEP_PARAMS = {"lambda_kl": "train.lambda_kl",
-                "lambda_spec": "train.lambda_spec"}
 
 
 def _write_manifest(out_dir: Path, config_hash: str, artifacts) -> None:
@@ -62,9 +57,7 @@ def cmd_convert(args) -> int:
 def _dump_laplacian(params, data, cfg, path: Path) -> None:
     """Block-expanded `row col value` triplets of the trained operator."""
     plans = run_plans(data, params.W_proj, cfg, "we_lift")
-    Rij, Rji = restriction_maps(Var(params.W_theta), plans)
-    B = SheafIncidence(n=data.g.n, edges=data.g.edges,
-                       Rij=Rij.value, Rji=Rji.value)
+    B = restrictions_from_plans(data.g, plans, params.W_theta)
     rows, cols, vals = assemble_laplacian(B).coo_rows()
     with open(path, "w") as fh:
         for r, c, v in zip(rows, cols, vals):
@@ -123,42 +116,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    key = SWEEP_PARAMS[args.param]
-    try:
-        grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad grid {args.grid!r}: {exc}") from exc
-    if not grid:
-        raise ValueError("empty grid")
-    cfg = build_config(args.config, args.set, args.out)
-    data = _load_dataset(cfg)
-    out_dir = cfg.out_dir.resolve()
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for value in grid:
-        cfg.values[key] = value
-        _, reports = fit(data, cfg.train_config())
-        best = max(reports, key=lambda r: r.val_acc)
-        rows.append((value, best.val_acc, best.test_acc, best.epoch))
-        print(f"{args.param}={value:g}: val {best.val_acc:.4f} "
-              f"test {best.test_acc:.4f} (epoch {best.epoch})")
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((args.param, "val_acc", "test_acc", "best_epoch"))
-        for value, val_acc, test_acc, epoch in rows:
-            writer.writerow([f"{value:.10g}", f"{val_acc:.10g}",
-                             f"{test_acc:.10g}", epoch])
-    _write_manifest(out_dir, cfg.hash(), ["sweep.csv"])
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otsheaf",
         description="Transport-lifted sheaf diffusion: dataset conversion, "
-                    "training, theorem verification, and penalty sweeps.")
+                    "training, and theorem verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="assemble a JSON dataset from CSVs")
@@ -168,17 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="destination JSON path")
     p.set_defaults(func=cmd_convert)
 
-    def add_config_flags(p):
-        p.add_argument("--config", default=None,
-                       help="key = value configuration file")
-        p.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="override a config key (repeatable); known keys: "
-                            + ", ".join(sorted(REGISTRY)))
-        p.add_argument("--out", default="runs", help="artifact directory")
-
     p = sub.add_parser("train", help="fit a model and write run artifacts")
-    add_config_flags(p)
+    p.add_argument("--config", default=None,
+                   help="key = value configuration file")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a config key (repeatable); known keys: "
+                        + ", ".join(sorted(REGISTRY)))
+    p.add_argument("--out", default="runs", help="artifact directory")
     p.add_argument("--dump-laplacian", action="store_true",
                    help="also write the trained operator as "
                         "'row col value' triplets")
@@ -189,13 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", nargs="?", default="all",
                    choices=["all", *CHECKS])
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="grid sweep of one penalty weight")
-    add_config_flags(p)
-    p.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMS))
-    p.add_argument("--grid", required=True,
-                   help="comma-separated values, e.g. 0.01,0.3,1.0")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 

@@ -87,8 +87,6 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
-    lambda_kl: float = 1.0
-    lambda_spec: float = 1.0
     lr: float = 1e-3
     weight_decay: float = 5e-4
     epochs: int = 200
@@ -111,8 +109,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "weight_decay", "dt", "cg_tol", "lambda_kl",
-                     "lambda_spec"):
+        for name in ("lr", "weight_decay", "dt", "cg_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("a0", "b0"):
@@ -151,7 +148,7 @@ class TrainConfig:
 class EpochReport:
     epoch: int
     emp_risk: float      # calibrated CE / ln C, clipped to [0, 1]
-    raw_loss: float      # unnormalized CE plus weighted penalty terms
+    raw_loss: float      # unnormalized CE plus kl and spec
     kl: float
     spec: float
     bound: float
@@ -177,13 +174,8 @@ class TrainState:
     opt_v: dict = field(default_factory=dict)
 
 
-def total_loss(emp_risk: float, kl: float, spec: float,
-               cfg: TrainConfig) -> float:
-    return emp_risk + cfg.lambda_kl * kl + cfg.lambda_spec * spec
-
-
 def pac_bayes_bound(emp_risk: float, kl: float, spec: float) -> float:
-    """Unit-weight population-risk bound: empirical risk plus both slack terms."""
+    """Population-risk bound: empirical risk plus both slack terms."""
     return emp_risk + kl + spec
 
 
@@ -244,7 +236,7 @@ def train_epoch(state: TrainState, data: Dataset,
     spec = spec_penalty(coupling.c_het, gap.lambda2_history[0])
     ctx = replace(ctx, kappa=kappa)
     ce, _ = calibrated_ce(logits, ctx)
-    raw_loss = total_loss(float(ce.value), kl, spec, cfg)
+    raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
     if not np.isfinite(raw_loss) or raw_loss > DIVERGENCE_LIMIT:
         raise TrainingDiverged(
             f"epoch {state.epoch}: loss {raw_loss:.3e} exceeds "
@@ -275,7 +267,7 @@ def train_epoch(state: TrainState, data: Dataset,
         raw_loss=raw_loss,
         kl=kl,
         spec=spec,
-        bound=total_loss(emp_norm, kl, spec, cfg),
+        bound=pac_bayes_bound(emp_norm, kl, spec),
         lambda2=gap.lambda2_history[-1],
         train_acc=_accuracy(cal, labels.y, split.train),
         val_acc=_accuracy(cal, labels.y, split.val),
@@ -407,7 +399,7 @@ class ContractionStats:
 
 def risk_variance_series(reports: list[EpochReport], warmup: int = 0,
                          slack: float = 1e-6) -> ContractionStats:
-    """Per-epoch unit-weight bounds with contraction statistics.
+    """Per-epoch bounds with contraction statistics.
 
     monotone_fraction counts post-warmup steps with B_{t+1} <= B_t + slack.
     The geometric rate is fitted to the successive increments |B_{t+1} - B_t|
@@ -415,8 +407,7 @@ def risk_variance_series(reports: list[EpochReport], warmup: int = 0,
     """
     if len(reports) < 10:
         raise ValueError("need at least 10 epochs of reports")
-    bounds = np.array([pac_bayes_bound(r.emp_risk, r.kl, r.spec)
-                       for r in reports])
+    bounds = np.array([r.bound for r in reports])
     tail = bounds[warmup:]
     if tail.size < 2:
         raise ValueError("warmup leaves fewer than 2 epochs")

@@ -163,40 +163,3 @@ class TestVerifyCommand:
     def test_unknown_check_is_a_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == 1
 
-
-class TestSweep:
-    def test_two_point_grid_two_rows(self, toy_json, tmp_path):
-        out = tmp_path / "sweep"
-        code = main(["sweep", "--param", "lambda_kl", "--grid", "0.1,1.0",
-                     "--set", f"data.path={toy_json}",
-                     "--set", "train.epochs=3", "--set", "train.d_v=4",
-                     "--set", "data.per_class=5", "--out", str(out)])
-        assert code == 0
-        with open(out / "sweep.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["lambda_kl", "val_acc", "test_acc", "best_epoch"]
-        assert len(rows) == 3
-        assert [r[0] for r in rows[1:]] == ["0.1", "1"]
-
-    def test_single_point_matches_train_curves(self, toy_json, tmp_path):
-        run = tmp_path / "run"
-        assert main(_train_args(toy_json, run)) == 0
-        out = tmp_path / "sweep"
-        code = main(["sweep", "--param", "lambda_spec", "--grid", "1.0",
-                     "--set", f"data.path={toy_json}",
-                     "--set", "train.epochs=3", "--set", "train.d_v=4",
-                     "--set", "data.per_class=5", "--out", str(out)])
-        assert code == 0
-        with open(run / "curves.csv") as fh:
-            curve_rows = list(csv.DictReader(fh))
-        with open(out / "sweep.csv") as fh:
-            sweep_row = list(csv.DictReader(fh))[0]
-        best = max(curve_rows, key=lambda r: float(r["val_acc"]))
-        assert float(sweep_row["val_acc"]) == float(best["val_acc"])
-        assert float(sweep_row["test_acc"]) == float(best["test_acc"])
-
-    def test_bad_grid_exits_one(self, toy_json, capsys):
-        code = main(["sweep", "--param", "lambda_kl", "--grid", "a,b",
-                     "--set", f"data.path={toy_json}"])
-        assert code == 1
-        assert "grid" in capsys.readouterr().err

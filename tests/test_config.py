@@ -52,10 +52,12 @@ class TestConfigFile:
             parse_config_file(p)
 
     def test_unknown_key_in_file_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("train.lerning_rate = 0.1\n")
-        with pytest.raises(KeyError):
-            parse_config_file(p)
+        # a misspelled key, and a removed one
+        for key in ("train.lerning_rate", "train.lambda_kl"):
+            p = tmp_path / "run.cfg"
+            p.write_text(f"{key} = 0.1\n")
+            with pytest.raises(KeyError, match=key):
+                parse_config_file(p)
 
 
 class TestOverrides:

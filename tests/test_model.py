@@ -20,12 +20,10 @@ from otsheaf.laplacian import (
     assemble_laplacian,
 )
 from otsheaf.model import (
-    EpochContext,
     cheb_branch,
     finite_difference_gradients,
     forward_tape,
     grad_params,
-    init_params,
     isqrt_blocks,
     laplacian_blocks,
     loss_value,
@@ -33,54 +31,14 @@ from otsheaf.model import (
     sandwich_blocks,
     svr_branch,
 )
-from otsheaf.transport import LiftConfig, edge_plans, restrictions_from_plans
+from otsheaf.transport import restrictions_from_plans
+from otsheaf.verify import _gradcheck_fixture
 from tests.test_laplacian import dense_sls
 
 
 def rel_err(a, b):
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
-
-
-def make_context(seed=0, n_layers=1, C=3, d_v=3, d_e=3):
-    """10-node fixture kept away from ReLU kinks and eigenvalue crossings.
-
-    Finite differences only probe the smooth region if no pre-activation
-    sits within the step of zero and no diagonal block has (near-)repeated
-    or near-cutoff eigenvalues, so seeds are scanned for adequate margins.
-    Features are strictly positive so every lifted atom carries real mass,
-    and d_e = d_v keeps the near-diagonal plans full rank; rank-deficient
-    edge stalks are exercised by the inverse-sqrt cutoff tests instead.
-    """
-    edges = [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (2, 7)]
-    g = Graph.from_edges(10, edges)
-    for trial in range(seed, seed + 40):
-        rng = np.random.default_rng(trial)
-        H = rng.uniform(0.5, 1.5, size=(10, 5))
-        y = rng.integers(0, C, size=10)
-        params = init_params(d0=5, d_v=d_v, d_e=d_e, C=C, cheb_order=3,
-                             seed=trial)
-        params.W_proj = rng.uniform(0.2, 0.8, size=params.W_proj.shape)
-        params.W_theta = rng.normal(0.0, 0.8, size=params.W_theta.shape)
-        params.gamma = rng.normal(0.0, 0.4, size=params.gamma.shape)
-        params.W_cls = rng.normal(0.0, 0.4, size=params.W_cls.shape)
-        X0 = H @ params.W_proj
-        plans = edge_plans(g.edges, H, params.W_proj, LiftConfig())
-        ctx = EpochContext(
-            n=g.n, d_v=d_v, edges=g.edges, plans=plans, X0=X0,
-            y=y, C=C, train_idx=np.arange(0, 10, 2),
-            kappa=rng.uniform(0.4, 0.9, size=g.n),
-            dt=0.1, cg_tol=1e-12, cg_max_iter=4000, n_layers=n_layers,
-        )
-        logits, _, aux = forward_tape(params, ctx)
-        pre = np.concatenate([p.ravel() for p in aux["pre_acts"]])
-        margin = np.abs(pre).min()
-        diag = aux["diag"].value
-        w = np.linalg.eigvalsh(0.5 * (diag + diag.transpose(0, 2, 1)))
-        gaps = np.diff(np.sort(w, axis=1), axis=1).min()
-        if margin > 5e-3 and gaps > 1e-2 and w.min() > 1e-2:
-            return params, ctx
-    raise RuntimeError("no fixture seed with adequate smoothness margins")
 
 
 def fd_tensor(fn, arr, step=1e-6):
@@ -124,7 +82,7 @@ class TestEngine:
 
 class TestPrimitiveGradients:
     def setup_method(self):
-        self.params, self.ctx = make_context()
+        self.params, self.ctx = _gradcheck_fixture()
         self.rng = np.random.default_rng(99)
 
     def test_restriction_maps(self):
@@ -323,7 +281,7 @@ class TestContractionFormulas:
         assert rel_close(Wv.grad, np.einsum("mqp,mdq->pd", plans, g_ji))
 
     def test_restriction_maps_match_transport_formula(self):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         g = Graph.from_edges(ctx.n, ctx.edges)
         Rij, Rji = restriction_maps(Var(params.W_theta), ctx.plans)
         rset = restrictions_from_plans(g, ctx.plans, params.W_theta)
@@ -348,7 +306,7 @@ class TestContractionFormulas:
 
 class TestSolverStatus:
     def test_unconverged_svr_solves_warn(self, caplog):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         ctx = replace(ctx, cg_max_iter=1)
         _, _, aux = forward_tape(params, ctx)
         Dv = Var(aux["diag"].value.copy())
@@ -367,7 +325,7 @@ class TestSolverStatus:
             assert ": 1 CG iterations, residual " in msg
 
     def test_converged_solves_stay_quiet(self, caplog):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         with caplog.at_level(logging.WARNING, logger="otsheaf.model"):
             grad_params(params, ctx)
         assert not [r for r in caplog.records if r.name == "otsheaf.model"]
@@ -376,7 +334,7 @@ class TestSolverStatus:
 class TestFullGradcheck:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_all_blocks_against_central_differences(self, n_layers):
-        params, ctx = make_context(n_layers=n_layers)
+        params, ctx = _gradcheck_fixture(n_layers=n_layers)
         grads, _, _ = grad_params(params, ctx)
         fd = finite_difference_gradients(params, ctx, step=1e-4)
         for name in grads:
@@ -384,7 +342,7 @@ class TestFullGradcheck:
             assert err <= 1e-4, f"{name}: relative error {err:.2e}"
 
     def test_zero_kappa_kills_gradients(self):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         from dataclasses import replace
         ctx0 = replace(ctx, kappa=np.zeros(ctx.n))
         grads, loss, _ = grad_params(params, ctx0)
@@ -395,7 +353,7 @@ class TestFullGradcheck:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_gradient_aborts(self):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         params.W_cls[0, 0] = np.inf
         with pytest.raises(FloatingPointError):
             grad_params(params, ctx)
@@ -403,7 +361,7 @@ class TestFullGradcheck:
 
 class TestForwardParity:
     def test_tape_matches_inference_pipeline(self):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         logits, _, aux = forward_tape(params, ctx)
         B = SheafIncidence(
             n=ctx.n, edges=ctx.edges,
@@ -430,12 +388,12 @@ class TestForwardParity:
         assert np.allclose(tape_probs, probs, atol=1e-10)
 
     def test_one_operator_serves_every_layer(self):
-        params, ctx = make_context(n_layers=2)
+        params, ctx = _gradcheck_fixture(n_layers=2)
         _, _, aux = forward_tape(params, ctx)
         L = aux["L"]
         assert L.diag is aux["diag"].value and L.off is aux["off"].value
         assert L._bsr is not None   # built by the first layer's CG solve
 
     def test_loss_deterministic(self):
-        params, ctx = make_context()
+        params, ctx = _gradcheck_fixture()
         assert loss_value(params, ctx) == loss_value(params, ctx)

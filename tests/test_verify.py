@@ -4,6 +4,7 @@ from scipy.sparse.linalg import eigsh
 
 from otsheaf.graphs import erdos_renyi
 from otsheaf.laplacian import DENSE_CUTOFF, assemble_laplacian
+from otsheaf import verify
 from otsheaf.verify import CHECKS, CheckResult, _lambda_max, _scalar_sheaf, run_checks
 
 EXPECTED_CHECKS = {"cg-bound", "gap-ascent", "variance", "contraction",
@@ -28,6 +29,24 @@ class TestRegistry:
         assert "toy" in r.summary() and "PASS" in r.summary()
         r = CheckResult("toy", False, measured=3.0, bound=2.0)
         assert "FAIL" in r.summary()
+
+
+class TestFixtureCost:
+    def test_training_fixtures_run_no_gap_ascent(self, monkeypatch):
+        # the checks read nothing the ascent moves (spec is priced from the
+        # first gap estimate), so a nonzero step count only costs time
+        import otsheaf.training as training
+        steps_seen = []
+        real = training.run_gap_ascent
+
+        def recording(*args, steps, **kwargs):
+            steps_seen.append(steps)
+            return real(*args, steps=steps, **kwargs)
+
+        monkeypatch.setattr(training, "run_gap_ascent", recording)
+        verify._synthetic_run.__wrapped__(epochs=10)
+        verify.check_oversmoothing.__wrapped__()
+        assert steps_seen and set(steps_seen) == {0}
 
 
 class TestLambdaMax:
