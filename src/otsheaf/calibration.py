@@ -26,7 +26,6 @@ class EdgeBeta:
     beta: np.ndarray
     a0: float
     b0: float
-    n_tot: np.ndarray  # cumulative absorbed message count per edge
 
     @property
     def mean(self) -> np.ndarray:
@@ -38,15 +37,10 @@ class PosteriorState:
     alpha_bar: np.ndarray
     beta_bar: np.ndarray
     kappa_bar: np.ndarray
-    n_tot: np.ndarray
     a0: float
     b0: float
     sweeps: int
     converged: bool
-
-    def as_prior(self) -> EdgeBeta:
-        return EdgeBeta(alpha=self.alpha_bar.copy(), beta=self.beta_bar.copy(),
-                        a0=self.a0, b0=self.b0, n_tot=self.n_tot.copy())
 
 
 @dataclass
@@ -59,7 +53,7 @@ def init_prior(m: int, a0: float = 1.0, b0: float = 1.0) -> EdgeBeta:
     if a0 < 1 or b0 < 1:
         raise ValueError("Beta prior parameters must be at least 1")
     return EdgeBeta(alpha=np.full(m, float(a0)), beta=np.full(m, float(b0)),
-                    a0=float(a0), b0=float(b0), n_tot=np.zeros(m))
+                    a0=float(a0), b0=float(b0))
 
 
 def class_coupling(kappa_bar: np.ndarray, labels: Labels, g: Graph,
@@ -92,7 +86,6 @@ def class_coupling(kappa_bar: np.ndarray, labels: Labels, g: Graph,
 
 def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
                      labels: Labels, mask: np.ndarray,
-                     coupling: ClassCoupling | None = None,
                      gamma_cap: float = 50.0, n_msg: int = 1,
                      max_sweeps: int = 10, tol: float = 1e-6) -> PosteriorState:
     """Fixed-point absorption of one round of n_msg messages per edge.
@@ -101,15 +94,14 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
     predictions, (ii) rescales it by Pi[c_i, c_j] / mean(Pi) using the
     predicted classes, (iii) forms the conjugate posterior and rescales any
     edge whose concentration alpha+beta exceeds gamma_cap back onto the cap.
-    The coupling matrix is recomputed from the new means between sweeps;
-    iteration stops when the posterior means move less than `tol` in max
-    norm, or after max_sweeps.
+    The coupling matrix starts from the prior means and is recomputed from
+    the new means between sweeps; iteration stops when the posterior means
+    move less than `tol` in max norm, or after max_sweeps.
     """
     I, J = g.edges[:, 0], g.edges[:, 1]
     s_raw = n_msg * np.einsum("ec,ec->e", predictions[I], predictions[J])
     c_hat = predictions.argmax(axis=1)
-    if coupling is None:
-        coupling = class_coupling(prior.mean, labels, g, mask)
+    coupling = class_coupling(prior.mean, labels, g, mask)
     kappa = prior.mean.copy()
     alpha_bar, beta_bar = prior.alpha.copy(), prior.beta.copy()
     sweeps = 0
@@ -138,8 +130,7 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
             break
     return PosteriorState(
         alpha_bar=alpha_bar, beta_bar=beta_bar, kappa_bar=kappa,
-        n_tot=prior.n_tot + n_msg, a0=prior.a0, b0=prior.b0,
-        sweeps=sweeps, converged=converged,
+        a0=prior.a0, b0=prior.b0, sweeps=sweeps, converged=converged,
     )
 
 
@@ -155,20 +146,13 @@ def node_kappa(posterior: PosteriorState, g: Graph) -> np.ndarray:
     return np.divide(sums, deg, out=np.full(g.n, prior_mean), where=deg > 0)
 
 
-def calibrate_prediction(y_hat: np.ndarray, kappa: np.ndarray,
-                         y_prior: np.ndarray | None = None) -> np.ndarray:
-    """Shrink predictions toward a prior: kappa * y_hat + (1 - kappa) * prior.
-
-    The prior defaults to the uniform distribution over classes.
-    """
+def calibrate_prediction(y_hat: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Shrink predictions toward uniform: kappa * y_hat + (1 - kappa) / C."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    C = y_hat.shape[-1]
-    if y_prior is None:
-        y_prior = np.full(C, 1.0 / C)
     k = np.asarray(kappa, dtype=np.float64)
     if k.ndim == y_hat.ndim - 1:
         k = k[..., None]
-    return k * y_hat + (1.0 - k) * y_prior
+    return k * y_hat + (1.0 - k) * (1.0 / y_hat.shape[-1])
 
 
 def beta_kl(a1, b1, a0, b0):

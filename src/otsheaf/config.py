@@ -16,15 +16,6 @@ from pathlib import Path
 from .training import TrainConfig
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _optional_int(text: str):
     low = text.strip().lower()
     if low in ("", "none"):
@@ -34,7 +25,7 @@ def _optional_int(text: str):
 
 # TrainConfig annotation -> coercion; the annotations are strings under
 # postponed evaluation
-_COERCIONS = {"int": int, "float": float, "bool": _bool, "str": str,
+_COERCIONS = {"int": int, "float": float, "str": str,
               "int | None": _optional_int}
 # TrainConfig fields whose key is not train.<field>
 _TRAIN_KEYS = {"seed": "seed", "lift_eps": "ot.eps"}

@@ -34,19 +34,18 @@ class CGResult:
     converged: bool
 
 
-def cg_solve(apply_A, b: np.ndarray, cfg: CGConfig, x0: np.ndarray | None = None,
-             precond=None) -> CGResult:
+def cg_solve(apply_A, b: np.ndarray, cfg: CGConfig, precond=None) -> CGResult:
     """Conjugate gradients on a symmetric positive (semi)definite system.
 
     apply_A maps a vector to A @ vector; precond, if given, applies an SPD
-    approximation of A^{-1}.  Iterates until the (unpreconditioned) residual
-    2-norm drops to cfg.tol; returns the best iterate with converged=False
-    if the budget runs out.
+    approximation of A^{-1}.  Starts from zero and iterates until the
+    (unpreconditioned) residual 2-norm drops to cfg.tol; returns the best
+    iterate with converged=False if the budget runs out.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError("cg_solve expects a single right-hand side")
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
+    x = np.zeros_like(b)
     r = b - apply_A(x)
     res = float(np.linalg.norm(r))
     if res <= cfg.tol:
@@ -102,12 +101,11 @@ class DiffusionInfo:
     converged: bool
 
 
-def svr_diffuse(L, X: np.ndarray, cfg: DiffusionConfig,
-                warm: np.ndarray | None = None) -> tuple[np.ndarray, DiffusionInfo]:
+def svr_diffuse(L, X: np.ndarray,
+                cfg: DiffusionConfig) -> tuple[np.ndarray, DiffusionInfo]:
     """Implicit smoothing (I + dt L)^{-1} X, one CG solve per signal column.
 
-    `warm` (same shape as X) supplies previous-epoch solutions as starting
-    iterates; Jacobi block preconditioning uses the diagonal blocks of L.
+    Jacobi block preconditioning uses the diagonal blocks of L.
     """
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
@@ -118,8 +116,7 @@ def svr_diffuse(L, X: np.ndarray, cfg: DiffusionConfig,
     out = np.empty_like(Xc)
     iters, total, res, ok = 0, 0, 0.0, True
     for c in range(Xc.shape[1]):
-        x0 = None if warm is None else warm.reshape(Xc.shape)[:, c]
-        r = cg_solve(apply_A, Xc[:, c], cgc, x0=x0, precond=precond)
+        r = cg_solve(apply_A, Xc[:, c], cgc, precond=precond)
         out[:, c] = r.x
         iters = max(iters, r.iterations)
         total += r.iterations

@@ -78,14 +78,6 @@ class SplitMask:
     test: np.ndarray
     seed: int
 
-    def bool_masks(self, n: int):
-        out = []
-        for idx in (self.train, self.val, self.test):
-            mask = np.zeros(n, dtype=bool)
-            mask[idx] = True
-            out.append(mask)
-        return tuple(out)
-
 
 def load_graph(path) -> tuple[Graph, NodeFeatures, Labels]:
     """Load a dataset from the JSON graph format.

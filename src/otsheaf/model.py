@@ -43,7 +43,6 @@ class ModelParams:
     gamma: np.ndarray    # (Q + 1,) filter logits
     W_mix: np.ndarray    # (d_v, 2 d_v)
     W_cls: np.ndarray    # (C, d_v)
-    seed: int
 
     def trainable(self) -> dict[str, np.ndarray]:
         return {"W_theta": self.W_theta, "gamma": self.gamma,
@@ -52,7 +51,7 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(W_proj=self.W_proj.copy(), W_theta=self.W_theta.copy(),
                            gamma=self.gamma.copy(), W_mix=self.W_mix.copy(),
-                           W_cls=self.W_cls.copy(), seed=self.seed)
+                           W_cls=self.W_cls.copy())
 
     def with_updates(self, updates: dict[str, np.ndarray]) -> "ModelParams":
         return replace(self, **{k: v.copy() for k, v in updates.items()})
@@ -69,7 +68,7 @@ def init_params(d0: int, d_v: int, d_e: int, C: int, cheb_order: int,
     W_cls = rng.normal(0.0, 0.01, size=(C, d_v))
     return ModelParams(W_proj=W_proj, W_theta=W_theta,
                        gamma=np.zeros(cheb_order + 1), W_mix=W_mix,
-                       W_cls=W_cls, seed=seed)
+                       W_cls=W_cls)
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,10 @@ class EpochContext:
     C: int
     train_idx: np.ndarray
     kappa: np.ndarray        # (n,) node calibration weights
-    dt: float = 0.1
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 1000
-    n_layers: int = 1
+    dt: float
+    cg_tol: float
+    cg_max_iter: int
+    n_layers: int
 
 
 # ---------------------------------------------------------------- primitives
@@ -288,7 +287,7 @@ def cheb_branch(md: Var, mo: Var, SLS: SheafLaplacian, gamma: Var, x,
     return Var(out_flat.reshape(xv.shape), parents)
 
 
-def calibrated_ce(logits: Var, ctx: EpochContext) -> tuple[Var, np.ndarray]:
+def calibrated_ce(logits: Var, ctx: EpochContext) -> Var:
     """Mean cross-entropy of kappa-blended probabilities over the train mask."""
     z = logits.value
     zs = z - z.max(axis=1, keepdims=True)
@@ -310,13 +309,12 @@ def calibrated_ce(logits: Var, ctx: EpochContext) -> tuple[Var, np.ndarray]:
         G[idx] = rows * float(g)
         return G
 
-    return Var(loss, [(logits, vjp)]), probs
+    return Var(loss, [(logits, vjp)])
 
 
 # -------------------------------------------------------------- full forward
 
-def forward_tape(params: ModelParams, ctx: EpochContext,
-                 leaves: dict[str, Var] | None = None):
+def forward_tape(params: ModelParams, ctx: EpochContext):
     """Build the tape from frozen context to logits.
 
     Returns (logits Var, leaves dict, aux dict).  aux carries the block
@@ -327,8 +325,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
     built once too, from the sandwich blocks, and every layer's Chebyshev
     filter shares it.
     """
-    if leaves is None:
-        leaves = {name: Var(value) for name, value in params.trainable().items()}
+    leaves = {name: Var(value) for name, value in params.trainable().items()}
     Rij, Rji = restriction_maps(leaves["W_theta"], ctx.plans)
     diag, off = laplacian_blocks(Rij, Rji, ctx.edges, ctx.n)
     S, diag_eigh = isqrt_blocks(diag)
@@ -361,7 +358,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext,
 def loss_value(params: ModelParams, ctx: EpochContext) -> float:
     """The epoch loss: calibrated CE of one forward pass."""
     logits, _, _ = forward_tape(params, ctx)
-    return float(calibrated_ce(logits, ctx)[0].value)
+    return float(calibrated_ce(logits, ctx).value)
 
 
 def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
@@ -381,7 +378,7 @@ def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
 def grad_params(params: ModelParams, ctx: EpochContext):
     """Exact gradients of the epoch loss for every trainable block."""
     logits, leaves, aux = forward_tape(params, ctx)
-    ce, _ = calibrated_ce(logits, ctx)
+    ce = calibrated_ce(logits, ctx)
     backward(ce)
     return leaf_grads(leaves), float(ce.value), aux
 

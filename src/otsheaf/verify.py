@@ -24,7 +24,6 @@ from .laplacian import (
     SparsifierConfig,
     _extreme_eigs,
     assemble_laplacian,
-    estimate_spectrum,
     sparsify,
 )
 from .model import (
@@ -34,12 +33,7 @@ from .model import (
     grad_params,
     init_params,
 )
-from .spectral import (
-    DEGENERACY_REL_GAP,
-    WolfeConfig,
-    gap_gradient,
-    wolfe_ascent_step,
-)
+from .spectral import WolfeConfig, run_gap_ascent
 from .training import (
     Dataset,
     TrainConfig,
@@ -130,22 +124,13 @@ def check_gap_ascent(accepted_target: int = 50, seed: int = 7) -> CheckResult:
     B = SheafIncidence(n=g.n, edges=g.edges,
                        Rij=rng.normal(size=(g.m, 2, 2)),
                        Rji=rng.normal(size=(g.m, 2, 2)))
-    L = assemble_laplacian(B)
-    cfg = WolfeConfig()
-    est = estimate_spectrum(L, seed=seed)
-    history = [est.lambda2]
-    streak = 0
-    while streak < accepted_target:
-        degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
-            est.lambda_max, 1.0)
-        grad = gap_gradient(L, est.v2, est.v3 if degenerate else None)
-        L, _, ok = wolfe_ascent_step(L, grad, cfg, lambda2=est.lambda2,
-                                     seed=seed)
-        if not ok:
-            break
-        streak += 1
-        est = estimate_spectrum(L, seed=seed)
-        history.append(est.lambda2)
+    _, gap = run_gap_ascent(assemble_laplacian(B), WolfeConfig(),
+                            steps=accepted_target, seed=seed)
+    history = gap.lambda2_history
+    # an accepted step raises lambda2 strictly; the ascent repeats the last
+    # value for a rejected step and every step after it
+    rises = [b > a for a, b in zip(history, history[1:])]
+    streak = rises.index(False) if False in rises else len(rises)
     drops = [b - a for a, b in zip(history, history[1:]) if b < a - 1e-8]
     passed = streak >= accepted_target and not drops
     detail = [f"consecutive accepted steps {streak}/{accepted_target}",

@@ -31,12 +31,12 @@ def beta_kl_quadrature(a1, b1, a0, b0):
     return val
 
 
-def make_posterior(kappa, n_tot=1.0, a0=1.0, b0=1.0):
+def make_posterior(kappa, absorbed=1.0, a0=1.0, b0=1.0):
     kappa = np.asarray(kappa, dtype=np.float64)
-    total = np.full_like(kappa, a0 + b0 + n_tot)
+    total = np.full_like(kappa, a0 + b0 + absorbed)
     return PosteriorState(alpha_bar=kappa * total, beta_bar=(1 - kappa) * total,
-                          kappa_bar=kappa, n_tot=np.full_like(kappa, n_tot),
-                          a0=a0, b0=b0, sweeps=1, converged=True)
+                          kappa_bar=kappa, a0=a0, b0=b0, sweeps=1,
+                          converged=True)
 
 
 def labeled_path_fixture():
@@ -53,7 +53,6 @@ class TestPrior:
         p = init_prior(5, 2.0, 3.0)
         assert np.all(p.alpha == 2.0) and np.all(p.beta == 3.0)
         assert np.allclose(p.mean, 0.4)
-        assert np.all(p.n_tot == 0)
 
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
@@ -183,7 +182,6 @@ class TestPosteriorUpdate:
         pred[:, 0] = 1.0  # every edge agrees perfectly
         post = posterior_update(init_prior(g.m), pred, g, labels, mask)
         assert np.all(post.kappa_bar > 0.5)
-        assert np.all(post.n_tot == 1.0)
 
     def test_disagreeing_predictions_lower_kappa(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -255,13 +253,6 @@ class TestPosteriorUpdate:
         assert np.array_equal(a.alpha_bar, b.alpha_bar)
         assert np.array_equal(a.beta_bar, b.beta_bar)
 
-    def test_chaining_accumulates_n_tot(self):
-        g, labels, mask = labeled_path_fixture()
-        pred = np.full((g.n, 2), 0.5)
-        p1 = posterior_update(init_prior(g.m), pred, g, labels, mask, n_msg=3)
-        p2 = posterior_update(p1.as_prior(), pred, g, labels, mask, n_msg=2)
-        assert np.all(p2.n_tot == 5.0)
-
 
 class TestNodeKappa:
     def test_path_means(self):
@@ -300,16 +291,16 @@ class TestKLTerm:
         prior = init_prior(6)
         post = PosteriorState(alpha_bar=prior.alpha.copy(),
                               beta_bar=prior.beta.copy(),
-                              kappa_bar=prior.mean, n_tot=np.zeros(6),
-                              a0=1.0, b0=1.0, sweeps=0, converged=True)
+                              kappa_bar=prior.mean, a0=1.0, b0=1.0,
+                              sweeps=0, converged=True)
         for n, delta in [(10, 0.05), (40, 0.1)]:
             want = np.sqrt(np.log(2 / delta) / (2 * n))
             assert kl_term(post, prior, n, delta) == pytest.approx(want)
 
     def test_grows_with_deviation(self):
         prior = init_prior(6)
-        mild = make_posterior(np.full(6, 0.6), n_tot=2.0)
-        sharp = make_posterior(np.full(6, 0.95), n_tot=20.0)
+        mild = make_posterior(np.full(6, 0.6), absorbed=2.0)
+        sharp = make_posterior(np.full(6, 0.95), absorbed=20.0)
         assert kl_term(sharp, prior, 10) > kl_term(mild, prior, 10)
 
     def test_rejects_bad_args(self):

@@ -19,11 +19,9 @@ class TestCoercion:
         values = default_values()
         assert set(values) == set(REGISTRY)
 
-    def test_int_float_bool_parsing(self):
+    def test_int_float_parsing(self):
         assert coerce("seed", "7") == 7
         assert coerce("ot.eps", "0.05") == pytest.approx(0.05)
-        assert coerce("train.fd_check", "true") is True
-        assert coerce("train.fd_check", "0") is False
 
     def test_optional_edge_dimension(self):
         assert coerce("train.d_e", "none") is None
@@ -52,10 +50,12 @@ class TestConfigFile:
             parse_config_file(p)
 
     def test_unknown_key_in_file_rejected(self, tmp_path):
-        # a misspelled key, and a removed one
-        for key in ("train.lerning_rate", "train.lambda_kl"):
+        # a misspelled key, and removed ones
+        for key, text in (("train.lerning_rate", "0.1"),
+                          ("train.lambda_kl", "0.1"),
+                          ("train.fd_check", "true")):
             p = tmp_path / "run.cfg"
-            p.write_text(f"{key} = 0.1\n")
+            p.write_text(f"{key} = {text}\n")
             with pytest.raises(KeyError, match=key):
                 parse_config_file(p)
 

@@ -299,7 +299,8 @@ class TestNormalized:
         SLS = SheafLaplacian(n=3, d_v=2, edges=g.edges, diag=md.value,
                              off=mo.value)
         ctx = EpochContext(n=3, d_v=2, edges=g.edges, plans=None, X0=None,
-                           y=None, C=2, train_idx=None, kappa=None)
+                           y=None, C=2, train_idx=None, kappa=None, dt=0.1,
+                           cg_tol=1e-8, cg_max_iter=1000, n_layers=1)
         x = np.random.default_rng(3).normal(size=(3, 2))
         out = cheb_branch(md, mo, SLS, Var(np.array([0.3, -0.2, 0.5, 0.1])),
                           x, ctx).value

@@ -39,6 +39,7 @@ from otsheaf.laplacian import (
 from otsheaf.model import forward_tape
 from otsheaf.training import (
     CURVE_COLUMNS,
+    VARIANTS,
     ContractionStats,
     Dataset,
     EpochReport,
@@ -340,15 +341,24 @@ class TestTrainEpoch:
         _, rep = train_epoch(state, data, cfg)
         assert rep.lambda2 >= pre - 1e-8
 
-    def test_divergence_aborts(self, monkeypatch):
-        # a large enough reported KL term pushes the loss over the abort limit
+    def test_divergence_aborts(self):
+        # non-finite classifier weights make the calibrated CE non-finite
+        data = two_cluster_dataset()
+        cfg = small_cfg()
+        state = init_state(data, cfg)
+        state.params.W_cls = np.full_like(state.params.W_cls, np.nan)
+        with pytest.raises(TrainingDiverged, match="epoch 0"):
+            train_epoch(state, data, cfg)
+
+    def test_reported_terms_do_not_abort(self, monkeypatch):
+        # kl and spec never reach the tape, so no size of theirs aborts
         import otsheaf.training as training
         monkeypatch.setattr(training, "kl_term", lambda *args: 1e9)
         data = two_cluster_dataset()
         cfg = small_cfg()
         state = init_state(data, cfg)
-        with pytest.raises(TrainingDiverged):
-            train_epoch(state, data, cfg)
+        _, rep = train_epoch(state, data, cfg)
+        assert rep.kl == 1e9
 
     def test_nonfinite_gradient_names_the_epoch(self, monkeypatch):
         import otsheaf.training as training
@@ -504,17 +514,24 @@ class TestFit:
         res = evaluate(params, data, cfg)
         assert res.val_acc == pytest.approx(best)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evaluate_reproduces_best_epoch(self, variant):
+        # the best epoch's posterior also absorbs one round from the
+        # initial prior, so evaluate reproduces its calibrated numbers
+        data = two_cluster_dataset()
+        cfg = small_cfg(epochs=10, lr=0.3, patience=10, gap_steps=0)
+        params, reports = fit(data, cfg, variant=variant)
+        best = max(reports, key=lambda r: r.val_acc)
+        res = evaluate(params, data, cfg, variant=variant)
+        for name in ("train_acc", "val_acc", "test_acc", "ece"):
+            assert getattr(res, name) == getattr(best, name), name
+
     def test_adam_runs(self):
         data = two_cluster_dataset()
         cfg = small_cfg(epochs=3, optimizer="adam")
         _, reports = fit(data, cfg)
         assert len(reports) == 3
         assert all(np.isfinite(r.raw_loss) for r in reports)
-
-    def test_fd_check_smoke(self, caplog):
-        data = two_cluster_dataset()
-        cfg = small_cfg(epochs=1, fd_check=True, d_v=2, d_e=2)
-        fit(data, cfg)
 
 
 class TestContractionSeries:
