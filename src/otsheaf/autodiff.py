@@ -2,9 +2,13 @@
 
 A Var wraps an ndarray plus (parent, vjp) edges recorded by each primitive;
 backward() walks the tape once in reverse topological order, summing
-vector-Jacobian products into .grad.  Only the handful of primitives the
-model needs are provided here; operator-level primitives with hand-derived
-adjoints (solves, recurrences, matrix functions) live next to the model.
+vector-Jacobian products into .grad.  backward() consumes the tape: once a
+node's VJPs have run, its edges and its gradient are dropped, so the
+closures and the arrays they hold are freed as the walk goes.  Leaves keep
+their gradients; build a new tape to differentiate again.  Only the
+handful of primitives the model needs are provided here; operator-level
+primitives with hand-derived adjoints (solves, recurrences, matrix
+functions) live next to the model.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 class Var:
     """Tape node: a value and how to push gradients to its parents."""
 
-    __slots__ = ("value", "parents", "grad")
+    __slots__ = ("value", "parents", "grad", "__weakref__")
 
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
@@ -23,8 +27,8 @@ class Var:
         self.grad = None
 
 
-def backward(root: Var) -> None:
-    """Accumulate d root / d leaf into .grad over the reachable tape."""
+def _topological(root: Var) -> list[Var]:
+    """Every node reachable from root, each after all of its parents."""
     order: list[Var] = []
     seen: set[int] = set()
     stack = [(root, False)]
@@ -37,17 +41,36 @@ def backward(root: Var) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node.parents:
-            stack.append((parent, False))
-    for node in order:
-        node.grad = None
-    root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node.grad is None:
-            continue
+        stack.extend((parent, False) for parent, _ in node.parents)
+    return order
+
+
+def _push(node: Var) -> None:
+    """Add node's VJPs into its parents' gradients, then cut its edges."""
+    if node.grad is not None:
         for parent, vjp in node.parents:
             g = vjp(node.grad)
             parent.grad = g if parent.grad is None else parent.grad + g
+    node.parents = ()
+    node.grad = None
+
+
+def backward(root: Var) -> None:
+    """Accumulate d root / d leaf into .grad over the reachable tape.
+
+    Consumes the tape: every node reached that has parents (root
+    included) leaves with parents == () and grad None, as soon as its VJPs
+    have run.  Leaves, the nodes without parents, keep their gradients.
+    Differentiating again needs a new tape.
+    """
+    order = _topological(root)
+    for node in order:
+        node.grad = None
+    root.grad = np.ones_like(root.value)
+    while order:
+        node = order.pop()
+        if node.parents:
+            _push(node)
 
 
 class shared_vjp:

@@ -120,7 +120,7 @@ def svr_diffuse(L, X: np.ndarray,
         out[:, c] = r.x
         iters = max(iters, r.iterations)
         total += r.iterations
-        res = max(res, r.residual)
+        res = float(np.maximum(res, r.residual))   # keeps a NaN
         ok = ok and r.converged
     return (out[:, 0] if squeeze else out,
             DiffusionInfo(iterations=iters, total_iterations=total,

@@ -215,8 +215,8 @@ def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     Lb, Rb = left.reshape(n, d_v), right.reshape(n, d_v)
     I, J = edges[:, 0], edges[:, 1]
     gd = np.einsum("ia,ib->iab", Lb, Rb)
-    go = (np.einsum("ea,eb->eab", Lb[I], Rb[J])
-          + np.einsum("ea,eb->eab", Rb[I], Lb[J]))
+    go = np.einsum("ea,eb->eab", Lb[I], Rb[J])
+    go += np.einsum("ea,eb->eab", Rb[I], Lb[J])
     return gd, go
 
 

@@ -213,11 +213,13 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
         return St @ g @ St
 
     # backward gathers Sv[I] and Sv[J] again: holding the forward's two
-    # (m, d, d) gathers until then would raise the tape's peak memory
+    # (m, d, d) gathers until then would raise the tape's peak memory; both
+    # edge ends are written straight into one (2m, d, d) buffer
     def d_mo_d_S(g):
-        OSj, SiO = Ov @ Sv[J], Sv[I] @ Ov
-        ends = np.concatenate([g @ OSj.transpose(0, 2, 1),
-                               SiO.transpose(0, 2, 1) @ g])
+        m = len(g)
+        ends = np.empty((2 * m, *g.shape[1:]))
+        np.matmul(g, (Ov @ Sv[J]).transpose(0, 2, 1), out=ends[:m])
+        np.matmul((Sv[I] @ Ov).transpose(0, 2, 1), g, out=ends[m:])
         return scatter_add(edges.T.ravel(), ends, len(Sv))
 
     def d_mo_d_O(g):
@@ -319,11 +321,11 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
 
     Returns (logits Var, leaves dict, aux dict).  aux carries the block
     Vars, the SheafLaplacian built once from their values (every layer's
-    CG solves and the epoch's gap estimate share it, and it carries the
-    blocks' eigendecomposition from isqrt_blocks), forward CG iteration
-    counts, and the fused embeddings per layer.  The operator S L S is
-    built once too, from the sandwich blocks, and every layer's Chebyshev
-    filter shares it.
+    CG solves share it, and it carries the blocks' eigendecomposition from
+    isqrt_blocks, which the epoch's gap estimate reuses), forward CG
+    iteration counts, and the fused embeddings per layer.  The operator
+    S L S is built once too, from the sandwich blocks, and every layer's
+    Chebyshev filter shares it.
     """
     leaves = {name: Var(value) for name, value in params.trainable().items()}
     Rij, Rji = restriction_maps(leaves["W_theta"], ctx.plans)

@@ -1,14 +1,18 @@
 """Epoch loop tying the pipeline together.
 
-One epoch runs four stages in a fixed order: (1) restriction maps and
-Laplacian blocks on the tape, (2) the two-branch diffusion forward pass
-and the spectral-gap ascent on that same Laplacian, (3) the
-Beta-posterior fixed point that refreshes the calibration weights, and
-(4) loss assembly and the parameter step.  The ascent's first gap
-estimate prices the spectral penalty and its last one is reported.  The
-transport plans depend only on the frozen feature projection, so they
-are computed once per run and cached; `run_plans` builds them and
-`epoch_context` gathers them with the rest of the loss's frozen inputs.
+One epoch runs five stages in a fixed order: (1) restriction maps,
+Laplacian blocks and the two-branch diffusion forward pass on the tape,
+(2) the Beta-posterior fixed point that refreshes the calibration
+weights, (3) the loss and backward, which consumes the tape, (4) the
+spectral-gap ascent on the forward's Laplacian blocks, and (5) the
+parameter step.  Nothing on the tape reads the gap, so the ascent runs
+once backward has freed the tape, and ahead of the step, so that an
+eigensolver error leaves the parameters and optimizer moments as they
+were.  The ascent's first gap estimate prices the spectral penalty and
+its last one is reported.  The transport plans depend only on the frozen
+feature projection, so they are computed once per run and cached;
+`run_plans` builds them and `epoch_context` gathers them with the rest
+of the loss's frozen inputs.
 
 The loss on the tape is the calibrated cross-entropy alone.  Within an
 epoch the plans and calibration weights are constants of it, and
@@ -33,6 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from .autodiff import backward
 from .calibration import (
@@ -58,7 +63,7 @@ from .model import (
     leaf_grads,
 )
 from .spectral import WolfeConfig, run_gap_ascent, spec_penalty
-from .transport import LiftConfig, edge_plans
+from .transport import LiftConfig, edge_plans, projected_features
 
 VARIANTS = ("we_lift", "scalar_edge")
 
@@ -208,15 +213,23 @@ def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
 
 def train_epoch(state: TrainState, data: Dataset,
                 cfg: TrainConfig) -> tuple[TrainState, EpochReport]:
-    """One full pass: forward, gap ascent, posterior fixed point, update."""
+    """One pass: forward, posterior, backward, gap ascent, update.
+
+    backward consumes the tape, and the gap ascent runs after it, on an
+    operator with the forward Laplacian's blocks and their
+    eigendecomposition but not its BSR form, so no tape array is alive
+    while the eigensolver runs.  The ascent runs before the update: an
+    ArpackNoConvergence from it is re-raised naming the epoch and the
+    stage, with state.params, opt_m and opt_v untouched.
+    """
     t0 = time.perf_counter()
     g, labels, split = data.g, data.labels, data.split
     ctx = epoch_context(data, state.plans, state.X0, cfg)
     logits, leaves, aux = forward_tape(state.params, ctx)
     y_hat = _softmax(logits.value)
-
-    _, gap = run_gap_ascent(aux["L"], WolfeConfig(), steps=cfg.gap_steps,
-                            seed=cfg.seed, estimator=normalized_range_gap)
+    cg_iters = int(aux["cg_iters"])
+    L = replace(aux["L"], _bsr=None)
+    del aux
 
     posterior = posterior_update(
         state.prior, y_hat, g, labels, split.train,
@@ -225,19 +238,30 @@ def train_epoch(state: TrainState, data: Dataset,
     coupling = class_coupling(posterior.kappa_bar, labels, g, split.train)
 
     kl = kl_term(posterior, state.prior, split.train.size, cfg.delta)
-    spec = spec_penalty(coupling.c_het, gap.lambda2_history[0])
     ctx = replace(ctx, kappa=kappa)
     ce = calibrated_ce(logits, ctx)
+    del logits
     if not np.isfinite(ce.value):
         raise TrainingDiverged(
             f"epoch {state.epoch}: calibrated CE is {ce.value}")
-    raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     backward(ce)
     try:
         grads = leaf_grads(leaves)
     except FloatingPointError as exc:
         raise FloatingPointError(f"epoch {state.epoch}: {exc}") from exc
+
+    try:
+        _, gap = run_gap_ascent(L, WolfeConfig(), steps=cfg.gap_steps,
+                                seed=cfg.seed, estimator=normalized_range_gap)
+    except ArpackNoConvergence as exc:
+        # the constructor puts scipy's "ARPACK error -1: " before the message
+        msg = str(exc).removeprefix("ARPACK error -1: ")
+        raise ArpackNoConvergence(
+            f"epoch {state.epoch}, stage gap-estimate: {msg}",
+            exc.eigenvalues, exc.eigenvectors) from exc
+    spec = spec_penalty(coupling.c_het, gap.lambda2_history[0])
+    raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
 
@@ -256,7 +280,7 @@ def train_epoch(state: TrainState, data: Dataset,
         val_acc=_accuracy(cal, labels.y, split.val),
         test_acc=_accuracy(cal, labels.y, split.test),
         ece=ece_val,
-        cg_iters=int(aux["cg_iters"]),
+        cg_iters=cg_iters,
         wall_ms=(time.perf_counter() - t0) * 1e3)
     state.params = new_params
     state.epoch += 1
@@ -303,7 +327,7 @@ def init_state(data: Dataset, cfg: TrainConfig,
         params.W_theta = np.eye(cfg.d_v)
         frozen = frozenset({"W_theta"})
     plans = run_plans(data, params.W_proj, cfg, variant)
-    X0 = feats.H @ params.W_proj
+    X0 = projected_features(feats.H, params.W_proj)
     prior = init_prior(g.m, cfg.a0, cfg.b0)
     return TrainState(params=params, prior=prior, plans=plans, X0=X0,
                       frozen=frozen)
@@ -352,7 +376,8 @@ def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
     """Forward pass plus one posterior refresh, no parameter movement."""
     g, labels, split = data.g, data.labels, data.split
     plans = run_plans(data, params.W_proj, cfg, variant)
-    ctx = epoch_context(data, plans, data.feats.H @ params.W_proj, cfg)
+    ctx = epoch_context(data, plans,
+                        projected_features(data.feats.H, params.W_proj), cfg)
     logits, _, aux = forward_tape(params, ctx)
     y_hat = _softmax(logits.value)
     posterior = posterior_update(
@@ -418,7 +443,8 @@ def stability_metric(params_t: ModelParams, params_0: ModelParams,
     variant's plans serves both forward passes.
     """
     plans = run_plans(data, params_0.W_proj, cfg, variant)
-    ctx = epoch_context(data, plans, data.feats.H @ params_0.W_proj, cfg)
+    ctx = epoch_context(data, plans,
+                        projected_features(data.feats.H, params_0.W_proj), cfg)
     z_t = forward_tape(params_t, ctx)[0].value
     z_0 = forward_tape(params_0, ctx)[0].value
     if probe_idx is None:

@@ -195,6 +195,20 @@ def _scaling_roots(mu, nu, c, beta, tol, max_iter):
         tau = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
 
 
+def projected_features(H: np.ndarray, W_proj: np.ndarray) -> np.ndarray:
+    """H @ W_proj, the signal every fit projects its node features to.
+
+    Raises ValueError naming the first node whose projected row is not
+    finite.
+    """
+    X = np.asarray(H, dtype=np.float64) @ W_proj
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"node {int(np.argmax(bad))} has non-finite projected features")
+    return X
+
+
 def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
                cfg: LiftConfig) -> np.ndarray:
     """Entropic transport plans for every edge, batched across the edge set.
@@ -209,11 +223,7 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     SinkhornDivergence, naming the pass and the worst edge, if a root
     misses cfg.tol on the scaling-form residual |tau - sum r|.
     """
-    X = np.asarray(H, dtype=np.float64) @ W_proj
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise ValueError(
-            f"node {int(np.argmax(bad))} has non-finite projected features")
+    X = projected_features(H, W_proj)
     M = normalize_to_measure(X, cfg.floor)  # (n, p)
     p = M.shape[1]
     if g_edges.shape[0] == 0:

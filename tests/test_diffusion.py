@@ -92,6 +92,16 @@ class TestSvrDiffuse:
         assert info.converged
         np.testing.assert_allclose(out, dense, atol=1e-8)
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_nan_right_hand_side_reports_nan_residual(self, cols):
+        # the zero start is no solution of a NaN system: the residual says so
+        L = self._fixture(seed=4)
+        X = np.random.default_rng(4).normal(size=(L.N, cols))
+        X[0, -1] = np.nan
+        _, info = svr_diffuse(L, X, DiffusionConfig(dt=0.1))
+        assert np.isnan(info.residual)
+        assert not info.converged
+
     def test_dt_zero_is_identity(self):
         L = self._fixture(seed=2)
         X = np.random.default_rng(2).normal(size=(L.N,))

@@ -1,4 +1,5 @@
 import logging
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from otsheaf.laplacian import (
     assemble_laplacian,
 )
 from otsheaf.model import (
+    calibrated_ce,
     cheb_branch,
     finite_difference_gradients,
     forward_tape,
@@ -78,6 +80,41 @@ class TestEngine:
         z = Var(x.value + y.value, [(x, lambda g: g), (y, lambda g: g)])
         backward(z)
         assert x.grad[0] == pytest.approx(4.0)
+
+
+class TestTapeRelease:
+    def test_backward_consumes_the_tape(self):
+        # the array mid's VJP captures is reachable only through that closure
+        x, w = Var(np.array([1.0, 2.0])), Var(np.array([3.0, -1.0]))
+        captured = np.array([2.0, 5.0])
+        probe = weakref.ref(captured)
+        mid = Var(x.value * captured,
+                  [(x, lambda g, c=captured: g * c)])
+        del captured
+        root = Var(mid.value @ w.value, [(mid, lambda g: g * w.value),
+                                         (w, lambda g: g * mid.value)])
+        assert probe() is not None
+        backward(root)
+        for node in (root, mid):
+            assert node.parents == ()
+            assert node.grad is None
+        assert probe() is None
+        np.testing.assert_array_equal(x.grad, w.value * [2.0, 5.0])
+        np.testing.assert_array_equal(w.grad, mid.value)
+
+    def test_backward_of_a_forward_tape_frees_its_operators(self):
+        params, ctx = _gradcheck_fixture()
+        logits, leaves, aux = forward_tape(params, ctx)
+        L = weakref.ref(aux["L"])
+        diag = aux["diag"]
+        del aux
+        ce = calibrated_ce(logits, replace(ctx, kappa=np.full(ctx.n, 0.5)))
+        del logits
+        backward(ce)
+        assert L() is None
+        assert diag.parents == () and diag.grad is None
+        for leaf in leaves.values():
+            assert leaf.grad is not None
 
 
 class TestPrimitiveGradients:

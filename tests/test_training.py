@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+import weakref
 from functools import partial
 
 import numpy as np
@@ -324,6 +325,56 @@ class TestTrainEpoch:
         # two operators are applied: L and S L S, both across both layers
         assert set(applied) == {id(L), builds[1]}
 
+    def test_gap_estimate_runs_after_the_tape_is_freed(self, monkeypatch):
+        import otsheaf.training as training
+        refs, alive = [], []
+        real_tape, real_ascent = training.forward_tape, training.run_gap_ascent
+
+        def watched_tape(*args, **kwargs):
+            out = real_tape(*args, **kwargs)
+            refs.extend([weakref.ref(out[2]["L"]), weakref.ref(out[0])])
+            return out
+
+        def watched_ascent(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return real_ascent(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_tape", watched_tape)
+        monkeypatch.setattr(training, "run_gap_ascent", watched_ascent)
+        data = two_cluster_dataset()
+        cfg = small_cfg(gap_steps=1)
+        train_epoch(init_state(data, cfg), data, cfg)
+        assert alive == [[False, False]]
+
+    def test_gap_estimate_error_names_the_epoch_and_keeps_the_state(
+            self, monkeypatch):
+        import otsheaf.training as training
+        from scipy.sparse.linalg import ArpackNoConvergence
+        data = two_cluster_dataset()
+        cfg = small_cfg(optimizer="adam")
+        state, _ = train_epoch(init_state(data, cfg), data, cfg)
+        params = state.params.copy()
+        moments = [{k: v.copy() for k, v in d.items()}
+                   for d in (state.opt_m, state.opt_v)]
+        w, V = np.array([0.5]), np.ones((data.g.n * cfg.d_v, 1))
+
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence (5 iterations)", w, V)
+
+        monkeypatch.setattr(training, "run_gap_ascent", stalled)
+        with pytest.raises(ArpackNoConvergence) as err:
+            train_epoch(state, data, cfg)
+        assert str(err.value) == ("ARPACK error -1: epoch 1, stage "
+                                  "gap-estimate: No convergence (5 iterations)")
+        assert err.value.eigenvalues is w and err.value.eigenvectors is V
+        assert state.epoch == 1
+        for name, value in params.trainable().items():
+            assert np.array_equal(state.params.trainable()[name], value)
+        for kept, now in zip(moments, (state.opt_m, state.opt_v)):
+            assert kept.keys() == now.keys()
+            for name, value in kept.items():
+                assert np.array_equal(now[name], value)
+
     def test_bound_identity(self):
         data = two_cluster_dataset()
         cfg = small_cfg()
@@ -462,6 +513,22 @@ class TestNormalizedSpectrum:
 
 
 class TestFit:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_nonfinite_feature_names_the_node(self, variant):
+        data = two_cluster_dataset()
+        H = data.feats.H.copy()
+        H[0, 0] = np.nan
+        data = dataclasses.replace(data, feats=NodeFeatures(H=H, d0=4))
+        cfg = small_cfg(epochs=1, gap_steps=0)
+        match = "node 0 has non-finite projected features"
+        with pytest.raises(ValueError, match=match):
+            fit(data, cfg, variant=variant)
+        params = init_state(two_cluster_dataset(), cfg, variant).params
+        with pytest.raises(ValueError, match=match):
+            evaluate(params, data, cfg, variant=variant)
+        with pytest.raises(ValueError, match=match):
+            stability_metric(params, params, data, cfg, variant=variant)
+
     def test_zero_epochs_returns_initial_params(self):
         data = two_cluster_dataset()
         cfg = small_cfg(epochs=0)
