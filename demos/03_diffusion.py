@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from otsheaf.diffusion import (
     CGConfig,
-    DiffusionConfig,
     cg_solve,
     chebyshev_apply,
     chebyshev_weights,
@@ -42,8 +41,7 @@ ones = np.ones((g.m, 1, 1))
 L = assemble_laplacian(SheafIncidence(n=g.n, edges=g.edges,
                                       Rij=ones, Rji=ones.copy()))
 X = rng.normal(size=(L.N, 8))
-cfg = DiffusionConfig(dt=0.05, cg_tol=1e-8, cg_max_iter=500)
-_, info = svr_diffuse(L, X, cfg)
+_, info = svr_diffuse(L, X, 0.05, CGConfig(tol=1e-8, max_iter=500))
 print(f"\nsvr_diffuse: {info.iterations} iterations per column at most, "
       f"{info.total_iterations} over {X.shape[1]} columns")
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from otsheaf.graphs import erdos_renyi
 from otsheaf.laplacian import SheafIncidence, assemble_laplacian, estimate_spectrum
-from otsheaf.spectral import WolfeConfig, run_gap_ascent, spec_penalty
+from otsheaf.spectral import run_gap_ascent, spec_penalty
 
 rng = np.random.default_rng(11)
 g = erdos_renyi(20, 4.0, seed=11, ensure_connected=True)
@@ -23,7 +23,7 @@ est = estimate_spectrum(L)
 print(f"start: lambda_2 = {est.lambda2:.4f}, lambda_max = {est.lambda_max:.4f}")
 print(f"       penalty at c_het=0.8: {spec_penalty(0.8, est.lambda2):.4f}")
 
-L_up, ledger = run_gap_ascent(L, WolfeConfig(), steps=25, seed=11)
+L_up, ledger = run_gap_ascent(L, steps=25, seed=11)
 hist = np.array(ledger.lambda2_history)
 print(f"\n25 ascent steps, lambda_2 ledger (every 5th):")
 print("  ", np.array_str(hist[::5], precision=4))

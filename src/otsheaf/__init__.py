@@ -12,7 +12,7 @@ from .calibration import (
     variance_bound,
 )
 from .config import RunConfig, build_config
-from .diffusion import CGConfig, DiffusionConfig, cg_solve, svr_diffuse
+from .diffusion import CGConfig, cg_solve, svr_diffuse
 from .graphs import (
     Graph,
     Labels,
@@ -37,7 +37,7 @@ from .laplacian import (
     sparsify,
 )
 from .model import ModelParams, grad_params, init_params
-from .spectral import WolfeConfig, gap_gradient, run_gap_ascent, spec_penalty, wolfe_ascent_step
+from .spectral import gap_gradient, run_gap_ascent, spec_penalty, wolfe_ascent_step
 from .training import (
     Dataset,
     EpochReport,

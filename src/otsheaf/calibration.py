@@ -17,6 +17,9 @@ from scipy.special import betaln, digamma
 
 from .graphs import Graph, Labels
 
+POSTERIOR_MAX_SWEEPS = 10
+POSTERIOR_TOL = 1e-6
+
 
 @dataclass
 class EdgeBeta:
@@ -41,6 +44,7 @@ class PosteriorState:
     b0: float
     sweeps: int
     converged: bool
+    coupling: ClassCoupling   # class_coupling of kappa_bar on the mask
 
 
 @dataclass
@@ -86,8 +90,7 @@ def class_coupling(kappa_bar: np.ndarray, labels: Labels, g: Graph,
 
 def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
                      labels: Labels, mask: np.ndarray,
-                     gamma_cap: float = 50.0, n_msg: int = 1,
-                     max_sweeps: int = 10, tol: float = 1e-6) -> PosteriorState:
+                     gamma_cap: float = 50.0, n_msg: int = 1) -> PosteriorState:
     """Fixed-point absorption of one round of n_msg messages per edge.
 
     Each sweep (i) reads soft agreement s_e = n_msg * <y_i, y_j> from the
@@ -95,8 +98,9 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
     predicted classes, (iii) forms the conjugate posterior and rescales any
     edge whose concentration alpha+beta exceeds gamma_cap back onto the cap.
     The coupling matrix starts from the prior means and is recomputed from
-    the new means between sweeps; iteration stops when the posterior means
-    move less than `tol` in max norm, or after max_sweeps.
+    the new means after each sweep (the state keeps the last); iteration
+    stops when the means move less than POSTERIOR_TOL in max norm, or
+    after POSTERIOR_MAX_SWEEPS.
     """
     I, J = g.edges[:, 0], g.edges[:, 1]
     s_raw = n_msg * np.einsum("ec,ec->e", predictions[I], predictions[J])
@@ -106,7 +110,7 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
     alpha_bar, beta_bar = prior.alpha.copy(), prior.beta.copy()
     sweeps = 0
     converged = False
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, POSTERIOR_MAX_SWEEPS + 1):
         mean_pi = float(coupling.Pi.mean())
         if mean_pi > 0:
             s = s_raw * coupling.Pi[c_hat[I], c_hat[J]] / mean_pi
@@ -125,12 +129,13 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
         delta = float(np.max(np.abs(kappa_new - kappa))) if kappa.size else 0.0
         kappa = kappa_new
         coupling = class_coupling(kappa, labels, g, mask)
-        if delta < tol:
+        if delta < POSTERIOR_TOL:
             converged = True
             break
     return PosteriorState(
         alpha_bar=alpha_bar, beta_bar=beta_bar, kappa_bar=kappa,
         a0=prior.a0, b0=prior.b0, sweeps=sweeps, converged=converged,
+        coupling=coupling,
     )
 
 

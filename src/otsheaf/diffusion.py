@@ -20,13 +20,6 @@ class CGConfig:
 
 
 @dataclass
-class DiffusionConfig:
-    dt: float = 0.1
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 1000
-
-
-@dataclass
 class CGResult:
     x: np.ndarray
     iterations: int
@@ -101,8 +94,8 @@ class DiffusionInfo:
     converged: bool
 
 
-def svr_diffuse(L, X: np.ndarray,
-                cfg: DiffusionConfig) -> tuple[np.ndarray, DiffusionInfo]:
+def svr_diffuse(L, X: np.ndarray, dt: float,
+                cg: CGConfig) -> tuple[np.ndarray, DiffusionInfo]:
     """Implicit smoothing (I + dt L)^{-1} X, one CG solve per signal column.
 
     Jacobi block preconditioning uses the diagonal blocks of L.
@@ -110,13 +103,12 @@ def svr_diffuse(L, X: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     squeeze = X.ndim == 1
     Xc = X[:, None] if squeeze else X
-    apply_A = lambda v: v + cfg.dt * L.matvec(v)
-    precond = jacobi_block_preconditioner(L, cfg.dt)
-    cgc = CGConfig(tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    apply_A = lambda v: v + dt * L.matvec(v)
+    precond = jacobi_block_preconditioner(L, dt)
     out = np.empty_like(Xc)
     iters, total, res, ok = 0, 0, 0.0, True
     for c in range(Xc.shape[1]):
-        r = cg_solve(apply_A, Xc[:, c], cgc, precond=precond)
+        r = cg_solve(apply_A, Xc[:, c], cg, precond=precond)
         out[:, c] = r.x
         iters = max(iters, r.iterations)
         total += r.iterations

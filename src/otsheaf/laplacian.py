@@ -220,27 +220,33 @@ def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     return gd, go
 
 
-def _block_frames(w: np.ndarray, V: np.ndarray, cutoff_rel: float = 1e-12):
+# read by _block_frames alone, so the tape's S and the gap estimate's T
+# keep the same directions of every diagonal block
+BLOCK_CUTOFF_REL = 1e-12
+
+
+def _block_frames(w: np.ndarray, V: np.ndarray):
     """T_i = V_i w_i^{-1/2} on the directions that clear the cutoff, else 0.
 
-    A direction is kept when its eigenvalue exceeds cutoff_rel * max(w_max, 1)
-    of its block.  Returns (T, kept) with T (n, d, d) and kept (n, d); since
-    w ascends, the kept columns of each block are its last ones.
+    A direction is kept when its eigenvalue exceeds BLOCK_CUTOFF_REL *
+    max(w_max, 1) of its block.  Returns (T, kept) with T (n, d, d) and
+    kept (n, d); since w ascends, the kept columns of each block are its
+    last ones.
     """
     scale = np.maximum(w[:, -1:], 1.0)
-    kept = w > cutoff_rel * scale
+    kept = w > BLOCK_CUTOFF_REL * scale
     inv = np.where(kept, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     return V * inv[:, None, :], kept
 
 
-def _block_isqrt(diag: np.ndarray, cutoff_rel: float = 1e-12):
+def _block_isqrt(diag: np.ndarray):
     """Per-block inverse square root via eigh, zeroing near-null directions.
 
     Returns (S, eigvals, eigvecs, kept) so callers can reuse the
     factorizations and the cutoff's (n, d) mask of kept directions.
     """
     w, V = np.linalg.eigh(diag)  # (n, d), (n, d, d)
-    T, kept = _block_frames(w, V, cutoff_rel)
+    T, kept = _block_frames(w, V)
     S = T @ V.transpose(0, 2, 1)
     return S, w, V, kept
 
@@ -300,15 +306,15 @@ ARPACK_TOL = 1e-10
 # tighter ones cost seconds where the top of the spectrum clusters (the
 # normalized n=3000 fixture: 0.4 s at 1e-4, 4 to 8 s at 1e-6)
 LAMBDA_MAX_TOL = 1e-4
+SPECTRUM_TOL = 1e-6   # estimate_spectrum's relative residual bound
 
 
-def _extreme_eigs(A, k: int, which: str, rng, dense_cutoff: int = DENSE_CUTOFF,
-                  tol: float = 0.0, maxiter: int | None = None,
-                  vectors: bool = True):
+def _extreme_eigs(A, k: int, which: str, rng, tol: float = 0.0,
+                  maxiter: int | None = None, vectors: bool = True):
     """Eigenpairs at one end ("SA" lowest, "LA" highest) of the symmetric A.
 
     A is a sparse matrix or a LinearOperator of dimension N.  Up to
-    dense_cutoff, or when k >= N, it is decomposed densely: eigvalsh when
+    DENSE_CUTOFF, or when k >= N, it is decomposed densely: eigvalsh when
     only values are asked, LAPACK's subset driver for one pair, and
     otherwise every pair from eigh, for callers that read pairs by value
     past an unknown number of null modes.  Above it eigsh returns the k
@@ -321,7 +327,7 @@ def _extreme_eigs(A, k: int, which: str, rng, dense_cutoff: int = DENSE_CUTOFF,
     (w ascending, V), or w alone when vectors is False.
     """
     N = A.shape[0]
-    if N <= dense_cutoff or k >= N:
+    if N <= DENSE_CUTOFF or k >= N:
         Ad = A.tocsr().toarray() if sp.issparse(A) else A @ np.eye(N)
         Ad = 0.5 * (Ad + Ad.T)
         if not vectors:
@@ -348,15 +354,14 @@ def _extreme_eigs(A, k: int, which: str, rng, dense_cutoff: int = DENSE_CUTOFF,
     return w[order] - shift, V[:, order]
 
 
-def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
-                      seed: int = 0, tol: float = 1e-6) -> SpectralEstimates:
+def estimate_spectrum(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     """lambda_2 over the complement of blockwise-constant signals, plus lambda_max.
 
     Both come from _extreme_eigs: lambda_max of L, then the two lowest
     pairs of the deflated operator P L P + (lambda_max + 1) U U', which
     lifts the blockwise-constant signals U above the rest of the spectrum.
     converged says whether the eigenpair residual ||P L P v2 - lambda2 v2||
-    is at most tol * max(lambda_max, 1).
+    is at most SPECTRUM_TOL * max(lambda_max, 1).
     """
     N = L.N
     U = blockwise_constant_basis(L.n, L.d_v)
@@ -365,7 +370,7 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
         raise ValueError("operator too small for a deflated second eigenvalue")
 
     rng = np.random.default_rng(seed)
-    lam_max = float(_extreme_eigs(L.to_bsr(), 1, "LA", rng, dense_cutoff,
+    lam_max = float(_extreme_eigs(L.to_bsr(), 1, "LA", rng,
                                   tol=LAMBDA_MAX_TOL, vectors=False)[-1])
     sigma = lam_max + 1.0
 
@@ -378,14 +383,14 @@ def estimate_spectrum(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
         return deflated(X) + sigma * (U @ (U.T @ X))
 
     op = LinearOperator((N, N), matvec=shifted, matmat=shifted, dtype=float)
-    w, V = _extreme_eigs(op, 2, "SA", rng, dense_cutoff, tol=ARPACK_TOL)
+    w, V = _extreme_eigs(op, 2, "SA", rng, tol=ARPACK_TOL)
     lam2, v2 = float(w[0]), V[:, 0]
     if compl_dim >= 2:
         lam3, v3 = float(w[1]), V[:, 1]
     else:
         lam3, v3 = lam2, v2.copy()
     res = float(np.linalg.norm(deflated(v2) - lam2 * v2))
-    converged = res <= tol * max(lam_max, 1.0)
+    converged = res <= SPECTRUM_TOL * max(lam_max, 1.0)
     if not converged:
         logger.warning("spectrum estimate residual %.2e above tolerance", res)
     return SpectralEstimates(lambda2=lam2, v2=v2, lambda3=lam3, v3=v3,
@@ -425,11 +430,10 @@ def _warn_null() -> None:
                    "numerically null")
 
 
-def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int,
-                      seed: int) -> SpectralEstimates:
+def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
     """Smallest eigenpair above NORMALIZED_NULL_TOL of the PSD matrix A.
 
-    A of dimension up to dense_cutoff is decomposed densely, every pair at
+    A of dimension up to DENSE_CUTOFF is decomposed densely, every pair at
     once.  Larger ones get ARPACK's ARPACK_K0 lowest pairs on A + I, and
     the block doubles up to ARPACK_MAX_K while ARPACK stalls (each stall
     leaves one DEBUG record) or returns fewer than two pairs above the
@@ -451,7 +455,7 @@ def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int,
     k = ARPACK_K0
     while True:
         try:
-            w, V = _extreme_eigs(A, k, "SA", rng, dense_cutoff, tol=ARPACK_TOL,
+            w, V = _extreme_eigs(A, k, "SA", rng, tol=ARPACK_TOL,
                                  maxiter=ARPACK_MAX_RESTARTS)
             converged = True
         except ArpackNoConvergence as err:
@@ -465,8 +469,8 @@ def _gap_above_cutoff(A: sp.csr_matrix, dense_cutoff: int,
         lam_max = float(w[-1])
     else:
         def lam_max():
-            return _extreme_eigs(A, 1, "LA", rng, dense_cutoff,
-                                 tol=LAMBDA_MAX_TOL, vectors=False)[-1]
+            return _extreme_eigs(A, 1, "LA", rng, tol=LAMBDA_MAX_TOL,
+                                 vectors=False)[-1]
     if not converged:
         logger.warning("range-gap estimate: ARPACK stalled at k=%d "
                        "(dim A=%d)", k, N)
@@ -491,7 +495,7 @@ def _compressed_normalized(L: SheafLaplacian):
     """S L S compressed to range(S): A = T' L T, with T = blockdiag(T_i).
 
     T_i = V_i w_i^{-1/2} over the directions of the diagonal block D_i that
-    clear _block_isqrt's cutoff, so S_i = T_i T_i' and S L S = Q A Q' with
+    clear _block_frames' cutoff, so S_i = T_i T_i' and S L S = Q A Q' with
     Q = blockdiag(V_i kept) orthonormal: A has the spectrum of S L S minus
     the structural zeros of null(S).  Its diagonal blocks T_i' D_i T_i are
     the identity up to roundoff divided by the smallest kept w; they are
@@ -514,8 +518,7 @@ def _compressed_normalized(L: SheafLaplacian):
     return A, T, kept
 
 
-def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
-                         seed: int = 0) -> SpectralEstimates:
+def normalized_range_gap(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     """Connectivity of the degree-normalized operator S L S, above null modes.
 
     The raw spectrum of a transport-built sheaf mixes three populations:
@@ -528,7 +531,7 @@ def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
     separates it from modes too slow to mix at any training horizon.
 
     The estimate runs on _compressed_normalized(L), which drops the exact
-    kernel null(S) before any solver sees it: dense eigh up to dense_cutoff,
+    kernel null(S) before any solver sees it: dense eigh up to DENSE_CUTOFF,
     above it ARPACK on A + I with a block that doubles until it holds two
     pairs above the cutoff (_gap_above_cutoff).  A converged estimate is a
     converged eigenpair of A: its residual is at most 3 * ARPACK_TOL.  On
@@ -543,7 +546,7 @@ def normalized_range_gap(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
     if A.shape[0] == 0:
         _warn_null()
         return _null_estimate(L.N, 0.0)
-    est = _gap_above_cutoff(A, dense_cutoff, seed)
+    est = _gap_above_cutoff(A, seed)
 
     def back(y):
         full = np.zeros(kept.shape)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Var, backward, concat_cols, linear, relu, shared_vjp
-from .diffusion import DiffusionConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
+from .diffusion import CGConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
 from .laplacian import (
     SheafIncidence,
     SheafLaplacian,
@@ -146,13 +146,12 @@ def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
     """
     x_var = x if isinstance(x, Var) else None
     xv = x.value if x_var is not None else np.asarray(x, dtype=np.float64)
-    cfg = DiffusionConfig(dt=ctx.dt, cg_tol=ctx.cg_tol,
-                          cg_max_iter=ctx.cg_max_iter)
-    y, info = svr_diffuse(L, xv.reshape(-1), cfg)
+    cg = CGConfig(tol=ctx.cg_tol, max_iter=ctx.cg_max_iter)
+    y, info = svr_diffuse(L, xv.reshape(-1), ctx.dt, cg)
     _warn_unconverged("svr forward", info)
 
     def solve_adjoint(g):
-        u, adj_info = svr_diffuse(L, g.reshape(-1), cfg)
+        u, adj_info = svr_diffuse(L, g.reshape(-1), ctx.dt, cg)
         _warn_unconverged("svr adjoint", adj_info)
         gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
         return {"diag": -ctx.dt * gd, "off": -ctx.dt * go,
@@ -166,7 +165,7 @@ def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
     return Var(y.reshape(xv.shape), parents), info
 
 
-def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> tuple[Var, tuple]:
+def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
     """Per-block pinv-sqrt through eigh, with the matrix-function adjoint.
 
     The forward symmetrizes the blocks first (they are symmetric whenever
@@ -176,7 +175,7 @@ def isqrt_blocks(diag: Var, cutoff_rel: float = 1e-12) -> tuple[Var, tuple]:
     Returns the Var and the blocks' eigendecomposition (w, V).
     """
     D = 0.5 * (diag.value + diag.value.transpose(0, 2, 1))
-    S, w, V, keep = _block_isqrt(D, cutoff_rel=cutoff_rel)
+    S, w, V, keep = _block_isqrt(D)
     wscale = np.maximum(w[:, -1:], 1.0)
     wsafe = np.where(keep, w, 1.0)   # dropped modes never feed the powers
     h = np.where(keep, 1.0 / np.sqrt(wsafe), 0.0)
@@ -289,12 +288,16 @@ def cheb_branch(md: Var, mo: Var, SLS: SheafLaplacian, gamma: Var, x,
     return Var(out_flat.reshape(xv.shape), parents)
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise class probabilities of logits z, max-subtracted first."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def calibrated_ce(logits: Var, ctx: EpochContext) -> Var:
     """Mean cross-entropy of kappa-blended probabilities over the train mask."""
     z = logits.value
-    zs = z - z.max(axis=1, keepdims=True)
-    e = np.exp(zs)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax(z)
     k = ctx.kappa[:, None]
     pcal = k * probs + (1.0 - k) / ctx.C
     idx = ctx.train_idx

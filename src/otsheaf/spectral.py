@@ -18,7 +18,6 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .laplacian import (
-    DENSE_CUTOFF,
     SheafLaplacian,
     _extreme_eigs,
     estimate_spectrum,
@@ -30,6 +29,13 @@ logger = logging.getLogger(__name__)
 LAMBDA2_FLOOR = 1e-8
 DEGENERACY_REL_GAP = 1e-6
 MONOTONE_SLACK = 1e-8
+# wolfe_ascent_step's sufficient-increase constant, first step, halvings
+# and trust region (a cap on ||eta g||_F relative to ||L||_F)
+WOLFE_C = 0.1
+ETA_INIT = 1.0
+MAX_BACKTRACKS = 12
+TRUST_REGION = 0.1
+PROJECT_MAX_ROUNDS = 3   # project's rank-one clips before its diagonal shift
 # ARPACK's restarts for project's lowest eigenpair, in place of its default
 # of 10 per dimension: the clipped iterates of a random N=80 sheaf need up
 # to 270, while a raw transport operator with a large near-null cluster
@@ -38,24 +44,10 @@ PROJECT_MAX_RESTARTS = 1000
 
 
 @dataclass
-class WolfeConfig:
-    c_w: float = 0.1
-    eta_init: float = 1.0
-    max_backtracks: int = 12
-    inner_steps: int = 5
-    trust_region: float = 0.1  # cap on ||eta g||_F relative to ||L||_F
-
-    def __post_init__(self):
-        if not 0.0 < self.c_w < 1.0:
-            raise ValueError("c_w must lie in (0, 1)")
-
-
-@dataclass
 class GapState:
     """Per-step ledger of the connectivity objective."""
 
     lambda2_history: list = field(default_factory=list)
-    v2: np.ndarray | None = None
 
     @property
     def delta_G(self) -> float:
@@ -63,9 +55,8 @@ class GapState:
             return 0.0
         return self.lambda2_history[-1] - self.lambda2_history[0]
 
-    def record(self, lambda2: float, v2: np.ndarray) -> None:
+    def record(self, lambda2: float) -> None:
         self.lambda2_history.append(float(lambda2))
-        self.v2 = v2
 
 
 @dataclass
@@ -109,9 +100,9 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
     return out
 
 
-def _min_eigpair(L: SheafLaplacian, dense_cutoff: int):
+def _min_eigpair(L: SheafLaplacian):
     try:
-        w, U = _extreme_eigs(L.to_bsr(), 1, "SA", 0, dense_cutoff, tol=1e-8,
+        w, U = _extreme_eigs(L.to_bsr(), 1, "SA", 0, tol=1e-8,
                              maxiter=PROJECT_MAX_RESTARTS)
     except ArpackNoConvergence as err:
         raise ArpackNoConvergence(
@@ -120,29 +111,28 @@ def _min_eigpair(L: SheafLaplacian, dense_cutoff: int):
     return float(w[0]), U[:, 0]
 
 
-def project(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
-            max_rounds: int = 3) -> SheafLaplacian:
+def project(L: SheafLaplacian) -> SheafLaplacian:
     """Return the nearest representable PSD iterate.
 
     Diagonal blocks are symmetrized (global symmetry is structural for the
     block storage), then negative modes are clipped by adding the
     pattern-restricted rank-one correction |lambda| v v'.  Restriction can
-    leak new negative curvature, so the clip is re-checked a few rounds; if
-    any survives, a diagonal shift by the remaining |lambda_min| finishes
-    the repair exactly.
+    leak new negative curvature, so the clip is re-checked for up to
+    PROJECT_MAX_ROUNDS rounds; if any survives, a diagonal shift by the
+    remaining |lambda_min| finishes the repair exactly.
     """
     out = L.copy()
     out.diag = 0.5 * (out.diag + out.diag.transpose(0, 2, 1))
     out._bsr = None
-    lam, v = _min_eigpair(out, dense_cutoff)
+    lam, v = _min_eigpair(out)
     if lam >= -MONOTONE_SLACK:
         return out
-    for _ in range(max_rounds):
+    for _ in range(PROJECT_MAX_ROUNDS):
         d, o = pattern_outer(out.edges, v, v, out.n, out.d_v)
         out.diag = out.diag + (-lam) * d
         out.off = out.off + (-lam) * (0.5 * o)
         out._bsr = None
-        lam, v = _min_eigpair(out, dense_cutoff)
+        lam, v = _min_eigpair(out)
         if lam >= -MONOTONE_SLACK:
             return out
     logger.debug("negative-mode clipping stalled at %.3e; applying "
@@ -153,32 +143,31 @@ def project(L: SheafLaplacian, dense_cutoff: int = DENSE_CUTOFF,
     return out
 
 
-def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, cfg: WolfeConfig,
-                      lambda2: float | None = None,
+def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
                       seed: int = 0,
                       estimator=estimate_spectrum) -> tuple[SheafLaplacian, float, bool]:
     """One backtracking ascent step on the connectivity objective.
 
-    Step sizes start at eta_init (capped so the move stays inside the trust
-    region) and halve until the projected iterate clears the sufficient
-    increase test lambda2(new) >= lambda2(L) + c_w * eta * directional, or
-    backtracks run out, in which case L is returned unchanged.  estimator
-    swaps the connectivity notion (e.g. the gap over range(L) for sheaves
-    with a large harmonic space); acceptance is judged on its lambda2.
+    lambda2 is the estimator's value at L.  Step sizes start at ETA_INIT
+    (capped so the move stays inside the trust region, TRUST_REGION of
+    ||L||_F) and halve until the projected iterate clears the sufficient
+    increase test lambda2(new) >= lambda2 + WOLFE_C * eta * directional, or
+    MAX_BACKTRACKS tries run out, in which case L is returned unchanged.
+    estimator swaps the connectivity notion (e.g. the gap over range(L)
+    for sheaves with a large harmonic space); acceptance is judged on its
+    lambda2.
     """
-    if lambda2 is None:
-        lambda2 = estimator(L, seed=seed).lambda2
     gnorm = g.frobenius_norm()
     if gnorm == 0.0 or g.directional <= 0.0:
         return L, 0.0, False
     Lnorm = float(np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum()))
-    eta = cfg.eta_init
+    eta = ETA_INIT
     if Lnorm > 0:
-        eta = min(eta, cfg.trust_region * Lnorm / gnorm)
-    for _ in range(cfg.max_backtracks):
+        eta = min(eta, TRUST_REGION * Lnorm / gnorm)
+    for _ in range(MAX_BACKTRACKS):
         candidate = project(_add_scaled(L, g, eta))
         lam_new = estimator(candidate, seed=seed).lambda2
-        if lam_new >= lambda2 + cfg.c_w * eta * g.directional:
+        if lam_new >= lambda2 + WOLFE_C * eta * g.directional:
             return candidate, eta, True
         eta *= 0.5
     return L, 0.0, False
@@ -193,8 +182,7 @@ def spec_penalty(c_het: float, lambda2: float) -> float:
     return c_het / lambda2
 
 
-def run_gap_ascent(L: SheafLaplacian, cfg: WolfeConfig | None = None,
-                   steps: int | None = None, seed: int = 0,
+def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
                    estimator=estimate_spectrum
                    ) -> tuple[SheafLaplacian, GapState]:
     """Run up to `steps` ascent steps, keeping the ledger of lambda2.
@@ -205,21 +193,19 @@ def run_gap_ascent(L: SheafLaplacian, cfg: WolfeConfig | None = None,
     stops at its first rejected step and records the unchanged lambda2
     once for it and once for each step left.
     """
-    cfg = cfg or WolfeConfig()
-    steps = cfg.inner_steps if steps is None else steps
     state = GapState()
     est = estimator(L, seed=seed)
-    state.record(est.lambda2, est.v2)
+    state.record(est.lambda2)
     for step in range(steps):
         degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
             est.lambda_max, 1.0)
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
-        L, _, accepted = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2,
-                                           seed=seed, estimator=estimator)
+        L, _, accepted = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
+                                           estimator=estimator)
         if not accepted:
             for _ in range(steps - step):
-                state.record(est.lambda2, est.v2)
+                state.record(est.lambda2)
             break
         est = estimator(L, seed=seed)
-        state.record(est.lambda2, est.v2)
+        state.record(est.lambda2)
     return L, state

@@ -43,7 +43,6 @@ from .autodiff import backward
 from .calibration import (
     EdgeBeta,
     calibrate_prediction,
-    class_coupling,
     ece,
     init_prior,
     kl_term,
@@ -61,8 +60,9 @@ from .model import (
     forward_tape,
     init_params,
     leaf_grads,
+    softmax,
 )
-from .spectral import WolfeConfig, run_gap_ascent, spec_penalty
+from .spectral import run_gap_ascent, spec_penalty
 from .transport import LiftConfig, edge_plans, projected_features
 
 VARIANTS = ("we_lift", "scalar_edge")
@@ -176,11 +176,6 @@ def pac_bayes_bound(emp_risk: float, kl: float, spec: float) -> float:
     return emp_risk + kl + spec
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _accuracy(probs: np.ndarray, y: np.ndarray, idx: np.ndarray) -> float:
     if idx.size == 0:
         return 0.0
@@ -226,7 +221,7 @@ def train_epoch(state: TrainState, data: Dataset,
     g, labels, split = data.g, data.labels, data.split
     ctx = epoch_context(data, state.plans, state.X0, cfg)
     logits, leaves, aux = forward_tape(state.params, ctx)
-    y_hat = _softmax(logits.value)
+    y_hat = softmax(logits.value)
     cg_iters = int(aux["cg_iters"])
     L = replace(aux["L"], _bsr=None)
     del aux
@@ -235,7 +230,6 @@ def train_epoch(state: TrainState, data: Dataset,
         state.prior, y_hat, g, labels, split.train,
         gamma_cap=cfg.gamma_cap, n_msg=cfg.n_layers)
     kappa = node_kappa(posterior, g)
-    coupling = class_coupling(posterior.kappa_bar, labels, g, split.train)
 
     kl = kl_term(posterior, state.prior, split.train.size, cfg.delta)
     ctx = replace(ctx, kappa=kappa)
@@ -252,15 +246,15 @@ def train_epoch(state: TrainState, data: Dataset,
         raise FloatingPointError(f"epoch {state.epoch}: {exc}") from exc
 
     try:
-        _, gap = run_gap_ascent(L, WolfeConfig(), steps=cfg.gap_steps,
-                                seed=cfg.seed, estimator=normalized_range_gap)
+        _, gap = run_gap_ascent(L, steps=cfg.gap_steps, seed=cfg.seed,
+                                estimator=normalized_range_gap)
     except ArpackNoConvergence as exc:
         # the constructor puts scipy's "ARPACK error -1: " before the message
         msg = str(exc).removeprefix("ARPACK error -1: ")
         raise ArpackNoConvergence(
             f"epoch {state.epoch}, stage gap-estimate: {msg}",
             exc.eigenvalues, exc.eigenvectors) from exc
-    spec = spec_penalty(coupling.c_het, gap.lambda2_history[0])
+    spec = spec_penalty(posterior.coupling.c_het, gap.lambda2_history[0])
     raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
@@ -379,7 +373,9 @@ def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
     ctx = epoch_context(data, plans,
                         projected_features(data.feats.H, params.W_proj), cfg)
     logits, _, aux = forward_tape(params, ctx)
-    y_hat = _softmax(logits.value)
+    y_hat = softmax(logits.value)
+    embedding = aux["embeddings"][-1]
+    del logits, aux   # the tape is freed before the posterior runs
     posterior = posterior_update(
         init_prior(g.m, cfg.a0, cfg.b0), y_hat, g, labels, split.train,
         gamma_cap=cfg.gamma_cap, n_msg=cfg.n_layers)
@@ -390,7 +386,7 @@ def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
         val_acc=_accuracy(cal, labels.y, split.val),
         test_acc=_accuracy(cal, labels.y, split.test),
         ece=ece_val,
-        nrs=nrs(aux["embeddings"][-1], g),
+        nrs=nrs(embedding, g),
         predictions=cal,
         reliability=rows)
 

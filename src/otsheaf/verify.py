@@ -33,7 +33,7 @@ from .model import (
     grad_params,
     init_params,
 )
-from .spectral import WolfeConfig, run_gap_ascent
+from .spectral import run_gap_ascent
 from .training import (
     Dataset,
     TrainConfig,
@@ -124,8 +124,8 @@ def check_gap_ascent(accepted_target: int = 50, seed: int = 7) -> CheckResult:
     B = SheafIncidence(n=g.n, edges=g.edges,
                        Rij=rng.normal(size=(g.m, 2, 2)),
                        Rji=rng.normal(size=(g.m, 2, 2)))
-    _, gap = run_gap_ascent(assemble_laplacian(B), WolfeConfig(),
-                            steps=accepted_target, seed=seed)
+    _, gap = run_gap_ascent(assemble_laplacian(B), steps=accepted_target,
+                            seed=seed)
     history = gap.lambda2_history
     # an accepted step raises lambda2 strictly; the ascent repeats the last
     # value for a rejected step and every step after it

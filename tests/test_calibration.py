@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import otsheaf.calibration as calibration
 from otsheaf.calibration import (
     ClassCoupling,
     PosteriorState,
@@ -31,12 +32,17 @@ def beta_kl_quadrature(a1, b1, a0, b0):
     return val
 
 
+# the coupling of a hand-built posterior, which node_kappa and kl_term
+# never read
+NO_COUPLING = ClassCoupling(Pi=np.zeros((0, 0)), c_het=0.0)
+
+
 def make_posterior(kappa, absorbed=1.0, a0=1.0, b0=1.0):
     kappa = np.asarray(kappa, dtype=np.float64)
     total = np.full_like(kappa, a0 + b0 + absorbed)
     return PosteriorState(alpha_bar=kappa * total, beta_bar=(1 - kappa) * total,
                           kappa_bar=kappa, a0=a0, b0=b0, sweeps=1,
-                          converged=True)
+                          converged=True, coupling=NO_COUPLING)
 
 
 def labeled_path_fixture():
@@ -211,6 +217,14 @@ class TestPosteriorUpdate:
         assert np.all(post.alpha_bar + post.beta_bar <= 50.0 + 1e-9)
         assert np.all(post.alpha_bar > 0) and np.all(post.beta_bar > 0)
 
+    def test_carries_the_coupling_of_its_final_means(self):
+        g, labels, mask = labeled_path_fixture()
+        pred = np.random.default_rng(3).dirichlet(np.ones(2), size=g.n)
+        post = posterior_update(init_prior(g.m), pred, g, labels, mask)
+        want = class_coupling(post.kappa_bar, labels, g, mask)
+        assert np.array_equal(post.coupling.Pi, want.Pi)
+        assert post.coupling.c_het == want.c_het
+
     def test_cap_preserves_mean(self):
         g, labels, mask = labeled_path_fixture()
         pred = np.zeros((g.n, 2))
@@ -221,7 +235,7 @@ class TestPosteriorUpdate:
                                   gamma_cap=50.0, n_msg=500)
         assert np.allclose(loose.kappa_bar, capped.kappa_bar)
 
-    def test_convergence_flag_semantics(self):
+    def test_convergence_flag_semantics(self, monkeypatch):
         # this fixture contracts geometrically but needs 11 sweeps for 1e-6:
         # the default budget reports honestly, a wider one converges
         g, labels, mask = labeled_path_fixture()
@@ -229,8 +243,8 @@ class TestPosteriorUpdate:
         pred = rng.dirichlet(np.ones(2), size=g.n)
         tight = posterior_update(init_prior(g.m), pred, g, labels, mask)
         assert not tight.converged and tight.sweeps == 10
-        loose = posterior_update(init_prior(g.m), pred, g, labels, mask,
-                                 max_sweeps=30)
+        monkeypatch.setattr(calibration, "POSTERIOR_MAX_SWEEPS", 30)
+        loose = posterior_update(init_prior(g.m), pred, g, labels, mask)
         assert loose.converged and loose.sweeps <= 15
 
     def test_parameters_stay_valid(self):
@@ -292,7 +306,7 @@ class TestKLTerm:
         post = PosteriorState(alpha_bar=prior.alpha.copy(),
                               beta_bar=prior.beta.copy(),
                               kappa_bar=prior.mean, a0=1.0, b0=1.0,
-                              sweeps=0, converged=True)
+                              sweeps=0, converged=True, coupling=NO_COUPLING)
         for n, delta in [(10, 0.05), (40, 0.1)]:
             want = np.sqrt(np.log(2 / delta) / (2 * n))
             assert kl_term(post, prior, n, delta) == pytest.approx(want)

@@ -4,7 +4,6 @@ import pytest
 from otsheaf.autodiff import Var
 from otsheaf.diffusion import (
     CGConfig,
-    DiffusionConfig,
     cg_solve,
     chebyshev_apply,
     chebyshev_weights,
@@ -85,10 +84,9 @@ class TestSvrDiffuse:
 
     def test_matches_dense_solve(self):
         L = self._fixture()
-        cfg = DiffusionConfig(dt=0.1, cg_tol=1e-11)
         X = np.random.default_rng(1).normal(size=(L.N, 4))
-        out, info = svr_diffuse(L, X, cfg)
-        dense = np.linalg.solve(np.eye(L.N) + cfg.dt * L.to_dense(), X)
+        out, info = svr_diffuse(L, X, 0.1, CGConfig(tol=1e-11))
+        dense = np.linalg.solve(np.eye(L.N) + 0.1 * L.to_dense(), X)
         assert info.converged
         np.testing.assert_allclose(out, dense, atol=1e-8)
 
@@ -98,21 +96,21 @@ class TestSvrDiffuse:
         L = self._fixture(seed=4)
         X = np.random.default_rng(4).normal(size=(L.N, cols))
         X[0, -1] = np.nan
-        _, info = svr_diffuse(L, X, DiffusionConfig(dt=0.1))
+        _, info = svr_diffuse(L, X, 0.1, CGConfig())
         assert np.isnan(info.residual)
         assert not info.converged
 
     def test_dt_zero_is_identity(self):
         L = self._fixture(seed=2)
         X = np.random.default_rng(2).normal(size=(L.N,))
-        out, info = svr_diffuse(L, X, DiffusionConfig(dt=0.0))
+        out, info = svr_diffuse(L, X, 0.0, CGConfig())
         np.testing.assert_allclose(out, X, atol=1e-12)
         assert info.iterations <= 1
 
     def test_smoothing_reduces_dirichlet_energy(self):
         L = self._fixture(seed=3)
         X = np.random.default_rng(3).normal(size=(L.N,))
-        out, _ = svr_diffuse(L, X, DiffusionConfig(dt=0.5, cg_tol=1e-10))
+        out, _ = svr_diffuse(L, X, 0.5, CGConfig(tol=1e-10))
         assert out @ L.matvec(out) < X @ L.matvec(X)
 
     def test_jacobi_preconditioner_is_block_inverse(self):

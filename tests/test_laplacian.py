@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+import otsheaf.laplacian as laplacian
 from otsheaf.autodiff import Var
 from otsheaf.graphs import Graph, erdos_renyi, synthetic_dataset
 from otsheaf.laplacian import (
@@ -369,11 +370,15 @@ class TestSpectrum:
         U = blockwise_constant_basis(5, 3)
         np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-12)
 
-    def test_lanczos_matches_dense_path(self):
+    def test_lanczos_matches_dense_path(self, monkeypatch):
         g = erdos_renyi(25, 4.0, seed=12, ensure_connected=True)
         L = assemble_laplacian(random_sheaf(g, d_v=3, d_e=2, seed=12))
-        dense = estimate_spectrum(L, dense_cutoff=10_000)
-        lanc = estimate_spectrum(L, dense_cutoff=0, seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(laplacian, "DENSE_CUTOFF", 10_000)
+            dense = estimate_spectrum(L)
+        with monkeypatch.context() as m:
+            m.setattr(laplacian, "DENSE_CUTOFF", 0)
+            lanc = estimate_spectrum(L, seed=3)
         assert lanc.lambda2 == pytest.approx(dense.lambda2, rel=1e-6, abs=1e-8)
         assert lanc.lambda_max == pytest.approx(dense.lambda_max, rel=1e-4)
         assert lanc.residual2 <= 1e-6 * max(dense.lambda_max, 1.0)
@@ -398,7 +403,6 @@ def stall_low_end(monkeypatch, times=None) -> list:
 
     Returns the growing list of (which, k) of every eigsh call.
     """
-    import otsheaf.laplacian as laplacian
     calls = []
 
     def patched(A, k, **kwargs):
@@ -518,10 +522,11 @@ class TestRangeGap:
         assert normalized_range_gap(L).lambda2 == pytest.approx(
             estimate_spectrum(L).lambda2 / 2.0, rel=1e-9)
 
-    def test_iterative_path_on_large_cycle(self):
+    def test_iterative_path_on_large_cycle(self, monkeypatch):
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         n = 90
         L = assemble_laplacian(scalar_sheaf(cycle_graph(n)))
-        est = normalized_range_gap(L, dense_cutoff=0, seed=1)
+        est = normalized_range_gap(L, seed=1)
         assert est.converged
         assert est.lambda2 == pytest.approx(1.0 - np.cos(2 * np.pi / n),
                                             rel=1e-8)
@@ -543,10 +548,11 @@ class TestRangeGap:
         # ARPACK_K0 to ARPACK_MAX_K; lambda_max costs one call at the top
         # on its first read and none after; one WARNING, and the estimate
         # says it did not converge
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
         calls = stall_low_end(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, dense_cutoff=0)
+            est = normalized_range_gap(L)
         low = [("SA", 16), ("SA", 32), ("SA", 64), ("SA", 128)]
         assert calls == low
         first = est.lambda_max
@@ -558,15 +564,16 @@ class TestRangeGap:
         assert len(records) == 1
         assert "ARPACK stalled at k=128 (dim A=314)" in records[0]
 
-    def test_zero_operator_reports_degenerate(self, caplog):
+    def test_zero_operator_reports_degenerate(self, monkeypatch, caplog):
         # all restriction maps zero: S = 0, nothing reaches a solver; one
         # warning, and zero directions of the full dimension N
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         B = SheafIncidence(n=3, edges=g.edges,
                            Rij=np.zeros((2, 2, 2)), Rji=np.zeros((2, 2, 2)))
         L = assemble_laplacian(B)
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, dense_cutoff=0)
+            est = normalized_range_gap(L)
         assert est.lambda2 == 0.0
         assert not est.converged
         records = [r.getMessage() for r in caplog.records]
@@ -619,14 +626,15 @@ class TestNormalizedRangeGap:
         assert np.linalg.norm(est.v2) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(est.v3) == pytest.approx(1.0, abs=1e-12)
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
         A, _, _ = _compressed_normalized(L)
         assert 200 < A.shape[0] < L.N
         SLS = dense_sls(L)
         w = np.linalg.eigvalsh(0.5 * (SLS + SLS.T))
         oracle = w[w > 1e-3][0]
-        est = normalized_range_gap(L, dense_cutoff=0, seed=3)
+        est = normalized_range_gap(L, seed=3)
         assert est.converged
         assert est.lambda2 == pytest.approx(oracle, rel=1e-8)
 
@@ -646,36 +654,39 @@ class TestNormalizedRangeGap:
         np.testing.assert_allclose(w_full[:L.N - A.shape[0]], 0.0, atol=1e-10)
         np.testing.assert_allclose(w_full[L.N - A.shape[0]:], w_A, atol=1e-10)
 
-    def test_exact_kernel_of_compressed_operator(self):
+    def test_exact_kernel_of_compressed_operator(self, monkeypatch):
         # more exact zeros than ARPACK's first block of 16 pairs: the block
         # doubles past them
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = exact_kernel_operator()
         A, _, _ = _compressed_normalized(L)
         w = np.linalg.eigvalsh(A.toarray())
         assert np.count_nonzero(np.abs(w) < 1e-10) > 16
-        est = normalized_range_gap(L, dense_cutoff=0, seed=1)
+        est = normalized_range_gap(L, seed=1)
         assert est.converged
         assert est.lambda2 == pytest.approx(w[w > 1e-3][0], rel=1e-8)
 
-    def test_seeded_start_is_deterministic(self):
+    def test_seeded_start_is_deterministic(self, monkeypatch):
         # ARPACK's own start and restart vectors come from an RNG that
         # persists across calls; the seeded estimate must not depend on it
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = exact_kernel_operator()
-        first = normalized_range_gap(L, dense_cutoff=0, seed=4)
+        first = normalized_range_gap(L, seed=4)
         other = assemble_laplacian(random_sheaf(cycle_graph(90), d_v=3,
                                                 d_e=2, seed=1)).to_bsr()
         eigsh(other, k=3, which="SA")
-        second = normalized_range_gap(L, dense_cutoff=0, seed=4)
+        second = normalized_range_gap(L, seed=4)
         assert first.lambda2 == second.lambda2
         assert np.array_equal(first.v2, second.v2)
 
-    def test_lambda_max_on_first_read_is_seeded(self):
+    def test_lambda_max_on_first_read_is_seeded(self, monkeypatch):
         # the top solve runs when lambda_max is first read, with the
         # estimate's own generator: reading it after another estimate ran
         # gives the same bits, and it agrees with the dense top eigenvalue
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
-        first = normalized_range_gap(L, dense_cutoff=0, seed=2)
-        second = normalized_range_gap(L, dense_cutoff=0, seed=2)
+        first = normalized_range_gap(L, seed=2)
+        second = normalized_range_gap(L, seed=2)
         assert second.lambda_max == first.lambda_max
         A, _, _ = _compressed_normalized(L)
         top = np.linalg.eigvalsh(A.toarray())[-1]
@@ -684,11 +695,12 @@ class TestNormalizedRangeGap:
     def test_arpack_stall_falls_back_to_lanczos(self, monkeypatch, caplog):
         # the first block stalls: the estimate doubles it and converges to
         # the same pair, leaving one DEBUG record and no warning
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
-        exact = normalized_range_gap(L, dense_cutoff=0, seed=3)
+        exact = normalized_range_gap(L, seed=3)
         calls = stall_low_end(monkeypatch, times=1)
         with caplog.at_level(logging.DEBUG, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, dense_cutoff=0, seed=3)
+            est = normalized_range_gap(L, seed=3)
         assert calls == [("SA", 16), ("SA", 32)]
         first = est.lambda_max
         assert calls == [("SA", 16), ("SA", 32), ("LA", 1)]
@@ -706,10 +718,11 @@ class TestNormalizedRangeGap:
 
     def test_unconverged_fallback_warns_once(self, monkeypatch, caplog):
         # ARPACK stalls at every block: one warning, and the estimate says so
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
         stall_low_end(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="otsheaf.laplacian"):
-            est = normalized_range_gap(L, dense_cutoff=0)
+            est = normalized_range_gap(L)
         assert not est.converged
         records = [r.getMessage() for r in caplog.records]
         assert len(records) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from otsheaf.autodiff import Var, backward, linear
 from otsheaf.diffusion import (
-    DiffusionConfig,
+    CGConfig,
     chebyshev_apply,
     chebyshev_weights,
     fuse,
@@ -411,9 +411,9 @@ class TestForwardParity:
             Rji=aux["Rji"].value))
         assert np.array_equal(tape_L.diag, aux["diag"].value)
         assert np.array_equal(tape_L.off, aux["off"].value)
-        cfg = DiffusionConfig(dt=ctx.dt, cg_tol=ctx.cg_tol,
-                              cg_max_iter=ctx.cg_max_iter)
-        h_svr, _ = svr_diffuse(L, ctx.X0.reshape(-1), cfg)
+        h_svr, _ = svr_diffuse(L, ctx.X0.reshape(-1), ctx.dt,
+                               CGConfig(tol=ctx.cg_tol,
+                                        max_iter=ctx.cg_max_iter))
         SLS = dense_sls(L)
         h_afm, _ = chebyshev_apply(lambda v: v - SLS @ v, ctx.X0.reshape(-1),
                                    chebyshev_weights(params.gamma))

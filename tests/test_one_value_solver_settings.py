@@ -1,0 +1,99 @@
+"""A solver setting that has one value in use is a module constant.
+
+No fit, check, command or demo gives the Wolfe step, `project`, the
+eigensolver's dense cutoff, the block null cutoff or the posterior's sweep
+budget a second value, so each is a named constant that its function reads
+at call time, and a test that needs another value monkeypatches it.  A
+config class or a parameter for one of them would bring back a knob that
+cannot change a result.  The block null cutoff is read in `_block_frames`
+alone: the tape's S and the gap estimate's T both come from there, so the
+estimate describes the operator the tape built.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "otsheaf"
+
+CLASSES = {"WolfeConfig", "DiffusionConfig"}
+PARAMETERS = {"dense_cutoff", "cutoff_rel", "max_rounds", "max_sweeps",
+              "inner_steps"}
+BLOCK_CUTOFF = "BLOCK_CUTOFF_REL"
+BLOCK_CUTOFF_READER = "_block_frames"
+
+
+def stray_settings(source: str, filename: str) -> list[str]:
+    """file:line of every settings class and every parameter for a constant."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ClassDef) and node.name in CLASSES:
+            found.append(f"{filename}:{node.lineno}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs):
+                if arg.arg in PARAMETERS:
+                    found.append(f"{filename}:{arg.lineno}")
+    return found
+
+
+def block_cutoff_reads(source: str, filename: str) -> list[str]:
+    """file:line of every read of the block null cutoff outside its reader."""
+    found = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = node.name
+        read = ((isinstance(node, ast.Name) and node.id == BLOCK_CUTOFF
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == BLOCK_CUTOFF
+                    and isinstance(node.ctx, ast.Load)))
+        if read and enclosing != BLOCK_CUTOFF_READER:
+            found.append(f"{filename}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source, filename), None)
+    return found
+
+
+def _package_hits(scan) -> list[str]:
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    return [hit for path in files for hit in scan(path.read_text(), path.name)]
+
+
+def test_scan_flags_settings_classes_and_parameters():
+    src = ("from dataclasses import dataclass\n"
+           "@dataclass\n"
+           "class WolfeConfig:\n"
+           "    c_w: float = 0.1\n"
+           "def project(L, dense_cutoff=1000,\n"
+           "            *, max_rounds=3):\n"
+           "    return L\n"
+           "def run_gap_ascent(L, steps, seed=0):\n"
+           "    return L\n"
+           "update = lambda prior, max_sweeps=10: prior\n")
+    assert stray_settings(src, "probe.py") == [
+        "probe.py:3", "probe.py:5", "probe.py:6", "probe.py:10"]
+
+
+def test_scan_flags_block_cutoff_reads_outside_its_reader():
+    src = ("BLOCK_CUTOFF_REL = 1e-12\n"
+           "def _block_frames(w, V):\n"
+           "    return w > BLOCK_CUTOFF_REL\n"
+           "def _block_isqrt(diag):\n"
+           "    return diag > BLOCK_CUTOFF_REL\n"
+           "def isqrt_blocks(diag):\n"
+           "    return diag > laplacian.BLOCK_CUTOFF_REL\n")
+    assert block_cutoff_reads(src, "probe.py") == ["probe.py:5", "probe.py:7"]
+
+
+def test_package_has_no_settings_for_one_value_constants():
+    assert _package_hits(stray_settings) == []
+
+
+def test_block_cutoff_is_read_in_one_place():
+    assert _package_hits(block_cutoff_reads) == []
+    assert "BLOCK_CUTOFF_REL = " in (PACKAGE / "laplacian.py").read_text()

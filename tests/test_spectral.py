@@ -6,6 +6,7 @@ from scipy.linalg import null_space
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from otsheaf.graphs import Graph, erdos_renyi
+import otsheaf.laplacian as laplacian
 import otsheaf.spectral as spectral
 from otsheaf.laplacian import (
     SheafLaplacian,
@@ -18,7 +19,6 @@ from otsheaf.spectral import (
     DEGENERACY_REL_GAP,
     PROJECT_MAX_RESTARTS,
     GapState,
-    WolfeConfig,
     gap_gradient,
     project,
     run_gap_ascent,
@@ -69,11 +69,13 @@ class TestRayleighLambda2:
         lam = estimate_spectrum(L).lambda2
         assert lam == pytest.approx(dense_deflated_min(L)[0], abs=1e-8)
 
-    def test_unconverged_solve_warns_once(self, caplog):
+    def test_unconverged_solve_warns_once(self, monkeypatch, caplog):
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(laplacian, "SPECTRUM_TOL", 1e-30)
         g = erdos_renyi(30, 4.0, seed=6, ensure_connected=True)
         L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=1, seed=6))
         with caplog.at_level(logging.WARNING, logger="otsheaf"):
-            est = estimate_spectrum(L, dense_cutoff=0, tol=1e-30)
+            est = estimate_spectrum(L)
         assert not est.converged
         assert len(caplog.records) == 1
         assert caplog.records[0].levelno == logging.WARNING
@@ -176,27 +178,29 @@ class TestProject:
         assert np.allclose(once.diag, twice.diag, atol=1e-10)
         assert np.allclose(once.off, twice.off, atol=1e-10)
 
-    def test_iterative_path_agrees(self):
+    def test_iterative_path_agrees(self, monkeypatch):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         L = assemble_laplacian(scalar_sheaf(g))
         L.diag = L.diag - 0.4 * np.eye(1)[None]
         L._bsr = None
-        out = project(L, dense_cutoff=1)  # force the sparse eigensolver
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)  # force ARPACK
+        out = project(L)
         assert np.linalg.eigvalsh(out.to_dense())[0] >= -1e-8
 
-    def test_iterative_path_is_deterministic(self):
+    def test_iterative_path_is_deterministic(self, monkeypatch):
         # ARPACK's start and restart vectors are seeded, so an unrelated
         # eigsh call between two projections changes nothing
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
         L = indefinite_sheaf()
-        first = project(L, dense_cutoff=1)
+        first = project(L)
         other = assemble_laplacian(scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
         eigsh(other.to_bsr(), k=3, which="LA")
-        second = project(L, dense_cutoff=1)
+        second = project(L)
         assert np.array_equal(first.diag, second.diag)
         assert np.array_equal(first.off, second.off)
 
     def test_stall_names_the_stage(self, monkeypatch):
-        import otsheaf.laplacian as laplacian
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
         L = indefinite_sheaf()
 
         def stalled(A, k, **kwargs):
@@ -207,12 +211,12 @@ class TestProject:
         monkeypatch.setattr(laplacian, "eigsh", stalled)
         with pytest.raises(ArpackNoConvergence,
                            match=r"project: .*\(N=80, k=1\)"):
-            project(L, dense_cutoff=1)
+            project(L)
 
     def test_stall_is_capped(self, monkeypatch):
         # ARPACK's default budget is 10 restarts per dimension; project
         # passes its own cap, and a stall at the cap still names the stage
-        import otsheaf.laplacian as laplacian
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
         L = indefinite_sheaf()
         budgets = []
 
@@ -226,7 +230,7 @@ class TestProject:
         monkeypatch.setattr(laplacian, "eigsh", stalled_at_cap)
         with pytest.raises(ArpackNoConvergence,
                            match=r"project: .*\(N=80, k=1\)"):
-            project(L, dense_cutoff=1)
+            project(L)
         assert budgets == [PROJECT_MAX_RESTARTS]
 
 
@@ -234,7 +238,8 @@ class TestWolfeStep:
     def test_zero_gradient_is_noop(self):
         L = single_edge_laplacian()
         g = gap_gradient(L, np.array([1.0, 0.0]) * 0.0)
-        out, eta, accepted = wolfe_ascent_step(L, g, WolfeConfig())
+        out, eta, accepted = wolfe_ascent_step(L, g,
+                                               estimate_spectrum(L).lambda2)
         assert out is L and eta == 0.0 and not accepted
 
     def test_single_edge_strict_increase(self):
@@ -242,19 +247,19 @@ class TestWolfeStep:
         est = estimate_spectrum(L)
         lam0 = est.lambda2
         g = gap_gradient(L, est.v2)
-        out, eta, accepted = wolfe_ascent_step(L, g, WolfeConfig(), lambda2=lam0)
+        out, eta, accepted = wolfe_ascent_step(L, g, lam0)
         assert accepted and eta > 0
         lam1 = estimate_spectrum(out).lambda2
         # closed form: the non-trivial eigenvalue moves from 2 to 2 + eta
         assert lam1 == pytest.approx(2.0 + eta)
         assert lam1 > lam0
 
-    def test_trust_region_caps_step(self):
+    def test_trust_region_caps_step(self, monkeypatch):
         L = single_edge_laplacian()
         est = estimate_spectrum(L)
         g = gap_gradient(L, est.v2)
-        cfg = WolfeConfig(trust_region=0.05)
-        _, eta, accepted = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2)
+        monkeypatch.setattr(spectral, "TRUST_REGION", 0.05)
+        _, eta, accepted = wolfe_ascent_step(L, g, est.lambda2)
         Lnorm = np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum())
         assert accepted
         assert eta * g.frobenius_norm() <= 0.05 * Lnorm + 1e-12
@@ -268,20 +273,15 @@ class TestWolfeStep:
         L = assemble_laplacian(scalar_sheaf(K4))
         est = estimate_spectrum(L)
         g = gap_gradient(L, est.v2, est.v3)
-        out, eta, accepted = wolfe_ascent_step(L, g, WolfeConfig(),
-                                               lambda2=est.lambda2)
+        out, eta, accepted = wolfe_ascent_step(L, g, est.lambda2)
         assert not accepted and eta == 0.0 and out is L
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            WolfeConfig(c_w=1.5)
 
 
 class TestGapAscentLoop:
     def test_history_monotone_on_random_sheaf(self):
         g_graph = erdos_renyi(8, 3.0, seed=7, ensure_connected=True)
         L = assemble_laplacian(random_sheaf(g_graph, d_v=2, d_e=1, seed=4))
-        _, state = run_gap_ascent(L, WolfeConfig(), steps=15)
+        _, state = run_gap_ascent(L, steps=15)
         h = state.lambda2_history
         assert len(h) == 16
         assert all(b >= a - 1e-8 for a, b in zip(h, h[1:]))
@@ -289,13 +289,8 @@ class TestGapAscentLoop:
 
     def test_single_edge_makes_progress(self):
         L = single_edge_laplacian()
-        _, state = run_gap_ascent(L, WolfeConfig(), steps=5)
+        _, state = run_gap_ascent(L, steps=5)
         assert state.delta_G > 0.5
-
-    def test_default_steps_from_config(self):
-        L = single_edge_laplacian()
-        _, state = run_gap_ascent(L, WolfeConfig(inner_steps=3))
-        assert len(state.lambda2_history) == 4
 
     def test_stops_at_first_rejected_step(self, monkeypatch):
         # the second step rejects and returns L unchanged; the loop that
@@ -324,14 +319,13 @@ class TestGapAscentLoop:
 
 def explicit_ascent(L, steps, estimator, seed=0):
     """Every step of the ascent run, rejected or not: (L, lambda2 ledger)."""
-    cfg = WolfeConfig()
     est = estimator(L, seed=seed)
     history = [est.lambda2]
     for _ in range(steps):
         degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
             est.lambda_max, 1.0)
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
-        L, _, _ = wolfe_ascent_step(L, g, cfg, lambda2=est.lambda2, seed=seed,
+        L, _, _ = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
                                     estimator=estimator)
         est = estimator(L, seed=seed)
         history.append(est.lambda2)
@@ -357,12 +351,11 @@ class TestGapState:
     def test_empty_delta_zero(self):
         assert GapState().delta_G == 0.0
 
-    def test_record_tracks_vector(self):
+    def test_record_appends_lambda2(self):
         s = GapState()
-        s.record(1.0, np.array([1.0, 0.0]))
-        s.record(1.5, np.array([0.0, 1.0]))
+        s.record(1.0)
+        s.record(1.5)
         assert s.delta_G == pytest.approx(0.5)
-        assert np.allclose(s.v2, [0.0, 1.0])
 
 
 class TestAscentWithRangeEstimator:

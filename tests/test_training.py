@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import logging
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from otsheaf.calibration import (
     posterior_update,
 )
 from otsheaf.diffusion import (
-    DiffusionConfig,
+    CGConfig,
     chebyshev_apply,
     chebyshev_weights,
     fuse,
@@ -242,12 +241,10 @@ class TestTrainEpoch:
         # 257), whose first low-end call stalls: the block doubles and the
         # epoch reports the same lambda2
         import otsheaf.laplacian as laplacian
-        import otsheaf.training as training
         from scipy.sparse.linalg import ArpackNoConvergence
         data = two_cluster_dataset(n_per=30)
         cfg = small_cfg(gap_steps=0, d_v=8, d_e=None)
-        monkeypatch.setattr(training, "normalized_range_gap", partial(
-            normalized_range_gap, dense_cutoff=0))
+        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         real = laplacian.eigsh
 
         def record_low_end(stall_first):
@@ -289,7 +286,9 @@ class TestTrainEpoch:
     def test_one_csr_build_per_epoch(self, monkeypatch):
         # each operator is built once and shared by both layers: L by the
         # CG solves, S L S by the Chebyshev forward and reverse recurrences,
-        # and T' L T by the gap estimate, which restricts it to range(S)
+        # and T' L T by the gap estimate, which restricts it to range(S).
+        # builds holds the operators themselves: S L S is freed with the
+        # tape, and an id alone could be reused by T' L T
         import otsheaf.training as training
         from otsheaf.laplacian import SheafLaplacian
         builds, applied = [], []
@@ -297,7 +296,7 @@ class TestTrainEpoch:
 
         def counted(self):
             if self._bsr is None:
-                builds.append(id(self))
+                builds.append(self)
             return real_to_bsr(self)
 
         def traced(self, x):
@@ -321,9 +320,9 @@ class TestTrainEpoch:
         assert len(tapes) == 1
         L = tapes[0]["L"]
         assert len(builds) == len(set(builds)) == 3
-        assert builds[0] == id(L)
+        assert builds[0] is L
         # two operators are applied: L and S L S, both across both layers
-        assert set(applied) == {id(L), builds[1]}
+        assert set(applied) == {id(L), id(builds[1])}
 
     def test_gap_estimate_runs_after_the_tape_is_freed(self, monkeypatch):
         import otsheaf.training as training
@@ -452,9 +451,9 @@ class TestTrainEpoch:
         _, rep = train_epoch(state, data, cfg)
 
         L = assemble_laplacian(restrictions_from_plans(g, plans, params.W_theta))
-        dcfg = DiffusionConfig(dt=cfg.dt, cg_tol=cfg.cg_tol,
-                               cg_max_iter=cfg.cg_max_iter)
-        h_svr, info = svr_diffuse(L, X0.reshape(-1), dcfg)
+        h_svr, info = svr_diffuse(L, X0.reshape(-1), cfg.dt,
+                                  CGConfig(tol=cfg.cg_tol,
+                                           max_iter=cfg.cg_max_iter))
         SLS = dense_sls(L)
         h_afm, _ = chebyshev_apply(lambda v: v - SLS @ v, X0.reshape(-1),
                                    chebyshev_weights(params.gamma))
@@ -494,10 +493,11 @@ class TestNormalizedSpectrum:
                 w = np.linalg.eigvalsh(dense_sls(L))
                 assert w.min() >= -1e-4 and w.max() <= 2.0 + 1e-4
 
-    def test_mid_size_estimate_is_converged(self):
+    def test_mid_size_estimate_is_converged(self, monkeypatch):
         # first-epoch operator with dim A 424 and 23 modes under the null
         # cutoff: dense at the default cutoff, and the doubling ARPACK block
         # reaches the same pair
+        import otsheaf.laplacian as laplacian
         data = two_cluster_dataset(n_per=30)
         state = init_state(data, small_cfg(d_v=12, d_e=None))
         L = assemble_laplacian(restrictions_from_plans(
@@ -507,7 +507,9 @@ class TestNormalizedSpectrum:
         w = np.linalg.eigvalsh(dense_sls(L))
         oracle = w[w > NORMALIZED_NULL_TOL][0]
         for cutoff in (DENSE_CUTOFF, 0):
-            est = normalized_range_gap(L, dense_cutoff=cutoff)
+            with monkeypatch.context() as m:
+                m.setattr(laplacian, "DENSE_CUTOFF", cutoff)
+                est = normalized_range_gap(L)
             assert est.converged
             assert est.lambda2 == pytest.approx(oracle, rel=1e-8)
 
@@ -592,6 +594,30 @@ class TestFit:
         res = evaluate(params, data, cfg, variant=variant)
         for name in ("train_acc", "val_acc", "test_acc", "ece"):
             assert getattr(res, name) == getattr(best, name), name
+
+    def test_evaluate_drops_the_tape_before_the_posterior(self, monkeypatch):
+        # evaluate keeps the predictions and the last embedding of its
+        # forward pass, and nothing of the tape, while the posterior runs
+        import otsheaf.training as training
+        refs, alive = [], []
+        real_tape = training.forward_tape
+        real_posterior = training.posterior_update
+
+        def watched_tape(*args, **kwargs):
+            out = real_tape(*args, **kwargs)
+            refs.append(weakref.ref(out[2]["L"]))
+            return out
+
+        def watched_posterior(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return real_posterior(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_tape", watched_tape)
+        monkeypatch.setattr(training, "posterior_update", watched_posterior)
+        data = two_cluster_dataset()
+        cfg = small_cfg()
+        evaluate(init_state(data, cfg).params, data, cfg)
+        assert alive == [[False]]
 
     def test_adam_runs(self):
         data = two_cluster_dataset()
