@@ -10,7 +10,6 @@ KL-proximal step started from it, so no second pass follows.
 import numpy as np
 
 from otsheaf.transport import (
-    LiftConfig,
     entropic_objective,
     feature_cost_matrix,
     normalize_to_measure,
@@ -37,14 +36,14 @@ print("  nu =", np.array_str(nu, precision=4))
 # the plan has exactly these marginals; the cost is squared distance
 # between atom indices on the stalk
 for eps in (2.0, 0.5, 0.1):
-    P = sinkhorn(mu, nu, C, LiftConfig(eps=eps)).P
+    P = sinkhorn(mu, nu, C, eps).P
     print(f"eps={eps:4.1f}: row-marginal error "
           f"{np.abs(P.sum(axis=1) - mu).max():.2e}, "
           f"plan entropy {-np.sum(P * np.log(P + 1e-300)):.3f}, "
           f"objective {entropic_objective(P, C, eps):.4f}")
 
 # the restriction maps are linear images of the plan: R_ij = W' P
-plan = sinkhorn(mu, nu, C, LiftConfig())
+plan = sinkhorn(mu, nu, C, 0.5)
 Rij = restriction_from_plan(plan.P, W_theta)
 Rji = restriction_from_plan(plan.P.T, W_theta)
 print("\nrestriction maps for eps=0.5")

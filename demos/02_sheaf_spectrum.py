@@ -15,7 +15,7 @@ from otsheaf.laplacian import (
     estimate_spectrum,
     normalized_range_gap,
 )
-from otsheaf.transport import LiftConfig, edge_plans, restrictions_from_plans
+from otsheaf.transport import edge_plans, restrictions_from_plans
 
 # --- scalar sheaf on a cycle: closed-form cross-check ----------------------
 n = 40
@@ -35,7 +35,7 @@ rng = np.random.default_rng(2)
 H = rng.uniform(0.5, 1.5, size=(g.n, 8))
 W_proj = rng.uniform(0.2, 0.8, size=(8, 5))
 W_theta = rng.normal(0.0, 0.6, size=(5, 3))   # edge stalks narrower than node stalks
-plans = edge_plans(g.edges, H, W_proj, LiftConfig())
+plans = edge_plans(g.edges, H, W_proj, 0.5)
 Ls = assemble_laplacian(restrictions_from_plans(g, plans, W_theta))
 w = np.linalg.eigvalsh(Ls.to_dense())
 print(f"\nlifted sheaf on ER(30): operator size {Ls.N}, "

@@ -24,7 +24,7 @@ print(f"start: lambda_2 = {est.lambda2:.4f}, lambda_max = {est.lambda_max:.4f}")
 print(f"       penalty at c_het=0.8: {spec_penalty(0.8, est.lambda2):.4f}")
 
 L_up, ledger = run_gap_ascent(L, steps=25, seed=11)
-hist = np.array(ledger.lambda2_history)
+hist = np.array(ledger)
 print(f"\n25 ascent steps, lambda_2 ledger (every 5th):")
 print("  ", np.array_str(hist[::5], precision=4))
 print(f"monotone: {bool(np.all(np.diff(hist) >= -1e-8))}, "

@@ -30,7 +30,6 @@ from .graphs import (
 from .laplacian import (
     SheafIncidence,
     SheafLaplacian,
-    SparsifierConfig,
     assemble_laplacian,
     estimate_spectrum,
     normalized_range_gap,
@@ -54,7 +53,7 @@ from .training import (
     write_curves,
     write_reliability,
 )
-from .transport import LiftConfig, edge_plans, sinkhorn
+from .transport import edge_plans, sinkhorn
 from .verify import CHECKS, CheckResult, run_checks
 
 __version__ = "0.1.0"

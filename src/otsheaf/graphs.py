@@ -101,6 +101,9 @@ def load_graph(path) -> tuple[Graph, NodeFeatures, Labels]:
             raise ValueError(f"{path}: missing required key '{key}'")
     n = int(obj["n"])
     C = int(obj["num_classes"])
+    if C < 2:
+        raise ValueError(f"{path}: num_classes is {C}; a dataset needs at "
+                         f"least 2 classes")
     d0 = int(obj["d0"])
     g = Graph.from_edges(n, obj["edges"] if obj["edges"] else np.zeros((0, 2)))
     feats = np.asarray(obj["features"], dtype=np.float64)
@@ -184,6 +187,9 @@ def convert_csv(edges_path, features_path, labels_path) -> tuple[Graph, NodeFeat
         )
     y = np.asarray(ys, dtype=np.int64)
     C = int(y.max()) + 1 if y.size else 1
+    if C < 2:
+        raise ValueError(f"{labels_path}: labels name {C} class(es); a "
+                         f"dataset needs at least 2 classes")
     g = Graph.from_edges(n, edges if edges else np.zeros((0, 2)))
     return g, NodeFeatures(H=np.asarray(rows, dtype=np.float64), d0=d0), Labels(y=y, C=C)
 

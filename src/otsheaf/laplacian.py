@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -354,6 +355,15 @@ def _extreme_eigs(A, k: int, which: str, rng, tol: float = 0.0,
     return w[order] - shift, V[:, order]
 
 
+def top_eigenvalue(A, rng) -> float:
+    """lambda_max of the symmetric A, to LAMBDA_MAX_TOL on the ARPACK path.
+
+    rng is a seed or a Generator; a Generator's next draws start ARPACK.
+    """
+    return float(_extreme_eigs(A, 1, "LA", rng, tol=LAMBDA_MAX_TOL,
+                               vectors=False)[-1])
+
+
 def estimate_spectrum(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     """lambda_2 over the complement of blockwise-constant signals, plus lambda_max.
 
@@ -370,8 +380,7 @@ def estimate_spectrum(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
         raise ValueError("operator too small for a deflated second eigenvalue")
 
     rng = np.random.default_rng(seed)
-    lam_max = float(_extreme_eigs(L.to_bsr(), 1, "LA", rng,
-                                  tol=LAMBDA_MAX_TOL, vectors=False)[-1])
+    lam_max = top_eigenvalue(L.to_bsr(), rng)
     sigma = lam_max + 1.0
 
     def deflated(X):
@@ -440,8 +449,8 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
     cutoff: ARPACK converges the lowest pairs whether or not they clear
     it, so the block must hold every mode under it plus two.  lambda_max
     is the top of the dense spectrum; on the ARPACK path it is computed on
-    first read, by ARPACK at the top to LAMBDA_MAX_TOL, with the next draws
-    of the same generator, so it has the same bits whenever it is read
+    first read, by top_eigenvalue with the next draws of the same
+    generator, so it has the same bits whenever it is read
     (and a stall there raises at that read).  On A + I, whose
     spectrum lies in [1, 3], a converged pair has residual at most
     3 * ARPACK_TOL.  When ARPACK still stalls at the largest block, the
@@ -468,9 +477,7 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
     if w.size == N:
         lam_max = float(w[-1])
     else:
-        def lam_max():
-            return _extreme_eigs(A, 1, "LA", rng, tol=LAMBDA_MAX_TOL,
-                                 vectors=False)[-1]
+        lam_max = partial(top_eigenvalue, A, rng)
     if not converged:
         logger.warning("range-gap estimate: ARPACK stalled at k=%d "
                        "(dim A=%d)", k, N)
@@ -560,15 +567,15 @@ def normalized_range_gap(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     return est
 
 
-@dataclass
-class SparsifierConfig:
-    eps: float = 0.3
-    seed: int = 0
-    sample_scale: float = 1.0   # multiplies the n*log(n)/eps^2 sample target
-    probes: int = 64            # JL probes for leverage estimation at scale
-    cg_tol: float = 1e-7
-    cg_max_iter: int = 2000
-    dense_cutoff: int = 2000    # below this N, leverage scores are exact
+# sparsify's leverage scores are exact for operators of dimension up to
+# this and sketched above it.  It bounds a dense pinv of L, not the dense
+# eigh that DENSE_CUTOFF bounds, so the two cutoffs are separate settings.
+LEVERAGE_DENSE_CUTOFF = 2000
+# the sketch: its Gaussian probes, and the tolerance and iteration budget
+# of the CG solve each probe costs
+LEVERAGE_PROBES = 64
+LEVERAGE_CG_TOL = 1e-7
+LEVERAGE_CG_MAX_ITER = 2000
 
 
 def _edge_leverage_dense(L: SheafLaplacian, B: SheafIncidence) -> np.ndarray:
@@ -586,8 +593,8 @@ def _edge_leverage_dense(L: SheafLaplacian, B: SheafIncidence) -> np.ndarray:
 
 
 def _edge_leverage_sketched(L: SheafLaplacian, B: SheafIncidence,
-                            cfg: SparsifierConfig) -> np.ndarray:
-    """tau_e ~ mean_s ||(B L^+ B^T g_s)_e||^2 over Gaussian probes g_s.
+                            seed: int) -> np.ndarray:
+    """tau_e ~ mean_s ||(B L^+ B^T g_s)_e||^2 over LEVERAGE_PROBES Gaussian g_s.
 
     Uses that M = B L^+ B^T is an orthogonal projection, so E||(M g)_e||^2
     equals tr((M^2)_ee) = tr(M_ee) = tau_e.  Each probe costs one CG solve on
@@ -595,41 +602,42 @@ def _edge_leverage_sketched(L: SheafLaplacian, B: SheafIncidence,
     """
     from .diffusion import cg_solve, CGConfig  # local import; no cycle at module load
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     m, d_e = B.edges.shape[0], B.d_e
     acc = np.zeros(m)
-    cgc = CGConfig(tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+    cgc = CGConfig(tol=LEVERAGE_CG_TOL, max_iter=LEVERAGE_CG_MAX_ITER)
     Bc = B.to_bsr()
-    for _ in range(cfg.probes):
+    for _ in range(LEVERAGE_PROBES):
         gpr = rng.normal(size=(m, d_e))
         z = cg_solve(L.matvec, Bc.T @ gpr.reshape(-1), cgc).x
         Mg = (Bc @ z).reshape(m, d_e)
         acc += np.einsum("ea,ea->e", Mg, Mg)
-    return acc / cfg.probes
+    return acc / LEVERAGE_PROBES
 
 
-def sparsify(L: SheafLaplacian, cfg: SparsifierConfig) -> SheafLaplacian:
+def sparsify(L: SheafLaplacian, eps: float, seed: int) -> SheafLaplacian:
     """Leverage-score edge sampling preserving quadratic forms within (1 +- eps).
 
-    The sample target is ceil(sample_scale * n * ln(n) / eps^2) draws with
-    replacement; when the graph already has no more edges than the target,
-    sampling cannot sparsify anything and L is returned unchanged.
+    The sample target is ceil(n * ln(n) / eps^2) draws with replacement,
+    seeded by seed (as is the leverage sketch); when the graph already has
+    no more edges than the target, sampling cannot sparsify anything and L
+    is returned unchanged.
     """
-    if not 0.0 < cfg.eps < 1.0:
+    if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     B = L.restrictions
     if B is None:
         raise ValueError("sparsify needs a Laplacian assembled from restriction maps")
-    q = int(np.ceil(cfg.sample_scale * L.n * np.log(max(L.n, 2)) / cfg.eps ** 2))
+    q = int(np.ceil(L.n * np.log(max(L.n, 2)) / eps ** 2))
     if L.m <= q:
         return L
-    if L.N <= cfg.dense_cutoff:
+    if L.N <= LEVERAGE_DENSE_CUTOFF:
         tau = _edge_leverage_dense(L, B)
     else:
-        tau = _edge_leverage_sketched(L, B, cfg)
+        tau = _edge_leverage_sketched(L, B, seed)
     tau = np.maximum(tau, 1e-12)
     p = tau / tau.sum()
-    counts = np.random.default_rng(cfg.seed).multinomial(q, p)
+    counts = np.random.default_rng(seed).multinomial(q, p)
     keep = counts > 0
     w = counts[keep] / (q * p[keep])
     kept = SheafIncidence(n=L.n, edges=B.edges[keep], Rij=B.Rij[keep],

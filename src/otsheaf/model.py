@@ -294,10 +294,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def calibrated_ce(logits: Var, ctx: EpochContext) -> Var:
-    """Mean cross-entropy of kappa-blended probabilities over the train mask."""
+def calibrated_ce(logits: Var, probs: np.ndarray, ctx: EpochContext) -> Var:
+    """Mean cross-entropy of kappa-blended probabilities over the train mask.
+
+    probs is softmax(logits.value), which every caller has already taken.
+    """
     z = logits.value
-    probs = softmax(z)
     k = ctx.kappa[:, None]
     pcal = k * probs + (1.0 - k) / ctx.C
     idx = ctx.train_idx
@@ -363,7 +365,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
 def loss_value(params: ModelParams, ctx: EpochContext) -> float:
     """The epoch loss: calibrated CE of one forward pass."""
     logits, _, _ = forward_tape(params, ctx)
-    return float(calibrated_ce(logits, ctx).value)
+    return float(calibrated_ce(logits, softmax(logits.value), ctx).value)
 
 
 def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
@@ -383,7 +385,7 @@ def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
 def grad_params(params: ModelParams, ctx: EpochContext):
     """Exact gradients of the epoch loss for every trainable block."""
     logits, leaves, aux = forward_tape(params, ctx)
-    ce = calibrated_ce(logits, ctx)
+    ce = calibrated_ce(logits, softmax(logits.value), ctx)
     backward(ce)
     return leaf_grads(leaves), float(ce.value), aux
 

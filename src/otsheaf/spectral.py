@@ -12,7 +12,7 @@ decrease the objective.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -41,22 +41,6 @@ PROJECT_MAX_ROUNDS = 3   # project's rank-one clips before its diagonal shift
 # to 270, while a raw transport operator with a large near-null cluster
 # stalls at any budget (N=720: still at 2000, and 7201 by default, 5.3 s)
 PROJECT_MAX_RESTARTS = 1000
-
-
-@dataclass
-class GapState:
-    """Per-step ledger of the connectivity objective."""
-
-    lambda2_history: list = field(default_factory=list)
-
-    @property
-    def delta_G(self) -> float:
-        if not self.lambda2_history:
-            return 0.0
-        return self.lambda2_history[-1] - self.lambda2_history[0]
-
-    def record(self, lambda2: float) -> None:
-        self.lambda2_history.append(float(lambda2))
 
 
 @dataclass
@@ -184,8 +168,8 @@ def spec_penalty(c_het: float, lambda2: float) -> float:
 
 def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
                    estimator=estimate_spectrum
-                   ) -> tuple[SheafLaplacian, GapState]:
-    """Run up to `steps` ascent steps, keeping the ledger of lambda2.
+                   ) -> tuple[SheafLaplacian, list[float]]:
+    """Run up to `steps` ascent steps; returns the iterate and its lambda2 ledger.
 
     The ledger holds steps + 1 entries, the first for L itself.  A rejected
     step returns L unchanged, and the estimator is deterministic in
@@ -193,9 +177,8 @@ def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
     stops at its first rejected step and records the unchanged lambda2
     once for it and once for each step left.
     """
-    state = GapState()
     est = estimator(L, seed=seed)
-    state.record(est.lambda2)
+    history = [float(est.lambda2)]
     for step in range(steps):
         degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
             est.lambda_max, 1.0)
@@ -203,9 +186,8 @@ def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
         L, _, accepted = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
                                            estimator=estimator)
         if not accepted:
-            for _ in range(steps - step):
-                state.record(est.lambda2)
+            history += [float(est.lambda2)] * (steps - step)
             break
         est = estimator(L, seed=seed)
-        state.record(est.lambda2)
-    return L, state
+        history.append(float(est.lambda2))
+    return L, history

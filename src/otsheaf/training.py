@@ -63,7 +63,7 @@ from .model import (
     softmax,
 )
 from .spectral import run_gap_ascent, spec_penalty
-from .transport import LiftConfig, edge_plans, projected_features
+from .transport import edge_plans, projected_features
 
 VARIANTS = ("we_lift", "scalar_edge")
 
@@ -137,9 +137,6 @@ class TrainConfig:
             raise ValueError("gamma_cap must be positive")
         if not self.lift_eps > 0:
             raise ValueError("lift_eps must be positive")
-
-    def lift_config(self) -> LiftConfig:
-        return LiftConfig(eps=self.lift_eps)
 
 
 @dataclass
@@ -233,7 +230,7 @@ def train_epoch(state: TrainState, data: Dataset,
 
     kl = kl_term(posterior, state.prior, split.train.size, cfg.delta)
     ctx = replace(ctx, kappa=kappa)
-    ce = calibrated_ce(logits, ctx)
+    ce = calibrated_ce(logits, y_hat, ctx)
     del logits
     if not np.isfinite(ce.value):
         raise TrainingDiverged(
@@ -246,15 +243,15 @@ def train_epoch(state: TrainState, data: Dataset,
         raise FloatingPointError(f"epoch {state.epoch}: {exc}") from exc
 
     try:
-        _, gap = run_gap_ascent(L, steps=cfg.gap_steps, seed=cfg.seed,
-                                estimator=normalized_range_gap)
+        _, lambda2s = run_gap_ascent(L, steps=cfg.gap_steps, seed=cfg.seed,
+                                     estimator=normalized_range_gap)
     except ArpackNoConvergence as exc:
         # the constructor puts scipy's "ARPACK error -1: " before the message
         msg = str(exc).removeprefix("ARPACK error -1: ")
         raise ArpackNoConvergence(
             f"epoch {state.epoch}, stage gap-estimate: {msg}",
             exc.eigenvalues, exc.eigenvectors) from exc
-    spec = spec_penalty(posterior.coupling.c_het, gap.lambda2_history[0])
+    spec = spec_penalty(posterior.coupling.c_het, lambda2s[0])
     raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
@@ -269,7 +266,7 @@ def train_epoch(state: TrainState, data: Dataset,
         kl=kl,
         spec=spec,
         bound=pac_bayes_bound(emp_norm, kl, spec),
-        lambda2=gap.lambda2_history[-1],
+        lambda2=lambda2s[-1],
         train_acc=_accuracy(cal, labels.y, split.train),
         val_acc=_accuracy(cal, labels.y, split.val),
         test_acc=_accuracy(cal, labels.y, split.test),
@@ -291,7 +288,7 @@ def run_plans(data: Dataset, W_proj: np.ndarray, cfg: TrainConfig,
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "scalar_edge":
         return np.tile(np.eye(cfg.d_v), (data.g.m, 1, 1))
-    return edge_plans(data.g.edges, data.feats.H, W_proj, cfg.lift_config())
+    return edge_plans(data.g.edges, data.feats.H, W_proj, cfg.lift_eps)
 
 
 def epoch_context(data: Dataset, plans: np.ndarray, X0: np.ndarray,

@@ -37,7 +37,7 @@ needs no special case: the plan becomes the unregularized optimum.
 
 With tau taken as sum_a r_a, P meets its marginals for any x, so the
 marginal violation cannot tell a converged root from a truncated one.  The
-scaling-form residual |tau - sum_a r_a| can, and it is what LiftConfig.tol
+scaling-form residual |tau - sum_a r_a| can, and it is what LIFT_TOL
 bounds in `edge_plans`.  The single-pair `sinkhorn` keeps a dense kernel,
 iterates in the log domain and accepts any cost; it serves as the
 reference solver.
@@ -56,19 +56,22 @@ from .laplacian import SheafIncidence
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class LiftConfig:
-    eps: float = 0.5          # entropic regularization strength
-    tol: float = 1e-9         # edge_plans: per-edge residual |tau - sum r|;
-                              # sinkhorn: L1 marginal violation
-    max_iter: int = 5000      # edge_plans: Newton iterations; sinkhorn: sweeps
-    floor: float = 1e-6       # additive floor when normalizing features
+# edge_plans: the per-edge scaling-form residual |tau - sum r| its Newton
+# root must reach, and the iterations it may take
+LIFT_TOL = 1e-9
+LIFT_MAX_ITER = 5000
+# sinkhorn: the L1 marginal violation its plan must reach, and the sweeps
+# it may take
+SINKHORN_TOL = 1e-9
+SINKHORN_MAX_SWEEPS = 5000
+# added to every clamped coordinate before normalizing, so every atom of a
+# measure carries mass
+MEASURE_FLOOR = 1e-6
 
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+
+def _check_eps(eps: float) -> None:
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
 
 
 @dataclass
@@ -81,7 +84,7 @@ class TransportPlan:
 
 
 class SinkhornDivergence(RuntimeError):
-    """Raised when a solve misses LiftConfig.tol (see its comment)."""
+    """Raised when a solve misses its tolerance (LIFT_TOL or SINKHORN_TOL)."""
 
 
 def feature_cost_matrix(p: int) -> np.ndarray:
@@ -91,51 +94,46 @@ def feature_cost_matrix(p: int) -> np.ndarray:
     return 2.0 * (1.0 - np.eye(p))
 
 
-def normalize_to_measure(h: np.ndarray, floor: float = 1e-6) -> np.ndarray:
-    """Clamp negatives, add a floor, and normalize to a probability vector.
-
-    An all-zero input (with floor = 0) degenerates to the uniform measure.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    v = np.maximum(h, 0.0) + floor
-    s = v.sum(axis=-1, keepdims=True)
-    uniform = np.full_like(v, 1.0 / v.shape[-1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(s > 0.0, v / np.where(s > 0.0, s, 1.0), uniform)
-    return out
+def normalize_to_measure(h: np.ndarray) -> np.ndarray:
+    """Clamp negatives, add MEASURE_FLOOR, and normalize to a probability vector."""
+    v = np.maximum(np.asarray(h, dtype=np.float64), 0.0) + MEASURE_FLOOR
+    return v / v.sum(axis=-1, keepdims=True)
 
 
 def sinkhorn(mu: np.ndarray, nu: np.ndarray, C: np.ndarray,
-             cfg: LiftConfig) -> TransportPlan:
+             eps: float) -> TransportPlan:
     """Entropy-regularized optimal transport plan between two measures.
 
     Solves min <P, C> + eps * sum P (log P - 1) over couplings of (mu, nu);
     the optimum has the scaling form diag(u) exp(-C/eps) diag(v), found by
     log-domain scaling, so tiny eps and underflowing entries need no special
-    case.  The marginals are checked every fifth sweep.
+    case.  The marginals are checked every fifth sweep, and the solve stops
+    once their L1 violation is at most SINKHORN_TOL; SinkhornDivergence is
+    raised after SINKHORN_MAX_SWEEPS sweeps without it.
     """
+    _check_eps(eps)
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     if mu.ndim != 1 or nu.ndim != 1 or mu.shape != nu.shape:
         raise ValueError("mu and nu must be 1-D with matching length")
     if np.any(mu <= 0) or np.any(nu <= 0):
         raise ValueError("marginals must be strictly positive (normalize first)")
-    log_K, log_mu, log_nu = -C / cfg.eps, np.log(mu), np.log(nu)
+    log_K, log_mu, log_nu = -C / eps, np.log(mu), np.log(nu)
     log_v = np.zeros_like(log_nu)
     violation = np.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, SINKHORN_MAX_SWEEPS + 1):
         log_u = log_mu - logsumexp(log_K + log_v[None, :], axis=1)
         log_v = log_nu - logsumexp(log_K + log_u[:, None], axis=0)
-        if it % 5 == 0 or it == cfg.max_iter:
+        if it % 5 == 0 or it == SINKHORN_MAX_SWEEPS:
             P = np.exp(log_K + log_u[:, None] + log_v[None, :])
             violation = max(np.abs(P.sum(axis=1) - mu).sum(),
                             np.abs(P.sum(axis=0) - nu).sum())
-            if violation <= cfg.tol:
+            if violation <= SINKHORN_TOL:
                 return TransportPlan(P=P, mu=mu, nu=nu, iterations=it,
                                      violation=float(violation))
     raise SinkhornDivergence(
-        f"marginal violation {violation:.3e} > tol {cfg.tol:.3e} after "
-        f"{cfg.max_iter} iterations")
+        f"marginal violation {violation:.3e} > tol {SINKHORN_TOL:.3e} after "
+        f"{SINKHORN_MAX_SWEEPS} iterations")
 
 
 def entropic_objective(P: np.ndarray, C: np.ndarray, eps: float) -> float:
@@ -166,14 +164,15 @@ def _off_mass(mu, nu, q):
     return np.divide(2.0 * q * mu, den, out=0.5 * den, where=b > 0), sq
 
 
-def _scaling_roots(mu, nu, c, beta, tol, max_iter):
+def _scaling_roots(mu, nu, c, beta):
     """Newton on F(tau) = tau - sum_a r_a(tau), one tau per edge.
 
     Starts at tau = 1 and keeps each iterate inside its bracket [lo, hi]
     with a bisection step.  x = mu*nu / (beta*(nu + r) + c*tau) is the
     smaller root written with positive terms only.  Returns (tau, x, r,
-    iterations, per-edge residual |tau - sum r|); the caller decides what a
-    residual above tol means.
+    iterations, per-edge residual |tau - sum r|), stopping once every
+    residual is at most LIFT_TOL or after LIFT_MAX_ITER iterations; the
+    caller decides what a residual above LIFT_TOL means.
     """
     tau = np.ones(mu.shape[0])
     lo, hi = np.zeros_like(tau), np.ones_like(tau)
@@ -184,7 +183,7 @@ def _scaling_roots(mu, nu, c, beta, tol, max_iter):
         den = beta * (nu + r) + ct
         x = np.divide(mu * nu, den, out=np.zeros_like(den), where=den > 0)
         F = tau - r.sum(axis=1)
-        if it == max_iter or np.abs(F).max() <= tol:
+        if it == LIFT_MAX_ITER or np.abs(F).max() <= LIFT_TOL:
             return tau, x, r, it, np.abs(F)
         it += 1
         hi = np.where(F > 0, tau, hi)
@@ -210,7 +209,7 @@ def projected_features(H: np.ndarray, W_proj: np.ndarray) -> np.ndarray:
 
 
 def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
-               cfg: LiftConfig) -> np.ndarray:
+               eps: float) -> np.ndarray:
     """Entropic transport plans for every edge, batched across the edge set.
 
     This is the feature-only part of the lift: it does not involve the
@@ -219,19 +218,20 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     Each plan is beta*diag(x) + r s^T / tau in closed form up to one scalar
     tau per edge (see the module docstring), found by Newton in O(m*p) per
     iteration; the dense (m, p, p) plans are materialised once, at the end.
-    Raises ValueError if a node's projected features are not finite, and
-    SinkhornDivergence, naming the pass and the worst edge, if a root
-    misses cfg.tol on the scaling-form residual |tau - sum r|.
+    Raises ValueError if eps is not positive or a node's projected features
+    are not finite, and SinkhornDivergence, naming the pass and the worst
+    edge, if a root misses LIFT_TOL on the scaling-form residual
+    |tau - sum r|.
     """
+    _check_eps(eps)
     X = projected_features(H, W_proj)
-    M = normalize_to_measure(X, cfg.floor)  # (n, p)
+    M = normalize_to_measure(X)  # (n, p)
     p = M.shape[1]
     if g_edges.shape[0] == 0:
         return np.zeros((0, p, p))
     mu, nu = M[g_edges[:, 0]], M[g_edges[:, 1]]
-    c, beta = np.exp(-2.0 / cfg.eps), -np.expm1(-2.0 / cfg.eps)
-    tau, x, r, it, residual = _scaling_roots(mu, nu, c, beta, cfg.tol,
-                                             cfg.max_iter)
+    c, beta = np.exp(-2.0 / eps), -np.expm1(-2.0 / eps)
+    tau, x, r, it, residual = _scaling_roots(mu, nu, c, beta)
     total = r.sum(axis=1)[:, None]
     s = (_off_mass(nu, mu, c * tau[:, None] / beta)[0]
          / np.maximum(total, np.finfo(float).tiny))
@@ -241,11 +241,11 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     logger.debug("entropic pass: %d iterations, marginal violation %.3e, "
                  "scaling residual %.3e", it, np.maximum(rows, cols).max(),
                  residual[worst])
-    if not residual[worst] <= cfg.tol:
+    if not residual[worst] <= LIFT_TOL:
         i, j = g_edges[worst]
         raise SinkhornDivergence(
             f"entropic pass: scaling residual {residual[worst]:.3e} > tol "
-            f"{cfg.tol:.3e} after {it} iterations; worst edge {worst} "
+            f"{LIFT_TOL:.3e} after {it} iterations; worst edge {worst} "
             f"({int(i)}, {int(j)})")
     plans = r[:, :, None] * s[:, None, :]
     diag = np.arange(p)

@@ -19,12 +19,10 @@ from .calibration import beta_variance, variance_bound
 from .diffusion import CGConfig, cg_solve
 from .graphs import Graph, SplitMask, erdos_renyi, synthetic_dataset
 from .laplacian import (
-    LAMBDA_MAX_TOL,
     SheafIncidence,
-    SparsifierConfig,
-    _extreme_eigs,
     assemble_laplacian,
     sparsify,
+    top_eigenvalue,
 )
 from .model import (
     EpochContext,
@@ -42,7 +40,10 @@ from .training import (
     oversmoothing_sweep,
     risk_variance_series,
 )
-from .transport import LiftConfig, edge_plans
+from .transport import edge_plans
+
+# Gaussian probes of the sparsifier's quadratic-form sandwich
+SANDWICH_PROBES = 1000
 
 
 @dataclass
@@ -65,11 +66,6 @@ def _scalar_sheaf(g: Graph) -> SheafIncidence:
                           Rji=ones.copy())
 
 
-def _lambda_max(L) -> float:
-    return float(_extreme_eigs(L.to_bsr(), 1, "LA", 0, tol=LAMBDA_MAX_TOL,
-                               vectors=False)[-1])
-
-
 def check_cg_bound(sizes=(100, 1000, 10000), trials: int = 100,
                    eps: float = 0.3, cg_tol: float = 1e-8) -> CheckResult:
     """Implicit-diffusion CG iteration counts against the kappa ceiling.
@@ -86,9 +82,8 @@ def check_cg_bound(sizes=(100, 1000, 10000), trials: int = 100,
     all_within = True
     for size_idx, n in enumerate(sizes):
         g = erdos_renyi(n, 6.0, seed=100 + size_idx, ensure_connected=True)
-        L = sparsify(assemble_laplacian(_scalar_sheaf(g)),
-                     SparsifierConfig(eps=eps, seed=size_idx))
-        dt = 1.0 / _lambda_max(L)
+        L = sparsify(assemble_laplacian(_scalar_sheaf(g)), eps, size_idx)
+        dt = 1.0 / top_eigenvalue(L.to_bsr(), 0)
 
         def apply_A(v, L=L, dt=dt):
             return v + dt * L.matvec(v)
@@ -124,9 +119,8 @@ def check_gap_ascent(accepted_target: int = 50, seed: int = 7) -> CheckResult:
     B = SheafIncidence(n=g.n, edges=g.edges,
                        Rij=rng.normal(size=(g.m, 2, 2)),
                        Rji=rng.normal(size=(g.m, 2, 2)))
-    _, gap = run_gap_ascent(assemble_laplacian(B), steps=accepted_target,
-                            seed=seed)
-    history = gap.lambda2_history
+    _, history = run_gap_ascent(assemble_laplacian(B), steps=accepted_target,
+                                seed=seed)
     # an accepted step raises lambda2 strictly; the ascent repeats the last
     # value for a rejected step and every step after it
     rises = [b > a for a, b in zip(history, history[1:])]
@@ -256,7 +250,7 @@ def _gradcheck_fixture(seed_base: int = 0, C: int = 3, d_v: int = 3,
         params.W_theta = rng.normal(0.0, 0.8, size=params.W_theta.shape)
         params.gamma = rng.normal(0.0, 0.4, size=params.gamma.shape)
         params.W_cls = rng.normal(0.0, 0.4, size=params.W_cls.shape)
-        plans = edge_plans(g.edges, H, params.W_proj, LiftConfig())
+        plans = edge_plans(g.edges, H, params.W_proj, 0.5)
         ctx = EpochContext(
             n=g.n, d_v=d_v, edges=g.edges, plans=plans,
             X0=H @ params.W_proj, y=y, C=C, train_idx=np.arange(0, 10, 2),
@@ -311,27 +305,26 @@ def check_oversmoothing(seed: int = 3) -> CheckResult:
                        measured=nrs_we, bound=nrs_scalar, detail=detail)
 
 
-def check_sparsifier(n: int = 300, probes: int = 1000,
-                     eps: float = 0.3) -> CheckResult:
-    """Quadratic-form sandwich (1 +- eps) on Gaussian probes.
+def check_sparsifier(n: int = 300, eps: float = 0.3) -> CheckResult:
+    """Quadratic-form sandwich (1 +- eps) on SANDWICH_PROBES Gaussian probes.
 
     The complete graph puts the edge count far above the sampling target,
     so the sparsifier genuinely resamples instead of passing through.
     """
     g = erdos_renyi(n, float(n - 1), seed=11)
     L = assemble_laplacian(_scalar_sheaf(g))
-    Ls = sparsify(L, SparsifierConfig(eps=eps, seed=11))
+    Ls = sparsify(L, eps, 11)
     rng = np.random.default_rng(12)
     ok = 0
-    for _ in range(probes):
+    for _ in range(SANDWICH_PROBES):
         x = rng.normal(size=L.N)
         q = x @ L.matvec(x)
         qs = x @ Ls.matvec(x)
         if (1 - eps) * q - 1e-9 <= qs <= (1 + eps) * q + 1e-9:
             ok += 1
-    frac = ok / probes
-    detail = [f"edges {L.m} -> {Ls.m}; {ok}/{probes} probes inside the "
-              f"(1 +- {eps}) sandwich"]
+    frac = ok / SANDWICH_PROBES
+    detail = [f"edges {L.m} -> {Ls.m}; {ok}/{SANDWICH_PROBES} probes inside "
+              f"the (1 +- {eps}) sandwich"]
     return CheckResult("sparsifier", frac >= 0.99, measured=frac, bound=0.99,
                        detail=detail)
 

@@ -139,7 +139,7 @@ def test_criterion_08_gradient_correctness():
 
 
 def test_criterion_09_sparsifier_sandwich():
-    r = check_sparsifier(probes=1000, eps=0.3)
+    r = check_sparsifier(eps=0.3)
     assert r.passed, "\n".join(r.detail)
     assert r.measured >= 0.99
 

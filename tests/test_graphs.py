@@ -71,6 +71,14 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match="label out of range"):
             load_graph(_write_json(tmp_path, obj))
 
+    def test_one_class_rejected(self, tmp_path):
+        # with C = 1 the normalized risk CE / ln C is 0/0 in every report
+        obj = _toy_payload()
+        obj["num_classes"] = 1
+        obj["labels"] = [0, 0, 0]
+        with pytest.raises(ValueError, match=r"g\.json: .*at least 2 classes"):
+            load_graph(_write_json(tmp_path, obj))
+
     def test_roundtrip(self, tmp_path):
         g, feats, labels = load_graph(_write_json(tmp_path, _toy_payload()))
         out = tmp_path / "copy.json"
@@ -104,6 +112,12 @@ class TestConvertCsv:
     def test_ragged_features_names_line(self, tmp_path):
         paths = self._write(tmp_path, "0,1\n", "1,0\n0\n1,1\n", "0\n1\n1\n")
         with pytest.raises(ValueError, match="features.csv:2"):
+            convert_csv(*paths)
+
+    def test_one_class_rejected(self, tmp_path):
+        paths = self._write(tmp_path, "0,1\n", "1\n0\n1\n", "0\n0\n0\n")
+        with pytest.raises(ValueError,
+                           match=r"labels\.csv: .*at least 2 classes"):
             convert_csv(*paths)
 
     def test_label_count_mismatch(self, tmp_path):

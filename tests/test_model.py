@@ -31,6 +31,7 @@ from otsheaf.model import (
     loss_value,
     restriction_maps,
     sandwich_blocks,
+    softmax,
     svr_branch,
 )
 from otsheaf.transport import restrictions_from_plans
@@ -108,7 +109,8 @@ class TestTapeRelease:
         L = weakref.ref(aux["L"])
         diag = aux["diag"]
         del aux
-        ce = calibrated_ce(logits, replace(ctx, kappa=np.full(ctx.n, 0.5)))
+        ce = calibrated_ce(logits, softmax(logits.value),
+                           replace(ctx, kappa=np.full(ctx.n, 0.5)))
         del logits
         backward(ce)
         assert L() is None

@@ -1,9 +1,11 @@
 """A solver setting that has one value in use is a module constant.
 
 No fit, check, command or demo gives the Wolfe step, `project`, the
-eigensolver's dense cutoff, the block null cutoff or the posterior's sweep
-budget a second value, so each is a named constant that its function reads
-at call time, and a test that needs another value monkeypatches it.  A
+eigensolver's dense cutoff, the block null cutoff, the posterior's sweep
+budget, the lift's tolerances and measure floor, or the sparsifier's
+leverage sketch a second value, so each is a named constant that its
+function reads at call time, and a test that needs another value
+monkeypatches it.  A
 config class or a parameter for one of them would bring back a knob that
 cannot change a result.  The block null cutoff is read in `_block_frames`
 alone: the tape's S and the gap estimate's T both come from there, so the
@@ -15,9 +17,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "otsheaf"
 
-CLASSES = {"WolfeConfig", "DiffusionConfig"}
+CLASSES = {"WolfeConfig", "DiffusionConfig", "LiftConfig",
+           "SparsifierConfig"}
 PARAMETERS = {"dense_cutoff", "cutoff_rel", "max_rounds", "max_sweeps",
-              "inner_steps"}
+              "inner_steps", "floor", "probes", "sample_scale"}
 BLOCK_CUTOFF = "BLOCK_CUTOFF_REL"
 BLOCK_CUTOFF_READER = "_block_frames"
 

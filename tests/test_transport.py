@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import otsheaf.transport as transport
 from otsheaf.graphs import Graph, make_split, synthetic_dataset
 from otsheaf.training import Dataset, TrainConfig, init_state
 from otsheaf.transport import (
-    LiftConfig,
+    MEASURE_FLOOR,
     SinkhornDivergence,
     edge_plans,
     entropic_objective,
@@ -51,15 +52,17 @@ def _oracle_two_point(mu, nu, C, eps, P0=None, tau=None):
     return _two_point_plan(res.x, mu, nu)
 
 
-class TestLiftConfig:
+class TestEps:
     @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
     def test_rejects_nonpositive_eps(self, eps):
+        g, H, W_proj, _ = _lift_fixture()
         with pytest.raises(ValueError, match="eps"):
-            LiftConfig(eps=eps)
-
-    def test_rejects_zero_max_iter(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            LiftConfig(max_iter=0)
+            edge_plans(g.edges, H, W_proj, eps)
+        with pytest.raises(ValueError, match="eps"):
+            edge_plans(np.zeros((0, 2), dtype=int), H, W_proj, eps)
+        mu = normalize_to_measure(np.array([0.7, 0.3]))
+        with pytest.raises(ValueError, match="eps"):
+            sinkhorn(mu, mu, feature_cost_matrix(2), eps)
 
 
 class TestCostMatrix:
@@ -76,13 +79,11 @@ class TestNormalize:
         np.testing.assert_allclose(normalize_to_measure(np.zeros(3)), np.full(3, 1 / 3))
 
     def test_negatives_clamped(self):
-        v = normalize_to_measure(np.array([-5.0, 1.0]), floor=0.0)
-        np.testing.assert_allclose(v, [0.0, 1.0])
-
-    def test_zero_with_zero_floor_falls_back_to_uniform(self):
+        # the negative coordinate keeps the floor's mass and nothing more
+        v = normalize_to_measure(np.array([-5.0, 1.0]))
         np.testing.assert_allclose(
-            normalize_to_measure(np.zeros(4), floor=0.0), np.full(4, 0.25)
-        )
+            v, np.array([MEASURE_FLOOR, 1.0 + MEASURE_FLOOR])
+            / (1.0 + 2.0 * MEASURE_FLOOR))
 
     def test_simplex_property(self):
         rng = np.random.default_rng(0)
@@ -92,77 +93,83 @@ class TestNormalize:
 
 
 class TestSinkhorn:
-    def test_matches_two_point_oracle(self):
+    def test_matches_two_point_oracle(self, monkeypatch):
+        monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-12)
+        monkeypatch.setattr(transport, "MEASURE_FLOOR", 1e-3)
         rng = np.random.default_rng(1)
-        cfg = LiftConfig(eps=0.7, tol=1e-12)
+        eps = 0.7
         C = feature_cost_matrix(2)
         for _ in range(25):
-            mu = normalize_to_measure(rng.random(2), floor=1e-3)
-            nu = normalize_to_measure(rng.random(2), floor=1e-3)
-            plan = sinkhorn(mu, nu, C, cfg)
-            oracle = _oracle_two_point(mu, nu, C, cfg.eps)
+            mu = normalize_to_measure(rng.random(2))
+            nu = normalize_to_measure(rng.random(2))
+            plan = sinkhorn(mu, nu, C, eps)
+            oracle = _oracle_two_point(mu, nu, C, eps)
             np.testing.assert_allclose(plan.P, oracle, atol=1e-6)
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 5.0])
-    def test_entropic_plan_is_proximal_fixed_point(self, tau):
+    def test_entropic_plan_is_proximal_fixed_point(self, tau, monkeypatch):
         """The entropic plan P0 minimizes <P,C> + eps*H(P) + KL(P||P0)/tau.
 
         This is why the lift runs no proximal pass after the entropic one:
         that pass would return its own input, whatever the step size.
         """
+        monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-12)
+        monkeypatch.setattr(transport, "MEASURE_FLOOR", 1e-3)
         rng = np.random.default_rng(4)
-        cfg = LiftConfig(eps=0.6, tol=1e-12)
+        eps = 0.6
         C = feature_cost_matrix(2)
         for _ in range(25):
-            mu = normalize_to_measure(rng.random(2), floor=1e-3)
-            nu = normalize_to_measure(rng.random(2), floor=1e-3)
-            P0 = sinkhorn(mu, nu, C, cfg).P
-            oracle = _oracle_two_point(mu, nu, C, cfg.eps, P0=P0, tau=tau)
+            mu = normalize_to_measure(rng.random(2))
+            nu = normalize_to_measure(rng.random(2))
+            P0 = sinkhorn(mu, nu, C, eps).P
+            oracle = _oracle_two_point(mu, nu, C, eps, P0=P0, tau=tau)
             np.testing.assert_allclose(P0, oracle, atol=1e-6)
 
     def test_near_delta_marginals_concentrate(self):
-        cfg = LiftConfig(eps=0.5)
         mu = normalize_to_measure(np.array([1.0, 0.0, 0.0, 0.0]))
-        plan = sinkhorn(mu, mu, feature_cost_matrix(4), cfg)
+        plan = sinkhorn(mu, mu, feature_cost_matrix(4), 0.5)
         assert plan.P[0, 0] > 0.999
 
     def test_large_eps_gives_independent_coupling(self):
         rng = np.random.default_rng(2)
         mu = normalize_to_measure(rng.random(5))
         nu = normalize_to_measure(rng.random(5))
-        plan = sinkhorn(mu, nu, feature_cost_matrix(5), LiftConfig(eps=1e6))
+        plan = sinkhorn(mu, nu, feature_cost_matrix(5), 1e6)
         np.testing.assert_allclose(plan.P, np.outer(mu, nu), atol=1e-5)
 
-    def test_marginals_within_tol_property(self):
+    def test_marginals_within_tol_property(self, monkeypatch):
+        tol = 1e-10
+        monkeypatch.setattr(transport, "SINKHORN_TOL", tol)
         rng = np.random.default_rng(3)
-        cfg = LiftConfig(eps=0.3, tol=1e-10)
         for _ in range(20):
             p = int(rng.integers(2, 17))
             mu = normalize_to_measure(rng.random(p))
             nu = normalize_to_measure(rng.random(p))
-            plan = sinkhorn(mu, nu, feature_cost_matrix(p), cfg)
-            assert plan.violation <= cfg.tol
+            plan = sinkhorn(mu, nu, feature_cost_matrix(p), 0.3)
+            assert plan.violation <= tol
             assert np.all(plan.P >= 0)
-            assert np.abs(plan.P.sum(axis=1) - mu).sum() <= 10 * cfg.tol
-            assert np.abs(plan.P.sum(axis=0) - nu).sum() <= 10 * cfg.tol
+            assert np.abs(plan.P.sum(axis=1) - mu).sum() <= 10 * tol
+            assert np.abs(plan.P.sum(axis=0) - nu).sum() <= 10 * tol
 
     def test_small_eps_stable_in_log_domain(self):
         mu = normalize_to_measure(np.array([0.7, 0.1, 0.2]))
         nu = normalize_to_measure(np.array([0.2, 0.5, 0.3]))
-        plan = sinkhorn(mu, nu, feature_cost_matrix(3), LiftConfig(eps=0.01))
+        plan = sinkhorn(mu, nu, feature_cost_matrix(3), 0.01)
         assert np.isfinite(plan.P).all()
         assert plan.violation <= 1e-9
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-14)
+        monkeypatch.setattr(transport, "SINKHORN_MAX_SWEEPS", 2)
         mu = normalize_to_measure(np.array([0.9, 0.1]))
         nu = normalize_to_measure(np.array([0.1, 0.9]))
         with pytest.raises(SinkhornDivergence):
-            sinkhorn(mu, nu, feature_cost_matrix(2), LiftConfig(eps=0.05, tol=1e-14, max_iter=2))
+            sinkhorn(mu, nu, feature_cost_matrix(2), 0.05)
 
     def test_nonpositive_marginal_rejected(self):
         with pytest.raises(ValueError):
             sinkhorn(np.array([1.0, 0.0]), np.array([0.5, 0.5]),
-                     feature_cost_matrix(2), LiftConfig())
+                     feature_cost_matrix(2), 0.5)
 
 
 def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
@@ -175,11 +182,11 @@ def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
     return g, H, W_proj, W_theta
 
 
-def _single_edge_maps(h_i, h_j, W_proj, W_theta, cfg):
+def _single_edge_maps(h_i, h_j, W_proj, W_theta, eps):
     """Per-edge reference lift: the dense solve, then the learned matrix."""
-    mu = normalize_to_measure(h_i @ W_proj, cfg.floor)
-    nu = normalize_to_measure(h_j @ W_proj, cfg.floor)
-    P = sinkhorn(mu, nu, feature_cost_matrix(mu.shape[0]), cfg).P
+    mu = normalize_to_measure(h_i @ W_proj)
+    nu = normalize_to_measure(h_j @ W_proj)
+    P = sinkhorn(mu, nu, feature_cost_matrix(mu.shape[0]), eps).P
     return restriction_from_plan(P, W_theta), restriction_from_plan(P.T, W_theta)
 
 
@@ -190,12 +197,12 @@ class TestLift:
 
     def test_shapes(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        Rij, Rji = _single_edge_maps(H[0], H[1], W_proj, W_theta, LiftConfig())
+        Rij, Rji = _single_edge_maps(H[0], H[1], W_proj, W_theta, 0.5)
         assert Rij.shape == (3, 5) and Rji.shape == (3, 5)
 
     def test_pair_comes_from_one_plan(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        plans = edge_plans(g.edges, H, W_proj, LiftConfig())
+        plans = edge_plans(g.edges, H, W_proj, 0.5)
         rset = restrictions_from_plans(g, plans, W_theta)
         for e in range(rset.m):
             np.testing.assert_allclose(
@@ -205,34 +212,34 @@ class TestLift:
                 rset.Rji[e], restriction_from_plan(plans[e].T, W_theta), atol=1e-12
             )
 
-    def test_batch_matches_single_edge(self):
+    def test_batch_matches_single_edge(self, monkeypatch):
+        monkeypatch.setattr(transport, "LIFT_TOL", 1e-11)
+        monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-11)
         g, H, W_proj, W_theta = _lift_fixture()
-        cfg = LiftConfig(tol=1e-11)
-        rset = restrictions_from_plans(g, edge_plans(g.edges, H, W_proj, cfg),
+        rset = restrictions_from_plans(g, edge_plans(g.edges, H, W_proj, 0.5),
                                        W_theta)
         for e in range(rset.m):
             i, j = rset.edges[e]
-            Rij, Rji = _single_edge_maps(H[i], H[j], W_proj, W_theta, cfg)
+            Rij, Rji = _single_edge_maps(H[i], H[j], W_proj, W_theta, 0.5)
             np.testing.assert_allclose(rset.Rij[e], Rij, atol=1e-8)
             np.testing.assert_allclose(rset.Rji[e], Rji, atol=1e-8)
 
     def test_deterministic(self):
         g, H, W_proj, W_theta = _lift_fixture()
         a = restrictions_from_plans(
-            g, edge_plans(g.edges, H, W_proj, LiftConfig()), W_theta)
+            g, edge_plans(g.edges, H, W_proj, 0.5), W_theta)
         b = restrictions_from_plans(
-            g, edge_plans(g.edges, H, W_proj, LiftConfig()), W_theta)
+            g, edge_plans(g.edges, H, W_proj, 0.5), W_theta)
         np.testing.assert_array_equal(a.Rij, b.Rij)
         np.testing.assert_array_equal(a.Rji, b.Rji)
-        np.testing.assert_array_equal(edge_plans(g.edges, H, W_proj, LiftConfig()),
-                                      edge_plans(g.edges, H, W_proj, LiftConfig()))
+        np.testing.assert_array_equal(edge_plans(g.edges, H, W_proj, 0.5),
+                                      edge_plans(g.edges, H, W_proj, 0.5))
 
     def test_plan_marginals_are_projected_features(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        cfg = LiftConfig()
-        plans = edge_plans(g.edges, H, W_proj, cfg)
+        plans = edge_plans(g.edges, H, W_proj, 0.5)
         X = H @ W_proj
-        M = normalize_to_measure(X, cfg.floor)
+        M = normalize_to_measure(X)
         for e in range(plans.shape[0]):
             i, j = g.edges[e]
             np.testing.assert_allclose(plans[e].sum(axis=1), M[i], atol=1e-7)
@@ -242,7 +249,7 @@ class TestLift:
         g = Graph.from_edges(3, np.zeros((0, 2)))
         rng = np.random.default_rng(0)
         plans = edge_plans(g.edges, np.abs(rng.normal(size=(3, 4))),
-                           rng.normal(size=(4, 2)), LiftConfig())
+                           rng.normal(size=(4, 2)), 0.5)
         rset = restrictions_from_plans(g, plans, rng.normal(size=(2, 2)))
         assert rset.m == 0 and rset.Rij.shape == (0, 2, 2)
 
@@ -252,7 +259,8 @@ class TestEdgePlans:
                                                (5.0, True), (1.0, False)])
     @pytest.mark.parametrize("p", [1, 2, 16])
     @pytest.mark.parametrize("eps", [0.01, 0.5, 50.0])
-    def test_matches_dense_single_pair_solves(self, eps, tau, p, proximal):
+    def test_matches_dense_single_pair_solves(self, eps, tau, p, proximal,
+                                              monkeypatch):
         """The structured batch agrees with the dense per-edge reference.
 
         With proximal=True the reference is also passed through one dense
@@ -265,31 +273,33 @@ class TestEdgePlans:
         The graph is a 4-cycle: the dense reference solves edge by edge,
         and at eps=0.01 each solve takes hundreds of iterations.
         """
+        monkeypatch.setattr(transport, "LIFT_TOL", 1e-12)
+        monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-12)
         g, H, W_proj, _ = _lift_fixture(n=4, p=p)
-        cfg = LiftConfig(eps=eps, tol=1e-12)
-        plans = edge_plans(g.edges, H, W_proj, cfg)
-        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        plans = edge_plans(g.edges, H, W_proj, eps)
+        M = normalize_to_measure(H @ W_proj)
         C = feature_cost_matrix(p)
-        prox_cfg = LiftConfig(eps=1.0, tol=cfg.tol, max_iter=cfg.max_iter)
         for e, (i, j) in enumerate(g.edges):
-            plan = sinkhorn(M[i], M[j], C, cfg)
+            plan = sinkhorn(M[i], M[j], C, eps)
             if proximal:
                 with np.errstate(divide="ignore"):
                     C_prox = (tau * C - np.log(plan.P)) / (1.0 + eps * tau)
-                plan = sinkhorn(M[i], M[j], C_prox, prox_cfg)
+                plan = sinkhorn(M[i], M[j], C_prox, 1.0)
             np.testing.assert_allclose(plans[e], plan.P, rtol=0, atol=1e-10)
 
     def test_nonfinite_features_name_the_node(self):
         g, H, W_proj, _ = _lift_fixture(p=4)
         H[3, 2] = np.nan
         with pytest.raises(ValueError, match="node 3 "):
-            edge_plans(g.edges, H, W_proj, LiftConfig())
+            edge_plans(g.edges, H, W_proj, 0.5)
 
-    def test_divergence_names_pass_and_worst_edge(self, caplog):
+    def test_divergence_names_pass_and_worst_edge(self, caplog, monkeypatch):
+        monkeypatch.setattr(transport, "LIFT_TOL", 1e-14)
+        monkeypatch.setattr(transport, "LIFT_MAX_ITER", 2)
         g, H, W_proj, _ = _lift_fixture()
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
         with pytest.raises(SinkhornDivergence, match="entropic pass") as exc:
-            edge_plans(g.edges, H, W_proj, LiftConfig(tol=1e-14, max_iter=2))
+            edge_plans(g.edges, H, W_proj, 0.5)
         m = re.search(r"worst edge (\d+) \((\d+), (\d+)\)", str(exc.value))
         assert m is not None
         e, i, j = (int(x) for x in m.groups())
@@ -298,23 +308,26 @@ class TestEdgePlans:
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "entropic pass: 2 iterations" in records[0].getMessage()
 
-    def test_truncated_root_raises_though_marginals_are_exact(self):
+    def test_truncated_root_raises_though_marginals_are_exact(self,
+                                                              monkeypatch):
         """The plan meets its marginals for any root estimate, so only the
         scaling-form residual can tell a truncated Newton solve."""
         g, H, W_proj, _ = _lift_fixture()
-        cfg = LiftConfig(max_iter=1, tol=1.0)
-        plans = edge_plans(g.edges, H, W_proj, cfg)
-        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        monkeypatch.setattr(transport, "LIFT_MAX_ITER", 1)
+        monkeypatch.setattr(transport, "LIFT_TOL", 1.0)
+        plans = edge_plans(g.edges, H, W_proj, 0.5)
+        M = normalize_to_measure(H @ W_proj)
         I, J = g.edges[:, 0], g.edges[:, 1]
         assert np.abs(plans.sum(axis=2) - M[I]).max() <= 1e-15
         assert np.abs(plans.sum(axis=1) - M[J]).max() <= 1e-15
+        monkeypatch.setattr(transport, "LIFT_TOL", 1e-14)
         with pytest.raises(SinkhornDivergence, match="scaling residual"):
-            edge_plans(g.edges, H, W_proj, LiftConfig(max_iter=1, tol=1e-14))
+            edge_plans(g.edges, H, W_proj, 0.5)
 
     def test_one_debug_record_per_pass(self, caplog):
         g, H, W_proj, _ = _lift_fixture()
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
-        edge_plans(g.edges, H, W_proj, LiftConfig())
+        edge_plans(g.edges, H, W_proj, 0.5)
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "otsheaf.transport"]
         assert [msg.split(" pass:")[0] for msg in msgs] == ["entropic"]
@@ -327,7 +340,7 @@ class TestEdgePlans:
         W_proj = np.random.default_rng(0).normal(size=(16, 16)) / 4.0
         tracemalloc.start()
         try:
-            plans = edge_plans(g.edges, feats.H, W_proj, LiftConfig())
+            plans = edge_plans(g.edges, feats.H, W_proj, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -361,50 +374,48 @@ def n300():
 class TestClosedForm:
     """The structured lift on inputs that stress the scalar root."""
 
-    def _check(self, g_edges, H, W_proj, cfg):
-        plans = edge_plans(g_edges, H, W_proj, cfg)
-        M = normalize_to_measure(H @ W_proj, cfg.floor)
+    def _check(self, g_edges, H, W_proj, eps):
+        plans = edge_plans(g_edges, H, W_proj, eps)
+        M = normalize_to_measure(H @ W_proj)
         _assert_structured_optimum(plans, M[g_edges[:, 0]], M[g_edges[:, 1]],
-                                   cfg.eps)
+                                   eps)
         return plans
 
     @pytest.mark.parametrize("eps", [0.5, 5.0])
     def test_identical_endpoint_measures(self, eps):
         g, H, W_proj, _ = _lift_fixture()
         H[1] = H[0]
-        plans = self._check(g.edges, H, W_proj, LiftConfig(eps=eps))
+        plans = self._check(g.edges, H, W_proj, eps)
         np.testing.assert_allclose(plans[0], plans[0].T, rtol=1e-14, atol=0)
 
     def test_one_dimensional_stalk(self):
         g, H, W_proj, _ = _lift_fixture(p=1)
-        plans = self._check(g.edges, H, W_proj, LiftConfig())
+        plans = self._check(g.edges, H, W_proj, 0.5)
         np.testing.assert_allclose(plans, 1.0, rtol=0, atol=1e-15)
 
     def test_kernel_underflow_gives_unregularized_plan(self):
         """At eps=1e-3, c = exp(-2000) is 0 and the plan is the exact OT
         plan of the basis cost: min(mu, nu) on the diagonal."""
         g, H, W_proj, _ = _lift_fixture()
-        cfg = LiftConfig(eps=1e-3)
-        assert np.exp(-2.0 / cfg.eps) == 0.0
-        plans = self._check(g.edges, H, W_proj, cfg)
-        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        eps = 1e-3
+        assert np.exp(-2.0 / eps) == 0.0
+        plans = self._check(g.edges, H, W_proj, eps)
+        M = normalize_to_measure(H @ W_proj)
         np.testing.assert_allclose(
             np.einsum("eaa->ea", plans),
             np.minimum(M[g.edges[:, 0]], M[g.edges[:, 1]]), rtol=0, atol=1e-15)
 
     def test_large_eps_approaches_independent_coupling(self):
         g, H, W_proj, _ = _lift_fixture()
-        cfg = LiftConfig(eps=50.0)
-        plans = self._check(g.edges, H, W_proj, cfg)
-        M = normalize_to_measure(H @ W_proj, cfg.floor)
+        plans = self._check(g.edges, H, W_proj, 50.0)
+        M = normalize_to_measure(H @ W_proj)
         indep = M[g.edges[:, 0], :, None] * M[g.edges[:, 1], None, :]
         np.testing.assert_allclose(plans, indep, rtol=0, atol=0.05)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_small_eps_lifts_n300(self, n300, eps):
         state = init_state(n300, TrainConfig(d_v=16, lift_eps=eps))
-        M = normalize_to_measure(n300.feats.H @ state.params.W_proj,
-                                 LiftConfig().floor)
+        M = normalize_to_measure(n300.feats.H @ state.params.W_proj)
         E = n300.g.edges
         _assert_structured_optimum(state.plans, M[E[:, 0]], M[E[:, 1]], eps)
 
@@ -415,7 +426,7 @@ class TestClosedForm:
         at any eps."""
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
         W_proj = np.random.default_rng(0).normal(size=(64, 16)) / 4.0
-        edge_plans(n300.g.edges, n300.feats.H, W_proj, LiftConfig(eps=eps))
+        edge_plans(n300.g.edges, n300.feats.H, W_proj, eps)
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "otsheaf.transport"]
         assert len(msgs) == 1
