@@ -146,8 +146,9 @@ def convert_csv(edges_path, features_path, labels_path) -> tuple[Graph, NodeFeat
     """Assemble a dataset from three CSV files.
 
     edges.csv holds one "i,j" pair per line; features.csv one row of d0 floats
-    per node (row r -> node r); labels.csv one integer per node.  Malformed
-    rows raise ValueError naming the file and line number.
+    per node (row r -> node r); labels.csv one nonnegative integer per node.
+    Malformed rows and negative labels raise ValueError naming the file and
+    line number.
     """
     edges = []
     for lineno, row in _read_csv_rows(edges_path):
@@ -177,9 +178,12 @@ def convert_csv(edges_path, features_path, labels_path) -> tuple[Graph, NodeFeat
     ys = []
     for lineno, row in _read_csv_rows(labels_path):
         try:
-            ys.append(int(row[0]))
+            label = int(row[0])
         except (ValueError, IndexError) as exc:
             raise ValueError(f"{labels_path}:{lineno}: bad label row {row!r}") from exc
+        if label < 0:
+            raise ValueError(f"{labels_path}:{lineno}: negative label {label}")
+        ys.append(label)
     n = len(rows)
     if len(ys) != n:
         raise ValueError(

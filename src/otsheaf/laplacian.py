@@ -9,12 +9,13 @@ L = B^T B accumulates per edge:
 
 so x^T L x = sum_e ||R_ij x_i - R_ji x_j||^2 >= 0 by construction.
 
-Every matrix with this block pattern (L, the incidence B, S L S and the
+Every matrix with this block pattern (L, the incidence B and the
 compressed normalized operator) is built by block_sparse and held and
 applied as BSR (block sparse rows, d_v x d_v blocks) through
 SheafLaplacian.matvec; CSR copies are made only to restrict rows and
-columns and to densify.  pattern_outer is the gradient of a bilinear form
-in the blocks.
+columns and to densify.  The normalized S L S is never built: the model
+applies it as S (L (S x)).  pattern_outer is the gradient of a bilinear
+form in the blocks.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class SheafIncidence:
 class SheafLaplacian:
     """Symmetric block operator stored as diagonal and (i, j) off blocks.
 
-    Holds L itself and every other matrix on L's pattern: S L S, a gradient
+    Holds L itself and every other matrix on L's pattern: a gradient
     direction, the compressed normalized operator before its restriction.
     Its BSR form is built once, on first use, and matvec is the one way the
     package applies such a matrix.
@@ -208,16 +209,20 @@ def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
                   n: int, d_v: int) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of left' A right in the blocks (diag, off) of a pattern matrix A.
 
-    The off entry for edge (i, j) collects both the (i, j) block of
-    left right' and the transpose of its (j, i) block, because one off block
-    parametrizes both.  For left = right = v the pattern restriction of v v'
-    is therefore (diag, off / 2).
+    left and right are signals (N,) or stacks (N, k) of k signals, whose
+    gradients sum: that of sum_k left_k' A right_k.  The off entry for edge
+    (i, j) collects both the (i, j) block of left right' and the transpose
+    of its (j, i) block, because one off block parametrizes both.  For
+    left = right = v the pattern restriction of v v' is therefore
+    (diag, off / 2).
     """
-    Lb, Rb = left.reshape(n, d_v), right.reshape(n, d_v)
+    k = left.shape[1:] or (1,)   # a signal is a stack of one
+    Lb, Rb = left.reshape(n, d_v, *k), right.reshape(n, d_v, *k)
+    Lt, Rt = Lb.transpose(0, 2, 1), Rb.transpose(0, 2, 1)
     I, J = edges[:, 0], edges[:, 1]
-    gd = np.einsum("ia,ib->iab", Lb, Rb)
-    go = np.einsum("ea,eb->eab", Lb[I], Rb[J])
-    go += np.einsum("ea,eb->eab", Rb[I], Lb[J])
+    gd = Lb @ Rt
+    go = Lb[I] @ Rt[J]
+    go += Rb[I] @ Lt[J]
     return gd, go
 
 
@@ -506,9 +511,10 @@ def _compressed_normalized(L: SheafLaplacian):
     Q = blockdiag(V_i kept) orthonormal: A has the spectrum of S L S minus
     the structural zeros of null(S).  Its diagonal blocks T_i' D_i T_i are
     the identity up to roundoff divided by the smallest kept w; they are
-    computed, not assumed, so A is the operator the tape's S D S and S O S
-    blocks describe.  A is the CSR form of the blocks T_i' D_i T_i and
-    T_I' O T_J on L's pattern, restricted to the kept rows and columns.
+    computed, not assumed, so A is the compression of the S L S that the
+    tape's Chebyshev filter applies as S (L (S x)).  A is the CSR form of
+    the blocks T_i' D_i T_i and T_I' O T_J on L's pattern, restricted to
+    the kept rows and columns.
     Returns (A, T, kept): A of dimension kept.sum(), T (n, d, d) with zero
     columns where a direction was dropped, and the (n, d) kept mask in the
     row order of A.

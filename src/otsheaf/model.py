@@ -154,7 +154,9 @@ def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
         u, adj_info = svr_diffuse(L, g.reshape(-1), ctx.dt, cg)
         _warn_unconverged("svr adjoint", adj_info)
         gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
-        return {"diag": -ctx.dt * gd, "off": -ctx.dt * go,
+        gd *= -ctx.dt
+        go *= -ctx.dt
+        return {"diag": gd, "off": go,
                 "x": u.reshape(xv.shape)}
 
     cache = shared_vjp(solve_adjoint)
@@ -197,7 +199,12 @@ def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
 
 def sandwich_blocks(S: Var, diag: Var, off: Var,
                     edges: np.ndarray) -> tuple[Var, Var]:
-    """Blocks of S L S: md_i = S_i D_i S_i, mo_e = S_i O_e S_j."""
+    """Blocks of S L S: md_i = S_i D_i S_i, mo_e = S_i O_e S_j.
+
+    The model applies S L S as a composition (cheb_branch) and never forms
+    these blocks; they are the blockwise reference for S L S, with their
+    VJPs, and the benchmark's traced runs time this function by name.
+    """
     Sv, Dv, Ov = S.value, diag.value, off.value
     I, J = edges[:, 0], edges[:, 1]
     md = Sv @ Dv @ Sv
@@ -229,59 +236,78 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     return md_var, mo_var
 
 
-def cheb_branch(md: Var, mo: Var, SLS: SheafLaplacian, gamma: Var, x,
-                ctx: EpochContext) -> Var:
+def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
+                x, ctx: EpochContext) -> Var:
     """Chebyshev filter bank on M = I - S L S, reverse recurrence VJP.
 
     M needs no rescaling into [-1, 1]: x'Lx = sum_e ||R_ij x_i - R_ji x_j||^2
     <= 2 x'Dx for every sheaf Laplacian, so 0 <= S L S <= 2 S D S, and
-    S D S is the projector onto range(S).  md and mo are the blocks of S L S
-    (sandwich_blocks) and SLS the operator with the blocks (md.value,
-    mo.value): the forward and reverse recurrences apply M through its
-    matvec, and sharing one instance across layers builds its BSR form
-    once.  A node without edges has S = 0, so M passes its signal through.
+    S D S is the projector onto range(S).  M is applied as the composition
+    M v = v - S (L (S v)): S.value is the block-diagonal stack from
+    isqrt_blocks, applied as one batched block product, and L the operator
+    with the blocks (diag.value, off.value) that the CG solves share, so
+    no matrix but L is built.  S is symmetric, so M is too, and each pair
+    <a, M b> of the reverse recurrence sends -pattern_outer(S a, S b) to
+    L's blocks and -(a (L S b)' + (L S a) b') block by block to S.  The
+    forward keeps S b and L S b of every term, and the reverse forms S a
+    and L S a as it applies M, so the gradient adds no matvec.  A node
+    without edges has S = 0, so M passes its signal through.
     """
     x_var = x if isinstance(x, Var) else None
     xv = (x.value if x_var is not None else np.asarray(x, np.float64))
     n, d_v = ctx.n, ctx.d_v
+    Sv = S.value
+    alphas = chebyshev_weights(gamma.value)
+    Q = len(alphas) - 1
+    # S T_q and L S T_q of every term T_q the forward multiplies by M, as rows
+    ST, LST = np.empty((2, Q, n * d_v))
+    rows = iter(range(Q))
+
+    def compose(v, Sx, LSx):
+        """M v of a flat signal v; S v and L S v are written to Sx and LSx."""
+        np.matmul(Sv, v.reshape(n, d_v, 1), out=Sx.reshape(n, d_v, 1))
+        LSx[:] = L.matvec(Sx)
+        return v - (Sv @ LSx.reshape(n, d_v, 1)).reshape(-1)
 
     def apply_M(v):
-        return v - SLS.matvec(v)
+        # chebyshev_apply multiplies T_0, ..., T_{Q-1} by M, in this order
+        q = next(rows)
+        return compose(v, ST[q], LST[q])
 
-    alphas = chebyshev_weights(gamma.value)
     out_flat, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
-    Q = len(alphas) - 1
 
     def reverse(g):
         gf = g.reshape(-1)
         d_alpha = np.array([float(gf @ t) for t in terms])
         d_gamma = alphas * (d_alpha - float(alphas @ d_alpha))
         u = [a * gf for a in alphas]
-        gd = np.zeros_like(md.value)
-        go = np.zeros_like(mo.value)
-
-        def accumulate(left, right):
-            a, b = pattern_outer(ctx.edges, left, right, n, d_v)
-            # M = I - SLS: push through the sign
-            nonlocal gd, go
-            gd -= a
-            go -= b
-
-        for q in range(Q - 1, 0, -1):
-            accumulate(2.0 * u[q + 1], terms[q])
-            u[q] = u[q] + 2.0 * apply_M(u[q + 1])
-            u[q - 1] = u[q - 1] - u[q + 1]
-        if Q >= 1:
-            accumulate(u[1], terms[0])
-            dx = apply_M(u[1]) + u[0]
-        else:
-            dx = u[0]
-        return {"md": gd, "mo": go, "gamma": d_gamma,
+        dx = u[0]
+        # a_q, S a_q and L S a_q of the pair <a_q, M T_q>, as rows;
+        # M = I - S L S, so the sign of every block gradient rides on a_q
+        A, SA, LSA = np.empty((3, Q, n * d_v))
+        for q in range(Q - 1, -1, -1):
+            Mu = compose(u[q + 1], SA[q], LSA[q])
+            c = -2.0 if q else -1.0
+            A[q] = c * u[q + 1]
+            SA[q] *= c
+            LSA[q] *= c
+            if q:
+                u[q] = u[q] + 2.0 * Mu
+                u[q - 1] = u[q - 1] - u[q + 1]
+            else:
+                dx = Mu + u[0]
+        gd, go = pattern_outer(ctx.edges, SA.T, ST.T, n, d_v)
+        # the sum over pairs of a_q (L S T_q)' + (L S a_q) T_q', node by node
+        left = np.vstack([A, LSA]).T.reshape(n, d_v, 2 * Q)
+        right = np.vstack([LST, *terms[:Q]]).T.reshape(n, d_v, 2 * Q)
+        gS = left @ right.transpose(0, 2, 1)
+        return {"S": gS, "diag": gd, "off": go, "gamma": d_gamma,
                 "x": dx.reshape(xv.shape)}
 
     cache = shared_vjp(reverse)
-    parents = [(md, lambda g: cache(g)["md"]),
-               (mo, lambda g: cache(g)["mo"]),
+    parents = [(S, lambda g: cache(g)["S"]),
+               (diag, lambda g: cache(g)["diag"]),
+               (off, lambda g: cache(g)["off"]),
                (gamma, lambda g: cache(g)["gamma"])]
     if x_var is not None:
         parents.append((x_var, lambda g: cache(g)["x"]))
@@ -325,22 +351,19 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     """Build the tape from frozen context to logits.
 
     Returns (logits Var, leaves dict, aux dict).  aux carries the block
-    Vars, the SheafLaplacian built once from their values (every layer's
-    CG solves share it, and it carries the blocks' eigendecomposition from
-    isqrt_blocks, which the epoch's gap estimate reuses), forward CG
-    iteration counts, and the fused embeddings per layer.  The operator
-    S L S is built once too, from the sandwich blocks, and every layer's
-    Chebyshev filter shares it.
+    Vars, the SheafLaplacian built once from their values (it carries the
+    blocks' eigendecomposition from isqrt_blocks, which the epoch's gap
+    estimate reuses), forward CG iteration counts, and the fused
+    embeddings per layer.  L is the only operator on the tape: every
+    layer's CG solves apply it, and so does every layer's Chebyshev
+    filter, between two products with the blocks of S.
     """
     leaves = {name: Var(value) for name, value in params.trainable().items()}
     Rij, Rji = restriction_maps(leaves["W_theta"], ctx.plans)
     diag, off = laplacian_blocks(Rij, Rji, ctx.edges, ctx.n)
     S, diag_eigh = isqrt_blocks(diag)
-    md, mo = sandwich_blocks(S, diag, off, ctx.edges)
     L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
                        diag=diag.value, off=off.value, diag_eigh=diag_eigh)
-    SLS = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
-                         diag=md.value, off=mo.value)
     x = ctx.X0
     cg_iters = 0
     embeddings = []
@@ -349,7 +372,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     for _ in range(ctx.n_layers):
         h_svr, info = svr_branch(diag, off, L, x, ctx)
         cg_iters += info.total_iterations
-        h_afm = cheb_branch(md, mo, SLS, leaves["gamma"], x, ctx)
+        h_afm = cheb_branch(S, diag, off, L, leaves["gamma"], x, ctx)
         pre = linear(concat_cols(h_svr, h_afm), leaves["W_mix"])
         pre_acts.append(pre.value)
         z = relu(pre)

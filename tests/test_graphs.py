@@ -120,6 +120,14 @@ class TestConvertCsv:
                            match=r"labels\.csv: .*at least 2 classes"):
             convert_csv(*paths)
 
+    def test_negative_label_names_line(self, tmp_path):
+        # labels 0, 1, -1 would otherwise load as C = 2, and -1 would index
+        # the last class
+        paths = self._write(tmp_path, "0,1\n1,2\n", "1\n0\n1\n", "0\n1\n-1\n")
+        with pytest.raises(ValueError,
+                           match=r"labels\.csv:3: negative label -1"):
+            convert_csv(*paths)
+
     def test_label_count_mismatch(self, tmp_path):
         paths = self._write(tmp_path, "0,1\n", "1\n0\n1\n", "0\n1\n")
         with pytest.raises(ValueError, match="labels"):

@@ -49,7 +49,11 @@ def dense_sls(L: SheafLaplacian) -> np.ndarray:
 
 
 def tape_blocks(L: SheafLaplacian):
-    """The tape's blocks (md, mo) of S L S, as cheb_branch receives them."""
+    """The blocks (md, mo) of S L S from sandwich_blocks.
+
+    They are the blockwise reference for the S L S that cheb_branch
+    applies as the composition S (L (S v)).
+    """
     D = Var(L.diag)
     return sandwich_blocks(isqrt_blocks(D)[0], D, Var(L.off), L.edges)
 
@@ -292,18 +296,19 @@ class TestNormalized:
                                    [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_isolated_node_identity_contribution(self):
-        # cheb_branch passes an isolated node's signal through unchanged
+        # cheb_branch passes an isolated node's signal through unchanged:
+        # its block of S is zero
         g = Graph.from_edges(3, [[0, 1]])  # node 2 isolated
         L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=2, seed=3))
-        md, mo = tape_blocks(L)
-        SLS = SheafLaplacian(n=3, d_v=2, edges=g.edges, diag=md.value,
-                             off=mo.value)
+        D = Var(L.diag)
+        S, _ = isqrt_blocks(D)
+        assert not S.value[2].any()
         ctx = EpochContext(n=3, d_v=2, edges=g.edges, plans=None, X0=None,
                            y=None, C=2, train_idx=None, kappa=None, dt=0.1,
                            cg_tol=1e-8, cg_max_iter=1000, n_layers=1)
         x = np.random.default_rng(3).normal(size=(3, 2))
-        out = cheb_branch(md, mo, SLS, Var(np.array([0.3, -0.2, 0.5, 0.1])),
-                          x, ctx).value
+        out = cheb_branch(S, D, Var(L.off), L,
+                          Var(np.array([0.3, -0.2, 0.5, 0.1])), x, ctx).value
         np.testing.assert_allclose(out[2], x[2], rtol=1e-14)
         assert not np.allclose(out[:2], x[:2])
 

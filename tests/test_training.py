@@ -284,11 +284,10 @@ class TestTrainEpoch:
         assert "k=16, dim A=257" in records[0]
 
     def test_one_csr_build_per_epoch(self, monkeypatch):
-        # each operator is built once and shared by both layers: L by the
-        # CG solves, S L S by the Chebyshev forward and reverse recurrences,
-        # and T' L T by the gap estimate, which restricts it to range(S).
-        # builds holds the operators themselves: S L S is freed with the
-        # tape, and an id alone could be reused by T' L T
+        # two operators are built, each once: L, which both layers' CG
+        # solves and Chebyshev recurrences apply, and T' L T, which the gap
+        # estimate restricts to range(S).  builds holds the operators
+        # themselves: an id alone could be reused once L is freed
         import otsheaf.training as training
         from otsheaf.laplacian import SheafLaplacian
         builds, applied = [], []
@@ -319,10 +318,10 @@ class TestTrainEpoch:
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(tapes) == 1
         L = tapes[0]["L"]
-        assert len(builds) == len(set(builds)) == 3
+        assert len(builds) == len(set(builds)) == 2
         assert builds[0] is L
-        # two operators are applied: L and S L S, both across both layers
-        assert set(applied) == {id(L), id(builds[1])}
+        # one operator is applied: L, across both layers
+        assert set(applied) == {id(L)}
 
     def test_gap_estimate_runs_after_the_tape_is_freed(self, monkeypatch):
         import otsheaf.training as training
