@@ -45,12 +45,30 @@ def _topological(root: Var) -> list[Var]:
     return order
 
 
-def _push(node: Var) -> None:
-    """Add node's VJPs into its parents' gradients, then cut its edges."""
+def _push(node: Var, owned: set[int]) -> None:
+    """Add node's VJPs into its parents' gradients, then cut its edges.
+
+    A VJP returns its upstream gradient, a view of it, or an array that
+    nothing but the tape reads again.  A parent's first gradient is kept
+    as the VJP returned it.  owned holds the ids of the parents whose
+    gradient only the tape holds: a first gradient that shares no memory
+    with the upstream one, or a sum the tape made.  A later gradient is
+    added in place into an owned one; into any other it is added out of
+    place, and the sum is owned from then on.
+    """
     if node.grad is not None:
         for parent, vjp in node.parents:
             g = vjp(node.grad)
-            parent.grad = g if parent.grad is None else parent.grad + g
+            if parent.grad is None:
+                parent.grad = g
+                if not np.may_share_memory(g, node.grad):
+                    owned.add(id(parent))
+            elif id(parent) in owned:
+                parent.grad += g
+            else:
+                parent.grad = parent.grad + g
+                owned.add(id(parent))
+    owned.discard(id(node))
     node.parents = ()
     node.grad = None
 
@@ -67,10 +85,11 @@ def backward(root: Var) -> None:
     for node in order:
         node.grad = None
     root.grad = np.ones_like(root.value)
+    owned: set[int] = set()
     while order:
         node = order.pop()
         if node.parents:
-            _push(node)
+            _push(node, owned)
 
 
 class shared_vjp:

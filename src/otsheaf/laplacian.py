@@ -187,15 +187,17 @@ def assemble_laplacian(B: SheafIncidence,
                        weights: np.ndarray | None = None) -> SheafLaplacian:
     """L = B^T diag(w) B accumulated block by block (w defaults to all-ones).
 
-    The Gram blocks R'R of both edge ends and -R_ij'R_ji are batched
-    matmuls; the diagonal blocks are then one incidence product
-    (scatter_add), which sums each node's Gram blocks in edge order, the
-    first ends before the second ends.  Each edge's blocks are scaled by
-    its weight after they are formed, so weights of 1.0 give the same
-    bits as no weights, and every diagonal block is exactly symmetric.
+    The Gram blocks R'R of both edge ends, written into one stack, and
+    -R_ij'R_ji are batched matmuls; the diagonal blocks are then one
+    incidence product (scatter_add), which sums each node's Gram blocks
+    in edge order, the first ends before the second ends.  Each edge's
+    blocks are scaled by its weight after they are formed, so weights of
+    1.0 give the same bits as no weights, and every diagonal block is
+    exactly symmetric.
     """
-    R = np.concatenate([B.Rij, B.Rji])
-    gram = R.transpose(0, 2, 1) @ R
+    gram = np.empty((2 * B.m, B.d_v, B.d_v))
+    for R, part in ((B.Rij, gram[:B.m]), (B.Rji, gram[B.m:])):
+        np.matmul(R.transpose(0, 2, 1), R, out=part)
     off = -(B.Rij.transpose(0, 2, 1) @ B.Rji)
     if weights is not None:
         w = np.asarray(weights, float)[:, None, None]
@@ -203,6 +205,11 @@ def assemble_laplacian(B: SheafIncidence,
     diag = scatter_add(B.edges.T.ravel(), gram, B.n)
     return SheafLaplacian(n=B.n, d_v=B.d_v, edges=B.edges, diag=diag, off=off,
                           restrictions=B)
+
+
+# edge blocks per chunk where a whole (m, d, d) temporary would otherwise
+# sit beside its result: 256 blocks of 16 x 16 are 0.5 MiB
+BLOCK_CHUNK = 256
 
 
 def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -214,15 +221,21 @@ def pattern_outer(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     (i, j) collects both the (i, j) block of left right' and the transpose
     of its (j, i) block, because one off block parametrizes both.  For
     left = right = v the pattern restriction of v v' is therefore
-    (diag, off / 2).
+    (diag, off / 2).  The off blocks are formed BLOCK_CHUNK edges at a
+    time, so no gather or product of every edge is held beside them; each
+    block is the same two products summed in the same order, so the bits
+    do not depend on the chunking.
     """
     k = left.shape[1:] or (1,)   # a signal is a stack of one
     Lb, Rb = left.reshape(n, d_v, *k), right.reshape(n, d_v, *k)
     Lt, Rt = Lb.transpose(0, 2, 1), Rb.transpose(0, 2, 1)
-    I, J = edges[:, 0], edges[:, 1]
     gd = Lb @ Rt
-    go = Lb[I] @ Rt[J]
-    go += Rb[I] @ Lt[J]
+    go = np.empty((len(edges), d_v, d_v))
+    for s in range(0, len(edges), BLOCK_CHUNK):
+        I, J = edges[s:s + BLOCK_CHUNK, 0], edges[s:s + BLOCK_CHUNK, 1]
+        part = go[s:s + BLOCK_CHUNK]
+        np.matmul(Lb[I], Rt[J], out=part)
+        part += Rb[I] @ Lt[J]
     return gd, go
 
 
@@ -503,6 +516,31 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
                              _lambda_max=lam_max)
 
 
+def _kept_rows(A: sp.bsr_matrix, keep: np.ndarray) -> list:
+    """A restricted to the rows and columns where keep is True, in CSR pieces.
+
+    About BLOCK_CHUNK blocks of block rows at a time are copied out by
+    block_sparse, go to CSR and lose their dropped rows and columns, so no
+    CSR copy of all of A is made.  Stacked in order, the pieces are
+    A.tocsr()[k][:, k] with k the kept indices, array for array.  The
+    caller stacks them once A is freed.
+    """
+    d = A.blocksize[0]
+    n, n_cols = A.shape[0] // d, A.shape[1] // d
+    idx = np.flatnonzero(keep)
+    step = max(1, BLOCK_CHUNK * n // max(A.indptr[-1], 1))
+    parts = []
+    for r in range(0, n, step):
+        ptr = A.indptr[r:r + step + 1]
+        blocks = slice(ptr[0], ptr[-1])
+        rows = block_sparse(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
+                            A.indices[blocks], [A.data[blocks]],
+                            len(ptr) - 1, n_cols)
+        parts.append(rows.tocsr()[np.flatnonzero(keep[r * d:(r + step) * d])]
+                     [:, idx])
+    return parts
+
+
 def _compressed_normalized(L: SheafLaplacian):
     """S L S compressed to range(S): A = T' L T, with T = blockdiag(T_i).
 
@@ -524,11 +562,11 @@ def _compressed_normalized(L: SheafLaplacian):
     Tt = T.transpose(0, 2, 1)
     Pd = Tt @ L.diag @ T
     I, J = L.edges[:, 0], L.edges[:, 1]
-    idx = np.flatnonzero(kept)
-    A = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges,
-                       diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
-                       off=Tt[I] @ L.off @ T[J]).to_bsr().tocsr()[idx][:, idx]
-    return A, T, kept
+    parts = _kept_rows(SheafLaplacian(
+        n=L.n, d_v=L.d_v, edges=L.edges,
+        diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
+        off=Tt[I] @ L.off @ T[J]).to_bsr(), kept.reshape(-1))
+    return sp.vstack(parts, format="csr"), T, kept
 
 
 def normalized_range_gap(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:

@@ -22,6 +22,7 @@ import numpy as np
 from .autodiff import Var, backward, concat_cols, linear, relu, shared_vjp
 from .diffusion import CGConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
 from .laplacian import (
+    BLOCK_CHUNK,
     SheafIncidence,
     SheafLaplacian,
     _block_isqrt,
@@ -92,40 +93,71 @@ class EpochContext:
 
 # ---------------------------------------------------------------- primitives
 
-def restriction_maps(W_theta: Var, plans: np.ndarray) -> tuple[Var, Var]:
-    """R_ij = W' P_e and R_ji = W' P_e' for every edge."""
-    W = W_theta.value
-    Rij = restriction_from_plan(plans, W)
-    Rji = restriction_from_plan(plans.transpose(0, 2, 1), W)
-    # dW[p, d] = sum over (m, q) of P[m, p, q] g[m, d, q]; P[m, q, p] for Rji
-    vij = Var(Rij, [(W_theta, lambda g: np.tensordot(plans, g, ([0, 2], [0, 2])))])
-    vji = Var(Rji, [(W_theta, lambda g: np.tensordot(plans, g, ([0, 1], [0, 2])))])
-    return vij, vji
+def restriction_maps(W_theta: np.ndarray, plans: np.ndarray) -> np.ndarray:
+    """R_ij = W' P_e and R_ji = W' P_e' of every edge, as one stack.
+
+    Returns the (2m, d_e, d_v) stack with R_ij in rows [:m] and R_ji in
+    rows [m:], the order of edges.T.ravel(); both halves are written
+    straight into it, with the bits of transport.restriction_from_plan.
+    """
+    m = len(plans)
+    R = np.empty((2 * m, W_theta.shape[1], plans.shape[2]))
+    restriction_from_plan(plans, W_theta, out=R[:m])
+    restriction_from_plan(plans.transpose(0, 2, 1), W_theta, out=R[m:])
+    return R
 
 
-def laplacian_blocks(Rij: Var, Rji: Var, edges: np.ndarray,
+def restriction_vjp(W_theta: np.ndarray, plans: np.ndarray, grad) -> np.ndarray:
+    """W_theta's gradient through the restriction maps of every edge.
+
+    grad(R, e) returns the gradient of the stack R = restriction_maps(
+    W_theta, plans[e]) of the edges in the slice e.  R and its gradient
+    are formed BLOCK_CHUNK edges at a time, so no stack of every edge is
+    held.  A gradient G_ij of R_ij = W'P reaches W as sum_e P_e G_ij,e',
+    and G_ji of R_ji = W'P' as sum_e P_e' G_ji,e'.
+    """
+    dW = np.zeros_like(W_theta)
+    for s in range(0, len(plans), BLOCK_CHUNK):
+        e = slice(s, s + BLOCK_CHUNK)
+        P = plans[e]
+        dR = grad(restriction_maps(W_theta, P), e)
+        k = len(P)
+        dW += np.tensordot(P, dR[:k], ([0, 2], [0, 2]))
+        dW += np.tensordot(P, dR[k:], ([0, 1], [0, 2]))
+    return dW
+
+
+def laplacian_blocks(W_theta: Var, plans: np.ndarray, edges: np.ndarray,
                      n: int) -> tuple[Var, Var]:
-    """Assemble diag_i = sum R'R over incident edges and off_e = -R_ij'R_ji."""
-    Ri, Rj = Rij.value, Rji.value
-    I, J = edges[:, 0], edges[:, 1]
-    L = assemble_laplacian(SheafIncidence(n=n, edges=edges, Rij=Ri, Rji=Rj))
-    diag, off = L.diag, L.off
+    """Assemble diag_i = sum R'R over incident edges and off_e = -R_ij'R_ji.
 
-    def d_diag_d_Rij(g):
-        return Ri @ (g[I] + g[I].transpose(0, 2, 1))
+    R = restriction_maps(W_theta.value, plans) is formed here, and again
+    in each VJP through restriction_vjp, which returns W_theta's gradient,
+    so no restriction stack is held on the tape.
+    """
+    W = W_theta.value
+    m = len(edges)
+    R = restriction_maps(W, plans)
+    L = assemble_laplacian(SheafIncidence(n=n, edges=edges, Rij=R[:m],
+                                          Rji=R[m:]))
 
-    def d_diag_d_Rji(g):
-        return Rj @ (g[J] + g[J].transpose(0, 2, 1))
+    def d_diag(g):
+        # each Gram block R'R of an edge end sends R (g + g') to that R
+        gs = g + g.transpose(0, 2, 1)
+        return restriction_vjp(W, plans,
+                               lambda R, e: R @ gs[edges[e].T.ravel()])
 
-    def d_off_d_Rij(g):
-        return -(Rj @ g.transpose(0, 2, 1))
+    def d_off(g):
+        def grad(R, e):
+            k = len(R) // 2
+            dR = np.empty_like(R)
+            np.matmul(R[k:], g[e].transpose(0, 2, 1), out=dR[:k])
+            np.matmul(R[:k], g[e], out=dR[k:])
+            return dR
+        return -restriction_vjp(W, plans, grad)
 
-    def d_off_d_Rji(g):
-        return -(Ri @ g)
-
-    diag_var = Var(diag, [(Rij, d_diag_d_Rij), (Rji, d_diag_d_Rji)])
-    off_var = Var(off, [(Rij, d_off_d_Rij), (Rji, d_off_d_Rji)])
-    return diag_var, off_var
+    return (Var(L.diag, [(W_theta, d_diag)]),
+            Var(L.off, [(W_theta, d_off)]))
 
 
 def _warn_unconverged(solve: str, info) -> None:
@@ -359,8 +391,8 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     filter, between two products with the blocks of S.
     """
     leaves = {name: Var(value) for name, value in params.trainable().items()}
-    Rij, Rji = restriction_maps(leaves["W_theta"], ctx.plans)
-    diag, off = laplacian_blocks(Rij, Rji, ctx.edges, ctx.n)
+    diag, off = laplacian_blocks(leaves["W_theta"], ctx.plans, ctx.edges,
+                                 ctx.n)
     S, diag_eigh = isqrt_blocks(diag)
     L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
                        diag=diag.value, off=off.value, diag_eigh=diag_eigh)
@@ -380,8 +412,7 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
         x = z
     logits = linear(z, leaves["W_cls"])
     aux = {"diag": diag, "off": off, "L": L, "cg_iters": cg_iters,
-           "embeddings": embeddings, "pre_acts": pre_acts,
-           "Rij": Rij, "Rji": Rji}
+           "embeddings": embeddings, "pre_acts": pre_acts}
     return logits, leaves, aux
 
 

@@ -19,6 +19,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from .laplacian import (
     SheafLaplacian,
+    SpectralEstimates,
     _extreme_eigs,
     estimate_spectrum,
     pattern_outer,
@@ -128,8 +129,9 @@ def project(L: SheafLaplacian) -> SheafLaplacian:
 
 
 def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
-                      seed: int = 0,
-                      estimator=estimate_spectrum) -> tuple[SheafLaplacian, float, bool]:
+                      seed: int = 0, estimator=estimate_spectrum
+                      ) -> tuple[SheafLaplacian, float, bool,
+                                 SpectralEstimates | None]:
     """One backtracking ascent step on the connectivity objective.
 
     lambda2 is the estimator's value at L.  Step sizes start at ETA_INIT
@@ -139,22 +141,23 @@ def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
     MAX_BACKTRACKS tries run out, in which case L is returned unchanged.
     estimator swaps the connectivity notion (e.g. the gap over range(L)
     for sheaves with a large harmonic space); acceptance is judged on its
-    lambda2.
+    lambda2.  Returns (iterate, eta, accepted, estimate), where estimate
+    is the estimator's result at an accepted iterate and None otherwise.
     """
     gnorm = g.frobenius_norm()
     if gnorm == 0.0 or g.directional <= 0.0:
-        return L, 0.0, False
+        return L, 0.0, False, None
     Lnorm = float(np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum()))
     eta = ETA_INIT
     if Lnorm > 0:
         eta = min(eta, TRUST_REGION * Lnorm / gnorm)
     for _ in range(MAX_BACKTRACKS):
         candidate = project(_add_scaled(L, g, eta))
-        lam_new = estimator(candidate, seed=seed).lambda2
-        if lam_new >= lambda2 + WOLFE_C * eta * g.directional:
-            return candidate, eta, True
+        est = estimator(candidate, seed=seed)
+        if est.lambda2 >= lambda2 + WOLFE_C * eta * g.directional:
+            return candidate, eta, True, est
         eta *= 0.5
-    return L, 0.0, False
+    return L, 0.0, False, None
 
 
 def spec_penalty(c_het: float, lambda2: float) -> float:
@@ -175,7 +178,8 @@ def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
     step returns L unchanged, and the estimator is deterministic in
     (L, seed), so every later step would replay it exactly: the ascent
     stops at its first rejected step and records the unchanged lambda2
-    once for it and once for each step left.
+    once for it and once for each step left.  An accepted step hands
+    over the estimate of its iterate, so no operator is estimated twice.
     """
     est = estimator(L, seed=seed)
     history = [float(est.lambda2)]
@@ -183,11 +187,11 @@ def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
         degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
             est.lambda_max, 1.0)
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
-        L, _, accepted = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
-                                           estimator=estimator)
+        L, _, accepted, new_est = wolfe_ascent_step(
+            L, g, est.lambda2, seed=seed, estimator=estimator)
         if not accepted:
             history += [float(est.lambda2)] * (steps - step)
             break
-        est = estimator(L, seed=seed)
+        est = new_est
         history.append(float(est.lambda2))
     return L, history

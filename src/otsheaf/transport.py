@@ -144,12 +144,14 @@ def entropic_objective(P: np.ndarray, C: np.ndarray, eps: float) -> float:
     return float((P * C).sum() + eps * ent.sum())
 
 
-def restriction_from_plan(P: np.ndarray, W_theta: np.ndarray) -> np.ndarray:
+def restriction_from_plan(P: np.ndarray, W_theta: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """R = W_theta^T P, mapping a node stalk into the edge stalk.
 
     P may be one (p, p) plan or a stack (m, p, p); the product broadcasts.
+    out, when given, receives R, with the bits it would have otherwise.
     """
-    return W_theta.T @ P
+    return np.matmul(W_theta.T, P, out=out)
 
 
 def _off_mass(mu, nu, q):

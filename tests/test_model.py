@@ -30,6 +30,7 @@ from otsheaf.model import (
     laplacian_blocks,
     loss_value,
     restriction_maps,
+    restriction_vjp,
     sandwich_blocks,
     softmax,
     svr_branch,
@@ -83,6 +84,28 @@ class TestEngine:
         assert x.grad[0] == pytest.approx(4.0)
 
 
+class TestPushOwnership:
+    @pytest.mark.parametrize("u_first", [True, False])
+    def test_shared_gradients_are_never_written_into(self, u_first):
+        # u hands its upstream gradient to a, a view of it to b and the
+        # gradient again to c; w adds a second gradient into a and b.  An
+        # in-place add into a's or b's first gradient would also change
+        # u's, and through it the other two.
+        a, b, c = Var(np.zeros(3)), Var(np.zeros(3)), Var(np.zeros(3))
+        u = Var(np.zeros(3), [(a, lambda g: g), (b, lambda g: g[:]),
+                              (c, lambda g: g)])
+        w = Var(np.zeros(3), [(a, lambda g: 2.0 * g), (b, lambda g: 3.0 * g)])
+        gu, gw = np.array([1.0, 2.0, 3.0]), np.array([-4.0, 0.5, 7.0])
+        edges = [(u, lambda g: gu.copy()), (w, lambda g: gw.copy())]
+        root = Var(0.0, edges if u_first else edges[::-1])
+        backward(root)
+        np.testing.assert_array_equal(a.grad, gu + 2.0 * gw)
+        np.testing.assert_array_equal(b.grad, gu + 3.0 * gw)
+        np.testing.assert_array_equal(c.grad, gu)
+        np.testing.assert_array_equal(gu, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(gw, [-4.0, 0.5, 7.0])
+
+
 class TestTapeRelease:
     def test_backward_consumes_the_tape(self):
         # the array mid's VJP captures is reachable only through that closure
@@ -127,39 +150,37 @@ class TestPrimitiveGradients:
     def test_restriction_maps(self):
         W = self.params.W_theta.copy()
         plans = self.ctx.plans
-        d_e = W.shape[1]
-        probe = self.rng.standard_normal((plans.shape[0], d_e, plans.shape[1]))
+        m, d_e = plans.shape[0], W.shape[1]
+        probe = self.rng.standard_normal((m, d_e, plans.shape[1]))
 
         def value():
-            Wv = Var(W)
-            Rij, Rji = restriction_maps(Wv, plans)
-            return float(np.vdot(probe, Rij.value) + np.vdot(probe, Rji.value))
+            R = restriction_maps(W, plans)
+            return float(np.vdot(probe, R[:m]) + np.vdot(probe, R[m:]))
 
-        Wv = Var(W)
-        Rij, Rji = restriction_maps(Wv, plans)
-        s = Var(np.vdot(probe, Rij.value) + np.vdot(probe, Rji.value),
-                [(Rij, lambda g: g * probe), (Rji, lambda g: g * probe)])
-        backward(s)
-        assert rel_err(Wv.grad, fd_tensor(value, W)) < 1e-7
+        grad = restriction_vjp(W, plans,
+                               lambda R, e: np.concatenate([probe[e]] * 2))
+        assert rel_err(grad, fd_tensor(value, W)) < 1e-7
 
     def test_laplacian_blocks(self):
-        Ri = self.rng.standard_normal((12, 2, 3))  # rank-deficient edge stalk
-        Rj = self.rng.standard_normal((12, 2, 3))
+        # W maps 3-dim stalks into a 2-dim edge stalk: rank-deficient R
+        W = self.rng.standard_normal((3, 2))
+        plans = self.rng.standard_normal((12, 3, 3))
         pd = self.rng.standard_normal((10, 3, 3))
         po = self.rng.standard_normal((12, 3, 3))
 
-        def value():
-            vi, vj = Var(Ri), Var(Rj)
-            d, o = laplacian_blocks(vi, vj, self.ctx.edges, 10)
-            return float(np.vdot(pd, d.value) + np.vdot(po, o.value))
+        def value(wd, wo):
+            d, o = laplacian_blocks(Var(W), plans, self.ctx.edges, 10)
+            return float(wd * np.vdot(pd, d.value) + wo * np.vdot(po, o.value))
 
-        vi, vj = Var(Ri), Var(Rj)
-        d, o = laplacian_blocks(vi, vj, self.ctx.edges, 10)
-        s = Var(np.vdot(pd, d.value) + np.vdot(po, o.value),
-                [(d, lambda g: g * pd), (o, lambda g: g * po)])
-        backward(s)
-        assert rel_err(vi.grad, fd_tensor(value, Ri)) < 1e-7
-        assert rel_err(vj.grad, fd_tensor(value, Rj)) < 1e-7
+        # the diagonal blocks alone, the off blocks alone, and both, whose
+        # two gradients the tape sums into W's
+        for wd, wo in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
+            Wv = Var(W)
+            d, o = laplacian_blocks(Wv, plans, self.ctx.edges, 10)
+            s = Var(wd * np.vdot(pd, d.value) + wo * np.vdot(po, o.value),
+                    [(d, lambda g: g * wd * pd), (o, lambda g: g * wo * po)])
+            backward(s)
+            assert rel_err(Wv.grad, fd_tensor(lambda: value(wd, wo), W)) < 1e-7
 
     def test_isqrt_blocks_asymmetric_input(self):
         base = self.rng.standard_normal((4, 3, 3))
@@ -286,45 +307,50 @@ class TestContractionFormulas:
 
     def test_laplacian_blocks_vjps(self):
         I, J = self.edges[:, 0], self.edges[:, 1]
-        Ri = self.rng.normal(size=self.O.shape)
-        Rj = self.rng.normal(size=self.O.shape)
+        plans = self.rng.normal(size=self.O.shape)
+        W = self.rng.normal(size=(4, 4))
+        Ri = np.einsum("pd,mpq->mdq", W, plans)
+        Rj = np.einsum("pd,mqp->mdq", W, plans)
         g_d = self.rng.normal(size=self.D.shape)   # not symmetric
         g_o = self.rng.normal(size=self.O.shape)
-        vi, vj = Var(Ri), Var(Rj)
-        d, o = laplacian_blocks(vi, vj, self.edges, 12)
+        Wv = Var(W)
+        d, o = laplacian_blocks(Wv, plans, self.edges, 12)
         backward(Var(np.vdot(g_d, d.value) + np.vdot(g_o, o.value),
                      [(d, lambda g: g * g_d), (o, lambda g: g * g_o)]))
-        assert rel_close(vi.grad,
-                         np.einsum("exc,eyc->exy", Ri, g_d[I])
-                         + np.einsum("exb,eby->exy", Ri, g_d[I])
-                         - np.einsum("exc,eyc->exy", Rj, g_o))
-        assert rel_close(vj.grad,
-                         np.einsum("exc,eyc->exy", Rj, g_d[J])
-                         + np.einsum("exb,eby->exy", Rj, g_d[J])
-                         - np.einsum("exb,eby->exy", Ri, g_o))
+        # the gradients the parent tape sent to R_ij and R_ji, taken to W
+        g_ij = (np.einsum("exc,eyc->exy", Ri, g_d[I])
+                + np.einsum("exb,eby->exy", Ri, g_d[I])
+                - np.einsum("exc,eyc->exy", Rj, g_o))
+        g_ji = (np.einsum("exc,eyc->exy", Rj, g_d[J])
+                + np.einsum("exb,eby->exy", Rj, g_d[J])
+                - np.einsum("exb,eby->exy", Ri, g_o))
+        assert rel_close(Wv.grad, np.einsum("mpq,mdq->pd", plans, g_ij)
+                         + np.einsum("mqp,mdq->pd", plans, g_ji))
 
     def test_restriction_maps_forward_and_vjp(self):
         plans = self.rng.random(size=(len(self.edges), 4, 4))
         W = self.rng.normal(size=(4, 3))
         g_ij = self.rng.normal(size=(len(self.edges), 3, 4))
         g_ji = self.rng.normal(size=(len(self.edges), 3, 4))
-        Rij, Rji = restriction_maps(Var(W), plans)
-        assert rel_close(Rij.value, np.einsum("pd,mpq->mdq", W, plans))
-        assert rel_close(Rji.value, np.einsum("pd,mqp->mdq", W, plans))
-        Wv = Var(W)
-        backward(probe_sum(restriction_maps(Wv, plans)[0], g_ij))
-        assert rel_close(Wv.grad, np.einsum("mpq,mdq->pd", plans, g_ij))
-        Wv = Var(W)
-        backward(probe_sum(restriction_maps(Wv, plans)[1], g_ji))
-        assert rel_close(Wv.grad, np.einsum("mqp,mdq->pd", plans, g_ji))
+        m = len(self.edges)
+        R = restriction_maps(W, plans)
+        assert rel_close(R[:m], np.einsum("pd,mpq->mdq", W, plans))
+        assert rel_close(R[m:], np.einsum("pd,mqp->mdq", W, plans))
+        zero = np.zeros_like(g_ij)
+        grad = restriction_vjp(W, plans,
+                               lambda R, e: np.concatenate([g_ij[e], zero[e]]))
+        assert rel_close(grad, np.einsum("mpq,mdq->pd", plans, g_ij))
+        grad = restriction_vjp(W, plans,
+                               lambda R, e: np.concatenate([zero[e], g_ji[e]]))
+        assert rel_close(grad, np.einsum("mqp,mdq->pd", plans, g_ji))
 
     def test_restriction_maps_match_transport_formula(self):
         params, ctx = _gradcheck_fixture()
         g = Graph.from_edges(ctx.n, ctx.edges)
-        Rij, Rji = restriction_maps(Var(params.W_theta), ctx.plans)
+        R = restriction_maps(params.W_theta, ctx.plans)
         rset = restrictions_from_plans(g, ctx.plans, params.W_theta)
-        assert np.array_equal(Rij.value, rset.Rij)
-        assert np.array_equal(Rji.value, rset.Rji)
+        assert np.array_equal(R[:g.m], rset.Rij)
+        assert np.array_equal(R[g.m:], rset.Rji)
 
     def test_isqrt_blocks_vjp(self):
         g = self.rng.normal(size=self.D.shape)
@@ -407,9 +433,8 @@ class TestForwardParity:
             Rji=np.einsum("pd,mqp->mdq", params.W_theta, ctx.plans))
         L = assemble_laplacian(B)
         # the tape and the assembly share one block formula, bit for bit
-        tape_L = assemble_laplacian(SheafIncidence(
-            n=ctx.n, edges=ctx.edges, Rij=aux["Rij"].value,
-            Rji=aux["Rji"].value))
+        tape_L = assemble_laplacian(restrictions_from_plans(
+            Graph.from_edges(ctx.n, ctx.edges), ctx.plans, params.W_theta))
         assert np.array_equal(tape_L.diag, aux["diag"].value)
         assert np.array_equal(tape_L.off, aux["off"].value)
         h_svr, _ = svr_diffuse(L, ctx.X0.reshape(-1), ctx.dt,

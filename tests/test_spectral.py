@@ -237,18 +237,19 @@ class TestWolfeStep:
     def test_zero_gradient_is_noop(self):
         L = single_edge_laplacian()
         g = gap_gradient(L, np.array([1.0, 0.0]) * 0.0)
-        out, eta, accepted = wolfe_ascent_step(L, g,
-                                               estimate_spectrum(L).lambda2)
-        assert out is L and eta == 0.0 and not accepted
+        out, eta, accepted, est = wolfe_ascent_step(
+            L, g, estimate_spectrum(L).lambda2)
+        assert out is L and eta == 0.0 and not accepted and est is None
 
     def test_single_edge_strict_increase(self):
         L = single_edge_laplacian()
         est = estimate_spectrum(L)
         lam0 = est.lambda2
         g = gap_gradient(L, est.v2)
-        out, eta, accepted = wolfe_ascent_step(L, g, lam0)
+        out, eta, accepted, est = wolfe_ascent_step(L, g, lam0)
         assert accepted and eta > 0
         lam1 = estimate_spectrum(out).lambda2
+        assert est.lambda2 == lam1
         # closed form: the non-trivial eigenvalue moves from 2 to 2 + eta
         assert lam1 == pytest.approx(2.0 + eta)
         assert lam1 > lam0
@@ -258,7 +259,7 @@ class TestWolfeStep:
         est = estimate_spectrum(L)
         g = gap_gradient(L, est.v2)
         monkeypatch.setattr(spectral, "TRUST_REGION", 0.05)
-        _, eta, accepted = wolfe_ascent_step(L, g, est.lambda2)
+        _, eta, accepted, _ = wolfe_ascent_step(L, g, est.lambda2)
         Lnorm = np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum())
         assert accepted
         assert eta * g.frobenius_norm() <= 0.05 * Lnorm + 1e-12
@@ -272,8 +273,8 @@ class TestWolfeStep:
         L = assemble_laplacian(scalar_sheaf(K4))
         est = estimate_spectrum(L)
         g = gap_gradient(L, est.v2, est.v3)
-        out, eta, accepted = wolfe_ascent_step(L, g, est.lambda2)
-        assert not accepted and eta == 0.0 and out is L
+        out, eta, accepted, est = wolfe_ascent_step(L, g, est.lambda2)
+        assert not accepted and eta == 0.0 and out is L and est is None
 
 
 class TestGapAscentLoop:
@@ -315,6 +316,24 @@ class TestGapAscentLoop:
         assert np.array_equal(out.off, ref_L.off)
 
 
+    def test_accepted_step_hands_over_its_estimate(self):
+        # the ascent used to estimate every accepted iterate twice: once in
+        # the Wolfe test and once more for the next step's gradient
+        g = erdos_renyi(10, 3.5, seed=4)
+        L = assemble_laplacian(random_sheaf(g, d_v=3, d_e=2, seed=4))
+        seen = []
+
+        def counted(op, seed=0):
+            seen.append(op)   # kept alive, so no two operators share an id
+            return normalized_range_gap(op, seed=seed)
+
+        _, history = run_gap_ascent(L, steps=4, seed=0, estimator=counted)
+        assert history[-1] > history[0]   # at least one step accepted
+        assert len({id(op) for op in seen}) == len(seen)
+        _, ref = explicit_ascent(L, 4, normalized_range_gap)
+        assert history == ref
+
+
 def explicit_ascent(L, steps, estimator, seed=0):
     """Every step of the ascent run, rejected or not: (L, lambda2 ledger)."""
     est = estimator(L, seed=seed)
@@ -323,8 +342,8 @@ def explicit_ascent(L, steps, estimator, seed=0):
         degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
             est.lambda_max, 1.0)
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
-        L, _, _ = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
-                                    estimator=estimator)
+        L, _, _, _ = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
+                                       estimator=estimator)
         est = estimator(L, seed=seed)
         history.append(est.lambda2)
     return L, history
