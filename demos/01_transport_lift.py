@@ -2,18 +2,19 @@
 
 The edge stalk sees each endpoint as a probability measure over feature
 atoms; the transport plan between those measures is what the restriction
-maps are built from.  Sharper regularization concentrates the plan.
+maps are built from, by the model's one builder of them,
+`model.restriction_maps`.  Sharper regularization concentrates the plan.
 The entropic plan is the whole lift: it is already the optimum of any
 KL-proximal step started from it, so no second pass follows.
 """
 
 import numpy as np
 
+from otsheaf.model import restriction_maps
 from otsheaf.transport import (
     entropic_objective,
     feature_cost_matrix,
     normalize_to_measure,
-    restriction_from_plan,
     sinkhorn,
 )
 
@@ -42,10 +43,10 @@ for eps in (2.0, 0.5, 0.1):
           f"plan entropy {-np.sum(P * np.log(P + 1e-300)):.3f}, "
           f"objective {entropic_objective(P, C, eps):.4f}")
 
-# the restriction maps are linear images of the plan: R_ij = W' P
+# the restriction maps are linear images of the plan: R_ij = W' P and
+# R_ji = W' P', formed for a stack of one edge
 plan = sinkhorn(mu, nu, C, 0.5)
-Rij = restriction_from_plan(plan.P, W_theta)
-Rji = restriction_from_plan(plan.P.T, W_theta)
+Rij, Rji = restriction_maps(W_theta, plan.P[None])
 print("\nrestriction maps for eps=0.5")
 print("  R_ij =\n", np.array_str(Rij, precision=4))
 print("  R_ji =\n", np.array_str(Rji, precision=4))

@@ -144,11 +144,9 @@ def node_kappa(posterior: PosteriorState, g: Graph) -> np.ndarray:
     sums = np.zeros(g.n)
     np.add.at(sums, g.edges[:, 0], posterior.kappa_bar)
     np.add.at(sums, g.edges[:, 1], posterior.kappa_bar)
-    deg = np.zeros(g.n)
-    np.add.at(deg, g.edges[:, 0], 1.0)
-    np.add.at(deg, g.edges[:, 1], 1.0)
     prior_mean = posterior.a0 / (posterior.a0 + posterior.b0)
-    return np.divide(sums, deg, out=np.full(g.n, prior_mean), where=deg > 0)
+    return np.divide(sums, g.degrees, out=np.full(g.n, prior_mean),
+                     where=g.degrees > 0)
 
 
 def calibrate_prediction(y_hat: np.ndarray, kappa: np.ndarray) -> np.ndarray:

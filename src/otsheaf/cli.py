@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import REGISTRY, build_config
 from .graphs import convert_csv, homophily_ratio, load_graph, make_split, save_graph
-from .laplacian import assemble_laplacian
+from .model import sheaf_laplacian
 from .training import (
     Dataset,
     evaluate,
@@ -24,7 +24,6 @@ from .training import (
     write_curves,
     write_reliability,
 )
-from .transport import restrictions_from_plans
 from .verify import CHECKS, run_checks
 
 
@@ -55,10 +54,10 @@ def cmd_convert(args) -> int:
 
 
 def _dump_laplacian(params, data, cfg, path: Path) -> None:
-    """Block-expanded `row col value` triplets of the trained operator."""
+    """`row col value` triplets of the trained operator, as the model builds it."""
     plans = run_plans(data, params.W_proj, cfg, "we_lift")
-    B = restrictions_from_plans(data.g, plans, params.W_theta)
-    rows, cols, vals = assemble_laplacian(B).coo_rows()
+    L = sheaf_laplacian(params.W_theta, plans, data.g.edges, data.g.n)
+    rows, cols, vals = L.coo_rows()
     with open(path, "w") as fh:
         for r, c, v in zip(rows, cols, vals):
             fh.write(f"{r} {c} {v:.17g}\n")

@@ -135,7 +135,6 @@ class SheafLaplacian:
     edges: np.ndarray            # (m, 2)
     diag: np.ndarray             # (n, d_v, d_v) symmetric blocks
     off: np.ndarray              # (m, d_v, d_v) block at (i, j); (j, i) = off^T
-    restrictions: SheafIncidence | None = None
     # eigh(diag) as (w, V), when whoever built L already decomposed its
     # blocks; _compressed_normalized and the CG preconditioner decompose
     # them themselves otherwise
@@ -179,7 +178,6 @@ class SheafLaplacian:
         return SheafLaplacian(
             n=self.n, d_v=self.d_v, edges=self.edges.copy(),
             diag=self.diag.copy(), off=self.off.copy(),
-            restrictions=self.restrictions,
         )
 
 
@@ -203,8 +201,7 @@ def assemble_laplacian(B: SheafIncidence,
         w = np.asarray(weights, float)[:, None, None]
         gram, off = np.concatenate([w, w]) * gram, w * off
     diag = scatter_add(B.edges.T.ravel(), gram, B.n)
-    return SheafLaplacian(n=B.n, d_v=B.d_v, edges=B.edges, diag=diag, off=off,
-                          restrictions=B)
+    return SheafLaplacian(n=B.n, d_v=B.d_v, edges=B.edges, diag=diag, off=off)
 
 
 # edge blocks per chunk where a whole (m, d, d) temporary would otherwise
@@ -552,7 +549,8 @@ def _compressed_normalized(L: SheafLaplacian):
     computed, not assumed, so A is the compression of the S L S that the
     tape's Chebyshev filter applies as S (L (S x)).  A is the CSR form of
     the blocks T_i' D_i T_i and T_I' O T_J on L's pattern, restricted to
-    the kept rows and columns.
+    the kept rows and columns.  The off blocks are formed BLOCK_CHUNK
+    edges at a time, so no gather of every edge is held beside them.
     Returns (A, T, kept): A of dimension kept.sum(), T (n, d, d) with zero
     columns where a direction was dropped, and the (n, d) kept mask in the
     row order of A.
@@ -561,11 +559,16 @@ def _compressed_normalized(L: SheafLaplacian):
     T, kept = _block_frames(w, V)
     Tt = T.transpose(0, 2, 1)
     Pd = Tt @ L.diag @ T
-    I, J = L.edges[:, 0], L.edges[:, 1]
-    parts = _kept_rows(SheafLaplacian(
-        n=L.n, d_v=L.d_v, edges=L.edges,
-        diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
-        off=Tt[I] @ L.off @ T[J]).to_bsr(), kept.reshape(-1))
+    off = np.empty_like(L.off)
+    for s in range(0, L.m, BLOCK_CHUNK):
+        e = slice(s, s + BLOCK_CHUNK)
+        np.matmul(Tt[L.edges[e, 0]] @ L.off[e], T[L.edges[e, 1]], out=off[e])
+    A = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges,
+                       diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
+                       off=off).to_bsr()
+    del Pd, off   # A holds its own copy of the blocks
+    parts = _kept_rows(A, kept.reshape(-1))
+    del A
     return sp.vstack(parts, format="csr"), T, kept
 
 
@@ -659,19 +662,18 @@ def _edge_leverage_sketched(L: SheafLaplacian, B: SheafIncidence,
     return acc / LEVERAGE_PROBES
 
 
-def sparsify(L: SheafLaplacian, eps: float, seed: int) -> SheafLaplacian:
+def sparsify(B: SheafIncidence, eps: float, seed: int) -> SheafLaplacian:
     """Leverage-score edge sampling preserving quadratic forms within (1 +- eps).
 
-    The sample target is ceil(n * ln(n) / eps^2) draws with replacement,
-    seeded by seed (as is the leverage sketch); when the graph already has
-    no more edges than the target, sampling cannot sparsify anything and L
-    is returned unchanged.
+    Samples the edges of the incidence B and returns the Laplacian of the
+    reweighted sample.  The sample target is ceil(n * ln(n) / eps^2) draws
+    with replacement, seeded by seed (as is the leverage sketch); when the
+    graph already has no more edges than the target, sampling cannot
+    sparsify anything and L = assemble_laplacian(B) is returned.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    B = L.restrictions
-    if B is None:
-        raise ValueError("sparsify needs a Laplacian assembled from restriction maps")
+    L = assemble_laplacian(B)
     q = int(np.ceil(L.n * np.log(max(L.n, 2)) / eps ** 2))
     if L.m <= q:
         return L
@@ -684,7 +686,7 @@ def sparsify(L: SheafLaplacian, eps: float, seed: int) -> SheafLaplacian:
     counts = np.random.default_rng(seed).multinomial(q, p)
     keep = counts > 0
     w = counts[keep] / (q * p[keep])
-    kept = SheafIncidence(n=L.n, edges=B.edges[keep], Rij=B.Rij[keep],
+    kept = SheafIncidence(n=B.n, edges=B.edges[keep], Rij=B.Rij[keep],
                           Rji=B.Rji[keep])
     return assemble_laplacian(kept, weights=w)
 

@@ -1,10 +1,11 @@
 """Differentiable sheaf diffusion classifier.
 
 The trainable surface is W_theta (restriction maps), gamma (filter logits),
-W_mix (branch fusion), and W_cls (classifier).  The loss is the calibrated
-cross-entropy over the train mask.  The feature projection, the per-edge
-transport plans and, within an epoch, the calibration weights are frozen
-inputs; gradients for everything else are exact reverse-mode, with
+W_mix (branch fusion), and W_cls (classifier), less what a variant freezes
+(ModelParams.frozen).  The loss is the calibrated cross-entropy over the
+train mask.  The feature projection, the per-edge transport plans and,
+within an epoch, the calibration weights are frozen inputs; gradients for
+everything else are exact reverse-mode, with
 hand-derived adjoints for the implicit solve, the Chebyshev recurrence, and
 the inverse-square-root matrix function.
 
@@ -30,29 +31,33 @@ from .laplacian import (
     pattern_outer,
     scatter_add,
 )
-from .transport import restriction_from_plan
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class ModelParams:
-    """All weights; W_proj is drawn once and never updated."""
+    """All weights; W_proj is drawn once and never updated.
+
+    Nor is a weight named in frozen: trainable() leaves it out.
+    """
 
     W_proj: np.ndarray   # (d0, d_v)
     W_theta: np.ndarray  # (d_v, d_e)
     gamma: np.ndarray    # (Q + 1,) filter logits
     W_mix: np.ndarray    # (d_v, 2 d_v)
     W_cls: np.ndarray    # (C, d_v)
+    frozen: frozenset = frozenset()
 
     def trainable(self) -> dict[str, np.ndarray]:
-        return {"W_theta": self.W_theta, "gamma": self.gamma,
-                "W_mix": self.W_mix, "W_cls": self.W_cls}
+        weights = {"W_theta": self.W_theta, "gamma": self.gamma,
+                   "W_mix": self.W_mix, "W_cls": self.W_cls}
+        return {k: v for k, v in weights.items() if k not in self.frozen}
 
     def copy(self) -> "ModelParams":
         return ModelParams(W_proj=self.W_proj.copy(), W_theta=self.W_theta.copy(),
                            gamma=self.gamma.copy(), W_mix=self.W_mix.copy(),
-                           W_cls=self.W_cls.copy())
+                           W_cls=self.W_cls.copy(), frozen=self.frozen)
 
     def with_updates(self, updates: dict[str, np.ndarray]) -> "ModelParams":
         return replace(self, **{k: v.copy() for k, v in updates.items()})
@@ -96,15 +101,30 @@ class EpochContext:
 def restriction_maps(W_theta: np.ndarray, plans: np.ndarray) -> np.ndarray:
     """R_ij = W' P_e and R_ji = W' P_e' of every edge, as one stack.
 
-    Returns the (2m, d_e, d_v) stack with R_ij in rows [:m] and R_ji in
-    rows [m:], the order of edges.T.ravel(); both halves are written
-    straight into it, with the bits of transport.restriction_from_plan.
+    The only place the package forms restriction maps from plans.  Returns
+    the (2m, d_e, d_v) stack with R_ij in rows [:m] and R_ji in rows [m:],
+    the order of edges.T.ravel(); both halves are written straight into
+    it.  Both maps of an edge come from its one plan, so the pair is
+    transpose-compatible by construction.
     """
     m = len(plans)
     R = np.empty((2 * m, W_theta.shape[1], plans.shape[2]))
-    restriction_from_plan(plans, W_theta, out=R[:m])
-    restriction_from_plan(plans.transpose(0, 2, 1), W_theta, out=R[m:])
+    np.matmul(W_theta.T, plans, out=R[:m])
+    np.matmul(W_theta.T, plans.transpose(0, 2, 1), out=R[m:])
     return R
+
+
+def sheaf_laplacian(W_theta: np.ndarray, plans: np.ndarray, edges: np.ndarray,
+                    n: int) -> SheafLaplacian:
+    """The sheaf Laplacian of the restriction maps W_theta turns plans into.
+
+    The one path from (W_theta, plans) to L, untaped: laplacian_blocks'
+    forward pass and the CLI's --dump-laplacian build L here.
+    """
+    m = len(edges)
+    R = restriction_maps(W_theta, plans)
+    return assemble_laplacian(SheafIncidence(n=n, edges=edges, Rij=R[:m],
+                                             Rji=R[m:]))
 
 
 def restriction_vjp(W_theta: np.ndarray, plans: np.ndarray, grad) -> np.ndarray:
@@ -127,19 +147,20 @@ def restriction_vjp(W_theta: np.ndarray, plans: np.ndarray, grad) -> np.ndarray:
     return dW
 
 
-def laplacian_blocks(W_theta: Var, plans: np.ndarray, edges: np.ndarray,
+def laplacian_blocks(W_theta, plans: np.ndarray, edges: np.ndarray,
                      n: int) -> tuple[Var, Var]:
     """Assemble diag_i = sum R'R over incident edges and off_e = -R_ij'R_ji.
 
-    R = restriction_maps(W_theta.value, plans) is formed here, and again
-    in each VJP through restriction_vjp, which returns W_theta's gradient,
-    so no restriction stack is held on the tape.
+    The blocks are those of sheaf_laplacian(W_theta, plans, edges, n).
+    W_theta is a Var or, when it is not trained, an array: then the blocks
+    are Vars without parents.  A Var's gradient is formed in each VJP by
+    restriction_vjp, which forms R again, so no restriction stack is held
+    on the tape.
     """
-    W = W_theta.value
-    m = len(edges)
-    R = restriction_maps(W, plans)
-    L = assemble_laplacian(SheafIncidence(n=n, edges=edges, Rij=R[:m],
-                                          Rji=R[m:]))
+    W = W_theta.value if isinstance(W_theta, Var) else W_theta
+    L = sheaf_laplacian(W, plans, edges, n)
+    if W is W_theta:   # a frozen array: no VJP
+        return Var(L.diag), Var(L.off)
 
     def d_diag(g):
         # each Gram block R'R of an edge end sends R (g + g') to that R
@@ -382,8 +403,10 @@ def calibrated_ce(logits: Var, probs: np.ndarray, ctx: EpochContext) -> Var:
 def forward_tape(params: ModelParams, ctx: EpochContext):
     """Build the tape from frozen context to logits.
 
-    Returns (logits Var, leaves dict, aux dict).  aux carries the block
-    Vars, the SheafLaplacian built once from their values (it carries the
+    Returns (logits Var, leaves dict, aux dict).  leaves holds one Var per
+    trainable weight; a frozen W_theta enters as its array, so the tape
+    forms no gradient for it.  aux carries the block Vars, the
+    SheafLaplacian built once from their values (it carries the
     blocks' eigendecomposition from isqrt_blocks, which the epoch's gap
     estimate reuses), forward CG iteration counts, and the fused
     embeddings per layer.  L is the only operator on the tape: every
@@ -391,8 +414,8 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     filter, between two products with the blocks of S.
     """
     leaves = {name: Var(value) for name, value in params.trainable().items()}
-    diag, off = laplacian_blocks(leaves["W_theta"], ctx.plans, ctx.edges,
-                                 ctx.n)
+    diag, off = laplacian_blocks(leaves.get("W_theta", params.W_theta),
+                                 ctx.plans, ctx.edges, ctx.n)
     S, diag_eigh = isqrt_blocks(diag)
     L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
                        diag=diag.value, off=off.value, diag_eigh=diag_eigh)

@@ -163,7 +163,6 @@ class TrainState:
     plans: np.ndarray
     X0: np.ndarray
     epoch: int = 0
-    frozen: frozenset = frozenset()
     opt_m: dict = field(default_factory=dict)
     opt_v: dict = field(default_factory=dict)
 
@@ -184,8 +183,6 @@ def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
     """One descent step with weight decay; Adam keeps moments in the state."""
     updates = {}
     for name, theta in state.params.trainable().items():
-        if name in state.frozen:
-            continue
         g = grads[name] + cfg.weight_decay * theta
         if cfg.optimizer == "adam":
             b1, b2, eps = 0.9, 0.999, 1e-8
@@ -307,21 +304,19 @@ def init_state(data: Dataset, cfg: TrainConfig,
     """Seeded parameter draw plus the run-constant lift cache.
 
     scalar_edge pins every restriction map to the identity (the plain graph
-    Laplacian baseline) and freezes it.
+    Laplacian baseline) and freezes W_theta in the parameters.
     """
     g, feats, labels = data.g, data.feats, data.labels
     d_e = cfg.d_v if variant == "scalar_edge" else cfg.d_e
     params = init_params(feats.d0, cfg.d_v, d_e, labels.C,
                          cfg.cheb_order, cfg.seed)
-    frozen = frozenset()
     if variant == "scalar_edge":
         params.W_theta = np.eye(cfg.d_v)
-        frozen = frozenset({"W_theta"})
+        params.frozen = frozenset({"W_theta"})
     plans = run_plans(data, params.W_proj, cfg, variant)
     X0 = projected_features(feats.H, params.W_proj)
     prior = init_prior(g.m, cfg.a0, cfg.b0)
-    return TrainState(params=params, prior=prior, plans=plans, X0=X0,
-                      frozen=frozen)
+    return TrainState(params=params, prior=prior, plans=plans, X0=X0)
 
 
 def fit(data: Dataset, cfg: TrainConfig, variant: str = "we_lift"

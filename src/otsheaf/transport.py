@@ -2,9 +2,9 @@
 
 Features are projected to a common p-dimensional space, normalized to
 probability vectors over the canonical basis, and coupled by entropic
-optimal transport under the basis cost ||e_a - e_b||^2 = 2 * (a != b).  A
-learned matrix turns each plan into the pair of restriction maps for its
-edge.
+optimal transport under the basis cost ||e_a - e_b||^2 = 2 * (a != b).
+This module is the lift alone: the model turns each plan into the pair of
+restriction maps for its edge (model.restriction_maps).
 
 The lift runs one entropic pass and no KL-proximal step after it.  The
 entropic optimum P0, with log P0 = (f + g - C)/eps, is a fixed point of
@@ -50,8 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-
-from .laplacian import SheafIncidence
 
 logger = logging.getLogger(__name__)
 
@@ -142,16 +140,6 @@ def entropic_objective(P: np.ndarray, C: np.ndarray, eps: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(P > 0, P * (np.log(P) - 1.0), 0.0)
     return float((P * C).sum() + eps * ent.sum())
-
-
-def restriction_from_plan(P: np.ndarray, W_theta: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """R = W_theta^T P, mapping a node stalk into the edge stalk.
-
-    P may be one (p, p) plan or a stack (m, p, p); the product broadcasts.
-    out, when given, receives R, with the bits it would have otherwise.
-    """
-    return np.matmul(W_theta.T, P, out=out)
 
 
 def _off_mass(mu, nu, q):
@@ -253,16 +241,4 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     diag = np.arange(p)
     plans[:, diag, diag] += beta * x
     return plans
-
-
-def restrictions_from_plans(g, plans: np.ndarray,
-                            W_theta: np.ndarray) -> SheafIncidence:
-    """Apply the learned matrix to the plans of g's edges: Rij = W^T P, Rji = W^T P^T.
-
-    Both maps of an edge come from its one plan, so the pair is
-    transpose-compatible by construction.
-    """
-    return SheafIncidence(
-        n=g.n, edges=g.edges, Rij=restriction_from_plan(plans, W_theta),
-        Rji=restriction_from_plan(plans.transpose(0, 2, 1), W_theta))
 

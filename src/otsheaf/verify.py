@@ -82,7 +82,7 @@ def check_cg_bound(sizes=(100, 1000, 10000), trials: int = 100,
     all_within = True
     for size_idx, n in enumerate(sizes):
         g = erdos_renyi(n, 6.0, seed=100 + size_idx, ensure_connected=True)
-        L = sparsify(assemble_laplacian(_scalar_sheaf(g)), eps, size_idx)
+        L = sparsify(_scalar_sheaf(g), eps, size_idx)
         dt = 1.0 / top_eigenvalue(L.to_bsr(), 0)
 
         def apply_A(v, L=L, dt=dt):
@@ -312,8 +312,9 @@ def check_sparsifier(n: int = 300, eps: float = 0.3) -> CheckResult:
     so the sparsifier genuinely resamples instead of passing through.
     """
     g = erdos_renyi(n, float(n - 1), seed=11)
-    L = assemble_laplacian(_scalar_sheaf(g))
-    Ls = sparsify(L, eps, 11)
+    B = _scalar_sheaf(g)
+    L = assemble_laplacian(B)
+    Ls = sparsify(B, eps, 11)
     rng = np.random.default_rng(12)
     ok = 0
     for _ in range(SANDWICH_PROBES):

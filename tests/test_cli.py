@@ -122,19 +122,49 @@ class TestTrain:
         import otsheaf.cli as cli
         from tests.test_laplacian import coo_reference_csr
         built = []
-        real = cli.assemble_laplacian
+        real = cli.sheaf_laplacian
 
-        def kept(B):
-            built.append(real(B))
+        def kept(*args):
+            built.append(real(*args))
             return built[-1]
 
-        monkeypatch.setattr(cli, "assemble_laplacian", kept)
+        monkeypatch.setattr(cli, "sheaf_laplacian", kept)
         out = tmp_path / "run"
         assert main(_train_args(toy_json, out, "--dump-laplacian")) == 0
         assert len(built) == 1
         ref = coo_reference_csr(built[0]).tocoo()
         expected = "".join(f"{r} {c} {v:.17g}\n"
                            for r, c, v in zip(ref.row, ref.col, ref.data))
+        assert (out / "laplacian.txt").read_text() == expected
+
+    def test_laplacian_dump_is_the_operator_of_the_trained_model(
+            self, toy_json, tmp_path, monkeypatch):
+        # the dumped triplets are coo_rows() of the operator that
+        # forward_tape builds from the parameters the fit returned
+        import otsheaf.cli as cli
+        from otsheaf.model import forward_tape
+        from otsheaf.training import epoch_context, run_plans
+        from otsheaf.transport import projected_features
+        fits = []
+        real = cli.fit
+
+        def kept(data, cfg):
+            out = real(data, cfg)
+            fits.append((data, cfg, out[0]))
+            return out
+
+        monkeypatch.setattr(cli, "fit", kept)
+        out = tmp_path / "run"
+        assert main(_train_args(toy_json, out, "--dump-laplacian")) == 0
+        [(data, cfg, params)] = fits
+        plans = run_plans(data, params.W_proj, cfg, "we_lift")
+        ctx = epoch_context(data, plans,
+                            projected_features(data.feats.H, params.W_proj),
+                            cfg)
+        rows, cols, vals = forward_tape(params, ctx)[2]["L"].coo_rows()
+        expected = "".join(f"{r} {c} {v:.17g}\n"
+                           for r, c, v in zip(rows, cols, vals))
+        assert vals.size > 0
         assert (out / "laplacian.txt").read_text() == expected
 
     def test_missing_data_path_exits_one(self, tmp_path, capsys):

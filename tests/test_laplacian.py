@@ -424,21 +424,21 @@ class TestSparsifier:
     def test_leverage_matches_effective_resistance_on_complete_graph(self):
         n = 5
         g = Graph.from_edges(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
-        L = assemble_laplacian(scalar_sheaf(g))
-        tau = _edge_leverage_dense(L, L.restrictions)
+        B = scalar_sheaf(g)
+        tau = _edge_leverage_dense(assemble_laplacian(B), B)
         np.testing.assert_allclose(tau, np.full(g.m, 2.0 / n), atol=1e-10)
 
     def test_leverage_sums_to_rank(self):
         g = erdos_renyi(15, 5.0, seed=14, ensure_connected=True)
-        L = assemble_laplacian(scalar_sheaf(g))
-        tau = _edge_leverage_dense(L, L.restrictions)
+        B = scalar_sheaf(g)
+        tau = _edge_leverage_dense(assemble_laplacian(B), B)
         assert tau.sum() == pytest.approx(g.n - 1, rel=1e-8)
 
     def test_sketched_leverage_tracks_dense(self, monkeypatch):
         n = 20
         g = Graph.from_edges(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
-        L = assemble_laplacian(scalar_sheaf(g))
-        B = L.restrictions
+        B = scalar_sheaf(g)
+        L = assemble_laplacian(B)
         exact = _edge_leverage_dense(L, B)
         from otsheaf.laplacian import _edge_leverage_sketched
         monkeypatch.setattr(laplacian, "LEVERAGE_PROBES", 200)
@@ -447,16 +447,21 @@ class TestSparsifier:
 
     def test_below_target_returns_unchanged(self):
         g = Graph.from_edges(30, [[0, i] for i in range(1, 30)])  # star
-        L = assemble_laplacian(scalar_sheaf(g))
-        out = sparsify(L, 0.3, 0)
-        assert out is L
+        B = scalar_sheaf(g)
+        out = sparsify(B, 0.3, 0)
+        L = assemble_laplacian(B)
+        assert out.m == L.m
+        assert np.array_equal(out.edges, L.edges)
+        assert np.array_equal(out.diag, L.diag)
+        assert np.array_equal(out.off, L.off)
 
     def test_sampling_preserves_quadratic_forms(self):
         n = 60
         g = Graph.from_edges(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
-        L = assemble_laplacian(scalar_sheaf(g))
+        B = scalar_sheaf(g)
+        L = assemble_laplacian(B)
         eps = 0.5
-        out = sparsify(L, eps, 1)
+        out = sparsify(B, eps, 1)
         assert out is not L and out.m < L.m
         rng = np.random.default_rng(2)
         ok = 0
@@ -469,9 +474,8 @@ class TestSparsifier:
 
     def test_rejects_eps_out_of_range(self):
         g = Graph.from_edges(3, [[0, 1]])
-        L = assemble_laplacian(scalar_sheaf(g))
         with pytest.raises(ValueError):
-            sparsify(L, 1.5, 0)
+            sparsify(scalar_sheaf(g), 1.5, 0)
 
 
 class TestReassembly:

@@ -32,10 +32,10 @@ from otsheaf.model import (
     restriction_maps,
     restriction_vjp,
     sandwich_blocks,
+    sheaf_laplacian,
     softmax,
     svr_branch,
 )
-from otsheaf.transport import restrictions_from_plans
 from otsheaf.verify import _gradcheck_fixture
 from tests.test_laplacian import dense_sls
 
@@ -345,12 +345,15 @@ class TestContractionFormulas:
         assert rel_close(grad, np.einsum("mqp,mdq->pd", plans, g_ji))
 
     def test_restriction_maps_match_transport_formula(self):
+        # R_ij = W' P and R_ji = W' P', bit for bit the product of W' with
+        # each plan, written straight into one stack
         params, ctx = _gradcheck_fixture()
         g = Graph.from_edges(ctx.n, ctx.edges)
-        R = restriction_maps(params.W_theta, ctx.plans)
-        rset = restrictions_from_plans(g, ctx.plans, params.W_theta)
-        assert np.array_equal(R[:g.m], rset.Rij)
-        assert np.array_equal(R[g.m:], rset.Rji)
+        W = params.W_theta
+        R = restriction_maps(W, ctx.plans)
+        assert np.array_equal(R[:g.m], np.matmul(W.T, ctx.plans))
+        assert np.array_equal(R[g.m:],
+                              np.matmul(W.T, ctx.plans.transpose(0, 2, 1)))
 
     def test_isqrt_blocks_vjp(self):
         g = self.rng.normal(size=self.D.shape)
@@ -433,8 +436,7 @@ class TestForwardParity:
             Rji=np.einsum("pd,mqp->mdq", params.W_theta, ctx.plans))
         L = assemble_laplacian(B)
         # the tape and the assembly share one block formula, bit for bit
-        tape_L = assemble_laplacian(restrictions_from_plans(
-            Graph.from_edges(ctx.n, ctx.edges), ctx.plans, params.W_theta))
+        tape_L = sheaf_laplacian(params.W_theta, ctx.plans, ctx.edges, ctx.n)
         assert np.array_equal(tape_L.diag, aux["diag"].value)
         assert np.array_equal(tape_L.off, aux["off"].value)
         h_svr, _ = svr_diffuse(L, ctx.X0.reshape(-1), ctx.dt,

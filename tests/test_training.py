@@ -33,10 +33,9 @@ from otsheaf.laplacian import (
     DENSE_CUTOFF,
     NORMALIZED_NULL_TOL,
     _compressed_normalized,
-    assemble_laplacian,
     normalized_range_gap,
 )
-from otsheaf.model import forward_tape
+from otsheaf.model import forward_tape, sheaf_laplacian
 from otsheaf.training import (
     CURVE_COLUMNS,
     VARIANTS,
@@ -58,7 +57,6 @@ from otsheaf.training import (
     write_curves,
     write_reliability,
 )
-from otsheaf.transport import restrictions_from_plans
 from tests.test_laplacian import dense_sls
 
 
@@ -195,6 +193,31 @@ class TestTrainEpoch:
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(calls) == 1
 
+    def test_scalar_edge_epoch_forms_restriction_maps_once(self, monkeypatch):
+        # a frozen W_theta is no tape leaf: the forward forms the maps once
+        # and backward forms them for no gradient (the W_theta leaf made it
+        # 1 + 2 * 3 chunks = 7 calls on these 612 edges)
+        import otsheaf.model as model
+        calls = []
+        real = model.restriction_maps
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "restriction_maps", counted)
+        g, feats, labels = synthetic_dataset(n=200, num_classes=3, d0=16,
+                                             seed=0, homophily=0.8,
+                                             avg_degree=6.0)
+        data = Dataset(g, feats, labels, make_split(labels, per_class=5,
+                                                    seed=0))
+        cfg = small_cfg(gap_steps=0)
+        state = init_state(data, cfg, "scalar_edge")
+        assert "W_theta" not in state.params.trainable()
+        state, _ = train_epoch(state, data, cfg)
+        assert g.m == 612 and len(calls) == 1
+        assert np.array_equal(state.params.W_theta, np.eye(cfg.d_v))
+
     def test_one_eigensolve_per_epoch_above_dense_cutoff(self, monkeypatch):
         # with gap_steps=0 the epoch reads lambda2 alone: the ARPACK path
         # runs its low-end block and never the solve for lambda_max
@@ -205,8 +228,7 @@ class TestTrainEpoch:
                                                     seed=0))
         cfg = TrainConfig(d_v=16, gap_steps=0, epochs=1, seed=0)
         state = init_state(data, cfg)
-        L = assemble_laplacian(restrictions_from_plans(
-            g, state.plans, state.params.W_theta))
+        L = sheaf_laplacian(state.params.W_theta, state.plans, g.edges, g.n)
         assert _compressed_normalized(L)[0].shape[0] > DENSE_CUTOFF
         calls = []
         real = laplacian._extreme_eigs
@@ -385,7 +407,7 @@ class TestTrainEpoch:
         cfg = small_cfg(gap_steps=3)
         state = init_state(data, cfg)
         plans, params = state.plans, state.params
-        L = assemble_laplacian(restrictions_from_plans(data.g, plans, params.W_theta))
+        L = sheaf_laplacian(params.W_theta, plans, data.g.edges, data.g.n)
         pre = normalized_range_gap(L, seed=cfg.seed).lambda2
         _, rep = train_epoch(state, data, cfg)
         assert rep.lambda2 >= pre - 1e-8
@@ -449,7 +471,7 @@ class TestTrainEpoch:
         plans = state.plans.copy()
         _, rep = train_epoch(state, data, cfg)
 
-        L = assemble_laplacian(restrictions_from_plans(g, plans, params.W_theta))
+        L = sheaf_laplacian(params.W_theta, plans, g.edges, g.n)
         h_svr, info = svr_diffuse(L, X0.reshape(-1), cfg.dt,
                                   CGConfig(tol=cfg.cg_tol,
                                            max_iter=cfg.cg_max_iter))
@@ -487,8 +509,8 @@ class TestNormalizedSpectrum:
             data = two_cluster_dataset(n_per=n_per)
             for d_v in (4, 6, 8, 12):
                 state = init_state(data, small_cfg(d_v=d_v))
-                L = assemble_laplacian(restrictions_from_plans(
-                    data.g, state.plans, state.params.W_theta))
+                L = sheaf_laplacian(state.params.W_theta, state.plans,
+                                    data.g.edges, data.g.n)
                 w = np.linalg.eigvalsh(dense_sls(L))
                 assert w.min() >= -1e-4 and w.max() <= 2.0 + 1e-4
 
@@ -499,8 +521,8 @@ class TestNormalizedSpectrum:
         import otsheaf.laplacian as laplacian
         data = two_cluster_dataset(n_per=30)
         state = init_state(data, small_cfg(d_v=12, d_e=None))
-        L = assemble_laplacian(restrictions_from_plans(
-            data.g, state.plans, state.params.W_theta))
+        L = sheaf_laplacian(state.params.W_theta, state.plans,
+                            data.g.edges, data.g.n)
         A, _, _ = _compressed_normalized(L)
         assert A.shape[0] == 424
         w = np.linalg.eigvalsh(dense_sls(L))

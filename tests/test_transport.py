@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 
 import otsheaf.transport as transport
 from otsheaf.graphs import Graph, make_split, synthetic_dataset
+from otsheaf.model import restriction_maps, sheaf_laplacian
 from otsheaf.training import Dataset, TrainConfig, init_state
 from otsheaf.transport import (
     MEASURE_FLOOR,
@@ -16,8 +17,6 @@ from otsheaf.transport import (
     entropic_objective,
     feature_cost_matrix,
     normalize_to_measure,
-    restriction_from_plan,
-    restrictions_from_plans,
     sinkhorn,
 )
 
@@ -183,17 +182,19 @@ def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
 
 
 def _single_edge_maps(h_i, h_j, W_proj, W_theta, eps):
-    """Per-edge reference lift: the dense solve, then the learned matrix."""
+    """Per-edge reference lift: the dense solve, then the model's maps of it."""
     mu = normalize_to_measure(h_i @ W_proj)
     nu = normalize_to_measure(h_j @ W_proj)
     P = sinkhorn(mu, nu, feature_cost_matrix(mu.shape[0]), eps).P
-    return restriction_from_plan(P, W_theta), restriction_from_plan(P.T, W_theta)
+    Rij, Rji = restriction_maps(W_theta, P[None])
+    return Rij, Rji
 
 
 class TestLift:
     def test_identity_plan_identity_weight(self):
         P = np.eye(4)
-        np.testing.assert_array_equal(restriction_from_plan(P, np.eye(4)), np.eye(4))
+        np.testing.assert_array_equal(restriction_maps(np.eye(4), P[None])[0],
+                                      np.eye(4))
 
     def test_shapes(self):
         g, H, W_proj, W_theta = _lift_fixture()
@@ -203,35 +204,32 @@ class TestLift:
     def test_pair_comes_from_one_plan(self):
         g, H, W_proj, W_theta = _lift_fixture()
         plans = edge_plans(g.edges, H, W_proj, 0.5)
-        rset = restrictions_from_plans(g, plans, W_theta)
-        for e in range(rset.m):
+        R = restriction_maps(W_theta, plans)
+        for e in range(g.m):
             np.testing.assert_allclose(
-                rset.Rij[e], restriction_from_plan(plans[e], W_theta), atol=1e-12
+                R[e], W_theta.T @ plans[e], atol=1e-12
             )
             np.testing.assert_allclose(
-                rset.Rji[e], restriction_from_plan(plans[e].T, W_theta), atol=1e-12
+                R[g.m + e], W_theta.T @ plans[e].T, atol=1e-12
             )
 
     def test_batch_matches_single_edge(self, monkeypatch):
         monkeypatch.setattr(transport, "LIFT_TOL", 1e-11)
         monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-11)
         g, H, W_proj, W_theta = _lift_fixture()
-        rset = restrictions_from_plans(g, edge_plans(g.edges, H, W_proj, 0.5),
-                                       W_theta)
-        for e in range(rset.m):
-            i, j = rset.edges[e]
+        R = restriction_maps(W_theta, edge_plans(g.edges, H, W_proj, 0.5))
+        for e in range(g.m):
+            i, j = g.edges[e]
             Rij, Rji = _single_edge_maps(H[i], H[j], W_proj, W_theta, 0.5)
-            np.testing.assert_allclose(rset.Rij[e], Rij, atol=1e-8)
-            np.testing.assert_allclose(rset.Rji[e], Rji, atol=1e-8)
+            np.testing.assert_allclose(R[e], Rij, atol=1e-8)
+            np.testing.assert_allclose(R[g.m + e], Rji, atol=1e-8)
 
     def test_deterministic(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        a = restrictions_from_plans(
-            g, edge_plans(g.edges, H, W_proj, 0.5), W_theta)
-        b = restrictions_from_plans(
-            g, edge_plans(g.edges, H, W_proj, 0.5), W_theta)
-        np.testing.assert_array_equal(a.Rij, b.Rij)
-        np.testing.assert_array_equal(a.Rji, b.Rji)
+        a = restriction_maps(W_theta, edge_plans(g.edges, H, W_proj, 0.5))
+        b = restriction_maps(W_theta, edge_plans(g.edges, H, W_proj, 0.5))
+        np.testing.assert_array_equal(a[:g.m], b[:g.m])
+        np.testing.assert_array_equal(a[g.m:], b[g.m:])
         np.testing.assert_array_equal(edge_plans(g.edges, H, W_proj, 0.5),
                                       edge_plans(g.edges, H, W_proj, 0.5))
 
@@ -250,8 +248,10 @@ class TestLift:
         rng = np.random.default_rng(0)
         plans = edge_plans(g.edges, np.abs(rng.normal(size=(3, 4))),
                            rng.normal(size=(4, 2)), 0.5)
-        rset = restrictions_from_plans(g, plans, rng.normal(size=(2, 2)))
-        assert rset.m == 0 and rset.Rij.shape == (0, 2, 2)
+        W_theta = rng.normal(size=(2, 2))
+        L = sheaf_laplacian(W_theta, plans, g.edges, g.n)
+        assert L.m == 0 and restriction_maps(W_theta, plans).shape == (0, 2, 2)
+        assert L.off.shape == (0, 2, 2) and not L.diag.any()
 
 
 class TestEdgePlans:
