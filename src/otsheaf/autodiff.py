@@ -1,14 +1,22 @@
 """A minimal reverse-mode tape for exact end-to-end gradients.
 
-A Var wraps an ndarray plus (parent, vjp) edges recorded by each primitive;
-backward() walks the tape once in reverse topological order, summing
-vector-Jacobian products into .grad.  backward() consumes the tape: once a
-node's VJPs have run, its edges and its gradient are dropped, so the
-closures and the arrays they hold are freed as the walk goes.  Leaves keep
-their gradients; build a new tape to differentiate again.  Only the
-handful of primitives the model needs are provided here; operator-level
-primitives with hand-derived adjoints (solves, recurrences, matrix
-functions) live next to the model.
+A Var wraps an ndarray, its parents and one VJP that returns every
+parent's gradient at once.  Which nodes are differentiated is decided
+when each node is built: a Var built without parents is a leaf; a parent
+that is a plain array, or a Var with no path to a leaf, is a constant;
+and a node with no live parent is itself a constant, which drops its
+parents and its VJP at once, so its closure and the arrays it holds are
+freed before backward runs.  A live node keeps its constant parents'
+slots as None, and its VJP is passed the mask of which parents are live,
+so it can skip the gradients nothing reads.
+
+backward() walks the live tape once in reverse topological order,
+summing each VJP's gradients into the parents' .grad in parent order.
+It consumes the tape: once a node's VJP has run, its parents, its VJP
+and its gradient are dropped.  Leaves keep their gradients; build a new
+tape to differentiate again.  Only the handful of primitives the model
+needs are provided here; operator-level primitives with hand-derived
+adjoints (solves, recurrences, matrix functions) live next to the model.
 """
 
 from __future__ import annotations
@@ -17,18 +25,36 @@ import numpy as np
 
 
 class Var:
-    """Tape node: a value and how to push gradients to its parents."""
+    """Tape node: a value, its live parents and the VJP that serves them.
 
-    __slots__ = ("value", "parents", "grad", "__weakref__")
+    vjp(g, live) maps the upstream gradient g to one gradient per parent,
+    in parent order; live[k] says whether parent k needs one, and the
+    entry of a parent that does not is ignored.
+    """
 
-    def __init__(self, value, parents=()):
+    __slots__ = ("value", "parents", "vjp", "live", "grad", "__weakref__")
+
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = tuple(parents)
+        mask = [isinstance(p, Var) and p.live for p in parents]
+        self.live = any(mask) or not parents
+        if any(mask):
+            self.parents = tuple(p if k else None
+                                 for p, k in zip(parents, mask))
+            self.vjp = vjp
+        else:
+            self.parents = ()
+            self.vjp = None
         self.grad = None
 
 
+def value_of(x) -> np.ndarray:
+    """The array a parent stands for: a Var's value, or x as float64."""
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
 def _topological(root: Var) -> list[Var]:
-    """Every node reachable from root, each after all of its parents."""
+    """Every live node reachable from root, each after all of its parents."""
     order: list[Var] = []
     seen: set[int] = set()
     stack = [(root, False)]
@@ -41,24 +67,28 @@ def _topological(root: Var) -> list[Var]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        stack.extend((parent, False) for parent, _ in node.parents)
+        stack.extend((parent, False) for parent in node.parents
+                     if parent is not None)
     return order
 
 
 def _push(node: Var, owned: set[int]) -> None:
-    """Add node's VJPs into its parents' gradients, then cut its edges.
+    """Add node's VJP into its live parents' gradients, then cut its edges.
 
-    A VJP returns its upstream gradient, a view of it, or an array that
-    nothing but the tape reads again.  A parent's first gradient is kept
-    as the VJP returned it.  owned holds the ids of the parents whose
-    gradient only the tape holds: a first gradient that shares no memory
-    with the upstream one, or a sum the tape made.  A later gradient is
-    added in place into an owned one; into any other it is added out of
-    place, and the sum is owned from then on.
+    Each gradient the VJP returns is its upstream gradient, a view of it,
+    or an array that nothing but the tape reads again.  A parent's first
+    gradient is kept as the VJP returned it.  owned holds the ids of the
+    parents whose gradient only the tape holds: a first gradient that
+    shares no memory with the upstream one, or a sum the tape made.  A
+    later gradient is added in place into an owned one; into any other it
+    is added out of place, and the sum is owned from then on.
     """
     if node.grad is not None:
-        for parent, vjp in node.parents:
-            g = vjp(node.grad)
+        live = tuple(parent is not None for parent in node.parents)
+        grads = node.vjp(node.grad, live)
+        for parent, g in zip(node.parents, grads):
+            if parent is None:
+                continue
             if parent.grad is None:
                 parent.grad = g
                 if not np.may_share_memory(g, node.grad):
@@ -70,15 +100,16 @@ def _push(node: Var, owned: set[int]) -> None:
                 owned.add(id(parent))
     owned.discard(id(node))
     node.parents = ()
+    node.vjp = None
     node.grad = None
 
 
 def backward(root: Var) -> None:
-    """Accumulate d root / d leaf into .grad over the reachable tape.
+    """Accumulate d root / d leaf into .grad over the reachable live tape.
 
     Consumes the tape: every node reached that has parents (root
-    included) leaves with parents == () and grad None, as soon as its VJPs
-    have run.  Leaves, the nodes without parents, keep their gradients.
+    included) leaves with parents == () and grad None, as soon as its VJP
+    has run.  Leaves, the nodes without parents, keep their gradients.
     Differentiating again needs a new tape.
     """
     order = _topological(root)
@@ -92,38 +123,19 @@ def backward(root: Var) -> None:
             _push(node, owned)
 
 
-class shared_vjp:
-    """Memoize a vjp computation shared by several parents of one node.
-
-    backward() hands every parent the same upstream gradient object, so
-    identity of the incoming array is a sound cache key.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._g = None
-        self._out = None
-
-    def __call__(self, g):
-        if self._g is not g:
-            self._out = self.fn(g)
-            self._g = g
-        return self._out
-
-
 def linear(x: Var, W: Var) -> Var:
     """x @ W.T for row-major feature matrices."""
-    out = x.value @ W.value.T
-    return Var(out, [(x, lambda g: g @ W.value),
-                     (W, lambda g: g.T @ x.value)])
+    return Var(x.value @ W.value.T, (x, W),
+               lambda g, live: (g @ W.value, g.T @ x.value))
 
 
 def relu(x: Var) -> Var:
     mask = x.value > 0
-    return Var(np.where(mask, x.value, 0.0), [(x, lambda g: g * mask)])
+    return Var(np.where(mask, x.value, 0.0), (x,),
+               lambda g, live: (g * mask,))
 
 
 def concat_cols(a: Var, b: Var) -> Var:
     ka = a.value.shape[1]
     out = np.concatenate([a.value, b.value], axis=1)
-    return Var(out, [(a, lambda g: g[:, :ka]), (b, lambda g: g[:, ka:])])
+    return Var(out, (a, b), lambda g, live: (g[:, :ka], g[:, ka:]))

@@ -88,35 +88,21 @@ def jacobi_block_preconditioner(L, dt: float):
 
 @dataclass
 class DiffusionInfo:
-    iterations: int            # max CG iterations over columns
     total_iterations: int
     residual: float
     converged: bool
 
 
-def svr_diffuse(L, X: np.ndarray, dt: float,
+def svr_diffuse(L, x: np.ndarray, dt: float,
                 cg: CGConfig) -> tuple[np.ndarray, DiffusionInfo]:
-    """Implicit smoothing (I + dt L)^{-1} X, one CG solve per signal column.
+    """Implicit smoothing (I + dt L)^{-1} x of one flat signal, by CG.
 
     Jacobi block preconditioning uses the diagonal blocks of L.
     """
-    X = np.asarray(X, dtype=np.float64)
-    squeeze = X.ndim == 1
-    Xc = X[:, None] if squeeze else X
-    apply_A = lambda v: v + dt * L.matvec(v)
-    precond = jacobi_block_preconditioner(L, dt)
-    out = np.empty_like(Xc)
-    iters, total, res, ok = 0, 0, 0.0, True
-    for c in range(Xc.shape[1]):
-        r = cg_solve(apply_A, Xc[:, c], cg, precond=precond)
-        out[:, c] = r.x
-        iters = max(iters, r.iterations)
-        total += r.iterations
-        res = float(np.maximum(res, r.residual))   # keeps a NaN
-        ok = ok and r.converged
-    return (out[:, 0] if squeeze else out,
-            DiffusionInfo(iterations=iters, total_iterations=total,
-                          residual=res, converged=ok))
+    r = cg_solve(lambda v: v + dt * L.matvec(v), x, cg,
+                 precond=jacobi_block_preconditioner(L, dt))
+    return r.x, DiffusionInfo(total_iterations=r.iterations,
+                              residual=r.residual, converged=r.converged)
 
 
 def chebyshev_weights(gamma: np.ndarray) -> np.ndarray:

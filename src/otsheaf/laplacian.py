@@ -174,12 +174,6 @@ class SheafLaplacian:
         coo = self.to_bsr().tocsr().tocoo()
         return coo.row, coo.col, coo.data
 
-    def copy(self) -> "SheafLaplacian":
-        return SheafLaplacian(
-            n=self.n, d_v=self.d_v, edges=self.edges.copy(),
-            diag=self.diag.copy(), off=self.off.copy(),
-        )
-
 
 def assemble_laplacian(B: SheafIncidence,
                        weights: np.ndarray | None = None) -> SheafLaplacian:

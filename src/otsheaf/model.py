@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Var, backward, concat_cols, linear, relu, shared_vjp
+from .autodiff import Var, backward, concat_cols, linear, relu, value_of
 from .diffusion import CGConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
 from .laplacian import (
     BLOCK_CHUNK,
@@ -152,33 +152,30 @@ def laplacian_blocks(W_theta, plans: np.ndarray, edges: np.ndarray,
     """Assemble diag_i = sum R'R over incident edges and off_e = -R_ij'R_ji.
 
     The blocks are those of sheaf_laplacian(W_theta, plans, edges, n).
-    W_theta is a Var or, when it is not trained, an array: then the blocks
-    are Vars without parents.  A Var's gradient is formed in each VJP by
-    restriction_vjp, which forms R again, so no restriction stack is held
-    on the tape.
+    W_theta is a Var or, when it is not trained, an array: then both
+    blocks are constants on the tape.  W_theta's gradient is formed in
+    each VJP by restriction_vjp, which forms R again, so no restriction
+    stack is held on the tape.
     """
-    W = W_theta.value if isinstance(W_theta, Var) else W_theta
+    W = value_of(W_theta)
     L = sheaf_laplacian(W, plans, edges, n)
-    if W is W_theta:   # a frozen array: no VJP
-        return Var(L.diag), Var(L.off)
 
-    def d_diag(g):
+    def d_diag(g, live):
         # each Gram block R'R of an edge end sends R (g + g') to that R
         gs = g + g.transpose(0, 2, 1)
-        return restriction_vjp(W, plans,
-                               lambda R, e: R @ gs[edges[e].T.ravel()])
+        return (restriction_vjp(W, plans,
+                                lambda R, e: R @ gs[edges[e].T.ravel()]),)
 
-    def d_off(g):
+    def d_off(g, live):
         def grad(R, e):
             k = len(R) // 2
             dR = np.empty_like(R)
             np.matmul(R[k:], g[e].transpose(0, 2, 1), out=dR[:k])
             np.matmul(R[:k], g[e], out=dR[k:])
             return dR
-        return -restriction_vjp(W, plans, grad)
+        return (-restriction_vjp(W, plans, grad),)
 
-    return (Var(L.diag, [(W_theta, d_diag)]),
-            Var(L.off, [(W_theta, d_off)]))
+    return Var(L.diag, (W_theta,), d_diag), Var(L.off, (W_theta,), d_off)
 
 
 def _warn_unconverged(solve: str, info) -> None:
@@ -195,29 +192,25 @@ def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
     L is the operator with the blocks (diag.value, off.value); sharing one
     instance across layers builds its BSR form once.  With A = I + dt L
     symmetric, y = A~x gives dL = -dt * (A~g) y' restricted to the pattern,
-    and dx = A~g.  An unconverged forward or adjoint solve logs a warning.
+    and dx = A~g; the outer product on the pattern is formed only when a
+    block is live.  An unconverged forward or adjoint solve logs a warning.
     """
-    x_var = x if isinstance(x, Var) else None
-    xv = x.value if x_var is not None else np.asarray(x, dtype=np.float64)
+    xv = value_of(x)
     cg = CGConfig(tol=ctx.cg_tol, max_iter=ctx.cg_max_iter)
     y, info = svr_diffuse(L, xv.reshape(-1), ctx.dt, cg)
     _warn_unconverged("svr forward", info)
 
-    def solve_adjoint(g):
+    def solve_adjoint(g, live):
         u, adj_info = svr_diffuse(L, g.reshape(-1), ctx.dt, cg)
         _warn_unconverged("svr adjoint", adj_info)
-        gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
-        gd *= -ctx.dt
-        go *= -ctx.dt
-        return {"diag": gd, "off": go,
-                "x": u.reshape(xv.shape)}
+        gd = go = None
+        if live[0] or live[1]:
+            gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
+            gd *= -ctx.dt
+            go *= -ctx.dt
+        return gd, go, u.reshape(xv.shape)
 
-    cache = shared_vjp(solve_adjoint)
-    parents = [(diag, lambda g: cache(g)["diag"]),
-               (off, lambda g: cache(g)["off"])]
-    if x_var is not None:
-        parents.append((x_var, lambda g: cache(g)["x"]))
-    return Var(y.reshape(xv.shape), parents), info
+    return Var(y.reshape(xv.shape), (diag, off, x), solve_adjoint), info
 
 
 def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
@@ -236,7 +229,7 @@ def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
     h = np.where(keep, 1.0 / np.sqrt(wsafe), 0.0)
     hp = np.where(keep, -0.5 * wsafe ** -1.5, 0.0)
 
-    def vjp(g):
+    def vjp(g, live):
         Vt = V.transpose(0, 2, 1)
         gt = Vt @ g @ V
         dw = w[:, :, None] - w[:, None, :]
@@ -245,9 +238,9 @@ def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
         avg_hp = 0.5 * (hp[:, :, None] + hp[:, None, :])
         phi = np.where(close, avg_hp, dh / np.where(close, 1.0, dw))
         gb = V @ (phi * gt) @ Vt
-        return 0.5 * (gb + gb.transpose(0, 2, 1))
+        return (0.5 * (gb + gb.transpose(0, 2, 1)),)
 
-    return Var(S, [(diag, vjp)]), (w, V)
+    return Var(S, (diag,), vjp), (w, V)
 
 
 def sandwich_blocks(S: Var, diag: Var, off: Var,
@@ -263,30 +256,24 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     md = Sv @ Dv @ Sv
     mo = Sv[I] @ Ov @ Sv[J]
 
-    def d_md_d_S(g):
+    def d_md(g, live):
         SD, DS = Sv @ Dv, Dv @ Sv
-        return g @ DS.transpose(0, 2, 1) + SD.transpose(0, 2, 1) @ g
-
-    def d_md_d_D(g):
         St = Sv.transpose(0, 2, 1)
-        return St @ g @ St
+        return (g @ DS.transpose(0, 2, 1) + SD.transpose(0, 2, 1) @ g,
+                St @ g @ St)
 
     # backward gathers Sv[I] and Sv[J] again: holding the forward's two
     # (m, d, d) gathers until then would raise the tape's peak memory; both
     # edge ends are written straight into one (2m, d, d) buffer
-    def d_mo_d_S(g):
+    def d_mo(g, live):
         m = len(g)
         ends = np.empty((2 * m, *g.shape[1:]))
         np.matmul(g, (Ov @ Sv[J]).transpose(0, 2, 1), out=ends[:m])
         np.matmul((Sv[I] @ Ov).transpose(0, 2, 1), g, out=ends[m:])
-        return scatter_add(edges.T.ravel(), ends, len(Sv))
+        return (scatter_add(edges.T.ravel(), ends, len(Sv)),
+                Sv[I].transpose(0, 2, 1) @ g @ Sv[J].transpose(0, 2, 1))
 
-    def d_mo_d_O(g):
-        return Sv[I].transpose(0, 2, 1) @ g @ Sv[J].transpose(0, 2, 1)
-
-    md_var = Var(md, [(S, d_md_d_S), (diag, d_md_d_D)])
-    mo_var = Var(mo, [(S, d_mo_d_S), (off, d_mo_d_O)])
-    return md_var, mo_var
+    return Var(md, (S, diag), d_md), Var(mo, (S, off), d_mo)
 
 
 def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
@@ -303,11 +290,12 @@ def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
     <a, M b> of the reverse recurrence sends -pattern_outer(S a, S b) to
     L's blocks and -(a (L S b)' + (L S a) b') block by block to S.  The
     forward keeps S b and L S b of every term, and the reverse forms S a
-    and L S a as it applies M, so the gradient adds no matvec.  A node
+    and L S a as it applies M, so the gradient adds no matvec.  When S,
+    the blocks and x are all constants, gamma's gradient comes from the
+    forward terms alone and the reverse recurrence does not run.  A node
     without edges has S = 0, so M passes its signal through.
     """
-    x_var = x if isinstance(x, Var) else None
-    xv = (x.value if x_var is not None else np.asarray(x, np.float64))
+    xv = value_of(x)
     n, d_v = ctx.n, ctx.d_v
     Sv = S.value
     alphas = chebyshev_weights(gamma.value)
@@ -329,10 +317,12 @@ def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
 
     out_flat, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
 
-    def reverse(g):
+    def reverse(g, live):
         gf = g.reshape(-1)
         d_alpha = np.array([float(gf @ t) for t in terms])
         d_gamma = alphas * (d_alpha - float(alphas @ d_alpha))
+        if not (any(live[:3]) or live[4]):
+            return None, None, None, d_gamma, None
         u = [a * gf for a in alphas]
         dx = u[0]
         # a_q, S a_q and L S a_q of the pair <a_q, M T_q>, as rows;
@@ -349,22 +339,18 @@ def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
                 u[q - 1] = u[q - 1] - u[q + 1]
             else:
                 dx = Mu + u[0]
-        gd, go = pattern_outer(ctx.edges, SA.T, ST.T, n, d_v)
-        # the sum over pairs of a_q (L S T_q)' + (L S a_q) T_q', node by node
-        left = np.vstack([A, LSA]).T.reshape(n, d_v, 2 * Q)
-        right = np.vstack([LST, *terms[:Q]]).T.reshape(n, d_v, 2 * Q)
-        gS = left @ right.transpose(0, 2, 1)
-        return {"S": gS, "diag": gd, "off": go, "gamma": d_gamma,
-                "x": dx.reshape(xv.shape)}
+        gS = gd = go = None
+        if live[1] or live[2]:
+            gd, go = pattern_outer(ctx.edges, SA.T, ST.T, n, d_v)
+        if live[0]:
+            # the sum over pairs of a_q (L S T_q)' + (L S a_q) T_q', node
+            # by node
+            left = np.vstack([A, LSA]).T.reshape(n, d_v, 2 * Q)
+            right = np.vstack([LST, *terms[:Q]]).T.reshape(n, d_v, 2 * Q)
+            gS = left @ right.transpose(0, 2, 1)
+        return gS, gd, go, d_gamma, dx.reshape(xv.shape)
 
-    cache = shared_vjp(reverse)
-    parents = [(S, lambda g: cache(g)["S"]),
-               (diag, lambda g: cache(g)["diag"]),
-               (off, lambda g: cache(g)["off"]),
-               (gamma, lambda g: cache(g)["gamma"])]
-    if x_var is not None:
-        parents.append((x_var, lambda g: cache(g)["x"]))
-    return Var(out_flat.reshape(xv.shape), parents)
+    return Var(out_flat.reshape(xv.shape), (S, diag, off, gamma, x), reverse)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -385,7 +371,7 @@ def calibrated_ce(logits: Var, probs: np.ndarray, ctx: EpochContext) -> Var:
     py = pcal[idx, ctx.y[idx]]
     loss = float(-np.log(np.maximum(py, 1e-300)).mean())
 
-    def vjp(g):
+    def vjp(g, live):
         G = np.zeros_like(z)
         p_idx = probs[idx]
         p_true = p_idx[np.arange(idx.size), ctx.y[idx]]
@@ -393,9 +379,9 @@ def calibrated_ce(logits: Var, probs: np.ndarray, ctx: EpochContext) -> Var:
         rows = -coeff[:, None] * (-p_idx)
         rows[np.arange(idx.size), ctx.y[idx]] -= coeff
         G[idx] = rows * float(g)
-        return G
+        return (G,)
 
-    return Var(loss, [(logits, vjp)])
+    return Var(loss, (logits,), vjp)
 
 
 # -------------------------------------------------------------- full forward
@@ -404,8 +390,9 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     """Build the tape from frozen context to logits.
 
     Returns (logits Var, leaves dict, aux dict).  leaves holds one Var per
-    trainable weight; a frozen W_theta enters as its array, so the tape
-    forms no gradient for it.  aux carries the block Vars, the
+    trainable weight; a frozen W_theta enters as its array, so the blocks,
+    S and every solve that reads only them and X0 are constants, and
+    backward runs no VJP toward them.  aux carries the block Vars, the
     SheafLaplacian built once from their values (it carries the
     blocks' eigendecomposition from isqrt_blocks, which the epoch's gap
     estimate reuses), forward CG iteration counts, and the fused

@@ -78,11 +78,8 @@ def gap_gradient(L: SheafLaplacian, v2: np.ndarray,
 
 
 def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian:
-    out = L.copy()
-    out.diag = L.diag + eta * g.diag
-    out.off = L.off + eta * g.off
-    out._bsr = None
-    return out
+    return SheafLaplacian(L.n, L.d_v, L.edges, L.diag + eta * g.diag,
+                          L.off + eta * g.off)
 
 
 def _min_eigpair(L: SheafLaplacian):
@@ -104,28 +101,26 @@ def project(L: SheafLaplacian) -> SheafLaplacian:
     pattern-restricted rank-one correction |lambda| v v'.  Restriction can
     leak new negative curvature, so the clip is re-checked for up to
     PROJECT_MAX_ROUNDS rounds; if any survives, a diagonal shift by the
-    remaining |lambda_min| finishes the repair exactly.
+    remaining |lambda_min| finishes the repair exactly.  Every iterate is
+    a new operator; L is never written to.
     """
-    out = L.copy()
-    out.diag = 0.5 * (out.diag + out.diag.transpose(0, 2, 1))
-    out._bsr = None
+    n, d_v, edges = L.n, L.d_v, L.edges
+    out = SheafLaplacian(n, d_v, edges,
+                         0.5 * (L.diag + L.diag.transpose(0, 2, 1)), L.off)
     lam, v = _min_eigpair(out)
     if lam >= -MONOTONE_SLACK:
         return out
     for _ in range(PROJECT_MAX_ROUNDS):
-        d, o = pattern_outer(out.edges, v, v, out.n, out.d_v)
-        out.diag = out.diag + (-lam) * d
-        out.off = out.off + (-lam) * (0.5 * o)
-        out._bsr = None
+        d, o = pattern_outer(edges, v, v, n, d_v)
+        out = SheafLaplacian(n, d_v, edges, out.diag + (-lam) * d,
+                             out.off + (-lam) * (0.5 * o))
         lam, v = _min_eigpair(out)
         if lam >= -MONOTONE_SLACK:
             return out
     logger.debug("negative-mode clipping stalled at %.3e; applying "
                  "diagonal shift", lam)
-    eye = np.eye(L.d_v)[None, :, :]
-    out.diag = out.diag + (-lam) * eye
-    out._bsr = None
-    return out
+    eye = np.eye(d_v)[None, :, :]
+    return SheafLaplacian(n, d_v, edges, out.diag + (-lam) * eye, out.off)
 
 
 def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,

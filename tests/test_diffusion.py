@@ -84,19 +84,18 @@ class TestSvrDiffuse:
 
     def test_matches_dense_solve(self):
         L = self._fixture()
-        X = np.random.default_rng(1).normal(size=(L.N, 4))
-        out, info = svr_diffuse(L, X, 0.1, CGConfig(tol=1e-11))
-        dense = np.linalg.solve(np.eye(L.N) + 0.1 * L.to_dense(), X)
+        x = np.random.default_rng(1).normal(size=L.N)
+        out, info = svr_diffuse(L, x, 0.1, CGConfig(tol=1e-11))
+        dense = np.linalg.solve(np.eye(L.N) + 0.1 * L.to_dense(), x)
         assert info.converged
         np.testing.assert_allclose(out, dense, atol=1e-8)
 
-    @pytest.mark.parametrize("cols", [1, 3])
-    def test_nan_right_hand_side_reports_nan_residual(self, cols):
+    def test_nan_right_hand_side_reports_nan_residual(self):
         # the zero start is no solution of a NaN system: the residual says so
         L = self._fixture(seed=4)
-        X = np.random.default_rng(4).normal(size=(L.N, cols))
-        X[0, -1] = np.nan
-        _, info = svr_diffuse(L, X, 0.1, CGConfig())
+        x = np.random.default_rng(4).normal(size=L.N)
+        x[0] = np.nan
+        _, info = svr_diffuse(L, x, 0.1, CGConfig())
         assert np.isnan(info.residual)
         assert not info.converged
 
@@ -105,7 +104,7 @@ class TestSvrDiffuse:
         X = np.random.default_rng(2).normal(size=(L.N,))
         out, info = svr_diffuse(L, X, 0.0, CGConfig())
         np.testing.assert_allclose(out, X, atol=1e-12)
-        assert info.iterations <= 1
+        assert info.total_iterations <= 1
 
     def test_smoothing_reduces_dirichlet_energy(self):
         L = self._fixture(seed=3)

@@ -62,7 +62,7 @@ def fd_tensor(fn, arr, step=1e-6):
 
 def probe_sum(v: Var, W: np.ndarray) -> Var:
     """Fixed-weight scalar readout used to gradcheck single primitives."""
-    return Var(np.vdot(W, v.value), [(v, lambda g: g * W)])
+    return Var(np.vdot(W, v.value), (v,), lambda g, live: (g * W,))
 
 
 class TestEngine:
@@ -72,16 +72,63 @@ class TestEngine:
         x = rng.standard_normal(3)
         Wv = Var(W)
         y = linear(Var(x[None, :]), Wv)
-        loss = Var((y.value ** 2).sum(), [(y, lambda g: 2 * g * y.value)])
+        loss = Var((y.value ** 2).sum(), (y,),
+                   lambda g, live: (2 * g * y.value,))
         backward(loss)
         assert np.allclose(Wv.grad, 2 * np.outer(W @ x, x))
 
     def test_fanout_accumulates(self):
         x = Var(np.array([2.0]))
-        y = Var(x.value * 3.0, [(x, lambda g: 3.0 * g)])
-        z = Var(x.value + y.value, [(x, lambda g: g), (y, lambda g: g)])
+        y = Var(x.value * 3.0, (x,), lambda g, live: (3.0 * g,))
+        z = Var(x.value + y.value, (x, y), lambda g, live: (g, g))
         backward(z)
         assert x.grad[0] == pytest.approx(4.0)
+
+
+class TestLiveness:
+    def test_vjp_receives_the_live_mask(self):
+        # a leaf, a plain array and a node built from constants alone
+        leaf = Var(np.array([1.0, 2.0]))
+        const = Var(np.array([3.0, 4.0]), (np.ones(2),),
+                    lambda g, live: (g,))
+        masks = []
+
+        def vjp(g, live):
+            masks.append(live)
+            return g * const.value, None, None
+
+        root = Var(leaf.value @ const.value,
+                   (leaf, np.ones(2), const), vjp)
+        backward(root)
+        assert masks == [(True, False, False)]
+        np.testing.assert_array_equal(leaf.grad, [3.0, 4.0])
+        assert const.grad is None
+
+    def test_vjp_of_a_node_with_constant_parents_never_runs(self):
+        calls = []
+
+        def vjp(g, live):
+            calls.append(live)
+            return (g,)
+
+        x = Var(np.array([2.0]))
+        const = Var(np.array([5.0]), (np.array([1.0]),), vjp)
+        below = Var(const.value * 2.0, (const,), vjp)
+        root = Var(x.value * below.value, (x, below),
+                   lambda g, live: (g * below.value, g * x.value))
+        assert not const.live and not below.live and root.live
+        backward(root)
+        assert calls == []
+        np.testing.assert_array_equal(x.grad, [10.0])
+
+    def test_constant_node_frees_its_closure_at_construction(self):
+        captured = np.array([2.0, 5.0])
+        probe = weakref.ref(captured)
+        node = Var(captured * 3.0, (np.ones(2),),
+                   lambda g, live, c=captured: (g * c,))
+        del captured
+        assert probe() is None
+        assert node.parents == () and node.vjp is None
 
 
 class TestPushOwnership:
@@ -92,12 +139,13 @@ class TestPushOwnership:
         # in-place add into a's or b's first gradient would also change
         # u's, and through it the other two.
         a, b, c = Var(np.zeros(3)), Var(np.zeros(3)), Var(np.zeros(3))
-        u = Var(np.zeros(3), [(a, lambda g: g), (b, lambda g: g[:]),
-                              (c, lambda g: g)])
-        w = Var(np.zeros(3), [(a, lambda g: 2.0 * g), (b, lambda g: 3.0 * g)])
+        u = Var(np.zeros(3), (a, b, c), lambda g, live: (g, g[:], g))
+        w = Var(np.zeros(3), (a, b), lambda g, live: (2.0 * g, 3.0 * g))
         gu, gw = np.array([1.0, 2.0, 3.0]), np.array([-4.0, 0.5, 7.0])
-        edges = [(u, lambda g: gu.copy()), (w, lambda g: gw.copy())]
-        root = Var(0.0, edges if u_first else edges[::-1])
+        if u_first:
+            root = Var(0.0, (u, w), lambda g, live: (gu.copy(), gw.copy()))
+        else:
+            root = Var(0.0, (w, u), lambda g, live: (gw.copy(), gu.copy()))
         backward(root)
         np.testing.assert_array_equal(a.grad, gu + 2.0 * gw)
         np.testing.assert_array_equal(b.grad, gu + 3.0 * gw)
@@ -112,11 +160,11 @@ class TestTapeRelease:
         x, w = Var(np.array([1.0, 2.0])), Var(np.array([3.0, -1.0]))
         captured = np.array([2.0, 5.0])
         probe = weakref.ref(captured)
-        mid = Var(x.value * captured,
-                  [(x, lambda g, c=captured: g * c)])
+        mid = Var(x.value * captured, (x,),
+                  lambda g, live, c=captured: (g * c,))
         del captured
-        root = Var(mid.value @ w.value, [(mid, lambda g: g * w.value),
-                                         (w, lambda g: g * mid.value)])
+        root = Var(mid.value @ w.value, (mid, w),
+                   lambda g, live: (g * w.value, g * mid.value))
         assert probe() is not None
         backward(root)
         for node in (root, mid):
@@ -178,7 +226,7 @@ class TestPrimitiveGradients:
             Wv = Var(W)
             d, o = laplacian_blocks(Wv, plans, self.ctx.edges, 10)
             s = Var(wd * np.vdot(pd, d.value) + wo * np.vdot(po, o.value),
-                    [(d, lambda g: g * wd * pd), (o, lambda g: g * wo * po)])
+                    (d, o), lambda g, live: (g * wd * pd, g * wo * po))
             backward(s)
             assert rel_err(Wv.grad, fd_tensor(lambda: value(wd, wo), W)) < 1e-7
 
@@ -316,7 +364,7 @@ class TestContractionFormulas:
         Wv = Var(W)
         d, o = laplacian_blocks(Wv, plans, self.edges, 12)
         backward(Var(np.vdot(g_d, d.value) + np.vdot(g_o, o.value),
-                     [(d, lambda g: g * g_d), (o, lambda g: g * g_o)]))
+                     (d, o), lambda g, live: (g * g_d, g * g_o)))
         # the gradients the parent tape sent to R_ij and R_ji, taken to W
         g_ij = (np.einsum("exc,eyc->exy", Ri, g_d[I])
                 + np.einsum("exb,eby->exy", Ri, g_d[I])

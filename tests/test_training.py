@@ -218,6 +218,48 @@ class TestTrainEpoch:
         assert g.m == 612 and len(calls) == 1
         assert np.array_equal(state.params.W_theta, np.eye(cfg.d_v))
 
+    @pytest.mark.parametrize("variant, outer, solves, isqrt_vjps",
+                             [("scalar_edge", 0, 1, 0), ("we_lift", 2, 2, 1)])
+    def test_backward_runs_only_toward_trained_weights(
+            self, monkeypatch, variant, outer, solves, isqrt_vjps):
+        # at one layer a frozen W_theta leaves the blocks, S and the svr
+        # solve of X0 constants: no block gradient is formed, the adjoint
+        # CG solve does not run and neither does the isqrt VJP.  we_lift
+        # trains W_theta, so its svr and Chebyshev VJPs both form block
+        # gradients, and both CG solves run
+        import otsheaf.model as model
+        counts = {"outer": 0, "solves": 0, "isqrt_vjps": 0}
+        real_outer, real_solve = model.pattern_outer, model.svr_diffuse
+        real_isqrt = model.isqrt_blocks
+
+        def outer_counted(*args):
+            counts["outer"] += 1
+            return real_outer(*args)
+
+        def solve_counted(*args):
+            counts["solves"] += 1
+            return real_solve(*args)
+
+        def isqrt_counted(diag):
+            S, eigh = real_isqrt(diag)
+            if S.vjp is not None:
+                vjp = S.vjp
+
+                def vjp_counted(g, live):
+                    counts["isqrt_vjps"] += 1
+                    return vjp(g, live)
+                S.vjp = vjp_counted
+            return S, eigh
+
+        monkeypatch.setattr(model, "pattern_outer", outer_counted)
+        monkeypatch.setattr(model, "svr_diffuse", solve_counted)
+        monkeypatch.setattr(model, "isqrt_blocks", isqrt_counted)
+        data = two_cluster_dataset()
+        cfg = small_cfg(gap_steps=0, n_layers=1)
+        train_epoch(init_state(data, cfg, variant), data, cfg)
+        assert counts == {"outer": outer, "solves": solves,
+                          "isqrt_vjps": isqrt_vjps}
+
     def test_one_eigensolve_per_epoch_above_dense_cutoff(self, monkeypatch):
         # with gap_steps=0 the epoch reads lambda2 alone: the ARPACK path
         # runs its low-end block and never the solve for lambda_max
