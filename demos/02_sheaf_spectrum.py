@@ -36,7 +36,7 @@ rng = np.random.default_rng(2)
 H = rng.uniform(0.5, 1.5, size=(g.n, 8))
 W_proj = rng.uniform(0.2, 0.8, size=(8, 5))
 W_theta = rng.normal(0.0, 0.6, size=(5, 3))   # edge stalks narrower than node stalks
-plans = edge_plans(g.edges, H, W_proj, 0.5)
+plans = edge_plans(g.edges, H @ W_proj, 0.5)
 Ls = sheaf_laplacian(W_theta, plans, g.edges, g.n)   # as the model builds L
 w = np.linalg.eigvalsh(Ls.to_dense())
 print(f"\nlifted sheaf on ER(30): operator size {Ls.N}, "

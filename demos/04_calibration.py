@@ -1,8 +1,11 @@
 """Edge-agreement posteriors, calibrated predictions, and honest bounds.
 
-Every edge carries a Beta belief about whether its endpoints agree.
-Confident predictions move those beliefs; the node-level trust scores
-temper the softmax before it is scored.  The last section shows why the
+Every edge carries a Beta belief about whether its endpoints agree, and
+every belief starts from the same Beta(a0, b0) prior: two numbers, which
+the posterior keeps for its KL term.  Confident predictions move those
+beliefs; the node-level trust scores temper the softmax before it is
+scored.  Training runs these same three steps as one stage
+(`otsheaf.training.calibrate`).  The last section shows why the
 claimed posterior-variance cap is checked empirically rather than assumed:
 the exact Beta variance crosses it on part of the grid.
 """
@@ -13,7 +16,6 @@ from otsheaf.calibration import (
     beta_variance,
     calibrate_prediction,
     ece,
-    init_prior,
     kl_term,
     node_kappa,
     posterior_update,
@@ -33,8 +35,8 @@ y_pred[wrong] = (y_pred[wrong] + 1) % labels.C
 y_hat = np.full((g.n, labels.C), 0.01 / (labels.C - 1))
 y_hat[np.arange(g.n), y_pred] = 0.99
 
-prior = init_prior(g.m)
-post = posterior_update(prior, y_hat, g, labels, train_idx)
+a0, b0 = 1.0, 1.0   # the uniform prior on every edge
+post = posterior_update(a0, b0, y_hat, g, labels, train_idx)
 kappa = node_kappa(post, g)
 print(f"edge trust kappa_bar: min {post.kappa_bar.min():.3f}, "
       f"mean {post.kappa_bar.mean():.3f}, max {post.kappa_bar.max():.3f}")
@@ -51,7 +53,7 @@ for lo, hi, conf, acc, cnt in rows:
         print(f"  [{lo:.1f},{hi:.1f}) conf {conf:.3f} acc {acc:.3f} n={cnt}")
 
 print(f"\nkl complexity term at n={train_idx.size}: "
-      f"{kl_term(post, prior, train_idx.size, 0.05):.4f}")
+      f"{kl_term(post, train_idx.size, 0.05):.4f}")
 
 # the variance cap: mostly true, but not a theorem
 print("\nposterior variance against the stated cap (gamma=2):")

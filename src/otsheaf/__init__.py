@@ -1,11 +1,9 @@
 """Optimal-transport sheaf diffusion with PAC-Bayes calibrated predictions."""
 
 from .calibration import (
-    EdgeBeta,
     beta_variance,
     class_coupling,
     ece,
-    init_prior,
     kl_term,
     node_kappa,
     posterior_update,
@@ -43,10 +41,12 @@ from .training import (
     EvalResult,
     TrainConfig,
     TrainingDiverged,
+    calibrate,
     evaluate,
     fit,
     oversmoothing_sweep,
     risk_variance_series,
+    score,
     stability_bound,
     stability_metric,
     train_epoch,

@@ -22,20 +22,6 @@ POSTERIOR_TOL = 1e-6
 
 
 @dataclass
-class EdgeBeta:
-    """Beta parameters per edge plus the shared initial prior (a0, b0)."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    a0: float
-    b0: float
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.alpha / (self.alpha + self.beta)
-
-
-@dataclass
 class PosteriorState:
     alpha_bar: np.ndarray
     beta_bar: np.ndarray
@@ -51,13 +37,6 @@ class PosteriorState:
 class ClassCoupling:
     Pi: np.ndarray   # (C, C) symmetric mean agreement by class pair
     c_het: float     # Frobenius norm of Pi
-
-
-def init_prior(m: int, a0: float = 1.0, b0: float = 1.0) -> EdgeBeta:
-    if a0 < 1 or b0 < 1:
-        raise ValueError("Beta prior parameters must be at least 1")
-    return EdgeBeta(alpha=np.full(m, float(a0)), beta=np.full(m, float(b0)),
-                    a0=float(a0), b0=float(b0))
 
 
 def class_coupling(kappa_bar: np.ndarray, labels: Labels, g: Graph,
@@ -88,26 +67,30 @@ def class_coupling(kappa_bar: np.ndarray, labels: Labels, g: Graph,
     return ClassCoupling(Pi=Pi, c_het=float(np.linalg.norm(Pi)))
 
 
-def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
+def posterior_update(a0: float, b0: float, predictions: np.ndarray, g: Graph,
                      labels: Labels, mask: np.ndarray,
                      gamma_cap: float = 50.0, n_msg: int = 1) -> PosteriorState:
     """Fixed-point absorption of one round of n_msg messages per edge.
 
-    Each sweep (i) reads soft agreement s_e = n_msg * <y_i, y_j> from the
-    predictions, (ii) rescales it by Pi[c_i, c_j] / mean(Pi) using the
-    predicted classes, (iii) forms the conjugate posterior and rescales any
-    edge whose concentration alpha+beta exceeds gamma_cap back onto the cap.
+    Every edge starts from the shared Beta(a0, b0) prior; both must be at
+    least 1.  Each sweep (i) reads soft agreement s_e = n_msg * <y_i, y_j>
+    from the predictions, (ii) rescales it by Pi[c_i, c_j] / mean(Pi) using
+    the predicted classes, (iii) forms the conjugate posterior and rescales
+    any edge whose concentration alpha+beta exceeds gamma_cap back onto the
+    cap.
     The coupling matrix starts from the prior means and is recomputed from
     the new means after each sweep (the state keeps the last); iteration
     stops when the means move less than POSTERIOR_TOL in max norm, or
     after POSTERIOR_MAX_SWEEPS.
     """
+    if a0 < 1 or b0 < 1:
+        raise ValueError("Beta prior parameters must be at least 1")
     I, J = g.edges[:, 0], g.edges[:, 1]
     s_raw = n_msg * np.einsum("ec,ec->e", predictions[I], predictions[J])
     c_hat = predictions.argmax(axis=1)
-    coupling = class_coupling(prior.mean, labels, g, mask)
-    kappa = prior.mean.copy()
-    alpha_bar, beta_bar = prior.alpha.copy(), prior.beta.copy()
+    kappa = np.full(g.m, a0 / (a0 + b0))
+    coupling = class_coupling(kappa, labels, g, mask)
+    alpha_bar, beta_bar = np.full(g.m, a0), np.full(g.m, b0)
     sweeps = 0
     converged = False
     for sweeps in range(1, POSTERIOR_MAX_SWEEPS + 1):
@@ -117,8 +100,8 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
         else:
             s = s_raw
         s = np.clip(s, 0.0, float(n_msg))  # keep the posterior parameters valid
-        alpha_bar = prior.alpha + s
-        beta_bar = prior.beta + (n_msg - s)
+        alpha_bar = a0 + s
+        beta_bar = b0 + (n_msg - s)
         total = alpha_bar + beta_bar
         over = total > gamma_cap
         if np.any(over):
@@ -134,7 +117,7 @@ def posterior_update(prior: EdgeBeta, predictions: np.ndarray, g: Graph,
             break
     return PosteriorState(
         alpha_bar=alpha_bar, beta_bar=beta_bar, kappa_bar=kappa,
-        a0=prior.a0, b0=prior.b0, sweeps=sweeps, converged=converged,
+        a0=a0, b0=b0, sweeps=sweeps, converged=converged,
         coupling=coupling,
     )
 
@@ -150,12 +133,16 @@ def node_kappa(posterior: PosteriorState, g: Graph) -> np.ndarray:
 
 
 def calibrate_prediction(y_hat: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Shrink predictions toward uniform: kappa * y_hat + (1 - kappa) / C."""
+    """Shrink predictions toward uniform: kappa * y_hat + (1 - kappa) / C.
+
+    The one formula for calibrated probabilities: the loss, the epoch
+    reports and evaluate all read its output.
+    """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     k = np.asarray(kappa, dtype=np.float64)
     if k.ndim == y_hat.ndim - 1:
         k = k[..., None]
-    return k * y_hat + (1.0 - k) * (1.0 / y_hat.shape[-1])
+    return k * y_hat + (1.0 - k) / y_hat.shape[-1]
 
 
 def beta_kl(a1, b1, a0, b0):
@@ -166,15 +153,17 @@ def beta_kl(a1, b1, a0, b0):
             + (a0 - a1 + b0 - b1) * digamma(a1 + b1))
 
 
-def kl_term(posterior: PosteriorState, prior: EdgeBeta, n: int,
-            delta: float = 0.05) -> float:
-    """sqrt((sum_e KL(posterior_e || prior_e) + ln(2/delta)) / (2n))."""
+def kl_term(posterior: PosteriorState, n: int, delta: float = 0.05) -> float:
+    """sqrt((sum_e KL(posterior_e || Beta(a0, b0)) + ln(2/delta)) / (2n)).
+
+    The prior (a0, b0) is the one the posterior started from.
+    """
     if n <= 0:
         raise ValueError("n must be a positive count of labeled nodes")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     total = float(np.sum(beta_kl(posterior.alpha_bar, posterior.beta_bar,
-                                 prior.alpha, prior.beta)))
+                                 posterior.a0, posterior.b0)))
     return float(np.sqrt((total + np.log(2.0 / delta)) / (2.0 * n)))
 
 

@@ -18,9 +18,9 @@ from .graphs import convert_csv, homophily_ratio, load_graph, make_split, save_g
 from .model import sheaf_laplacian
 from .training import (
     Dataset,
+    epoch_context,
     evaluate,
     fit,
-    run_plans,
     write_curves,
     write_reliability,
 )
@@ -55,8 +55,8 @@ def cmd_convert(args) -> int:
 
 def _dump_laplacian(params, data, cfg, path: Path) -> None:
     """`row col value` triplets of the trained operator, as the model builds it."""
-    plans = run_plans(data, params.W_proj, cfg, "we_lift")
-    L = sheaf_laplacian(params.W_theta, plans, data.g.edges, data.g.n)
+    ctx = epoch_context(data, params.W_proj, cfg, "we_lift")
+    L = sheaf_laplacian(params.W_theta, ctx.plans, ctx.edges, ctx.n)
     rows, cols, vals = L.coo_rows()
     with open(path, "w") as fh:
         for r, c, v in zip(rows, cols, vals):

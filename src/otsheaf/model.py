@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Var, backward, concat_cols, linear, relu, value_of
+from .calibration import calibrate_prediction
 from .diffusion import CGConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
 from .laplacian import (
     BLOCK_CHUNK,
@@ -54,13 +55,9 @@ class ModelParams:
                    "W_mix": self.W_mix, "W_cls": self.W_cls}
         return {k: v for k, v in weights.items() if k not in self.frozen}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(W_proj=self.W_proj.copy(), W_theta=self.W_theta.copy(),
-                           gamma=self.gamma.copy(), W_mix=self.W_mix.copy(),
-                           W_cls=self.W_cls.copy(), frozen=self.frozen)
-
     def with_updates(self, updates: dict[str, np.ndarray]) -> "ModelParams":
-        return replace(self, **{k: v.copy() for k, v in updates.items()})
+        """A new parameter set holding the given arrays, not copies of them."""
+        return replace(self, **updates)
 
 
 def init_params(d0: int, d_v: int, d_e: int, C: int, cheb_order: int,
@@ -359,16 +356,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def calibrated_ce(logits: Var, probs: np.ndarray, ctx: EpochContext) -> Var:
+def calibrated_ce(logits: Var, probs: np.ndarray, calibrated: np.ndarray,
+                  ctx: EpochContext) -> Var:
     """Mean cross-entropy of kappa-blended probabilities over the train mask.
 
-    probs is softmax(logits.value), which every caller has already taken.
+    probs is softmax(logits.value) and calibrated is
+    calibrate_prediction(probs, ctx.kappa), both of which every caller has
+    already formed.
     """
     z = logits.value
-    k = ctx.kappa[:, None]
-    pcal = k * probs + (1.0 - k) / ctx.C
     idx = ctx.train_idx
-    py = pcal[idx, ctx.y[idx]]
+    py = calibrated[idx, ctx.y[idx]]
     loss = float(-np.log(np.maximum(py, 1e-300)).mean())
 
     def vjp(g, live):
@@ -426,10 +424,15 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     return logits, leaves, aux
 
 
+def _loss(logits: Var, ctx: EpochContext) -> Var:
+    probs = softmax(logits.value)
+    return calibrated_ce(logits, probs, calibrate_prediction(probs, ctx.kappa),
+                         ctx)
+
+
 def loss_value(params: ModelParams, ctx: EpochContext) -> float:
     """The epoch loss: calibrated CE of one forward pass."""
-    logits, _, _ = forward_tape(params, ctx)
-    return float(calibrated_ce(logits, softmax(logits.value), ctx).value)
+    return float(_loss(forward_tape(params, ctx)[0], ctx).value)
 
 
 def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
@@ -449,7 +452,7 @@ def leaf_grads(leaves: dict[str, Var]) -> dict[str, np.ndarray]:
 def grad_params(params: ModelParams, ctx: EpochContext):
     """Exact gradients of the epoch loss for every trainable block."""
     logits, leaves, aux = forward_tape(params, ctx)
-    ce = calibrated_ce(logits, softmax(logits.value), ctx)
+    ce = _loss(logits, ctx)
     backward(ce)
     return leaf_grads(leaves), float(ce.value), aux
 

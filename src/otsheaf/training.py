@@ -10,9 +10,10 @@ once backward has freed the tape, and ahead of the step, so that an
 eigensolver error leaves the parameters and optimizer moments as they
 were.  The ascent's first gap estimate prices the spectral penalty and
 its last one is reported.  The transport plans depend only on the frozen
-feature projection, so they are computed once per run and cached;
-`run_plans` builds them and `epoch_context` gathers them with the rest
-of the loss's frozen inputs.
+feature projection, so `epoch_context` projects the features and lifts
+them once per parameter set.  An epoch and `evaluate` share one path to
+calibrated, scored predictions: `calibrate`, whose array the loss reads
+too, then `score`.
 
 The loss on the tape is the calibrated cross-entropy alone.  Within an
 epoch the plans and calibration weights are constants of it, and
@@ -41,10 +42,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from .autodiff import backward
 from .calibration import (
-    EdgeBeta,
+    PosteriorState,
     calibrate_prediction,
     ece,
-    init_prior,
     kl_term,
     node_kappa,
     posterior_update,
@@ -159,9 +159,7 @@ class EpochReport:
 @dataclass
 class TrainState:
     params: ModelParams
-    prior: EdgeBeta
-    plans: np.ndarray
-    X0: np.ndarray
+    ctx: EpochContext    # the fit's frozen inputs, calibration weights at zero
     epoch: int = 0
     opt_m: dict = field(default_factory=dict)
     opt_v: dict = field(default_factory=dict)
@@ -172,10 +170,38 @@ def pac_bayes_bound(emp_risk: float, kl: float, spec: float) -> float:
     return emp_risk + kl + spec
 
 
-def _accuracy(probs: np.ndarray, y: np.ndarray, idx: np.ndarray) -> float:
-    if idx.size == 0:
-        return 0.0
-    return float((probs[idx].argmax(axis=1) == y[idx]).mean())
+@dataclass(frozen=True)
+class Calibration:
+    posterior: PosteriorState
+    kappa: np.ndarray        # (n,) node calibration weights
+    probs: np.ndarray        # (n, C) calibrated class probabilities
+
+
+def calibrate(probs: np.ndarray, data: Dataset,
+              cfg: TrainConfig) -> Calibration:
+    """The calibration stage: Beta posterior, node trust, calibrated probs.
+
+    One round of n_layers messages per edge is absorbed from the
+    Beta(a0, b0) prior over the train mask.
+    """
+    g = data.g
+    posterior = posterior_update(cfg.a0, cfg.b0, probs, g, data.labels,
+                                 data.split.train, gamma_cap=cfg.gamma_cap,
+                                 n_msg=cfg.n_layers)
+    kappa = node_kappa(posterior, g)
+    return Calibration(posterior=posterior, kappa=kappa,
+                       probs=calibrate_prediction(probs, kappa))
+
+
+def score(probs: np.ndarray, data: Dataset) -> tuple[dict, list]:
+    """Report fields train/val/test_acc and ece, and ece's reliability rows."""
+    split = data.split
+    hits = probs.argmax(axis=1) == data.labels.y
+    scores = {f"{name}_acc": float(hits[idx].mean()) if idx.size else 0.0
+              for name, idx in (("train", split.train), ("val", split.val),
+                                ("test", split.test))}
+    scores["ece"], rows = ece(probs, data.labels, split.test)
+    return scores, rows
 
 
 def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
@@ -212,22 +238,16 @@ def train_epoch(state: TrainState, data: Dataset,
     stage, with state.params, opt_m and opt_v untouched.
     """
     t0 = time.perf_counter()
-    g, labels, split = data.g, data.labels, data.split
-    ctx = epoch_context(data, state.plans, state.X0, cfg)
-    logits, leaves, aux = forward_tape(state.params, ctx)
+    logits, leaves, aux = forward_tape(state.params, state.ctx)
     y_hat = softmax(logits.value)
     cg_iters = int(aux["cg_iters"])
     L = replace(aux["L"], _bsr=None)
     del aux
 
-    posterior = posterior_update(
-        state.prior, y_hat, g, labels, split.train,
-        gamma_cap=cfg.gamma_cap, n_msg=cfg.n_layers)
-    kappa = node_kappa(posterior, g)
-
-    kl = kl_term(posterior, state.prior, split.train.size, cfg.delta)
-    ctx = replace(ctx, kappa=kappa)
-    ce = calibrated_ce(logits, y_hat, ctx)
+    cal = calibrate(y_hat, data, cfg)
+    kl = kl_term(cal.posterior, data.split.train.size, cfg.delta)
+    ce = calibrated_ce(logits, y_hat, cal.probs,
+                       replace(state.ctx, kappa=cal.kappa))
     del logits
     if not np.isfinite(ce.value):
         raise TrainingDiverged(
@@ -248,14 +268,13 @@ def train_epoch(state: TrainState, data: Dataset,
         raise ArpackNoConvergence(
             f"epoch {state.epoch}, stage gap-estimate: {msg}",
             exc.eigenvalues, exc.eigenvectors) from exc
-    spec = spec_penalty(posterior.coupling.c_het, lambda2s[0])
+    spec = spec_penalty(cal.posterior.coupling.c_het, lambda2s[0])
     raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
 
-    cal = calibrate_prediction(y_hat, kappa)
-    emp_norm = float(np.clip(ce.value / np.log(labels.C), 0.0, 1.0))
-    ece_val, _ = ece(cal, labels, split.test)
+    emp_norm = float(np.clip(ce.value / np.log(data.labels.C), 0.0, 1.0))
+    scores, _ = score(cal.probs, data)
     report = EpochReport(
         epoch=state.epoch,
         emp_risk=emp_norm,
@@ -264,10 +283,7 @@ def train_epoch(state: TrainState, data: Dataset,
         spec=spec,
         bound=pac_bayes_bound(emp_norm, kl, spec),
         lambda2=lambda2s[-1],
-        train_acc=_accuracy(cal, labels.y, split.train),
-        val_acc=_accuracy(cal, labels.y, split.val),
-        test_acc=_accuracy(cal, labels.y, split.test),
-        ece=ece_val,
+        **scores,
         cg_iters=cg_iters,
         wall_ms=(time.perf_counter() - t0) * 1e3)
     state.params = new_params
@@ -275,23 +291,21 @@ def train_epoch(state: TrainState, data: Dataset,
     return state, report
 
 
-def run_plans(data: Dataset, W_proj: np.ndarray, cfg: TrainConfig,
-              variant: str) -> np.ndarray:
-    """The run-constant transport plans of a fit, one (d_v, d_v) per edge.
+def epoch_context(data: Dataset, W_proj: np.ndarray, cfg: TrainConfig,
+                  variant: str) -> EpochContext:
+    """The loss's frozen inputs, with calibration weights still at zero.
 
-    scalar_edge uses identity plans; we_lift lifts the projected features.
+    The features are projected once, to X0.  scalar_edge uses identity
+    plans; we_lift lifts X0 to one (d_v, d_v) plan per edge.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "scalar_edge":
-        return np.tile(np.eye(cfg.d_v), (data.g.m, 1, 1))
-    return edge_plans(data.g.edges, data.feats.H, W_proj, cfg.lift_eps)
-
-
-def epoch_context(data: Dataset, plans: np.ndarray, X0: np.ndarray,
-                  cfg: TrainConfig) -> EpochContext:
-    """The loss's frozen inputs, with calibration weights still at zero."""
     g, labels = data.g, data.labels
+    X0 = projected_features(data.feats.H, W_proj)
+    if variant == "scalar_edge":
+        plans = np.tile(np.eye(cfg.d_v), (g.m, 1, 1))
+    else:
+        plans = edge_plans(g.edges, X0, cfg.lift_eps)
     return EpochContext(
         n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,
         y=labels.y, C=labels.C, train_idx=data.split.train,
@@ -301,22 +315,19 @@ def epoch_context(data: Dataset, plans: np.ndarray, X0: np.ndarray,
 
 def init_state(data: Dataset, cfg: TrainConfig,
                variant: str = "we_lift") -> TrainState:
-    """Seeded parameter draw plus the run-constant lift cache.
+    """Seeded parameter draw plus the fit's frozen inputs.
 
     scalar_edge pins every restriction map to the identity (the plain graph
     Laplacian baseline) and freezes W_theta in the parameters.
     """
-    g, feats, labels = data.g, data.feats, data.labels
     d_e = cfg.d_v if variant == "scalar_edge" else cfg.d_e
-    params = init_params(feats.d0, cfg.d_v, d_e, labels.C,
+    params = init_params(data.feats.d0, cfg.d_v, d_e, data.labels.C,
                          cfg.cheb_order, cfg.seed)
     if variant == "scalar_edge":
         params.W_theta = np.eye(cfg.d_v)
         params.frozen = frozenset({"W_theta"})
-    plans = run_plans(data, params.W_proj, cfg, variant)
-    X0 = projected_features(feats.H, params.W_proj)
-    prior = init_prior(g.m, cfg.a0, cfg.b0)
-    return TrainState(params=params, prior=prior, plans=plans, X0=X0)
+    return TrainState(params=params,
+                      ctx=epoch_context(data, params.W_proj, cfg, variant))
 
 
 def fit(data: Dataset, cfg: TrainConfig, variant: str = "we_lift"
@@ -326,15 +337,16 @@ def fit(data: Dataset, cfg: TrainConfig, variant: str = "we_lift"
     Returns the parameters that scored the best validation accuracy (the
     weights as evaluated, i.e. before that epoch's update) and the full
     report series.  Raises TrainingDiverged if an epoch's calibrated CE,
-    the loss the tape descends, is not finite.
+    the loss the tape descends, is not finite.  An update builds new
+    arrays, so a parameter set is kept by reference, not copied.
     """
     state = init_state(data, cfg, variant)
     best_acc = -np.inf
-    best_params = state.params.copy()
+    best_params = state.params
     best_epoch = -1
     reports: list[EpochReport] = []
     for t in range(cfg.epochs):
-        evaluated = state.params.copy()
+        evaluated = state.params
         state, rep = train_epoch(state, data, cfg)
         reports.append(rep)
         if rep.val_acc > best_acc:
@@ -359,28 +371,16 @@ class EvalResult:
 
 def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
              variant: str = "we_lift") -> EvalResult:
-    """Forward pass plus one posterior refresh, no parameter movement."""
-    g, labels, split = data.g, data.labels, data.split
-    plans = run_plans(data, params.W_proj, cfg, variant)
-    ctx = epoch_context(data, plans,
-                        projected_features(data.feats.H, params.W_proj), cfg)
+    """Forward pass plus one calibration stage, no parameter movement."""
+    ctx = epoch_context(data, params.W_proj, cfg, variant)
     logits, _, aux = forward_tape(params, ctx)
     y_hat = softmax(logits.value)
     embedding = aux["embeddings"][-1]
     del logits, aux   # the tape is freed before the posterior runs
-    posterior = posterior_update(
-        init_prior(g.m, cfg.a0, cfg.b0), y_hat, g, labels, split.train,
-        gamma_cap=cfg.gamma_cap, n_msg=cfg.n_layers)
-    cal = calibrate_prediction(y_hat, node_kappa(posterior, g))
-    ece_val, rows = ece(cal, labels, split.test)
-    return EvalResult(
-        train_acc=_accuracy(cal, labels.y, split.train),
-        val_acc=_accuracy(cal, labels.y, split.val),
-        test_acc=_accuracy(cal, labels.y, split.test),
-        ece=ece_val,
-        nrs=nrs(embedding, g),
-        predictions=cal,
-        reliability=rows)
+    cal = calibrate(y_hat, data, cfg)
+    scores, rows = score(cal.probs, data)
+    return EvalResult(**scores, nrs=nrs(embedding, data.g),
+                      predictions=cal.probs, reliability=rows)
 
 
 # ------------------------------------------------------------ theory series
@@ -427,12 +427,10 @@ def stability_metric(params_t: ModelParams, params_0: ModelParams,
                      variant: str = "we_lift") -> float:
     """Encoder drift: 2-norm of the pre-softmax output difference.
 
-    Both parameter sets share the frozen projection, so one set of the
-    variant's plans serves both forward passes.
+    Both parameter sets share the frozen projection, so one context
+    serves both forward passes.
     """
-    plans = run_plans(data, params_0.W_proj, cfg, variant)
-    ctx = epoch_context(data, plans,
-                        projected_features(data.feats.H, params_0.W_proj), cfg)
+    ctx = epoch_context(data, params_0.W_proj, cfg, variant)
     z_t = forward_tape(params_t, ctx)[0].value
     z_0 = forward_tape(params_0, ctx)[0].value
     if probe_idx is None:

@@ -184,13 +184,7 @@ def _scaling_roots(mu, nu, c, beta):
         tau = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
 
 
-def projected_features(H: np.ndarray, W_proj: np.ndarray) -> np.ndarray:
-    """H @ W_proj, the signal every fit projects its node features to.
-
-    Raises ValueError naming the first node whose projected row is not
-    finite.
-    """
-    X = np.asarray(H, dtype=np.float64) @ W_proj
+def _finite_rows(X: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise ValueError(
@@ -198,24 +192,32 @@ def projected_features(H: np.ndarray, W_proj: np.ndarray) -> np.ndarray:
     return X
 
 
-def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
-               eps: float) -> np.ndarray:
+def projected_features(H: np.ndarray, W_proj: np.ndarray) -> np.ndarray:
+    """H @ W_proj, the signal every fit projects its node features to.
+
+    Raises ValueError naming the first node whose projected row is not
+    finite.
+    """
+    return _finite_rows(np.asarray(H, dtype=np.float64) @ W_proj)
+
+
+def edge_plans(g_edges: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     """Entropic transport plans for every edge, batched across the edge set.
 
+    X is the projected signal, one row per node (`projected_features`).
     This is the feature-only part of the lift: it does not involve the
     learned matrix, so a trainer can cache its output across epochs.
 
     Each plan is beta*diag(x) + r s^T / tau in closed form up to one scalar
     tau per edge (see the module docstring), found by Newton in O(m*p) per
     iteration; the dense (m, p, p) plans are materialised once, at the end.
-    Raises ValueError if eps is not positive or a node's projected features
-    are not finite, and SinkhornDivergence, naming the pass and the worst
-    edge, if a root misses LIFT_TOL on the scaling-form residual
+    Raises ValueError if eps is not positive or a row of X is not finite
+    (naming the node), and SinkhornDivergence, naming the pass and the
+    worst edge, if a root misses LIFT_TOL on the scaling-form residual
     |tau - sum r|.
     """
     _check_eps(eps)
-    X = projected_features(H, W_proj)
-    M = normalize_to_measure(X)  # (n, p)
+    M = normalize_to_measure(_finite_rows(X))  # (n, p)
     p = M.shape[1]
     if g_edges.shape[0] == 0:
         return np.zeros((0, p, p))
@@ -225,12 +227,9 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     total = r.sum(axis=1)[:, None]
     s = (_off_mass(nu, mu, c * tau[:, None] / beta)[0]
          / np.maximum(total, np.finfo(float).tiny))
-    rows = np.abs(beta * x + r * s.sum(axis=1)[:, None] - mu).sum(axis=1)
-    cols = np.abs(beta * x + s * total - nu).sum(axis=1)
     worst = int(np.argmax(residual))
-    logger.debug("entropic pass: %d iterations, marginal violation %.3e, "
-                 "scaling residual %.3e", it, np.maximum(rows, cols).max(),
-                 residual[worst])
+    logger.debug("entropic pass: %d iterations, scaling residual %.3e",
+                 it, residual[worst])
     if not residual[worst] <= LIFT_TOL:
         i, j = g_edges[worst]
         raise SinkhornDivergence(
@@ -241,4 +240,3 @@ def edge_plans(g_edges: np.ndarray, H: np.ndarray, W_proj: np.ndarray,
     diag = np.arange(p)
     plans[:, diag, diag] += beta * x
     return plans
-

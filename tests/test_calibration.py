@@ -11,7 +11,6 @@ from otsheaf.calibration import (
     calibrate_prediction,
     class_coupling,
     ece,
-    init_prior,
     kl_term,
     node_kappa,
     posterior_update,
@@ -56,13 +55,19 @@ def labeled_path_fixture():
 
 class TestPrior:
     def test_init_values(self):
-        p = init_prior(5, 2.0, 3.0)
-        assert np.all(p.alpha == 2.0) and np.all(p.beta == 3.0)
-        assert np.allclose(p.mean, 0.4)
+        # no messages leave every edge at the Beta(a0, b0) prior
+        g, labels, mask = labeled_path_fixture()
+        pred = np.full((g.n, 2), 0.5)
+        p = posterior_update(2.0, 3.0, pred, g, labels, mask, n_msg=0)
+        assert np.all(p.alpha_bar == 2.0) and np.all(p.beta_bar == 3.0)
+        assert np.allclose(p.kappa_bar, 0.4)
+        assert (p.a0, p.b0) == (2.0, 3.0)
 
     def test_rejects_below_one(self):
+        g, labels, mask = labeled_path_fixture()
         with pytest.raises(ValueError):
-            init_prior(3, 0.5, 1.0)
+            posterior_update(0.5, 1.0, np.full((g.n, 2), 0.5), g, labels,
+                             mask)
 
 
 class TestBetaKL:
@@ -186,14 +191,14 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         pred = np.zeros((g.n, 2))
         pred[:, 0] = 1.0  # every edge agrees perfectly
-        post = posterior_update(init_prior(g.m), pred, g, labels, mask)
+        post = posterior_update(1.0, 1.0, pred, g, labels, mask)
         assert np.all(post.kappa_bar > 0.5)
 
     def test_disagreeing_predictions_lower_kappa(self):
         g = Graph.from_edges(2, [(0, 1)])
         labels = Labels(y=np.array([0, 1]), C=2)
         pred = np.array([[1.0, 0.0], [0.0, 1.0]])
-        post = posterior_update(init_prior(g.m), pred, g, labels,
+        post = posterior_update(1.0, 1.0, pred, g, labels,
                                 np.array([0, 1]))
         assert np.all(post.kappa_bar < 0.5)
 
@@ -203,7 +208,7 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         pred = np.full((g.n, 2), 0.5)
         for a0, b0, n_msg in [(1.0, 1.0, 1), (2.0, 1.0, 4), (1.5, 3.0, 7)]:
-            post = posterior_update(init_prior(g.m, a0, b0), pred, g,
+            post = posterior_update(a0, b0, pred, g,
                                     labels, mask, n_msg=n_msg)
             want = (a0 + n_msg / 2) / (a0 + b0 + n_msg)
             assert np.allclose(post.kappa_bar, want)
@@ -212,7 +217,7 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         pred = np.zeros((g.n, 2))
         pred[:, 0] = 1.0
-        post = posterior_update(init_prior(g.m), pred, g, labels, mask,
+        post = posterior_update(1.0, 1.0, pred, g, labels, mask,
                                 gamma_cap=50.0, n_msg=500)
         assert np.all(post.alpha_bar + post.beta_bar <= 50.0 + 1e-9)
         assert np.all(post.alpha_bar > 0) and np.all(post.beta_bar > 0)
@@ -220,7 +225,7 @@ class TestPosteriorUpdate:
     def test_carries_the_coupling_of_its_final_means(self):
         g, labels, mask = labeled_path_fixture()
         pred = np.random.default_rng(3).dirichlet(np.ones(2), size=g.n)
-        post = posterior_update(init_prior(g.m), pred, g, labels, mask)
+        post = posterior_update(1.0, 1.0, pred, g, labels, mask)
         want = class_coupling(post.kappa_bar, labels, g, mask)
         assert np.array_equal(post.coupling.Pi, want.Pi)
         assert post.coupling.c_het == want.c_het
@@ -229,9 +234,9 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         pred = np.zeros((g.n, 2))
         pred[:, 0] = 1.0
-        loose = posterior_update(init_prior(g.m), pred, g, labels, mask,
+        loose = posterior_update(1.0, 1.0, pred, g, labels, mask,
                                  gamma_cap=1e9, n_msg=500)
-        capped = posterior_update(init_prior(g.m), pred, g, labels, mask,
+        capped = posterior_update(1.0, 1.0, pred, g, labels, mask,
                                   gamma_cap=50.0, n_msg=500)
         assert np.allclose(loose.kappa_bar, capped.kappa_bar)
 
@@ -241,10 +246,10 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         rng = np.random.default_rng(1)
         pred = rng.dirichlet(np.ones(2), size=g.n)
-        tight = posterior_update(init_prior(g.m), pred, g, labels, mask)
+        tight = posterior_update(1.0, 1.0, pred, g, labels, mask)
         assert not tight.converged and tight.sweeps == 10
         monkeypatch.setattr(calibration, "POSTERIOR_MAX_SWEEPS", 30)
-        loose = posterior_update(init_prior(g.m), pred, g, labels, mask)
+        loose = posterior_update(1.0, 1.0, pred, g, labels, mask)
         assert loose.converged and loose.sweeps <= 15
 
     def test_parameters_stay_valid(self):
@@ -252,7 +257,7 @@ class TestPosteriorUpdate:
         rng = np.random.default_rng(2)
         for trial in range(20):
             pred = rng.dirichlet(np.full(2, 0.3), size=g.n)
-            post = posterior_update(init_prior(g.m), pred, g, labels, mask,
+            post = posterior_update(1.0, 1.0, pred, g, labels, mask,
                                     n_msg=rng.integers(1, 40))
             assert np.all(post.alpha_bar >= 1.0 - 1e-12) or np.all(post.alpha_bar > 0)
             assert np.all(post.beta_bar > 0)
@@ -262,8 +267,8 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         rng = np.random.default_rng(5)
         pred = rng.dirichlet(np.ones(2), size=g.n)
-        a = posterior_update(init_prior(g.m), pred, g, labels, mask)
-        b = posterior_update(init_prior(g.m), pred, g, labels, mask)
+        a = posterior_update(1.0, 1.0, pred, g, labels, mask)
+        b = posterior_update(1.0, 1.0, pred, g, labels, mask)
         assert np.array_equal(a.alpha_bar, b.alpha_bar)
         assert np.array_equal(a.beta_bar, b.beta_bar)
 
@@ -302,28 +307,24 @@ class TestCalibratePrediction:
 
 class TestKLTerm:
     def test_prior_equals_posterior(self):
-        prior = init_prior(6)
-        post = PosteriorState(alpha_bar=prior.alpha.copy(),
-                              beta_bar=prior.beta.copy(),
-                              kappa_bar=prior.mean, a0=1.0, b0=1.0,
+        post = PosteriorState(alpha_bar=np.ones(6), beta_bar=np.ones(6),
+                              kappa_bar=np.full(6, 0.5), a0=1.0, b0=1.0,
                               sweeps=0, converged=True, coupling=NO_COUPLING)
         for n, delta in [(10, 0.05), (40, 0.1)]:
             want = np.sqrt(np.log(2 / delta) / (2 * n))
-            assert kl_term(post, prior, n, delta) == pytest.approx(want)
+            assert kl_term(post, n, delta) == pytest.approx(want)
 
     def test_grows_with_deviation(self):
-        prior = init_prior(6)
         mild = make_posterior(np.full(6, 0.6), absorbed=2.0)
         sharp = make_posterior(np.full(6, 0.95), absorbed=20.0)
-        assert kl_term(sharp, prior, 10) > kl_term(mild, prior, 10)
+        assert kl_term(sharp, 10) > kl_term(mild, 10)
 
     def test_rejects_bad_args(self):
-        prior = init_prior(2)
         post = make_posterior([0.5, 0.5])
         with pytest.raises(ValueError):
-            kl_term(post, prior, 0)
+            kl_term(post, 0)
         with pytest.raises(ValueError):
-            kl_term(post, prior, 5, delta=1.5)
+            kl_term(post, 5, delta=1.5)
 
 
 class TestECE:

@@ -143,8 +143,7 @@ class TestTrain:
         # forward_tape builds from the parameters the fit returned
         import otsheaf.cli as cli
         from otsheaf.model import forward_tape
-        from otsheaf.training import epoch_context, run_plans
-        from otsheaf.transport import projected_features
+        from otsheaf.training import epoch_context
         fits = []
         real = cli.fit
 
@@ -157,10 +156,7 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(_train_args(toy_json, out, "--dump-laplacian")) == 0
         [(data, cfg, params)] = fits
-        plans = run_plans(data, params.W_proj, cfg, "we_lift")
-        ctx = epoch_context(data, plans,
-                            projected_features(data.feats.H, params.W_proj),
-                            cfg)
+        ctx = epoch_context(data, params.W_proj, cfg, "we_lift")
         rows, cols, vals = forward_tape(params, ctx)[2]["L"].coo_rows()
         expected = "".join(f"{r} {c} {v:.17g}\n"
                            for r, c, v in zip(rows, cols, vals))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from otsheaf.autodiff import Var, backward, linear
+from otsheaf.calibration import calibrate_prediction
 from otsheaf.diffusion import (
     CGConfig,
     chebyshev_apply,
@@ -180,8 +181,10 @@ class TestTapeRelease:
         L = weakref.ref(aux["L"])
         diag = aux["diag"]
         del aux
-        ce = calibrated_ce(logits, softmax(logits.value),
-                           replace(ctx, kappa=np.full(ctx.n, 0.5)))
+        kappa = np.full(ctx.n, 0.5)
+        probs = softmax(logits.value)
+        ce = calibrated_ce(logits, probs, calibrate_prediction(probs, kappa),
+                           replace(ctx, kappa=kappa))
         del logits
         backward(ce)
         assert L() is None

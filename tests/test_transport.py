@@ -56,9 +56,9 @@ class TestEps:
     def test_rejects_nonpositive_eps(self, eps):
         g, H, W_proj, _ = _lift_fixture()
         with pytest.raises(ValueError, match="eps"):
-            edge_plans(g.edges, H, W_proj, eps)
+            edge_plans(g.edges, H @ W_proj, eps)
         with pytest.raises(ValueError, match="eps"):
-            edge_plans(np.zeros((0, 2), dtype=int), H, W_proj, eps)
+            edge_plans(np.zeros((0, 2), dtype=int), H @ W_proj, eps)
         mu = normalize_to_measure(np.array([0.7, 0.3]))
         with pytest.raises(ValueError, match="eps"):
             sinkhorn(mu, mu, feature_cost_matrix(2), eps)
@@ -203,7 +203,7 @@ class TestLift:
 
     def test_pair_comes_from_one_plan(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        plans = edge_plans(g.edges, H, W_proj, 0.5)
+        plans = edge_plans(g.edges, H @ W_proj, 0.5)
         R = restriction_maps(W_theta, plans)
         for e in range(g.m):
             np.testing.assert_allclose(
@@ -217,7 +217,7 @@ class TestLift:
         monkeypatch.setattr(transport, "LIFT_TOL", 1e-11)
         monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-11)
         g, H, W_proj, W_theta = _lift_fixture()
-        R = restriction_maps(W_theta, edge_plans(g.edges, H, W_proj, 0.5))
+        R = restriction_maps(W_theta, edge_plans(g.edges, H @ W_proj, 0.5))
         for e in range(g.m):
             i, j = g.edges[e]
             Rij, Rji = _single_edge_maps(H[i], H[j], W_proj, W_theta, 0.5)
@@ -226,16 +226,16 @@ class TestLift:
 
     def test_deterministic(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        a = restriction_maps(W_theta, edge_plans(g.edges, H, W_proj, 0.5))
-        b = restriction_maps(W_theta, edge_plans(g.edges, H, W_proj, 0.5))
+        a = restriction_maps(W_theta, edge_plans(g.edges, H @ W_proj, 0.5))
+        b = restriction_maps(W_theta, edge_plans(g.edges, H @ W_proj, 0.5))
         np.testing.assert_array_equal(a[:g.m], b[:g.m])
         np.testing.assert_array_equal(a[g.m:], b[g.m:])
-        np.testing.assert_array_equal(edge_plans(g.edges, H, W_proj, 0.5),
-                                      edge_plans(g.edges, H, W_proj, 0.5))
+        np.testing.assert_array_equal(edge_plans(g.edges, H @ W_proj, 0.5),
+                                      edge_plans(g.edges, H @ W_proj, 0.5))
 
     def test_plan_marginals_are_projected_features(self):
         g, H, W_proj, W_theta = _lift_fixture()
-        plans = edge_plans(g.edges, H, W_proj, 0.5)
+        plans = edge_plans(g.edges, H @ W_proj, 0.5)
         X = H @ W_proj
         M = normalize_to_measure(X)
         for e in range(plans.shape[0]):
@@ -246,8 +246,8 @@ class TestLift:
     def test_empty_graph(self):
         g = Graph.from_edges(3, np.zeros((0, 2)))
         rng = np.random.default_rng(0)
-        plans = edge_plans(g.edges, np.abs(rng.normal(size=(3, 4))),
-                           rng.normal(size=(4, 2)), 0.5)
+        plans = edge_plans(g.edges, np.abs(rng.normal(size=(3, 4)))
+                           @ rng.normal(size=(4, 2)), 0.5)
         W_theta = rng.normal(size=(2, 2))
         L = sheaf_laplacian(W_theta, plans, g.edges, g.n)
         assert L.m == 0 and restriction_maps(W_theta, plans).shape == (0, 2, 2)
@@ -276,7 +276,7 @@ class TestEdgePlans:
         monkeypatch.setattr(transport, "LIFT_TOL", 1e-12)
         monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-12)
         g, H, W_proj, _ = _lift_fixture(n=4, p=p)
-        plans = edge_plans(g.edges, H, W_proj, eps)
+        plans = edge_plans(g.edges, H @ W_proj, eps)
         M = normalize_to_measure(H @ W_proj)
         C = feature_cost_matrix(p)
         for e, (i, j) in enumerate(g.edges):
@@ -291,7 +291,7 @@ class TestEdgePlans:
         g, H, W_proj, _ = _lift_fixture(p=4)
         H[3, 2] = np.nan
         with pytest.raises(ValueError, match="node 3 "):
-            edge_plans(g.edges, H, W_proj, 0.5)
+            edge_plans(g.edges, H @ W_proj, 0.5)
 
     def test_divergence_names_pass_and_worst_edge(self, caplog, monkeypatch):
         monkeypatch.setattr(transport, "LIFT_TOL", 1e-14)
@@ -299,7 +299,7 @@ class TestEdgePlans:
         g, H, W_proj, _ = _lift_fixture()
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
         with pytest.raises(SinkhornDivergence, match="entropic pass") as exc:
-            edge_plans(g.edges, H, W_proj, 0.5)
+            edge_plans(g.edges, H @ W_proj, 0.5)
         m = re.search(r"worst edge (\d+) \((\d+), (\d+)\)", str(exc.value))
         assert m is not None
         e, i, j = (int(x) for x in m.groups())
@@ -315,23 +315,23 @@ class TestEdgePlans:
         g, H, W_proj, _ = _lift_fixture()
         monkeypatch.setattr(transport, "LIFT_MAX_ITER", 1)
         monkeypatch.setattr(transport, "LIFT_TOL", 1.0)
-        plans = edge_plans(g.edges, H, W_proj, 0.5)
+        plans = edge_plans(g.edges, H @ W_proj, 0.5)
         M = normalize_to_measure(H @ W_proj)
         I, J = g.edges[:, 0], g.edges[:, 1]
         assert np.abs(plans.sum(axis=2) - M[I]).max() <= 1e-15
         assert np.abs(plans.sum(axis=1) - M[J]).max() <= 1e-15
         monkeypatch.setattr(transport, "LIFT_TOL", 1e-14)
         with pytest.raises(SinkhornDivergence, match="scaling residual"):
-            edge_plans(g.edges, H, W_proj, 0.5)
+            edge_plans(g.edges, H @ W_proj, 0.5)
 
     def test_one_debug_record_per_pass(self, caplog):
         g, H, W_proj, _ = _lift_fixture()
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
-        edge_plans(g.edges, H, W_proj, 0.5)
+        edge_plans(g.edges, H @ W_proj, 0.5)
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "otsheaf.transport"]
         assert [msg.split(" pass:")[0] for msg in msgs] == ["entropic"]
-        assert all("iterations, marginal violation" in msg for msg in msgs)
+        assert all("iterations, scaling residual" in msg for msg in msgs)
 
     def test_traced_peak_stays_near_output_size(self):
         """Guards against iterating on dense (m, p, p) arrays again: the old
@@ -340,7 +340,7 @@ class TestEdgePlans:
         W_proj = np.random.default_rng(0).normal(size=(16, 16)) / 4.0
         tracemalloc.start()
         try:
-            plans = edge_plans(g.edges, feats.H, W_proj, 0.5)
+            plans = edge_plans(g.edges, feats.H @ W_proj, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -375,7 +375,7 @@ class TestClosedForm:
     """The structured lift on inputs that stress the scalar root."""
 
     def _check(self, g_edges, H, W_proj, eps):
-        plans = edge_plans(g_edges, H, W_proj, eps)
+        plans = edge_plans(g_edges, H @ W_proj, eps)
         M = normalize_to_measure(H @ W_proj)
         _assert_structured_optimum(plans, M[g_edges[:, 0]], M[g_edges[:, 1]],
                                    eps)
@@ -417,7 +417,7 @@ class TestClosedForm:
         state = init_state(n300, TrainConfig(d_v=16, lift_eps=eps))
         M = normalize_to_measure(n300.feats.H @ state.params.W_proj)
         E = n300.g.edges
-        _assert_structured_optimum(state.plans, M[E[:, 0]], M[E[:, 1]], eps)
+        _assert_structured_optimum(state.ctx.plans, M[E[:, 0]], M[E[:, 1]], eps)
 
     @pytest.mark.parametrize("eps", [0.05, 0.5, 5.0])
     def test_iterations_do_not_grow_with_eps(self, n300, eps, caplog):
@@ -426,7 +426,7 @@ class TestClosedForm:
         at any eps."""
         caplog.set_level(logging.DEBUG, logger="otsheaf.transport")
         W_proj = np.random.default_rng(0).normal(size=(64, 16)) / 4.0
-        edge_plans(n300.g.edges, n300.feats.H, W_proj, eps)
+        edge_plans(n300.g.edges, n300.feats.H @ W_proj, eps)
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "otsheaf.transport"]
         assert len(msgs) == 1
