@@ -1,9 +1,10 @@
-"""Raise the mixing gap of a sheaf by projected Wolfe ascent.
+"""Raise the mixing gap of a sheaf by backtracking Wolfe ascent.
 
 Each accepted step adds a pattern-restricted outer product of the gap
-eigenvector, then projects back to a positive-semidefinite operator on the
-same sparsity pattern.  The ledger of lambda_2 values never decreases, and
-the connectivity penalty c_het / lambda_2 falls accordingly.
+eigenvector on the same sparsity pattern; a step whose iterate would leave
+the positive-semidefinite operators is halved until it stays inside.  The
+ledger of lambda_2 values never decreases, and the connectivity penalty
+c_het / lambda_2 falls accordingly.
 """
 
 import numpy as np

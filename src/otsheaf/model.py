@@ -84,7 +84,6 @@ class EpochContext:
     plans: np.ndarray        # (m, d_v, d_v) transport plans
     X0: np.ndarray           # (n, d_v) projected input signal
     y: np.ndarray
-    C: int
     train_idx: np.ndarray
     kappa: np.ndarray        # (n,) node calibration weights
     dt: float

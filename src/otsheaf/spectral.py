@@ -4,9 +4,11 @@ The objective is the smallest Rayleigh quotient over the complement of the
 blockwise-constant signals.  Its (sub)gradient in the Laplacian is the outer
 product of the corresponding eigenvector, restricted to the block sparsity
 pattern so iterates stay representable.  Each step runs a Wolfe-style
-backtracking line search under a Frobenius trust region, projects the iterate
-back to a symmetric PSD pattern matrix, and only accepts steps that do not
-decrease the objective.
+backtracking line search under a Frobenius trust region.  A candidate that
+leaves the positive-semidefinite cone is not repaired: the step shrinks past
+it, the standard rule for a line search on a constrained domain (Boyd and
+Vandenberghe, Convex Optimization, 2004, sec. 9.2).  Only steps that do not
+decrease the objective are accepted.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ WOLFE_C = 0.1
 ETA_INIT = 1.0
 MAX_BACKTRACKS = 12
 TRUST_REGION = 0.1
-PROJECT_MAX_ROUNDS = 3   # project's rank-one clips before its diagonal shift
 # ARPACK's restarts for project's lowest eigenpair, in place of its default
-# of 10 per dimension: the clipped iterates of a random N=80 sheaf need up
-# to 270, while a raw transport operator with a large near-null cluster
-# stalls at any budget (N=720: still at 2000, and 7201 by default, 5.3 s)
+# of 10 per dimension: a random N=80 sheaf needs 20, shifted indefinite or
+# not, while a raw transport operator with a large near-null cluster stalls
+# at any budget (N=720: still at 2000, and 7201 by default, 5.3 s)
 PROJECT_MAX_RESTARTS = 1000
 
 
@@ -93,34 +94,19 @@ def _min_eigpair(L: SheafLaplacian):
     return float(w[0]), U[:, 0]
 
 
-def project(L: SheafLaplacian) -> SheafLaplacian:
-    """Return the nearest representable PSD iterate.
+def project(L: SheafLaplacian) -> SheafLaplacian | None:
+    """Return L with symmetrized diagonal blocks, or None if it is indefinite.
 
-    Diagonal blocks are symmetrized (global symmetry is structural for the
-    block storage), then negative modes are clipped by adding the
-    pattern-restricted rank-one correction |lambda| v v'.  Restriction can
-    leak new negative curvature, so the clip is re-checked for up to
-    PROJECT_MAX_ROUNDS rounds; if any survives, a diagonal shift by the
-    remaining |lambda_min| finishes the repair exactly.  Every iterate is
-    a new operator; L is never written to.
+    Global symmetry is structural for the block storage, so only the
+    diagonal blocks need symmetrizing.  One lowest-eigenpair solve decides
+    feasibility: an iterate whose lowest eigenvalue is below -MONOTONE_SLACK
+    is rejected, not repaired.  The iterate is a new operator; L is never
+    written to.
     """
-    n, d_v, edges = L.n, L.d_v, L.edges
-    out = SheafLaplacian(n, d_v, edges,
+    out = SheafLaplacian(L.n, L.d_v, L.edges,
                          0.5 * (L.diag + L.diag.transpose(0, 2, 1)), L.off)
-    lam, v = _min_eigpair(out)
-    if lam >= -MONOTONE_SLACK:
-        return out
-    for _ in range(PROJECT_MAX_ROUNDS):
-        d, o = pattern_outer(edges, v, v, n, d_v)
-        out = SheafLaplacian(n, d_v, edges, out.diag + (-lam) * d,
-                             out.off + (-lam) * (0.5 * o))
-        lam, v = _min_eigpair(out)
-        if lam >= -MONOTONE_SLACK:
-            return out
-    logger.debug("negative-mode clipping stalled at %.3e; applying "
-                 "diagonal shift", lam)
-    eye = np.eye(d_v)[None, :, :]
-    return SheafLaplacian(n, d_v, edges, out.diag + (-lam) * eye, out.off)
+    lam, _ = _min_eigpair(out)
+    return out if lam >= -MONOTONE_SLACK else None
 
 
 def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
@@ -131,9 +117,11 @@ def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
 
     lambda2 is the estimator's value at L.  Step sizes start at ETA_INIT
     (capped so the move stays inside the trust region, TRUST_REGION of
-    ||L||_F) and halve until the projected iterate clears the sufficient
+    ||L||_F) and halve until the candidate iterate clears the sufficient
     increase test lambda2(new) >= lambda2 + WOLFE_C * eta * directional, or
     MAX_BACKTRACKS tries run out, in which case L is returned unchanged.
+    An indefinite candidate (project returns None) is never estimated: it
+    costs a halving and one eigensolve.
     estimator swaps the connectivity notion (e.g. the gap over range(L)
     for sheaves with a large harmonic space); acceptance is judged on its
     lambda2.  Returns (iterate, eta, accepted, estimate), where estimate
@@ -148,9 +136,10 @@ def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
         eta = min(eta, TRUST_REGION * Lnorm / gnorm)
     for _ in range(MAX_BACKTRACKS):
         candidate = project(_add_scaled(L, g, eta))
-        est = estimator(candidate, seed=seed)
-        if est.lambda2 >= lambda2 + WOLFE_C * eta * g.directional:
-            return candidate, eta, True, est
+        if candidate is not None:
+            est = estimator(candidate, seed=seed)
+            if est.lambda2 >= lambda2 + WOLFE_C * eta * g.directional:
+                return candidate, eta, True, est
         eta *= 0.5
     return L, 0.0, False, None
 

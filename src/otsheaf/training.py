@@ -308,7 +308,7 @@ def epoch_context(data: Dataset, W_proj: np.ndarray, cfg: TrainConfig,
         plans = edge_plans(g.edges, X0, cfg.lift_eps)
     return EpochContext(
         n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,
-        y=labels.y, C=labels.C, train_idx=data.split.train,
+        y=labels.y, train_idx=data.split.train,
         kappa=np.zeros(g.n), dt=cfg.dt, cg_tol=cfg.cg_tol,
         cg_max_iter=cfg.cg_max_iter, n_layers=cfg.n_layers)
 

@@ -253,7 +253,7 @@ def _gradcheck_fixture(seed_base: int = 0, C: int = 3, d_v: int = 3,
         X0 = H @ params.W_proj
         ctx = EpochContext(
             n=g.n, d_v=d_v, edges=g.edges, plans=edge_plans(g.edges, X0, 0.5),
-            X0=X0, y=y, C=C, train_idx=np.arange(0, 10, 2),
+            X0=X0, y=y, train_idx=np.arange(0, 10, 2),
             kappa=rng.uniform(0.4, 0.9, size=g.n),
             dt=0.1, cg_tol=1e-12, cg_max_iter=4000, n_layers=n_layers)
         _, _, aux = forward_tape(params, ctx)

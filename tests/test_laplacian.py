@@ -304,7 +304,7 @@ class TestNormalized:
         S, _ = isqrt_blocks(D)
         assert not S.value[2].any()
         ctx = EpochContext(n=3, d_v=2, edges=g.edges, plans=None, X0=None,
-                           y=None, C=2, train_idx=None, kappa=None, dt=0.1,
+                           y=None, train_idx=None, kappa=None, dt=0.1,
                            cg_tol=1e-8, cg_max_iter=1000, n_layers=1)
         x = np.random.default_rng(3).normal(size=(3, 2))
         out = cheb_branch(S, D, Var(L.off), L,

@@ -465,7 +465,7 @@ class TestFullGradcheck:
         ctx0 = replace(ctx, kappa=np.zeros(ctx.n))
         grads, loss, _ = grad_params(params, ctx0)
         # fully shrunk predictions are constant, so the loss is flat
-        assert loss == pytest.approx(np.log(ctx.C))
+        assert loss == pytest.approx(np.log(len(params.W_cls)))
         for g in grads.values():
             assert np.allclose(g, 0.0, atol=1e-12)
 

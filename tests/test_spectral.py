@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,56 +148,65 @@ class TestProject:
         assert np.allclose(out.diag, L.diag, atol=1e-12)
         assert np.allclose(out.off, L.off, atol=1e-12)
 
-    def test_negative_mode_repaired_in_pattern(self):
+    def test_negative_mode_rejected(self):
+        # an indefinite iterate is rejected, not repaired
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         L = assemble_laplacian(scalar_sheaf(g))
         L.diag = L.diag - 0.3 * np.eye(1)[None]
         L._bsr = None
         assert np.linalg.eigvalsh(L.to_dense())[0] < -0.2
-        out = project(L)
-        dense = out.to_dense()
-        assert np.linalg.eigvalsh(dense)[0] >= -1e-8
-        assert dense[0, 2] == 0.0  # absent edge stays absent
-        assert np.allclose(dense, dense.T)
+        assert project(L) is None
 
     def test_symmetrizes_diag_blocks(self):
         g_graph = erdos_renyi(6, 2.5, seed=5)
         L = assemble_laplacian(random_sheaf(g_graph, d_v=2, d_e=1, seed=3))
+        L.diag = L.diag + np.eye(2)[None]   # PSD with room for the skew part
         L.diag[0] += np.array([[0.0, 0.2], [0.0, 0.0]])
         L._bsr = None
         out = project(L)
-        assert np.allclose(out.diag, out.diag.transpose(0, 2, 1))
+        assert out is not None
+        assert np.array_equal(out.diag,
+                              0.5 * (L.diag + L.diag.transpose(0, 2, 1)))
+        assert np.array_equal(out.off, L.off)
 
     def test_idempotent(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        L = assemble_laplacian(scalar_sheaf(g))
-        L.diag = L.diag - 0.5 * np.eye(1)[None]
-        L._bsr = None
+        g_graph = erdos_renyi(8, 3.0, seed=4)
+        L = assemble_laplacian(random_sheaf(g_graph, d_v=2, d_e=1, seed=2))
         once = project(L)
         twice = project(once)
-        assert np.allclose(once.diag, twice.diag, atol=1e-10)
-        assert np.allclose(once.off, twice.off, atol=1e-10)
+        assert np.array_equal(once.diag, twice.diag)
+        assert np.array_equal(once.off, twice.off)
 
     def test_iterative_path_agrees(self, monkeypatch):
+        # ARPACK gives the dense path's verdict on an indefinite and a PSD
+        # input
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        L = assemble_laplacian(scalar_sheaf(g))
-        L.diag = L.diag - 0.4 * np.eye(1)[None]
-        L._bsr = None
+        psd = assemble_laplacian(scalar_sheaf(g))
+        indefinite = assemble_laplacian(scalar_sheaf(g))
+        indefinite.diag = indefinite.diag - 0.4 * np.eye(1)[None]
+        indefinite._bsr = None
+        dense = [project(psd), project(indefinite)]
         monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)  # force ARPACK
-        out = project(L)
-        assert np.linalg.eigvalsh(out.to_dense())[0] >= -1e-8
+        iterative = [project(psd), project(indefinite)]
+        assert dense[1] is None and iterative[1] is None
+        assert np.array_equal(dense[0].diag, iterative[0].diag)
+        assert np.array_equal(dense[0].off, iterative[0].off)
 
     def test_iterative_path_is_deterministic(self, monkeypatch):
         # ARPACK's start and restart vectors are seeded, so an unrelated
-        # eigsh call between two projections changes nothing
+        # eigsh call between two projections changes no verdict
         monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
-        L = indefinite_sheaf()
-        first = project(L)
+        indefinite = indefinite_sheaf()
+        psd = indefinite_sheaf()
+        psd.diag = psd.diag + 0.3 * np.eye(2)[None]
+        psd._bsr = None
+        first = [project(indefinite), project(psd)]
         other = assemble_laplacian(scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
         eigsh(other.to_bsr(), k=3, which="LA")
-        second = project(L)
-        assert np.array_equal(first.diag, second.diag)
-        assert np.array_equal(first.off, second.off)
+        second = [project(indefinite), project(psd)]
+        assert first[0] is None and second[0] is None
+        assert np.array_equal(first[1].diag, second[1].diag)
+        assert np.array_equal(first[1].off, second[1].off)
 
     def test_stall_names_the_stage(self, monkeypatch):
         monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
@@ -263,6 +273,54 @@ class TestWolfeStep:
         Lnorm = np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum())
         assert accepted
         assert eta * g.frobenius_norm() <= 0.05 * Lnorm + 1e-12
+
+    @staticmethod
+    def _edge_near_boundary():
+        """A PSD 2-node operator, lowest eigenvalue 0.01, and a direction g
+        that lowers it by eta: the candidate L + eta g is indefinite for
+        eta > 0.01."""
+        L = SheafLaplacian(2, 1, np.array([[0, 1]]),
+                           np.full((2, 1, 1), 1.01), np.full((1, 1, 1), -1.0))
+        g = spectral.GapGradient(diag=np.zeros((2, 1, 1)),
+                                 off=np.full((1, 1, 1), -1.0), directional=1.0)
+        return L, g
+
+    def test_infeasible_candidate_never_estimated(self):
+        # a counting stub that accepts whatever it is given: the step must
+        # still halve past every indefinite candidate and estimate only the
+        # first feasible one
+        L, g = self._edge_near_boundary()
+        seen = []
+
+        def accept_all(op, seed=0):
+            seen.append(op)
+            return SimpleNamespace(lambda2=1e9)
+
+        out, eta, accepted, _ = wolfe_ascent_step(L, g, 0.0,
+                                                  estimator=accept_all)
+        Lnorm = np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum())
+        eta0 = spectral.TRUST_REGION * Lnorm / g.frobenius_norm()
+        assert eta0 > 0.01   # the first candidate is indefinite
+        assert accepted and len(seen) == 1 and out is seen[0]
+        # the first halving of eta0 at or below 0.01
+        assert eta == eta0 / 2 ** int(np.ceil(np.log2(eta0 / 0.01)))
+        assert np.linalg.eigvalsh(out.to_dense())[0] >= -spectral.MONOTONE_SLACK
+
+    def test_all_infeasible_candidates_rejected(self):
+        # a direction that makes every step size indefinite is never
+        # estimated and never accepted
+        L, g = self._edge_near_boundary()
+        L.diag = np.ones((2, 1, 1))   # lowest eigenvalue 0: no room at all
+        calls = []
+
+        def accept_all(op, seed=0):
+            calls.append(op)
+            return SimpleNamespace(lambda2=1e9)
+
+        out, eta, accepted, est = wolfe_ascent_step(L, g, 0.0,
+                                                    estimator=accept_all)
+        assert calls == []
+        assert not accepted and eta == 0.0 and out is L and est is None
 
     def test_saturated_objective_rejected_honestly(self):
         # complete-graph connectivity is already extremal: boosting the two

@@ -704,6 +704,55 @@ class TestFit:
             for name in ("train_acc", "val_acc", "test_acc", "ece"):
                 assert getattr(res, name) == getattr(best, name), name
 
+    def test_only_lambda2_reads_the_ascent(self):
+        # the ascent's iterate never reaches the model: on the ascent_n40
+        # shape, fits with and without ascent steps agree bit for bit in
+        # everything but the reported lambda2
+        runs = []
+        for steps in (0, 2):
+            data, cfg = benchmark_shape(40, 3, 8, 5, fit=1, noise=0.4, d_v=6,
+                                        gap_steps=steps, epochs=5)
+            params, reports = fit(data, cfg)
+            runs.append((params, reports, evaluate(params, data, cfg)))
+        (p0, r0, e0), (p2, r2, e2) = runs
+        for name in ("W_proj", "W_theta", "gamma", "W_mix", "W_cls"):
+            assert np.array_equal(getattr(p0, name), getattr(p2, name)), name
+        assert len(r0) == len(r2)
+        for a, b in zip(r0, r2):
+            for f in dataclasses.fields(EpochReport):
+                if f.name not in ("lambda2", "wall_ms"):
+                    assert getattr(a, f.name) == getattr(b, f.name), f.name
+        for f in dataclasses.fields(e0):
+            a, b = getattr(e0, f.name), getattr(e2, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    def test_accepted_ascent_iterates_are_unrepaired(self, monkeypatch):
+        # every iterate the ascent accepts is L + eta g with its diagonal
+        # blocks symmetrized, bit for bit: no accepted step is a repair
+        import otsheaf.spectral as spectral
+        real = spectral.wolfe_ascent_step
+        steps = []
+
+        def recorded(L, g, *args, **kwargs):
+            out = real(L, g, *args, **kwargs)
+            steps.append((L, g, out))
+            return out
+
+        monkeypatch.setattr(spectral, "wolfe_ascent_step", recorded)
+        data, cfg = benchmark_shape(40, 3, 8, 5, fit=1, noise=0.4, d_v=6,
+                                    gap_steps=2, epochs=5)
+        fit(data, cfg)
+        accepted = [(L, g, out) for L, g, out in steps if out[2]]
+        assert accepted
+        for L, g, (new, eta, _, _) in accepted:
+            diag = L.diag + eta * g.diag
+            assert np.array_equal(new.diag,
+                                  0.5 * (diag + diag.transpose(0, 2, 1)))
+            assert np.array_equal(new.off, L.off + eta * g.off)
+
     def test_evaluate_drops_the_tape_before_the_posterior(self, monkeypatch):
         # evaluate keeps the predictions and the last embedding of its
         # forward pass, and nothing of the tape, while the posterior runs
