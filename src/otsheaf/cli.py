@@ -65,6 +65,9 @@ def _dump_laplacian(params, data, cfg, path: Path) -> None:
 
 def cmd_train(args) -> int:
     cfg = build_config(args.config, args.set, args.out)
+    if cfg["train.epochs"] < 1:
+        raise ValueError("train.epochs must be at least 1: a run reports "
+                         "its best epoch")
     data = _load_dataset(cfg)
     tc = cfg.train_config()
     out_dir = cfg.out_dir.resolve()

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import (
     ArpackNoConvergence,
@@ -325,15 +324,15 @@ def _extreme_eigs(A, k: int, which: str, rng, tol: float = 0.0,
 
     A is a sparse matrix or a LinearOperator of dimension N.  Up to
     DENSE_CUTOFF, or when k >= N, it is decomposed densely: eigvalsh when
-    only values are asked, LAPACK's subset driver for one pair, and
-    otherwise every pair from eigh, for callers that read pairs by value
-    past an unknown number of null modes.  Above it eigsh returns the k
-    pairs at the `which` end, with its start and restart vectors drawn from
-    rng (a seed or a Generator), so no result depends on ARPACK's own
-    generator.  The low end runs on A + I: ARPACK stops a pair at
-    residual <= tol * |theta|, so on A the pairs near zero would have to
-    converge to roundoff.  A stall raises eigsh's ArpackNoConvergence with
-    the pairs that did converge, shifted back to A.  Returns
+    only values are asked, and otherwise every pair from eigh, for callers
+    that read pairs by value past an unknown number of null modes.  Above
+    it eigsh returns the k pairs at the `which` end, with its start and
+    restart vectors drawn from rng (a seed or a Generator), so no result
+    depends on ARPACK's own generator.  The low end runs on A + I: ARPACK
+    stops a pair at residual <= tol * |theta|, so on A the pairs near zero
+    would have to converge to roundoff.  A stall raises eigsh's
+    ArpackNoConvergence with the pairs that did converge, shifted back to
+    A; in an epoch only the gap estimate can meet one.  Returns
     (w ascending, V), or w alone when vectors is False.
     """
     N = A.shape[0]
@@ -342,9 +341,6 @@ def _extreme_eigs(A, k: int, which: str, rng, tol: float = 0.0,
         Ad = 0.5 * (Ad + Ad.T)
         if not vectors:
             return np.linalg.eigvalsh(Ad)
-        if k == 1:
-            i = 0 if which == "SA" else N - 1
-            return scipy.linalg.eigh(Ad, subset_by_index=[i, i])
         return np.linalg.eigh(Ad)
     shift = 1.0 if which == "SA" else 0.0
     if shift:

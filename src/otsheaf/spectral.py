@@ -17,12 +17,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .laplacian import (
     SheafLaplacian,
     SpectralEstimates,
-    _extreme_eigs,
     estimate_spectrum,
     pattern_outer,
 )
@@ -38,11 +38,6 @@ WOLFE_C = 0.1
 ETA_INIT = 1.0
 MAX_BACKTRACKS = 12
 TRUST_REGION = 0.1
-# ARPACK's restarts for project's lowest eigenpair, in place of its default
-# of 10 per dimension: a random N=80 sheaf needs 20, shifted indefinite or
-# not, while a raw transport operator with a large near-null cluster stalls
-# at any budget (N=720: still at 2000, and 7201 by default, 5.3 s)
-PROJECT_MAX_RESTARTS = 1000
 
 
 @dataclass
@@ -83,30 +78,31 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
                           L.off + eta * g.off)
 
 
-def _min_eigpair(L: SheafLaplacian):
-    try:
-        w, U = _extreme_eigs(L.to_bsr(), 1, "SA", 0, tol=1e-8,
-                             maxiter=PROJECT_MAX_RESTARTS)
-    except ArpackNoConvergence as err:
-        raise ArpackNoConvergence(
-            f"project: ARPACK stalled on the lowest eigenpair (N={L.N}, k=1)",
-            err.eigenvalues, err.eigenvectors) from err
-    return float(w[0]), U[:, 0]
-
-
 def project(L: SheafLaplacian) -> SheafLaplacian | None:
     """Return L with symmetrized diagonal blocks, or None if it is indefinite.
 
     Global symmetry is structural for the block storage, so only the
-    diagonal blocks need symmetrizing.  One lowest-eigenpair solve decides
-    feasibility: an iterate whose lowest eigenvalue is below -MONOTONE_SLACK
+    diagonal blocks need symmetrizing.  One sparse LDL' factorization of
+    L + MONOTONE_SLACK I with diagonal pivots in a symmetric order decides
+    feasibility: by Sylvester's law of inertia it is positive definite
+    exactly when every pivot is positive (Golub and Van Loan, Matrix
+    Computations, 4th ed., secs. 4.1-4.2).  SuperLU leaves the diagonal
+    (perm_r != perm_c) only at an exactly zero pivot, which rejects too.
+    So an iterate whose lowest eigenvalue is at or below -MONOTONE_SLACK
     is rejected, not repaired.  The iterate is a new operator; L is never
     written to.
     """
     out = SheafLaplacian(L.n, L.d_v, L.edges,
                          0.5 * (L.diag + L.diag.transpose(0, 2, 1)), L.off)
-    lam, _ = _min_eigpair(out)
-    return out if lam >= -MONOTONE_SLACK else None
+    try:
+        lu = splu((out.to_bsr() + MONOTONE_SLACK * sp.identity(out.N)).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:   # SuperLU: "Factor is exactly singular"
+        return None
+    definite = (np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0))
+    return out if definite else None
 
 
 def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
@@ -121,7 +117,7 @@ def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
     increase test lambda2(new) >= lambda2 + WOLFE_C * eta * directional, or
     MAX_BACKTRACKS tries run out, in which case L is returned unchanged.
     An indefinite candidate (project returns None) is never estimated: it
-    costs a halving and one eigensolve.
+    costs a halving and one factorization.
     estimator swaps the connectivity notion (e.g. the gap over range(L)
     for sheaves with a large harmonic space); acceptance is judged on its
     lambda2.  Returns (iterate, eta, accepted, estimate), where estimate

@@ -234,8 +234,8 @@ def train_epoch(state: TrainState, data: Dataset,
     operator with the forward Laplacian's blocks and their
     eigendecomposition but not its BSR form, so no tape array is alive
     while the eigensolver runs.  The ascent runs before the update: an
-    ArpackNoConvergence from it is re-raised naming the epoch and the
-    stage, with state.params, opt_m and opt_v untouched.
+    ArpackNoConvergence, which only its gap estimates raise, is re-raised
+    naming the epoch and stage, with state.params, opt_m and opt_v intact.
     """
     t0 = time.perf_counter()
     logits, leaves, aux = forward_tape(state.params, state.ctx)

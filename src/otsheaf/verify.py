@@ -74,6 +74,9 @@ def check_cg_bound(sizes=(100, 1000, 10000), trials: int = 100,
     most 2, plus the sparsifier's (1 +- eps) slack, so unpreconditioned CG
     must finish within ceil(sqrt(2 + eps) * ln(||r0|| / tol)) iterations.
     Also checks that iteration counts barely move across graph sizes.
+    sparsify passes all three graphs through unchanged: it samples only
+    when m > ceil(n ln n / eps^2), and at eps = 0.3 they have m = 380,
+    3908 and 40 274 against 5117, 76 753 and 1 023 372.
     """
     detail = []
     worst_iters = 0

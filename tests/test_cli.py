@@ -174,6 +174,24 @@ class TestTrain:
         assert code == 1
         assert "train.epochz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_no_epochs_exits_one_before_fitting(self, toy_json, tmp_path,
+                                                capsys, monkeypatch, epochs):
+        import otsheaf.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(cli, "fit", never)
+        code = main(["train", "--set", f"data.path={toy_json}",
+                     "--set", f"train.epochs={epochs}",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "train.epochs must be at least 1" in err
+        assert "best epoch" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestVerifyCommand:
     def test_passing_check_exits_zero(self, capsys):

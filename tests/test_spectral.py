@@ -1,10 +1,13 @@
 import logging
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import splu
 
 from otsheaf.graphs import Graph, erdos_renyi
 import otsheaf.laplacian as laplacian
@@ -18,7 +21,7 @@ from otsheaf.laplacian import (
 )
 from otsheaf.spectral import (
     DEGENERACY_REL_GAP,
-    PROJECT_MAX_RESTARTS,
+    MONOTONE_SLACK,
     gap_gradient,
     project,
     run_gap_ascent,
@@ -37,13 +40,36 @@ def dense_deflated_min(L, k=1):
     return w[:k]
 
 
-def indefinite_sheaf():
-    """A random sheaf on 40 nodes (N = 80) shifted to negative modes."""
-    L = assemble_laplacian(random_sheaf(erdos_renyi(40, 3.0, seed=8), d_v=2,
-                                        d_e=1, seed=8))
-    L.diag = L.diag - 0.3 * np.eye(2)[None]
-    L._bsr = None
-    return L
+def small_graph(shape: str, n: int, seed: int) -> Graph:
+    if shape == "random":
+        return erdos_renyi(n, 2.0, seed=seed)
+    edges = {"edgeless": [],
+             "star": [(0, j) for j in range(1, n)],
+             "path": [(i, i + 1) for i in range(n - 1)],
+             "complete": [(i, j) for i in range(n) for j in range(i + 1, n)],
+             }[shape]
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def ascent_candidates(draw):
+    """A random sheaf Laplacian L plus or minus eta times gap_gradient's
+    pattern-restricted outer product of a random unit signal: the shape
+    of wolfe_ascent_step's candidates, with eta from 1e-12 to 1."""
+    shape = draw(st.sampled_from(["edgeless", "star", "path", "complete",
+                                  "random"]))
+    n = draw(st.integers(1, 12))
+    d_v = draw(st.integers(1, 3))
+    d_e = draw(st.integers(1, d_v))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    eta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(-12.0, 0.0))
+    L = assemble_laplacian(random_sheaf(small_graph(shape, n, seed), d_v=d_v,
+                                        d_e=d_e, seed=seed))
+    v = np.random.default_rng(seed).standard_normal(L.N)
+    g = gap_gradient(L, v / np.linalg.norm(v))
+    return SheafLaplacian(L.n, L.d_v, L.edges, L.diag + eta * g.diag,
+                          L.off + eta * g.off)
 
 
 def single_edge_laplacian():
@@ -156,6 +182,13 @@ class TestProject:
         L._bsr = None
         assert np.linalg.eigvalsh(L.to_dense())[0] < -0.2
         assert project(L) is None
+        # shifted, this one is [[0, 1], [1, 0]]: its zero diagonal makes
+        # SuperLU pivot off the diagonal, to pivots 1 and 1, though its
+        # eigenvalues are -1 and 1
+        swap = SheafLaplacian(2, 1, np.array([[0, 1]]),
+                              np.full((2, 1, 1), -MONOTONE_SLACK),
+                              np.ones((1, 1, 1)))
+        assert project(swap) is None
 
     def test_symmetrizes_diag_blocks(self):
         g_graph = erdos_renyi(6, 2.5, seed=5)
@@ -178,69 +211,63 @@ class TestProject:
         assert np.array_equal(once.off, twice.off)
 
     def test_iterative_path_agrees(self, monkeypatch):
-        # ARPACK gives the dense path's verdict on an indefinite and a PSD
-        # input
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        psd = assemble_laplacian(scalar_sheaf(g))
-        indefinite = assemble_laplacian(scalar_sheaf(g))
-        indefinite.diag = indefinite.diag - 0.4 * np.eye(1)[None]
-        indefinite._bsr = None
-        dense = [project(psd), project(indefinite)]
-        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)  # force ARPACK
-        iterative = [project(psd), project(indefinite)]
-        assert dense[1] is None and iterative[1] is None
-        assert np.array_equal(dense[0].diag, iterative[0].diag)
-        assert np.array_equal(dense[0].off, iterative[0].off)
+        # above DENSE_CUTOFF the factorization gives dense eigvalsh's verdict
+        # on a PSD operator with a large null space and on one shifted to
+        # lambda_min = -1e-6, and SuperLU keeps to diagonal pivots there
+        lus = []
 
-    def test_iterative_path_is_deterministic(self, monkeypatch):
-        # ARPACK's start and restart vectors are seeded, so an unrelated
-        # eigsh call between two projections changes no verdict
-        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
-        indefinite = indefinite_sheaf()
-        psd = indefinite_sheaf()
-        psd.diag = psd.diag + 0.3 * np.eye(2)[None]
-        psd._bsr = None
-        first = [project(indefinite), project(psd)]
-        other = assemble_laplacian(scalar_sheaf(erdos_renyi(50, 4.0, seed=2)))
-        eigsh(other.to_bsr(), k=3, which="LA")
-        second = [project(indefinite), project(psd)]
-        assert first[0] is None and second[0] is None
-        assert np.array_equal(first[1].diag, second[1].diag)
-        assert np.array_equal(first[1].off, second[1].off)
+        def recorded(*args, **kwargs):
+            lus.append(splu(*args, **kwargs))
+            return lus[-1]
 
-    def test_stall_names_the_stage(self, monkeypatch):
-        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
-        L = indefinite_sheaf()
+        monkeypatch.setattr(spectral, "splu", recorded)
+        g = erdos_renyi(260, 3.0, seed=3, ensure_connected=True)
+        psd = assemble_laplacian(random_sheaf(g, d_v=4, d_e=1, seed=3))
+        indefinite = replace(psd, diag=psd.diag - 1e-6 * np.eye(4)[None],
+                             _bsr=None)
+        assert psd.N > laplacian.DENSE_CUTOFF
+        for L, feasible in ((psd, True), (indefinite, False)):
+            lam_min = np.linalg.eigvalsh(L.to_dense())[0]
+            assert (lam_min >= -MONOTONE_SLACK) == feasible
+            assert (project(L) is not None) == feasible
+        assert len(lus) == 2
+        for lu in lus:
+            assert np.array_equal(lu.perm_r, lu.perm_c)
 
-        def stalled(A, k, **kwargs):
-            raise ArpackNoConvergence("No convergence (9 iterations, "
-                                      f"0/{k} eigenvectors converged)",
-                                      np.zeros(0), np.zeros((A.shape[0], 0)))
+    def test_verdict_flips_at_the_slack(self):
+        # the path graph's scalar Laplacian has the constant null vector, so
+        # L - t I has lambda_min = -t up to roundoff in the diagonal
+        g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+        L = assemble_laplacian(scalar_sheaf(g))
+        for t, feasible in ((2.0, False), (0.5, True)):
+            shifted = replace(L, diag=L.diag - t * MONOTONE_SLACK, _bsr=None)
+            lam_min = np.linalg.eigvalsh(shifted.to_dense())[0]
+            assert lam_min == pytest.approx(-t * MONOTONE_SLACK, rel=1e-6)
+            assert (project(shifted) is not None) == feasible
 
-        monkeypatch.setattr(laplacian, "eigsh", stalled)
-        with pytest.raises(ArpackNoConvergence,
-                           match=r"project: .*\(N=80, k=1\)"):
-            project(L)
+    def test_verdict_is_the_dense_spectrum(self):
+        # the factorization rejects exactly the candidates whose lowest
+        # eigenvalue lies below -MONOTONE_SLACK; only a candidate within
+        # 1e-10 of that boundary, where roundoff may decide, is left out,
+        # and none of the 300 examples drawn is
+        tally = {"rejected": 0, "accepted": 0, "excluded": 0}
 
-    def test_stall_is_capped(self, monkeypatch):
-        # ARPACK's default budget is 10 restarts per dimension; project
-        # passes its own cap, and a stall at the cap still names the stage
-        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 1)
-        L = indefinite_sheaf()
-        budgets = []
+        @settings(max_examples=300, derandomize=True, deadline=None,
+                  database=None)
+        @given(ascent_candidates())
+        def check(L):
+            dense = L.to_dense()
+            lam_min = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
+            near = abs(lam_min + MONOTONE_SLACK) <= 1e-10
+            tally["excluded"] += near
+            assume(not near)
+            rejected = lam_min < -MONOTONE_SLACK
+            assert (project(L) is None) == rejected
+            tally["rejected" if rejected else "accepted"] += 1
 
-        def stalled_at_cap(A, k, **kwargs):
-            budgets.append(kwargs.get("maxiter"))
-            raise ArpackNoConvergence(
-                f"No convergence ({kwargs.get('maxiter')} iterations, "
-                f"0/{k} eigenvectors converged)",
-                np.zeros(0), np.zeros((A.shape[0], 0)))
-
-        monkeypatch.setattr(laplacian, "eigsh", stalled_at_cap)
-        with pytest.raises(ArpackNoConvergence,
-                           match=r"project: .*\(N=80, k=1\)"):
-            project(L)
-        assert budgets == [PROJECT_MAX_RESTARTS]
+        check()
+        assert tally["excluded"] == 0
+        assert tally["rejected"] >= 50 and tally["accepted"] >= 50
 
 
 class TestWolfeStep:

@@ -644,6 +644,22 @@ class TestFit:
         for k, v in params.trainable().items():
             assert np.array_equal(v, fresh.trainable()[k])
 
+    def test_default_config_trains_on_the_cornell_shape(self):
+        # 183 nodes at the default d_v=16 give a raw operator of N=2928, too
+        # large for a dense eigensolve; the default gap ascent's feasibility
+        # test must decide each candidate there without stalling
+        g, feats, labels = synthetic_dataset(n=183, num_classes=5, d0=1703,
+                                             homophily=0.1, avg_degree=3.0,
+                                             seed=0)
+        data = Dataset(g, feats, labels, make_split(labels, per_class=20,
+                                                    seed=0))
+        cfg = TrainConfig(epochs=1)
+        assert cfg.gap_steps > 0 and g.n * cfg.d_v > DENSE_CUTOFF
+        _, reports = fit(data, cfg)
+        assert len(reports) == 1
+        assert np.isfinite(reports[0].raw_loss)
+        assert np.isfinite(reports[0].lambda2)
+
     def test_edgeless_graph_trains_one_epoch(self):
         # no edges: every Gram block, scatter and restriction stack is
         # empty, the operators are zero, and the epoch still reports
