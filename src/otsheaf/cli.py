@@ -45,11 +45,18 @@ def _load_dataset(cfg) -> Dataset:
     return Dataset(g=g, feats=feats, labels=labels, split=split)
 
 
+def _homophily(g, labels) -> float | None:
+    """homophily_ratio, or None on an edgeless graph, where it is undefined."""
+    return homophily_ratio(g, labels) if g.m else None
+
+
 def cmd_convert(args) -> int:
     g, feats, labels = convert_csv(args.edges, args.features, args.labels)
     save_graph(args.output, g, feats, labels)
+    h = _homophily(g, labels)
+    shown = "undefined" if h is None else f"{h:.4f}"
     print(f"wrote {args.output}: n={g.n} m={g.m} d0={feats.d0} "
-          f"C={labels.C} homophily={homophily_ratio(g, labels):.4f}")
+          f"C={labels.C} homophily={shown}")
     return 0
 
 
@@ -89,7 +96,7 @@ def cmd_train(args) -> int:
         "lambda2": reports[best_epoch].lambda2,
         "best_epoch": best_epoch,
         "epochs_run": len(reports),
-        "homophily": homophily_ratio(data.g, data.labels),
+        "homophily": _homophily(data.g, data.labels),
         "config": cfg.values,
     }
     (out_dir / "metrics.json").write_text(

@@ -21,9 +21,7 @@ form in the blocks.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -270,7 +268,7 @@ def blockwise_constant_basis(n: int, d_v: int) -> np.ndarray:
 
 @dataclass
 class SpectralEstimates:
-    """Low end of a symmetric operator's spectrum, with its largest eigenvalue.
+    """Low end of a symmetric operator's spectrum.
 
     estimate_spectrum fills it for a sheaf Laplacian L: lambda2/v2 (and
     lambda3/v3) are the lowest eigenpairs of the deflated operator P L P,
@@ -281,11 +279,8 @@ class SpectralEstimates:
     lowest eigenvalues of A above NORMALIZED_NULL_TOL, v2/v3 their
     eigenvectors mapped back to the stalks, and residual2 is measured
     against A.  converged says whether the solver met its tolerance.
-
-    _lambda_max holds lambda_max or the function that computes it; the
-    lambda_max property calls that function on first read and keeps its
-    value, so an estimate whose lambda_max nothing reads never pays for
-    the solve.
+    lambda_max is not part of it: a caller that needs it calls
+    top_eigenvalue.
     """
 
     lambda2: float
@@ -294,13 +289,6 @@ class SpectralEstimates:
     v3: np.ndarray
     residual2: float
     converged: bool
-    _lambda_max: float | Callable[[], float] = field(repr=False)
-
-    @property
-    def lambda_max(self) -> float:
-        if callable(self._lambda_max):
-            self._lambda_max = float(self._lambda_max())
-        return self._lambda_max
 
 
 # operators of dimension up to this are decomposed densely, larger ones by
@@ -332,8 +320,9 @@ def _extreme_eigs(A, k: int, which: str, rng, tol: float = 0.0,
     stops a pair at residual <= tol * |theta|, so on A the pairs near zero
     would have to converge to roundoff.  A stall raises eigsh's
     ArpackNoConvergence with the pairs that did converge, shifted back to
-    A; in an epoch only the gap estimate can meet one.  Returns
-    (w ascending, V), or w alone when vectors is False.
+    A; in an epoch only the gap estimate meets one, and it reports the
+    stall as converged=False.  Returns (w ascending, V), or w alone when
+    vectors is False.
     """
     N = A.shape[0]
     if N <= DENSE_CUTOFF or k >= N:
@@ -370,13 +359,14 @@ def top_eigenvalue(A, rng) -> float:
 
 
 def estimate_spectrum(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
-    """lambda_2 over the complement of blockwise-constant signals, plus lambda_max.
+    """lambda_2 over the complement of blockwise-constant signals.
 
-    Both come from _extreme_eigs: lambda_max of L, then the two lowest
-    pairs of the deflated operator P L P + (lambda_max + 1) U U', which
-    lifts the blockwise-constant signals U above the rest of the spectrum.
-    converged says whether the eigenpair residual ||P L P v2 - lambda2 v2||
-    is at most SPECTRUM_TOL * max(lambda_max, 1).
+    Both solves go through _extreme_eigs: lambda_max of L, then the two
+    lowest pairs of the deflated operator P L P + (lambda_max + 1) U U',
+    which lifts the blockwise-constant signals U above the rest of the
+    spectrum.  converged says whether the eigenpair residual
+    ||P L P v2 - lambda2 v2|| is at most SPECTRUM_TOL * max(lambda_max, 1).
+    lambda_max sets that shift and that scale and is not returned.
     """
     N = L.N
     U = blockwise_constant_basis(L.n, L.d_v)
@@ -408,8 +398,7 @@ def estimate_spectrum(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     if not converged:
         logger.warning("spectrum estimate residual %.2e above tolerance", res)
     return SpectralEstimates(lambda2=lam2, v2=v2, lambda3=lam3, v3=v3,
-                             residual2=res, converged=converged,
-                             _lambda_max=lam_max)
+                             residual2=res, converged=converged)
 
 
 # normalized-operator null cutoff, absolute on a spectrum inside [0, 2]:
@@ -427,16 +416,11 @@ ARPACK_MAX_K = 128
 ARPACK_MAX_RESTARTS = 160
 
 
-def _null_estimate(N: int, lam_max: float | Callable[[], float]
-                   ) -> SpectralEstimates:
-    """The estimate of an operator with nothing above its null cutoff.
-
-    lam_max is lambda_max or the function that computes it on first read.
-    """
+def _null_estimate(N: int) -> SpectralEstimates:
+    """The estimate of an operator with nothing above its null cutoff."""
     z = np.zeros(N)
     return SpectralEstimates(lambda2=0.0, v2=z, lambda3=0.0, v3=z.copy(),
-                             residual2=0.0, converged=False,
-                             _lambda_max=lam_max)
+                             residual2=0.0, converged=False)
 
 
 def _warn_null() -> None:
@@ -452,12 +436,8 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
     the block doubles up to ARPACK_MAX_K while ARPACK stalls (each stall
     leaves one DEBUG record) or returns fewer than two pairs above the
     cutoff: ARPACK converges the lowest pairs whether or not they clear
-    it, so the block must hold every mode under it plus two.  lambda_max
-    is the top of the dense spectrum; on the ARPACK path it is computed on
-    first read, by top_eigenvalue with the next draws of the same
-    generator, so it has the same bits whenever it is read
-    (and a stall there raises at that read).  On A + I, whose
-    spectrum lies in [1, 3], a converged pair has residual at most
+    it, so the block must hold every mode under it plus two.  On A + I,
+    whose spectrum lies in [1, 3], a converged pair has residual at most
     3 * ARPACK_TOL.  When ARPACK still stalls at the largest block, the
     lowest of the pairs that did converge is reported with converged=False
     and one WARNING.  Returns lambda2 = 0 with converged=False when
@@ -479,10 +459,6 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
         if enough or w.size == N or k >= ARPACK_MAX_K:
             break
         k *= 2
-    if w.size == N:
-        lam_max = float(w[-1])
-    else:
-        lam_max = partial(top_eigenvalue, A, rng)
     if not converged:
         logger.warning("range-gap estimate: ARPACK stalled at k=%d "
                        "(dim A=%d)", k, N)
@@ -491,7 +467,7 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
     if keep.size == 0:
         if converged:
             _warn_null()
-        return _null_estimate(N, lam_max)
+        return _null_estimate(N)
     lam2, v2 = float(w[keep[0]]), V[:, keep[0]]
     if keep.size >= 2:
         lam3, v3 = float(w[keep[1]]), V[:, keep[1]]
@@ -499,8 +475,7 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
         lam3, v3 = lam2, v2.copy()
     res = float(np.linalg.norm(A @ v2 - lam2 * v2))
     return SpectralEstimates(lambda2=lam2, v2=v2, lambda3=lam3, v3=v3,
-                             residual2=res, converged=converged,
-                             _lambda_max=lam_max)
+                             residual2=res, converged=converged)
 
 
 def _kept_rows(A: sp.bsr_matrix, keep: np.ndarray) -> list:
@@ -578,9 +553,7 @@ def normalized_range_gap(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     kernel null(S) before any solver sees it: dense eigh up to DENSE_CUTOFF,
     above it ARPACK on A + I with a block that doubles until it holds two
     pairs above the cutoff (_gap_above_cutoff).  A converged estimate is a
-    converged eigenpair of A: its residual is at most 3 * ARPACK_TOL.  On
-    the ARPACK path lambda_max is computed on first read, so an epoch that
-    reads only lambda2 runs one eigensolve.
+    converged eigenpair of A: its residual is at most 3 * ARPACK_TOL.
 
     The returned v2/v3 are T y, normalized: the eigenvector Q y of S L S
     mapped back through S, the ascent direction for the raw Laplacian
@@ -589,7 +562,7 @@ def normalized_range_gap(L: SheafLaplacian, seed: int = 0) -> SpectralEstimates:
     A, T, kept = _compressed_normalized(L)
     if A.shape[0] == 0:
         _warn_null()
-        return _null_estimate(L.N, 0.0)
+        return _null_estimate(L.N)
     est = _gap_above_cutoff(A, seed)
 
     def back(y):

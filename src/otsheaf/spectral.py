@@ -30,7 +30,8 @@ from .laplacian import (
 logger = logging.getLogger(__name__)
 
 LAMBDA2_FLOOR = 1e-8
-DEGENERACY_REL_GAP = 1e-6
+# lambda3 - lambda2 under this, absolute, makes the ascent average in v3
+DEGENERACY_GAP = 1e-6
 MONOTONE_SLACK = 1e-8
 # wolfe_ascent_step's sufficient-increase constant, first step, halvings
 # and trust region (a cap on ||eta g||_F relative to ||L||_F)
@@ -164,8 +165,7 @@ def run_gap_ascent(L: SheafLaplacian, steps: int, seed: int = 0,
     est = estimator(L, seed=seed)
     history = [float(est.lambda2)]
     for step in range(steps):
-        degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
-            est.lambda_max, 1.0)
+        degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_GAP
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
         L, _, accepted, new_est = wolfe_ascent_step(
             L, g, est.lambda2, seed=seed, estimator=estimator)

@@ -6,7 +6,7 @@ import pytest
 
 from otsheaf.cli import main
 from otsheaf.config import build_config
-from otsheaf.graphs import load_graph, save_graph, synthetic_dataset
+from otsheaf.graphs import Graph, load_graph, save_graph, synthetic_dataset
 
 
 @pytest.fixture()
@@ -59,6 +59,21 @@ class TestConvert:
         assert np.allclose(feats2.H, feats.H)
         assert np.array_equal(labels2.y, labels.y)
         assert f"n={g.n}" in capsys.readouterr().out
+
+    def test_edgeless_graph_reports_undefined_homophily(self, tmp_path,
+                                                        capsys):
+        # homophily is undefined without edges; the JSON is still written
+        # and the command succeeds
+        _, feats, labels = synthetic_dataset(n=12, num_classes=2, d0=3,
+                                             seed=0)
+        paths = _write_csvs(tmp_path, Graph.from_edges(12, []), feats, labels)
+        out = tmp_path / "out.json"
+        code = main(["convert", paths["edges"], paths["features"],
+                     paths["labels"], str(out)])
+        assert code == 0
+        assert load_graph(out)[0].m == 0
+        printed = capsys.readouterr().out.split()
+        assert "m=0" in printed and "homophily=undefined" in printed
 
     def test_malformed_edge_row_exits_one_with_line_number(self, tmp_path,
                                                            capsys):
@@ -162,6 +177,21 @@ class TestTrain:
                            for r, c, v in zip(rows, cols, vals))
         assert vals.size > 0
         assert (out / "laplacian.txt").read_text() == expected
+
+    def test_edgeless_graph_writes_null_homophily(self, tmp_path):
+        # the fit runs on a graph without edges, so the run writes every
+        # artifact; its undefined homophily is null in metrics.json
+        _, feats, labels = synthetic_dataset(n=20, num_classes=2, d0=6,
+                                             seed=1, noise=0.4)
+        path = tmp_path / "edgeless.json"
+        save_graph(path, Graph.from_edges(20, []), feats, labels)
+        out = tmp_path / "run"
+        assert main(_train_args(path, out)) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["homophily"] is None
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {"curves.csv", "metrics.json",
+                                              "reliability.csv"}
 
     def test_missing_data_path_exits_one(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "x")])

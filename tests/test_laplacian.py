@@ -23,6 +23,7 @@ from otsheaf.laplacian import (
     reassemble_restrictions,
     scatter_add,
     sparsify,
+    top_eigenvalue,
 )
 from otsheaf.model import EpochContext, cheb_branch, isqrt_blocks, sandwich_blocks
 
@@ -356,9 +357,10 @@ class TestNormalized:
 class TestSpectrum:
     def test_path_two_nodes(self):
         g = Graph.from_edges(2, [[0, 1]])
-        est = estimate_spectrum(assemble_laplacian(scalar_sheaf(g)))
+        L = assemble_laplacian(scalar_sheaf(g))
+        est = estimate_spectrum(L)
         assert est.lambda2 == pytest.approx(2.0, abs=1e-9)
-        assert est.lambda_max == pytest.approx(2.0, abs=1e-9)
+        assert top_eigenvalue(L.to_bsr(), 0) == pytest.approx(2.0, abs=1e-9)
 
     def test_complete_graph_k4(self):
         g = Graph.from_edges(4, [[i, j] for i in range(4) for j in range(i + 1, 4)])
@@ -380,12 +382,14 @@ class TestSpectrum:
         with monkeypatch.context() as m:
             m.setattr(laplacian, "DENSE_CUTOFF", 10_000)
             dense = estimate_spectrum(L)
+            dense_top = top_eigenvalue(L.to_bsr(), 0)
         with monkeypatch.context() as m:
             m.setattr(laplacian, "DENSE_CUTOFF", 0)
             lanc = estimate_spectrum(L, seed=3)
+            lanc_top = top_eigenvalue(L.to_bsr(), 3)
         assert lanc.lambda2 == pytest.approx(dense.lambda2, rel=1e-6, abs=1e-8)
-        assert lanc.lambda_max == pytest.approx(dense.lambda_max, rel=1e-4)
-        assert lanc.residual2 <= 1e-6 * max(dense.lambda_max, 1.0)
+        assert lanc_top == pytest.approx(dense_top, rel=1e-4)
+        assert lanc.residual2 <= 1e-6 * max(dense_top, 1.0)
 
     def test_v2_orthogonal_to_deflation_space(self):
         g = erdos_renyi(10, 3.0, seed=13, ensure_connected=True)
@@ -554,9 +558,9 @@ class TestRangeGap:
 
     def test_budget_checkpoints_grow_one_run(self, monkeypatch, caplog):
         # every low-end ARPACK call stalled: the block doubles from
-        # ARPACK_K0 to ARPACK_MAX_K; lambda_max costs one call at the top
-        # on its first read and none after; one WARNING, and the estimate
-        # says it did not converge
+        # ARPACK_K0 to ARPACK_MAX_K and no call at the top is made; one
+        # WARNING, and the estimate says it did not converge.  lambda_max
+        # of the same operator costs a caller one top_eigenvalue call
         monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
         calls = stall_low_end(monkeypatch)
@@ -564,10 +568,11 @@ class TestRangeGap:
             est = normalized_range_gap(L)
         low = [("SA", 16), ("SA", 32), ("SA", 64), ("SA", 128)]
         assert calls == low
-        first = est.lambda_max
+        A, _, _ = _compressed_normalized(L)
+        top = top_eigenvalue(A, 0)
         assert calls == low + [("LA", 1)]
-        assert est.lambda_max == first
-        assert calls == low + [("LA", 1)]
+        assert top == pytest.approx(np.linalg.eigvalsh(A.toarray())[-1],
+                                    rel=1e-4)
         assert not est.converged
         records = [r.getMessage() for r in caplog.records]
         assert len(records) == 1
@@ -688,22 +693,10 @@ class TestNormalizedRangeGap:
         assert first.lambda2 == second.lambda2
         assert np.array_equal(first.v2, second.v2)
 
-    def test_lambda_max_on_first_read_is_seeded(self, monkeypatch):
-        # the top solve runs when lambda_max is first read, with the
-        # estimate's own generator: reading it after another estimate ran
-        # gives the same bits, and it agrees with the dense top eigenvalue
-        monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
-        L = large_kernel_operator()
-        first = normalized_range_gap(L, seed=2)
-        second = normalized_range_gap(L, seed=2)
-        assert second.lambda_max == first.lambda_max
-        A, _, _ = _compressed_normalized(L)
-        top = np.linalg.eigvalsh(A.toarray())[-1]
-        assert first.lambda_max == pytest.approx(top, rel=1e-4)
-
     def test_arpack_stall_falls_back_to_lanczos(self, monkeypatch, caplog):
         # the first block stalls: the estimate doubles it and converges to
-        # the same pair, leaving one DEBUG record and no warning
+        # the same pair with no call at the top, leaving one DEBUG record
+        # and no warning
         monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         L = large_kernel_operator()
         exact = normalized_range_gap(L, seed=3)
@@ -711,9 +704,7 @@ class TestNormalizedRangeGap:
         with caplog.at_level(logging.DEBUG, logger="otsheaf.laplacian"):
             est = normalized_range_gap(L, seed=3)
         assert calls == [("SA", 16), ("SA", 32)]
-        first = est.lambda_max
-        assert calls == [("SA", 16), ("SA", 32), ("LA", 1)]
-        assert est.lambda_max == first
+        top_eigenvalue(_compressed_normalized(L)[0], 3)
         assert calls == [("SA", 16), ("SA", 32), ("LA", 1)]
         assert est.converged
         assert est.lambda2 == pytest.approx(exact.lambda2, rel=1e-8)

@@ -14,13 +14,14 @@ import otsheaf.laplacian as laplacian
 import otsheaf.spectral as spectral
 from otsheaf.laplacian import (
     SheafLaplacian,
+    SpectralEstimates,
     assemble_laplacian,
     blockwise_constant_basis,
     estimate_spectrum,
     normalized_range_gap,
 )
 from otsheaf.spectral import (
-    DEGENERACY_REL_GAP,
+    DEGENERACY_GAP,
     MONOTONE_SLACK,
     gap_gradient,
     project,
@@ -400,6 +401,29 @@ class TestGapAscentLoop:
         assert np.array_equal(out.diag, ref_L.diag)
         assert np.array_equal(out.off, ref_L.off)
 
+    @pytest.mark.parametrize("gap, averaged", [(0.5 * DEGENERACY_GAP, True),
+                                               (2.0 * DEGENERACY_GAP, False)])
+    def test_degeneracy_test_is_absolute(self, monkeypatch, gap, averaged):
+        # the gradient averages in v3 exactly when lambda3 - lambda2 is
+        # under DEGENERACY_GAP, whatever the scale of the spectrum
+        L = single_edge_laplacian()
+        v2, v3 = np.eye(L.N)[0], np.eye(L.N)[1]
+
+        def stub(op, seed=0):
+            return SpectralEstimates(lambda2=30.0, v2=v2, lambda3=30.0 + gap,
+                                     v3=v3, residual2=0.0, converged=True)
+
+        received = []
+        real = spectral.gap_gradient
+
+        def recorded(L, v2, v3=None):
+            received.append(v3)
+            return real(L, v2, v3)
+
+        monkeypatch.setattr(spectral, "gap_gradient", recorded)
+        run_gap_ascent(L, steps=1, estimator=stub)
+        assert len(received) == 1
+        assert received[0] is (v3 if averaged else None)
 
     def test_accepted_step_hands_over_its_estimate(self):
         # the ascent used to estimate every accepted iterate twice: once in
@@ -424,8 +448,7 @@ def explicit_ascent(L, steps, estimator, seed=0):
     est = estimator(L, seed=seed)
     history = [est.lambda2]
     for _ in range(steps):
-        degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_REL_GAP * max(
-            est.lambda_max, 1.0)
+        degenerate = (est.lambda3 - est.lambda2) < DEGENERACY_GAP
         g = gap_gradient(L, est.v2, est.v3 if degenerate else None)
         L, _, _, _ = wolfe_ascent_step(L, g, est.lambda2, seed=seed,
                                        estimator=estimator)
