@@ -3,8 +3,10 @@
 Each accepted step adds a pattern-restricted outer product of the gap
 eigenvector on the same sparsity pattern; a step whose iterate would leave
 the positive-semidefinite operators is halved until it stays inside.  The
-ledger of lambda_2 values never decreases, and the connectivity penalty
-c_het / lambda_2 falls accordingly.
+feasible step sizes form one interval, so the first one inside is found by
+bisecting the halving ladder: at most 4 factorizations a step, not one per
+halving.  The ledger of lambda_2 values never decreases, and the
+connectivity penalty c_het / lambda_2 falls accordingly.
 """
 
 import numpy as np

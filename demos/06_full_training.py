@@ -1,8 +1,9 @@
 """Train the full pipeline on a synthetic benchmark and read the reports.
 
 One run with the transport lift, one with plain scalar edges, plus a depth
-sweep showing where the scalar baseline starts to oversmooth.  Artifacts
-(curve and reliability CSVs) land in a temporary directory.
+sweep showing where the scalar baseline starts to oversmooth.  The curve
+CSV is written to a temporary directory that is removed once written, so a
+run leaves nothing behind.
 """
 
 import tempfile
@@ -40,9 +41,10 @@ for variant in ("we_lift", "scalar_edge"):
     print(f"  final epoch: emp {last.emp_risk:.3f} kl {last.kl:.3f} "
           f"spec {last.spec:.3f} lambda2 {last.lambda2:.4f}")
     if variant == "we_lift":
-        out = Path(tempfile.mkdtemp()) / "curves.csv"
-        write_curves(reports, out)
-        print(f"  curves written to {out}")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "curves.csv"
+            write_curves(reports, out)
+            print(f"  curves written to {out}")
         stats = risk_variance_series(reports, warmup=10)
         print(f"  bound series: {stats.bounds[0]:.2f} -> {stats.bounds[-1]:.2f}, "
               f"post-warmup monotone fraction {stats.monotone_fraction:.2f}")

@@ -7,8 +7,10 @@ pattern so iterates stay representable.  Each step runs a Wolfe-style
 backtracking line search under a Frobenius trust region.  A candidate that
 leaves the positive-semidefinite cone is not repaired: the step shrinks past
 it, the standard rule for a line search on a constrained domain (Boyd and
-Vandenberghe, Convex Optimization, 2004, sec. 9.2).  Only steps that do not
-decrease the objective are accepted.
+Vandenberghe, Convex Optimization, 2004, sec. 9.2).  lambda_min(L + eta g)
+is concave in eta (ibid., sec. 3.2), so the feasible steps form one interval
+and bisection finds the halving ladder's first feasible rung.  Only steps
+that do not decrease the objective are accepted.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ LAMBDA2_FLOOR = 1e-8
 # lambda3 - lambda2 under this, absolute, makes the ascent average in v3
 DEGENERACY_GAP = 1e-6
 MONOTONE_SLACK = 1e-8
-# wolfe_ascent_step's sufficient-increase constant, first step, halvings
+# wolfe_ascent_step's sufficient-increase constant, first step, rungs of its
+# halving ladder (bisected for feasibility: at most 4 factorizations a step)
 # and trust region (a cap on ||eta g||_F relative to ||L||_F)
 WOLFE_C = 0.1
 ETA_INIT = 1.0
@@ -79,6 +82,11 @@ def _add_scaled(L: SheafLaplacian, g: GapGradient, eta: float) -> SheafLaplacian
                           L.off + eta * g.off)
 
 
+def _symmetrized(L: SheafLaplacian) -> SheafLaplacian:
+    return SheafLaplacian(L.n, L.d_v, L.edges,
+                          0.5 * (L.diag + L.diag.transpose(0, 2, 1)), L.off)
+
+
 def project(L: SheafLaplacian) -> SheafLaplacian | None:
     """Return L with symmetrized diagonal blocks, or None if it is indefinite.
 
@@ -93,8 +101,7 @@ def project(L: SheafLaplacian) -> SheafLaplacian | None:
     is rejected, not repaired.  The iterate is a new operator; L is never
     written to.
     """
-    out = SheafLaplacian(L.n, L.d_v, L.edges,
-                         0.5 * (L.diag + L.diag.transpose(0, 2, 1)), L.off)
+    out = _symmetrized(L)
     try:
         lu = splu((out.to_bsr() + MONOTONE_SLACK * sp.identity(out.N)).tocsc(),
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -112,13 +119,15 @@ def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
                                  SpectralEstimates | None]:
     """One backtracking ascent step on the connectivity objective.
 
-    lambda2 is the estimator's value at L.  Step sizes start at ETA_INIT
-    (capped so the move stays inside the trust region, TRUST_REGION of
-    ||L||_F) and halve until the candidate iterate clears the sufficient
+    L itself must be within MONOTONE_SLACK of positive semidefinite, as every
+    caller's is; lambda2 is the estimator's value at L.  Step sizes start at
+    ETA_INIT (capped so the move stays inside the trust region, TRUST_REGION
+    of ||L||_F) and halve until the candidate iterate clears the sufficient
     increase test lambda2(new) >= lambda2 + WOLFE_C * eta * directional, or
-    MAX_BACKTRACKS tries run out, in which case L is returned unchanged.
-    An indefinite candidate (project returns None) is never estimated: it
-    costs a halving and one factorization.
+    MAX_BACKTRACKS tries run out, in which case L is returned unchanged.  An
+    indefinite candidate is never estimated: project bisects the ladder for
+    its first feasible rung, and lower rungs, convex combinations of L and a
+    feasible candidate, are only symmetrized.
     estimator swaps the connectivity notion (e.g. the gap over range(L)
     for sheaves with a large harmonic space); acceptance is judged on its
     lambda2.  Returns (iterate, eta, accepted, estimate), where estimate
@@ -131,13 +140,19 @@ def wolfe_ascent_step(L: SheafLaplacian, g: GapGradient, lambda2: float,
     eta = ETA_INIT
     if Lnorm > 0:
         eta = min(eta, TRUST_REGION * Lnorm / gnorm)
-    for _ in range(MAX_BACKTRACKS):
-        candidate = project(_add_scaled(L, g, eta))
-        if candidate is not None:
-            est = estimator(candidate, seed=seed)
-            if est.lambda2 >= lambda2 + WOLFE_C * eta * g.directional:
-                return candidate, eta, True, est
-        eta *= 0.5
+    lo, hi = 0, MAX_BACKTRACKS   # first feasible rung (or none) in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if project(_add_scaled(L, g, eta * 0.5 ** mid)) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    for rung in range(lo, MAX_BACKTRACKS):
+        step = eta * 0.5 ** rung
+        candidate = _symmetrized(_add_scaled(L, g, step))
+        est = estimator(candidate, seed=seed)
+        if est.lambda2 >= lambda2 + WOLFE_C * step * g.directional:
+            return candidate, step, True, est
     return L, 0.0, False, None
 
 

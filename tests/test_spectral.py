@@ -52,6 +52,11 @@ def small_graph(shape: str, n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def scaled(L, g, eta):
+    return SheafLaplacian(L.n, L.d_v, L.edges, L.diag + eta * g.diag,
+                          L.off + eta * g.off)
+
+
 @st.composite
 def ascent_candidates(draw):
     """A random sheaf Laplacian L plus or minus eta times gap_gradient's
@@ -69,8 +74,71 @@ def ascent_candidates(draw):
                                         d_e=d_e, seed=seed))
     v = np.random.default_rng(seed).standard_normal(L.N)
     g = gap_gradient(L, v / np.linalg.norm(v))
-    return SheafLaplacian(L.n, L.d_v, L.edges, L.diag + eta * g.diag,
-                          L.off + eta * g.off)
+    return scaled(L, g, eta)
+
+
+@st.composite
+def ascent_steps(draw):
+    """A PSD sheaf Laplacian, lifted by a margin of 0 or 1e-4 to 1 so the
+    first feasible rung of the step's ladder moves about, and plus or minus
+    gap_gradient's outer product of a random unit signal as the direction.
+    The directional derivative keeps gap_gradient's positive value, so the
+    step runs in either direction."""
+    shape = draw(st.sampled_from(["star", "path", "complete", "random"]))
+    n = draw(st.integers(3, 10))
+    d_v = draw(st.integers(1, 3))
+    d_e = draw(st.integers(1, d_v))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    margin = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(
+        st.floats(-4.0, 0.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    L = assemble_laplacian(random_sheaf(small_graph(shape, n, seed), d_v=d_v,
+                                        d_e=d_e, seed=seed))
+    L = replace(L, diag=L.diag + margin * np.eye(d_v)[None], _bsr=None)
+    v = np.random.default_rng(seed).standard_normal(L.N)
+    g = gap_gradient(L, v / np.linalg.norm(v))
+    return L, spectral.GapGradient(diag=sign * g.diag, off=sign * g.off,
+                                   directional=g.directional)
+
+
+def halving_ladder(L, g):
+    """wolfe_ascent_step's step sizes: ETA_INIT capped by the trust region,
+    halved down MAX_BACKTRACKS rungs."""
+    Lnorm = float(np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum()))
+    eta = spectral.ETA_INIT
+    if Lnorm > 0:
+        eta = min(eta, spectral.TRUST_REGION * Lnorm / g.frobenius_norm())
+    ladder = []
+    for _ in range(spectral.MAX_BACKTRACKS):
+        ladder.append(eta)
+        eta *= 0.5
+    return ladder
+
+
+def linear_scan_step(L, g, lambda2, seed=0, estimator=estimate_spectrum):
+    """Reference for wolfe_ascent_step: the halving ladder scanned from its
+    top rung, with one project call on every rung."""
+    if g.frobenius_norm() == 0.0 or g.directional <= 0.0:
+        return L, 0.0, False, None
+    for eta in halving_ladder(L, g):
+        candidate = project(scaled(L, g, eta))
+        if candidate is not None:
+            est = estimator(candidate, seed=seed)
+            if est.lambda2 >= lambda2 + spectral.WOLFE_C * eta * g.directional:
+                return candidate, eta, True, est
+    return L, 0.0, False, None
+
+
+def count_project(monkeypatch):
+    """Route spectral.project through a recorder; returns its list of calls."""
+    calls = []
+
+    def counted(L):
+        calls.append(L)
+        return project(L)
+
+    monkeypatch.setattr(spectral, "project", counted)
+    return calls
 
 
 def single_edge_laplacian():
@@ -313,7 +381,7 @@ class TestWolfeStep:
                                  off=np.full((1, 1, 1), -1.0), directional=1.0)
         return L, g
 
-    def test_infeasible_candidate_never_estimated(self):
+    def test_infeasible_candidate_never_estimated(self, monkeypatch):
         # a counting stub that accepts whatever it is given: the step must
         # still halve past every indefinite candidate and estimate only the
         # first feasible one
@@ -324,17 +392,19 @@ class TestWolfeStep:
             seen.append(op)
             return SimpleNamespace(lambda2=1e9)
 
+        factored = count_project(monkeypatch)
         out, eta, accepted, _ = wolfe_ascent_step(L, g, 0.0,
                                                   estimator=accept_all)
         Lnorm = np.sqrt((L.diag ** 2).sum() + 2 * (L.off ** 2).sum())
         eta0 = spectral.TRUST_REGION * Lnorm / g.frobenius_norm()
         assert eta0 > 0.01   # the first candidate is indefinite
         assert accepted and len(seen) == 1 and out is seen[0]
+        assert 0 < len(factored) <= 4   # bisected, not one per halving
         # the first halving of eta0 at or below 0.01
         assert eta == eta0 / 2 ** int(np.ceil(np.log2(eta0 / 0.01)))
         assert np.linalg.eigvalsh(out.to_dense())[0] >= -spectral.MONOTONE_SLACK
 
-    def test_all_infeasible_candidates_rejected(self):
+    def test_all_infeasible_candidates_rejected(self, monkeypatch):
         # a direction that makes every step size indefinite is never
         # estimated and never accepted
         L, g = self._edge_near_boundary()
@@ -345,10 +415,52 @@ class TestWolfeStep:
             calls.append(op)
             return SimpleNamespace(lambda2=1e9)
 
+        factored = count_project(monkeypatch)
         out, eta, accepted, est = wolfe_ascent_step(L, g, 0.0,
                                                     estimator=accept_all)
         assert calls == []
         assert not accepted and eta == 0.0 and out is L and est is None
+        assert 0 < len(factored) <= 4
+
+    @pytest.mark.parametrize("stub", [True, False])
+    def test_matches_the_linear_scan(self, monkeypatch, stub):
+        # the bisected step returns what a scan that factors every rung from
+        # the top returns, with at most four project calls; the drawn
+        # ladders include ones feasible from the top rung, ones that turn
+        # feasible partway down and ones that never do
+        factored = count_project(monkeypatch)
+        tally = {"first": 0, "partway": 0, "never": 0}
+
+        def accept_all(op, seed=0):
+            return SimpleNamespace(lambda2=1e9)
+
+        @settings(max_examples=150, derandomize=True, deadline=None,
+                  database=None)
+        @given(ascent_steps())
+        def check(case):
+            L, g = case
+            estimator = accept_all if stub else estimate_spectrum
+            lambda2 = 0.0 if stub else estimate_spectrum(L).lambda2
+            ref = linear_scan_step(L, g, lambda2, estimator=estimator)
+            factored.clear()
+            out, eta, accepted, est = wolfe_ascent_step(
+                L, g, lambda2, estimator=estimator)
+            assert len(factored) <= 4
+            assert (eta, accepted) == ref[1:3]
+            if accepted:
+                assert np.array_equal(out.diag, ref[0].diag)
+                assert np.array_equal(out.off, ref[0].off)
+                assert est.lambda2 == ref[3].lambda2
+            else:
+                assert out is L and est is None
+            feasible = [project(scaled(L, g, eta)) is not None
+                        for eta in halving_ladder(L, g)]
+            assert feasible == sorted(feasible)   # the feasible rungs: a tail
+            tally["first" if feasible[0] else
+                  "partway" if feasible[-1] else "never"] += 1
+
+        check()
+        assert min(tally.values()) >= 20, tally
 
     def test_saturated_objective_rejected_honestly(self):
         # complete-graph connectivity is already extremal: boosting the two

@@ -646,6 +646,7 @@ class TestFit:
         # test must decide each candidate there without stalling, and
         # nothing in the epoch solves for lambda_max
         import otsheaf.laplacian as laplacian
+        import otsheaf.spectral as spectral
         tops = []
         real = laplacian.top_eigenvalue
 
@@ -654,6 +655,14 @@ class TestFit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(laplacian, "top_eigenvalue", counted)
+        factored = []
+        real_project = spectral.project
+
+        def counted_project(L):
+            factored.append(L.N)
+            return real_project(L)
+
+        monkeypatch.setattr(spectral, "project", counted_project)
         g, feats, labels = synthetic_dataset(n=183, num_classes=5, d0=1703,
                                              homophily=0.1, avg_degree=3.0,
                                              seed=0)
@@ -666,6 +675,9 @@ class TestFit:
         assert np.isfinite(reports[0].raw_loss)
         assert np.isfinite(reports[0].lambda2)
         assert tops == []
+        # every candidate is indefinite there; bisecting the ladder of
+        # MAX_BACKTRACKS = 12 rungs factors at most 4 of them
+        assert 0 < len(factored) <= 4
 
     def test_edgeless_graph_trains_one_epoch(self):
         # no edges: every Gram block, scatter and restriction stack is
