@@ -26,8 +26,8 @@ g, feats, labels = synthetic_dataset(n=60, num_classes=3, d0=10, seed=3,
                                      homophily=0.8, noise=0.5)
 split = make_split(labels, per_class=10, seed=3)
 data = Dataset(g=g, feats=feats, labels=labels, split=split)
-cfg = TrainConfig(d_v=6, epochs=30, patience=30, gap_steps=1, seed=3,
-                  optimizer="adam", lr=1e-2)
+cfg = TrainConfig(d_v=6, epochs=30, patience=30, seed=3, optimizer="adam",
+                  lr=1e-2)
 
 print(f"dataset: n={g.n} m={g.m} C={labels.C}, "
       f"train/val/test {split.train.size}/{split.val.size}/{split.test.size}")
@@ -53,7 +53,7 @@ for variant in ("we_lift", "scalar_edge"):
 rows = oversmoothing_sweep(data, [1, 4, 8],
                            variants=("we_lift", "scalar_edge"),
                            cfg=TrainConfig(d_v=6, epochs=12, patience=12,
-                                           gap_steps=1, seed=3))
+                                           seed=3))
 print("\ndepth sweep (variant, depth, test accuracy, neighborhood similarity):")
 for r in rows:
     print(f"  {r['variant']:12s} depth {r['depth']}: acc {r['test_acc']:.3f} "

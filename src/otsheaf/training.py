@@ -1,17 +1,16 @@
 """Epoch loop tying the pipeline together.
 
-One epoch runs five stages in a fixed order: (1) restriction maps,
+One epoch runs four stages in a fixed order: (1) restriction maps,
 Laplacian blocks and the two-branch diffusion forward pass on the tape,
 (2) the Beta-posterior fixed point that refreshes the calibration
-weights, (3) the loss and backward, which consumes the tape, (4) the
-spectral-gap ascent on the forward's Laplacian blocks, and (5) the
-parameter step.  Nothing on the tape reads the gap, so the ascent runs
-once backward has freed the tape, and ahead of the step, so that an
-error leaves the parameters and optimizer moments as they were.  Its gap
-estimates report an eigensolver stall as a status (converged=False and
-one WARNING), and nothing in the epoch re-raises one.  The ascent's
-first gap estimate prices the spectral penalty and its last one is
-reported.  The transport plans depend only on the frozen
+weights, (3) the loss and backward, which consumes the tape, and (4) the
+parameter step.  Between (3) and (4) one gap estimate of the forward's
+Laplacian prices the spectral penalty and is reported as lambda2: nothing
+on the tape reads it, so it runs once backward has freed the tape, and
+ahead of the step, so that an error leaves the parameters and optimizer
+moments as they were.  The estimate reports an eigensolver stall as a
+status (converged=False and one WARNING), and nothing in the epoch
+re-raises one.  The transport plans depend only on the frozen
 feature projection, so `epoch_context` projects the features and lifts
 them once per parameter set.  An epoch and `evaluate` share one path to
 calibrated, scored predictions: `calibrate`, whose array the loss reads
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +53,7 @@ from .graphs import Graph, Labels, NodeFeatures, SplitMask, nrs
 from .laplacian import normalized_range_gap
 # not called here; perfbench/spans.py rebinds these names to time them
 from .laplacian import assemble_laplacian, reassemble_restrictions  # noqa: F401
+from .spectral import run_gap_ascent  # noqa: F401
 from .model import (
     EpochContext,
     ModelParams,
@@ -63,7 +63,7 @@ from .model import (
     leaf_grads,
     softmax,
 )
-from .spectral import run_gap_ascent, spec_penalty
+from .spectral import spec_penalty
 from .transport import edge_plans, projected_features
 
 VARIANTS = ("we_lift", "scalar_edge")
@@ -93,7 +93,6 @@ class TrainConfig:
     patience: int = 30
     delta: float = 0.05
     dt: float = 0.1
-    gap_steps: int = 5
     d_v: int = 16
     d_e: int | None = None   # edge stalk dimension; None matches d_v
     n_layers: int = 1
@@ -106,8 +105,10 @@ class TrainConfig:
     lift_eps: float = 0.5
     optimizer: str = "gd"
     seed: int = 0
+    # ignored; kept for perfbench/workloads.py, as test_perfbench_targets pins
+    gap_steps: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, gap_steps):
         for name in ("lr", "weight_decay", "dt", "cg_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -120,8 +121,6 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.gap_steps < 0:
-            raise ValueError("gap_steps must be nonnegative")
         if self.cg_max_iter < 1:
             raise ValueError("cg_max_iter must be at least 1")
         if self.optimizer not in ("gd", "adam"):
@@ -148,7 +147,7 @@ class EpochReport:
     kl: float
     spec: float
     bound: float
-    lambda2: float       # after the epoch's ascent steps
+    lambda2: float       # gap estimate of the operator the forward used
     train_acc: float
     val_acc: float
     test_acc: float
@@ -229,14 +228,14 @@ def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
 
 def train_epoch(state: TrainState, data: Dataset,
                 cfg: TrainConfig) -> tuple[TrainState, EpochReport]:
-    """One pass: forward, posterior, backward, gap ascent, update.
+    """One pass: forward, posterior, backward, update.
 
-    backward consumes the tape, and the gap ascent runs after it, on an
-    operator with the forward Laplacian's blocks and their
+    backward consumes the tape, and the one gap estimate runs after it, on
+    an operator with the forward Laplacian's blocks and their
     eigendecomposition but not its BSR form, so no tape array is alive
-    while the eigensolver runs.  Its gap estimates report a stall as
-    converged=False, not as an error.  The ascent runs before the update,
-    so an error in it leaves state.params, opt_m and opt_v intact.
+    while the eigensolver runs.  It reports a stall as converged=False,
+    not as an error.  It runs before the update, so an error in it leaves
+    state.params, opt_m and opt_v intact.
     """
     t0 = time.perf_counter()
     logits, leaves, aux = forward_tape(state.params, state.ctx)
@@ -260,9 +259,8 @@ def train_epoch(state: TrainState, data: Dataset,
     except FloatingPointError as exc:
         raise FloatingPointError(f"epoch {state.epoch}: {exc}") from exc
 
-    _, lambda2s = run_gap_ascent(L, steps=cfg.gap_steps, seed=cfg.seed,
-                                 estimator=normalized_range_gap)
-    spec = spec_penalty(cal.posterior.coupling.c_het, lambda2s[0])
+    lambda2 = float(normalized_range_gap(L, seed=cfg.seed).lambda2)
+    spec = spec_penalty(cal.posterior.coupling.c_het, lambda2)
     raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
@@ -276,7 +274,7 @@ def train_epoch(state: TrainState, data: Dataset,
         kl=kl,
         spec=spec,
         bound=pac_bayes_bound(emp_norm, kl, spec),
-        lambda2=lambda2s[-1],
+        lambda2=lambda2,
         **scores,
         cg_iters=cg_iters,
         wall_ms=(time.perf_counter() - t0) * 1e3)

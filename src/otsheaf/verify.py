@@ -196,8 +196,8 @@ def _synthetic_run(seed: int = 0, epochs: int = 60):
     split = SplitMask(train=perm[:2 * k], val=perm[2 * k:3 * k],
                       test=perm[3 * k:], seed=seed)
     data = Dataset(g=g, feats=feats, labels=labels, split=split)
-    cfg = TrainConfig(d_v=6, epochs=epochs, patience=epochs, gap_steps=0,
-                      seed=seed, optimizer="adam", lr=1e-2)
+    cfg = TrainConfig(d_v=6, epochs=epochs, patience=epochs, seed=seed,
+                      optimizer="adam", lr=1e-2)
     params, reports = fit(data, cfg, variant="scalar_edge")
     return data, cfg, params, reports
 
@@ -296,7 +296,7 @@ def check_oversmoothing(seed: int = 3) -> CheckResult:
     split = SplitMask(train=perm[:30], val=perm[30:45], test=perm[45:],
                       seed=seed)
     data = Dataset(g=g, feats=feats, labels=labels, split=split)
-    cfg = TrainConfig(d_v=6, epochs=12, patience=12, gap_steps=0, seed=seed)
+    cfg = TrainConfig(d_v=6, epochs=12, patience=12, seed=seed)
     rows = oversmoothing_sweep(data, [1, 8],
                                variants=("we_lift", "scalar_edge"), cfg=cfg)
     table = {(r["variant"], r["depth"]): r for r in rows}

@@ -178,6 +178,34 @@ class TestTrain:
         assert vals.size > 0
         assert (out / "laplacian.txt").read_text() == expected
 
+    def test_lambda2_is_the_gap_of_the_best_operator(self, toy_json, tmp_path,
+                                                     monkeypatch):
+        # metrics.json's lambda2 describes the operator the model used: the
+        # normalized gap of the Laplacian built from the best epoch's
+        # parameters, which the fit returns
+        import otsheaf.cli as cli
+        from otsheaf.laplacian import normalized_range_gap
+        from otsheaf.model import sheaf_laplacian
+        from otsheaf.training import epoch_context
+        fits = []
+        real = cli.fit
+
+        def kept(data, cfg):
+            out = real(data, cfg)
+            fits.append((data, cfg, out[0]))
+            return out
+
+        monkeypatch.setattr(cli, "fit", kept)
+        out = tmp_path / "run"
+        assert main(_train_args(toy_json, out)) == 0
+        [(data, cfg, params)] = fits
+        ctx = epoch_context(data, params.W_proj, cfg, "we_lift")
+        L = sheaf_laplacian(params.W_theta, ctx.plans, ctx.edges, ctx.n)
+        expected = normalized_range_gap(L, seed=cfg.seed).lambda2
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert expected > 0
+        assert metrics["lambda2"] == pytest.approx(expected, rel=1e-12)
+
     def test_edgeless_graph_writes_null_homophily(self, tmp_path):
         # the fit runs on a graph without edges, so the run writes every
         # artifact; its undefined homophily is null in metrics.json
@@ -203,6 +231,16 @@ class TestTrain:
                      "--set", "train.epochz=3", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "train.epochz" in capsys.readouterr().err
+
+    def test_gap_steps_key_exits_one(self, toy_json, tmp_path, capsys):
+        # the gap ascent no longer runs in training, so its step count is
+        # no config key
+        code = main(["train", "--set", f"data.path={toy_json}",
+                     "--set", "train.gap_steps=3",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown config key: 'train.gap_steps'" in err
 
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_no_epochs_exits_one_before_fitting(self, toy_json, tmp_path,

@@ -19,8 +19,7 @@ def test_fit_peak_stays_under_ten_edge_stacks():
     g, feats, labels = synthetic_dataset(n=200, num_classes=3, d0=16, seed=0,
                                          homophily=0.8, avg_degree=6.0)
     data = Dataset(g, feats, labels, make_split(labels, per_class=5, seed=0))
-    cfg = TrainConfig(d_v=16, gap_steps=0, n_layers=1, epochs=1, patience=1,
-                      seed=0)
+    cfg = TrainConfig(d_v=16, n_layers=1, epochs=1, patience=1, seed=0)
     stack = g.m * cfg.d_v * cfg.d_v * 8
     tracemalloc.start()
     try:
