@@ -5,16 +5,14 @@ Laplacian blocks and the two-branch diffusion forward pass on the tape,
 (2) the Beta-posterior fixed point that refreshes the calibration
 weights, (3) the loss and backward, which consumes the tape, and (4) the
 parameter step.  Between (3) and (4) one gap estimate of the forward's
-Laplacian prices the spectral penalty and is reported as lambda2: nothing
-on the tape reads it, so it runs once backward has freed the tape, and
-ahead of the step, so that an error leaves the parameters and optimizer
-moments as they were.  The estimate reports an eigensolver stall as a
-status (converged=False and one WARNING), and nothing in the epoch
-re-raises one.  The transport plans depend only on the frozen
-feature projection, so `epoch_context` projects the features and lifts
-them once per parameter set.  An epoch and `evaluate` share one path to
-calibrated, scored predictions: `calibrate`, whose array the loss reads
-too, then `score`.
+Laplacian prices the spectral penalty and is reported as lambda2 (the
+deprecated gap ascent reports its last gap).  Nothing on the tape reads
+it, so it runs once backward has freed the tape and ahead of the step:
+an error leaves the parameters and optimizer moments as they were.  The
+transport plans depend only on the frozen feature projection, so
+`epoch_context` projects the features and lifts them once per parameter
+set.  An epoch and `evaluate` share one path to calibrated, scored
+predictions: `calibrate`, whose array the loss reads too, then `score`.
 
 The loss on the tape is the calibrated cross-entropy alone.  Within an
 epoch the plans and calibration weights are constants of it, and
@@ -53,7 +51,6 @@ from .graphs import Graph, Labels, NodeFeatures, SplitMask, nrs
 from .laplacian import normalized_range_gap
 # not called here; perfbench/spans.py rebinds these names to time them
 from .laplacian import assemble_laplacian, reassemble_restrictions  # noqa: F401
-from .spectral import run_gap_ascent  # noqa: F401
 from .model import (
     EpochContext,
     ModelParams,
@@ -63,7 +60,7 @@ from .model import (
     leaf_grads,
     softmax,
 )
-from .spectral import spec_penalty
+from .spectral import run_gap_ascent, spec_penalty
 from .transport import edge_plans, projected_features
 
 VARIANTS = ("we_lift", "scalar_edge")
@@ -105,10 +102,13 @@ class TrainConfig:
     lift_eps: float = 0.5
     optimizer: str = "gd"
     seed: int = 0
-    # ignored; kept for perfbench/workloads.py, as test_perfbench_targets pins
+    # deprecated ascent steps per epoch, for ascent_n40 until ROADMAP 1a
     gap_steps: InitVar[int] = 0
 
     def __post_init__(self, gap_steps):
+        if gap_steps < 0:
+            raise ValueError("gap_steps must be nonnegative")
+        self.gap_steps = gap_steps   # not a field, so no config key
         for name in ("lr", "weight_decay", "dt", "cg_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -147,7 +147,7 @@ class EpochReport:
     kl: float
     spec: float
     bound: float
-    lambda2: float       # gap estimate of the operator the forward used
+    lambda2: float       # after the epoch's ascent steps
     train_acc: float
     val_acc: float
     test_acc: float
@@ -228,13 +228,13 @@ def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
 
 def train_epoch(state: TrainState, data: Dataset,
                 cfg: TrainConfig) -> tuple[TrainState, EpochReport]:
-    """One pass: forward, posterior, backward, update.
+    """One pass: forward, posterior, backward, gap estimate, update.
 
-    backward consumes the tape, and the one gap estimate runs after it, on
-    an operator with the forward Laplacian's blocks and their
+    backward consumes the tape, and the gap estimate runs after it, on an
+    operator with the forward Laplacian's blocks and their
     eigendecomposition but not its BSR form, so no tape array is alive
     while the eigensolver runs.  It reports a stall as converged=False,
-    not as an error.  It runs before the update, so an error in it leaves
+    not as an error, and runs before the update, so an error in it leaves
     state.params, opt_m and opt_v intact.
     """
     t0 = time.perf_counter()
@@ -259,8 +259,9 @@ def train_epoch(state: TrainState, data: Dataset,
     except FloatingPointError as exc:
         raise FloatingPointError(f"epoch {state.epoch}: {exc}") from exc
 
-    lambda2 = float(normalized_range_gap(L, seed=cfg.seed).lambda2)
-    spec = spec_penalty(cal.posterior.coupling.c_het, lambda2)
+    _, lambda2s = run_gap_ascent(L, steps=cfg.gap_steps, seed=cfg.seed,
+                                 estimator=normalized_range_gap)
+    spec = spec_penalty(cal.posterior.coupling.c_het, lambda2s[0])
     raw_loss = pac_bayes_bound(float(ce.value), kl, spec)
 
     new_params = _apply_update(state, grads, cfg, state.epoch + 1)
@@ -274,7 +275,7 @@ def train_epoch(state: TrainState, data: Dataset,
         kl=kl,
         spec=spec,
         bound=pac_bayes_bound(emp_norm, kl, spec),
-        lambda2=lambda2,
+        lambda2=lambda2s[-1],
         **scores,
         cg_iters=cg_iters,
         wall_ms=(time.perf_counter() - t0) * 1e3)

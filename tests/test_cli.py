@@ -233,8 +233,8 @@ class TestTrain:
         assert "train.epochz" in capsys.readouterr().err
 
     def test_gap_steps_key_exits_one(self, toy_json, tmp_path, capsys):
-        # the gap ascent no longer runs in training, so its step count is
-        # no config key
+        # training runs no gap ascent by default, and its step count is no
+        # config key
         code = main(["train", "--set", f"data.path={toy_json}",
                      "--set", "train.gap_steps=3",
                      "--out", str(tmp_path / "x")])
