@@ -12,6 +12,7 @@ from scipy.linalg import block_diag
 from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import (
     SheafIncidence,
+    _block_isqrt,
     assemble_laplacian,
     estimate_spectrum,
     normalized_range_gap,
@@ -51,10 +52,8 @@ print(f"  {np.sum(w < 1e-6)} of {Ls.N} raw modes sit below 1e-6: "
 # the normalized operator reports connectivity above its null modes
 gap = normalized_range_gap(Ls)
 # S L S densely, S the blockwise pseudo-inverse square root of the degrees
-wd, Vd = np.linalg.eigh(Ls.diag)
-inv = np.where(wd > 1e-12 * np.maximum(wd[:, -1:], 1.0),
-               1.0 / np.sqrt(np.maximum(wd, 1e-300)), 0.0)
-S = block_diag(*np.einsum("nab,nb,ncb->nac", Vd, inv, Vd))
+# that the model's normalization uses
+S = block_diag(*_block_isqrt(Ls.diag)[0])
 print(f"  normalized mixing gap lambda_2 = {gap.lambda2:.5f} "
       f"(lambda_max = {top_eigenvalue(S @ Ls.to_dense() @ S, 0):.5f}, "
       f"spectrum lives in [0, 2])")

@@ -30,7 +30,8 @@ for n in (100, 1000, 10000):
     lam_hi = 2.0 * float(g.degrees.max())
     dt = 1.0 / lam_hi
     b = rng.normal(size=L.N)
-    res = cg_solve(lambda v: v + dt * L.matvec(v), b, CGConfig(tol=1e-8))
+    res = cg_solve(lambda v: v + dt * L.matvec(v), b,
+                   CGConfig(tol=1e-8, max_iter=1000))
     ceiling = int(np.ceil(np.sqrt(2.0) * np.log(np.linalg.norm(b) / 1e-8)))
     print(f"n={n:6d}: m={g.m:6d}, CG iterations {res.iterations:3d} "
           f"(kappa<=2 ceiling {ceiling}), residual {res.residual:.1e}")

@@ -36,7 +36,8 @@ y_hat = np.full((g.n, labels.C), 0.01 / (labels.C - 1))
 y_hat[np.arange(g.n), y_pred] = 0.99
 
 a0, b0 = 1.0, 1.0   # the uniform prior on every edge
-post = posterior_update(a0, b0, y_hat, g, labels, train_idx)
+post = posterior_update(a0, b0, y_hat, g, labels, train_idx, gamma_cap=50.0,
+                        n_msg=1)
 kappa = node_kappa(post, g)
 print(f"edge trust kappa_bar: min {post.kappa_bar.min():.3f}, "
       f"mean {post.kappa_bar.mean():.3f}, max {post.kappa_bar.max():.3f}")

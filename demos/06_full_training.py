@@ -51,7 +51,6 @@ for variant in ("we_lift", "scalar_edge"):
 
 # depth sweep: how much do deep stacks collapse node representations?
 rows = oversmoothing_sweep(data, [1, 4, 8],
-                           variants=("we_lift", "scalar_edge"),
                            cfg=TrainConfig(d_v=6, epochs=12, patience=12,
                                            seed=3))
 print("\ndepth sweep (variant, depth, test accuracy, neighborhood similarity):")

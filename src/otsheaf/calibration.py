@@ -68,8 +68,8 @@ def class_coupling(kappa_bar: np.ndarray, labels: Labels, g: Graph,
 
 
 def posterior_update(a0: float, b0: float, predictions: np.ndarray, g: Graph,
-                     labels: Labels, mask: np.ndarray,
-                     gamma_cap: float = 50.0, n_msg: int = 1) -> PosteriorState:
+                     labels: Labels, mask: np.ndarray, gamma_cap: float,
+                     n_msg: int) -> PosteriorState:
     """Fixed-point absorption of one round of n_msg messages per edge.
 
     Every edge starts from the shared Beta(a0, b0) prior; both must be at
@@ -153,7 +153,7 @@ def beta_kl(a1, b1, a0, b0):
             + (a0 - a1 + b0 - b1) * digamma(a1 + b1))
 
 
-def kl_term(posterior: PosteriorState, n: int, delta: float = 0.05) -> float:
+def kl_term(posterior: PosteriorState, n: int, delta: float) -> float:
     """sqrt((sum_e KL(posterior_e || Beta(a0, b0)) + ln(2/delta)) / (2n)).
 
     The prior (a0, b0) is the one the posterior started from.
@@ -179,16 +179,14 @@ def beta_variance(a, b):
     return a * b / ((a + b) ** 2 * (a + b + 1.0))
 
 
-def ece(predictions: np.ndarray, labels: Labels, mask: np.ndarray,
-        bins: int = 10):
-    """Expected calibration error with equal-width confidence bins.
+def ece(predictions: np.ndarray, labels: Labels, mask: np.ndarray):
+    """Expected calibration error with ten equal-width confidence bins.
 
     Returns (ece_value, rows) where each row is
     (bin_low, bin_high, mean_confidence, accuracy, count); empty bins carry
     zeros for the confidence and accuracy columns.
     """
-    if bins <= 0:
-        raise ValueError("bins must be positive")
+    bins = 10
     idx = np.asarray(mask)
     if idx.dtype == bool:
         idx = np.flatnonzero(idx)

@@ -15,8 +15,8 @@ import numpy as np
 
 @dataclass
 class CGConfig:
-    tol: float = 1e-8          # absolute tolerance on ||b - A x||_2
-    max_iter: int = 1000
+    tol: float      # absolute tolerance on ||b - A x||_2
+    max_iter: int
 
 
 @dataclass

@@ -266,15 +266,19 @@ def erdos_renyi(n: int, avg_degree: float, seed: int,
     """G(n, p) with p chosen to hit the requested expected average degree."""
     rng = np.random.default_rng(seed)
     p = min(1.0, avg_degree / max(n - 1, 1))
-    # sample i<j pairs in blocks to avoid materializing the full n^2 mask
-    edges = []
-    block = 2_000_000
-    idx_i, idx_j = np.triu_indices(n, k=1)
-    for start in range(0, idx_i.size, block):
-        sl = slice(start, min(start + block, idx_i.size))
-        keep = rng.random(idx_i[sl].size) < p
-        edges.append(np.stack([idx_i[sl][keep], idx_j[sl][keep]], axis=1))
-    e = np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), dtype=np.int64)
+    # one draw per i<j pair in triu order, a block of rows at a time, so no
+    # n^2 index array is built; consecutive draws equal one long draw
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    rows = max(1, 2_000_000 // max(n, 1))
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))
+        length = n - 1 - i   # row i holds the pairs (i, i+1), ..., (i, n-1)
+        ends = np.cumsum(length)
+        k = np.flatnonzero(rng.random(int(ends[-1])) < p)
+        r = np.searchsorted(ends, k, side="right")
+        j = i[r] + 1 + k - (ends[r] - length[r])
+        edges.append(np.stack([i[r], j], axis=1))
+    e = np.concatenate(edges, axis=0)
     if ensure_connected and n > 1:
         order = rng.permutation(n)
         spine = np.stack([order[:-1], order[1:]], axis=1)

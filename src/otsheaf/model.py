@@ -456,9 +456,10 @@ def grad_params(params: ModelParams, ctx: EpochContext):
     return leaf_grads(leaves), float(ce.value), aux
 
 
-def finite_difference_gradients(params: ModelParams, ctx: EpochContext,
-                                step: float = 1e-4) -> dict[str, np.ndarray]:
+def finite_difference_gradients(params: ModelParams, ctx: EpochContext
+                                ) -> dict[str, np.ndarray]:
     """Central differences of the epoch loss, one entry at a time."""
+    step = 1e-4
     out = {}
     for name, base in params.trainable().items():
         g = np.zeros_like(base)

@@ -91,7 +91,7 @@ class TrainConfig:
     delta: float = 0.05
     dt: float = 0.1
     d_v: int = 16
-    d_e: int | None = None   # edge stalk dimension; None matches d_v
+    d_e: int | None = None   # edge stalk dimension; None: init_state uses d_v
     n_layers: int = 1
     cheb_order: int = 3
     cg_tol: float = 1e-8
@@ -125,9 +125,7 @@ class TrainConfig:
             raise ValueError("cg_max_iter must be at least 1")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError("optimizer must be 'gd' or 'adam'")
-        if self.d_e is None:
-            self.d_e = self.d_v
-        if self.d_e < 1 or self.d_v < 1:
+        if self.d_v < 1 or self.d_e is not None and self.d_e < 1:
             raise ValueError("stalk dimensions must be positive")
         if self.n_layers < 1:
             raise ValueError("n_layers must be at least 1")
@@ -313,7 +311,7 @@ def init_state(data: Dataset, cfg: TrainConfig,
     scalar_edge pins every restriction map to the identity (the plain graph
     Laplacian baseline) and freezes W_theta in the parameters.
     """
-    d_e = cfg.d_v if variant == "scalar_edge" else cfg.d_e
+    d_e = cfg.d_v if variant == "scalar_edge" or cfg.d_e is None else cfg.d_e
     params = init_params(data.feats.d0, cfg.d_v, d_e, data.labels.C,
                          cfg.cheb_order, cfg.seed)
     if variant == "scalar_edge":
@@ -386,11 +384,11 @@ class ContractionStats:
     warmup: int
 
 
-def risk_variance_series(reports: list[EpochReport], warmup: int = 0,
-                         slack: float = 1e-6) -> ContractionStats:
+def risk_variance_series(reports: list[EpochReport], warmup: int = 0
+                         ) -> ContractionStats:
     """Per-epoch bounds with contraction statistics.
 
-    monotone_fraction counts post-warmup steps with B_{t+1} <= B_t + slack.
+    monotone_fraction counts post-warmup steps with B_{t+1} <= B_t + 1e-6.
     The geometric rate is fitted to the successive increments |B_{t+1} - B_t|
     by log-linear regression; an exactly constant series has rate 0.
     """
@@ -401,7 +399,7 @@ def risk_variance_series(reports: list[EpochReport], warmup: int = 0,
     if tail.size < 2:
         raise ValueError("warmup leaves fewer than 2 epochs")
     diffs = np.diff(tail)
-    fraction = float((diffs <= slack).mean())
+    fraction = float((diffs <= 1e-6).mean())
     inc = np.abs(np.diff(bounds))
     nz = inc > 1e-15
     if not nz.any():
@@ -439,14 +437,14 @@ def stability_bound(lambda_max: float, lambda2_0: float, dt: float,
                  * np.exp(-dt * delta_gap / 2.0) + eps_cg * epochs)
 
 
-def oversmoothing_sweep(data: Dataset, depths, variants=VARIANTS,
+def oversmoothing_sweep(data: Dataset, depths,
                         cfg: TrainConfig | None = None) -> list[dict]:
-    """Accuracy and embedding-similarity table across depth and lift variant."""
+    """Accuracy and embedding-similarity table across depth and both VARIANTS."""
     cfg = cfg or TrainConfig()
     if any(d < 1 or d > 8 for d in depths):
         raise ValueError("depths must lie in [1, 8]")
     rows = []
-    for variant in variants:
+    for variant in VARIANTS:
         for depth in depths:
             c = replace(cfg, n_layers=depth)
             params, _ = fit(data, c, variant=variant)

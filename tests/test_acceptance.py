@@ -86,7 +86,7 @@ def test_criterion_03_cg_iteration_bound():
 
 
 def test_criterion_04_gap_ascent_monotone():
-    r = check_gap_ascent(accepted_target=50)
+    r = check_gap_ascent()
     assert r.passed, "\n".join(r.detail)
     assert r.measured == 0.0
 
@@ -133,13 +133,13 @@ def test_criterion_07_bound_validity():
 
 
 def test_criterion_08_gradient_correctness():
-    r = check_gradcheck(tol=1e-4)
+    r = check_gradcheck()
     assert r.passed, "\n".join(r.detail)
     assert r.measured <= 1e-4
 
 
 def test_criterion_09_sparsifier_sandwich():
-    r = check_sparsifier(eps=0.3)
+    r = check_sparsifier()
     assert r.passed, "\n".join(r.detail)
     assert r.measured >= 0.99
 
@@ -147,8 +147,7 @@ def test_criterion_09_sparsifier_sandwich():
 def test_criterion_10_oversmoothing_depth():
     g, feats, labels = _real_dataset("cora")
     data = _split_dataset(g, feats, labels, seed=0)
-    rows = oversmoothing_sweep(data, [2, 8],
-                               variants=("we_lift", "scalar_edge"))
+    rows = oversmoothing_sweep(data, [2, 8])
     acc = {(r["variant"], r["depth"]): r["test_acc"] * 100 for r in rows}
     nrs = {(r["variant"], r["depth"]): r["nrs"] for r in rows}
     we_drop = acc[("we_lift", 2)] - acc[("we_lift", 8)]

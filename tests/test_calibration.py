@@ -58,7 +58,8 @@ class TestPrior:
         # no messages leave every edge at the Beta(a0, b0) prior
         g, labels, mask = labeled_path_fixture()
         pred = np.full((g.n, 2), 0.5)
-        p = posterior_update(2.0, 3.0, pred, g, labels, mask, n_msg=0)
+        p = posterior_update(2.0, 3.0, pred, g, labels, mask, gamma_cap=50.0,
+                             n_msg=0)
         assert np.all(p.alpha_bar == 2.0) and np.all(p.beta_bar == 3.0)
         assert np.allclose(p.kappa_bar, 0.4)
         assert (p.a0, p.b0) == (2.0, 3.0)
@@ -67,7 +68,7 @@ class TestPrior:
         g, labels, mask = labeled_path_fixture()
         with pytest.raises(ValueError):
             posterior_update(0.5, 1.0, np.full((g.n, 2), 0.5), g, labels,
-                             mask)
+                             mask, gamma_cap=50.0, n_msg=1)
 
 
 class TestBetaKL:
@@ -191,7 +192,8 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         pred = np.zeros((g.n, 2))
         pred[:, 0] = 1.0  # every edge agrees perfectly
-        post = posterior_update(1.0, 1.0, pred, g, labels, mask)
+        post = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                                gamma_cap=50.0, n_msg=1)
         assert np.all(post.kappa_bar > 0.5)
 
     def test_disagreeing_predictions_lower_kappa(self):
@@ -199,7 +201,7 @@ class TestPosteriorUpdate:
         labels = Labels(y=np.array([0, 1]), C=2)
         pred = np.array([[1.0, 0.0], [0.0, 1.0]])
         post = posterior_update(1.0, 1.0, pred, g, labels,
-                                np.array([0, 1]))
+                                np.array([0, 1]), gamma_cap=50.0, n_msg=1)
         assert np.all(post.kappa_bar < 0.5)
 
     def test_uniform_predictions_match_hand_formula(self):
@@ -208,8 +210,8 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         pred = np.full((g.n, 2), 0.5)
         for a0, b0, n_msg in [(1.0, 1.0, 1), (2.0, 1.0, 4), (1.5, 3.0, 7)]:
-            post = posterior_update(a0, b0, pred, g,
-                                    labels, mask, n_msg=n_msg)
+            post = posterior_update(a0, b0, pred, g, labels, mask,
+                                    gamma_cap=50.0, n_msg=n_msg)
             want = (a0 + n_msg / 2) / (a0 + b0 + n_msg)
             assert np.allclose(post.kappa_bar, want)
 
@@ -225,7 +227,8 @@ class TestPosteriorUpdate:
     def test_carries_the_coupling_of_its_final_means(self):
         g, labels, mask = labeled_path_fixture()
         pred = np.random.default_rng(3).dirichlet(np.ones(2), size=g.n)
-        post = posterior_update(1.0, 1.0, pred, g, labels, mask)
+        post = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                                gamma_cap=50.0, n_msg=1)
         want = class_coupling(post.kappa_bar, labels, g, mask)
         assert np.array_equal(post.coupling.Pi, want.Pi)
         assert post.coupling.c_het == want.c_het
@@ -246,10 +249,12 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         rng = np.random.default_rng(1)
         pred = rng.dirichlet(np.ones(2), size=g.n)
-        tight = posterior_update(1.0, 1.0, pred, g, labels, mask)
+        tight = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                                 gamma_cap=50.0, n_msg=1)
         assert not tight.converged and tight.sweeps == 10
         monkeypatch.setattr(calibration, "POSTERIOR_MAX_SWEEPS", 30)
-        loose = posterior_update(1.0, 1.0, pred, g, labels, mask)
+        loose = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                                 gamma_cap=50.0, n_msg=1)
         assert loose.converged and loose.sweeps <= 15
 
     def test_parameters_stay_valid(self):
@@ -258,6 +263,7 @@ class TestPosteriorUpdate:
         for trial in range(20):
             pred = rng.dirichlet(np.full(2, 0.3), size=g.n)
             post = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                                    gamma_cap=50.0,
                                     n_msg=rng.integers(1, 40))
             assert np.all(post.alpha_bar >= 1.0 - 1e-12) or np.all(post.alpha_bar > 0)
             assert np.all(post.beta_bar > 0)
@@ -267,8 +273,10 @@ class TestPosteriorUpdate:
         g, labels, mask = labeled_path_fixture()
         rng = np.random.default_rng(5)
         pred = rng.dirichlet(np.ones(2), size=g.n)
-        a = posterior_update(1.0, 1.0, pred, g, labels, mask)
-        b = posterior_update(1.0, 1.0, pred, g, labels, mask)
+        a = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                             gamma_cap=50.0, n_msg=1)
+        b = posterior_update(1.0, 1.0, pred, g, labels, mask,
+                             gamma_cap=50.0, n_msg=1)
         assert np.array_equal(a.alpha_bar, b.alpha_bar)
         assert np.array_equal(a.beta_bar, b.beta_bar)
 
@@ -317,12 +325,12 @@ class TestKLTerm:
     def test_grows_with_deviation(self):
         mild = make_posterior(np.full(6, 0.6), absorbed=2.0)
         sharp = make_posterior(np.full(6, 0.95), absorbed=20.0)
-        assert kl_term(sharp, 10) > kl_term(mild, 10)
+        assert kl_term(sharp, 10, 0.05) > kl_term(mild, 10, 0.05)
 
     def test_rejects_bad_args(self):
         post = make_posterior([0.5, 0.5])
         with pytest.raises(ValueError):
-            kl_term(post, 0)
+            kl_term(post, 0, 0.05)
         with pytest.raises(ValueError):
             kl_term(post, 5, delta=1.5)
 
@@ -340,7 +348,7 @@ class TestECE:
         ])
         y = np.array([0, 1, 0, 1, 0, 0])
         labels = Labels(y=y, C=2)
-        val, rows = ece(pred, labels, np.arange(6), bins=10)
+        val, rows = ece(pred, labels, np.arange(6))
         assert val == pytest.approx((0.45 + 0.65 + 0.75 + 0.15 + 2 * 0.05) / 6)
         assert sum(r[4] for r in rows) == 6
         assert len(rows) == 10
@@ -350,13 +358,13 @@ class TestECE:
         # one bin at confidence .8 with exactly 80% accuracy
         pred = np.tile([0.8, 0.2], (5, 1))
         labels = Labels(y=np.array([0, 0, 0, 0, 1]), C=2)
-        val, _ = ece(pred, labels, np.arange(5), bins=10)
+        val, _ = ece(pred, labels, np.arange(5))
         assert val == pytest.approx(0.0)
 
     def test_full_confidence_lands_in_top_bin(self):
         pred = np.array([[1.0, 0.0]])
         labels = Labels(y=np.array([0]), C=2)
-        val, rows = ece(pred, labels, np.arange(1), bins=10)
+        val, rows = ece(pred, labels, np.arange(1))
         assert rows[9][4] == 1
         assert val == pytest.approx(0.0)
 
@@ -364,5 +372,5 @@ class TestECE:
         pred = np.array([[0.9, 0.1], [0.6, 0.4]])
         labels = Labels(y=np.array([0, 1]), C=2)
         m = np.array([True, False])
-        val, rows = ece(pred, labels, m, bins=10)
+        val, rows = ece(pred, labels, m)
         assert sum(r[4] for r in rows) == 1

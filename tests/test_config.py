@@ -11,7 +11,8 @@ from otsheaf.config import (
     parse_config_file,
     parse_overrides,
 )
-from otsheaf.training import TrainConfig
+from otsheaf.graphs import make_split, synthetic_dataset
+from otsheaf.training import Dataset, TrainConfig, init_state
 
 
 class TestCoercion:
@@ -90,7 +91,12 @@ class TestBuildConfig:
         assert tc.lift_eps == pytest.approx(0.07)
         assert tc.seed == 9
         assert tc.d_v == 5
-        assert tc.d_e == 5        # unset edge dimension follows d_v
+        # the unset edge dimension stays unset and follows d_v where
+        # init_state draws W_theta
+        assert tc.d_e is None
+        g, feats, labels = synthetic_dataset(n=12, num_classes=2, d0=3, seed=0)
+        data = Dataset(g, feats, labels, make_split(labels, 2, seed=0))
+        assert init_state(data, tc).params.W_theta.shape == (5, 5)
 
     def test_defaults_are_train_config_defaults(self):
         # the trainer's keys are read off TrainConfig, one per field

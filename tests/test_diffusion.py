@@ -29,18 +29,19 @@ def _spd_system(seed, n=30):
 class TestCG:
     def test_solves_dense_spd(self):
         A, b = _spd_system(0)
-        res = cg_solve(lambda v: A @ v, b, CGConfig(tol=1e-10))
+        res = cg_solve(lambda v: A @ v, b, CGConfig(tol=1e-10, max_iter=1000))
         assert res.converged
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-8)
 
     def test_residual_definition(self):
         A, b = _spd_system(1)
-        res = cg_solve(lambda v: A @ v, b, CGConfig(tol=1e-9))
+        res = cg_solve(lambda v: A @ v, b, CGConfig(tol=1e-9, max_iter=1000))
         assert np.linalg.norm(b - A @ res.x) <= 1e-8
 
     def test_zero_rhs_returns_zero_in_zero_iterations(self):
         A, _ = _spd_system(2)
-        res = cg_solve(lambda v: A @ v, np.zeros(30), CGConfig())
+        res = cg_solve(lambda v: A @ v, np.zeros(30),
+                       CGConfig(tol=1e-8, max_iter=1000))
         assert res.iterations == 0 and res.converged
         np.testing.assert_array_equal(res.x, np.zeros(30))
 
@@ -51,7 +52,7 @@ class TestCG:
 
     def test_identity_converges_in_one_iteration(self):
         b = np.random.default_rng(5).normal(size=20)
-        res = cg_solve(lambda v: v, b, CGConfig(tol=1e-12))
+        res = cg_solve(lambda v: v, b, CGConfig(tol=1e-12, max_iter=1000))
         assert res.iterations == 1
         np.testing.assert_allclose(res.x, b, atol=1e-12)
 
@@ -85,7 +86,7 @@ class TestSvrDiffuse:
     def test_matches_dense_solve(self):
         L = self._fixture()
         x = np.random.default_rng(1).normal(size=L.N)
-        out, info = svr_diffuse(L, x, 0.1, CGConfig(tol=1e-11))
+        out, info = svr_diffuse(L, x, 0.1, CGConfig(tol=1e-11, max_iter=1000))
         dense = np.linalg.solve(np.eye(L.N) + 0.1 * L.to_dense(), x)
         assert info.converged
         np.testing.assert_allclose(out, dense, atol=1e-8)
@@ -95,21 +96,21 @@ class TestSvrDiffuse:
         L = self._fixture(seed=4)
         x = np.random.default_rng(4).normal(size=L.N)
         x[0] = np.nan
-        _, info = svr_diffuse(L, x, 0.1, CGConfig())
+        _, info = svr_diffuse(L, x, 0.1, CGConfig(tol=1e-8, max_iter=1000))
         assert np.isnan(info.residual)
         assert not info.converged
 
     def test_dt_zero_is_identity(self):
         L = self._fixture(seed=2)
         X = np.random.default_rng(2).normal(size=(L.N,))
-        out, info = svr_diffuse(L, X, 0.0, CGConfig())
+        out, info = svr_diffuse(L, X, 0.0, CGConfig(tol=1e-8, max_iter=1000))
         np.testing.assert_allclose(out, X, atol=1e-12)
         assert info.total_iterations <= 1
 
     def test_smoothing_reduces_dirichlet_energy(self):
         L = self._fixture(seed=3)
         X = np.random.default_rng(3).normal(size=(L.N,))
-        out, _ = svr_diffuse(L, X, 0.5, CGConfig(tol=1e-10))
+        out, _ = svr_diffuse(L, X, 0.5, CGConfig(tol=1e-10, max_iter=1000))
         assert out @ L.matvec(out) < X @ L.matvec(X)
 
     def test_jacobi_preconditioner_is_block_inverse(self):

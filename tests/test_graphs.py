@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,26 @@ class TestSynthetic:
     def test_erdos_renyi_degree(self):
         g = erdos_renyi(500, 10.0, seed=0)
         assert abs(g.degrees.mean() - 10.0) < 1.5
+
+    def test_erdos_renyi_draws_one_uniform_per_pair_in_triu_order(self):
+        # n=2100 spans three blocks of rows; the edges are those of one
+        # draw over every i<j pair, so the block size cannot move them
+        n = 2100
+        i, j = np.triu_indices(n, k=1)
+        keep = np.random.default_rng(4).random(i.size) < 6.0 / (n - 1)
+        want = Graph.from_edges(n, np.stack([i[keep], j[keep]], axis=1))
+        assert np.array_equal(erdos_renyi(n, 6.0, seed=4).edges, want.edges)
+
+    def test_erdos_renyi_builds_no_index_array_over_all_pairs(self):
+        # n=3000 has 4.5 M pairs: their (i, j) index arrays alone are 72 MB,
+        # one block of rows draws about 2 M uniforms (16 MB)
+        tracemalloc.start()
+        try:
+            erdos_renyi(3000, 6.0, seed=5, ensure_connected=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_synthetic_homophily_tracks_target(self):
         for target in (0.1, 0.5, 0.9):

@@ -454,7 +454,7 @@ class TestFullGradcheck:
     def test_all_blocks_against_central_differences(self, n_layers):
         params, ctx = _gradcheck_fixture(n_layers=n_layers)
         grads, _, _ = grad_params(params, ctx)
-        fd = finite_difference_gradients(params, ctx, step=1e-4)
+        fd = finite_difference_gradients(params, ctx)
         for name in grads:
             err = rel_err(grads[name], fd[name])
             assert err <= 1e-4, f"{name}: relative error {err:.2e}"

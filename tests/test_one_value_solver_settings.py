@@ -14,10 +14,21 @@ count is no config key, so nothing in `src/` or `demos/` names
 `gap_steps` but `TrainConfig`, whose deprecated constructor argument the
 benchmark's ascent workload still passes, and `train_epoch`, which
 reads it.
+
+The same holds for the acceptance checks' fixtures and the scoring
+helpers' settings: no check and no shared fixture run takes a parameter,
+and `ece`'s bin count, the contraction slack and the sweep's variants are
+no parameters either.  Trainer defaults live only in `TrainConfig`, so the
+functions it feeds declare no default for a value it holds.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from otsheaf import verify
+from otsheaf.calibration import kl_term, posterior_update
+from otsheaf.diffusion import CGConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "otsheaf"
@@ -25,7 +36,8 @@ PACKAGE = ROOT / "src" / "otsheaf"
 CLASSES = {"WolfeConfig", "DiffusionConfig", "LiftConfig",
            "SparsifierConfig"}
 PARAMETERS = {"dense_cutoff", "cutoff_rel", "max_rounds", "max_sweeps",
-              "inner_steps", "floor", "probes", "sample_scale"}
+              "inner_steps", "floor", "probes", "sample_scale", "bins",
+              "slack", "variants"}
 BLOCK_CUTOFF = "BLOCK_CUTOFF_REL"
 BLOCK_CUTOFF_READER = "_block_frames"
 GAP_STEPS = "gap_steps"
@@ -157,3 +169,27 @@ def test_no_gap_steps_outside_its_owners():
     hits = [hit for path in files
             for hit in gap_steps_names(path.read_text(), path.name)]
     assert hits == []
+
+
+def test_checks_and_their_shared_run_take_no_parameter():
+    fixtures = {**verify.CHECKS, "_synthetic_run": verify._synthetic_run}
+    takers = {name: list(inspect.signature(fn).parameters)
+              for name, fn in fixtures.items()
+              if inspect.signature(fn).parameters}
+    assert takers == {}
+
+
+# each function fed from TrainConfig -> its parameters for TrainConfig values
+TRAINER_VALUES = {posterior_update: ("gamma_cap", "n_msg"),
+                  kl_term: ("delta",),
+                  CGConfig: ("tol", "max_iter")}
+
+
+def test_no_second_default_for_trainer_values():
+    defaults = {f"{fn.__name__}.{name}": param.default
+                for fn, names in TRAINER_VALUES.items()
+                for name, param in inspect.signature(fn).parameters.items()
+                if name in names and param.default is not param.empty}
+    assert defaults == {}
+    for fn, names in TRAINER_VALUES.items():
+        assert set(names) <= set(inspect.signature(fn).parameters)

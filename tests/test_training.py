@@ -195,6 +195,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["d_v", "d_e"])
+    def test_rejects_nonpositive_stalk_dimension(self, name):
+        with pytest.raises(ValueError, match="stalk dimensions"):
+            TrainConfig(**{name: 0})
+
+    def test_unset_edge_dimension_follows_a_replaced_d_v(self):
+        # d_e stays None in the config, so a copy with another d_v draws
+        # W_theta at the new width instead of the default 16
+        cfg = dataclasses.replace(TrainConfig(), d_v=3)
+        assert cfg.d_e is None
+        state = init_state(two_cluster_dataset(), cfg)
+        assert state.params.W_theta.shape == (3, 3)
+
 
 class TestTrainEpoch:
     def test_zero_rates_leave_params_unchanged(self):

@@ -44,7 +44,7 @@ class TestFixtureCost:
             return real(*args, steps=steps, **kwargs)
 
         monkeypatch.setattr(training, "run_gap_ascent", recording)
-        verify._synthetic_run.__wrapped__(epochs=10)
+        verify._synthetic_run.__wrapped__()
         verify.check_oversmoothing.__wrapped__()
         assert steps_seen and set(steps_seen) == {0}
 
