@@ -261,23 +261,31 @@ def nrs(embeddings: np.ndarray, g: Graph | None = None) -> float:
     return float(total / (n * (n - 1) / 2))
 
 
+def _pair_draws(n: int, rng: np.random.Generator, below: float):
+    """(i, j, u) of the i<j pairs whose uniform draw u falls below `below`.
+
+    One draw per pair in triu order, a block of rows at a time, so no n^2
+    array is built; consecutive draws equal one long draw.
+    """
+    rows = max(1, 1_000_000 // max(n, 1))
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))
+        length = n - 1 - i   # row i holds the pairs (i, i+1), ..., (i, n-1)
+        ends = np.cumsum(length)
+        u = rng.random(int(ends[-1]))
+        k = np.flatnonzero(u < below)
+        u = u[k]   # the block's draws go before the next block's come
+        r = np.searchsorted(ends, k, side="right")
+        yield i[r], i[r] + 1 + k - (ends[r] - length[r]), u
+
+
 def erdos_renyi(n: int, avg_degree: float, seed: int,
                 ensure_connected: bool = False) -> Graph:
     """G(n, p) with p chosen to hit the requested expected average degree."""
     rng = np.random.default_rng(seed)
     p = min(1.0, avg_degree / max(n - 1, 1))
-    # one draw per i<j pair in triu order, a block of rows at a time, so no
-    # n^2 index array is built; consecutive draws equal one long draw
     edges = [np.zeros((0, 2), dtype=np.int64)]
-    rows = max(1, 2_000_000 // max(n, 1))
-    for start in range(0, n, rows):
-        i = np.arange(start, min(start + rows, n))
-        length = n - 1 - i   # row i holds the pairs (i, i+1), ..., (i, n-1)
-        ends = np.cumsum(length)
-        k = np.flatnonzero(rng.random(int(ends[-1])) < p)
-        r = np.searchsorted(ends, k, side="right")
-        j = i[r] + 1 + k - (ends[r] - length[r])
-        edges.append(np.stack([i[r], j], axis=1))
+    edges += [np.stack([i, j], axis=1) for i, j, _ in _pair_draws(n, rng, p)]
     e = np.concatenate(edges, axis=0)
     if ensure_connected and n > 1:
         order = rng.permutation(n)
@@ -300,17 +308,21 @@ def synthetic_dataset(n: int, num_classes: int, d0: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     y = rng.integers(0, num_classes, size=n)
-    same = y[:, None] == y[None, :]
-    frac_same = float(same[np.triu_indices(n, k=1)].mean())
+    counts = np.bincount(y, minlength=num_classes)
+    pairs = n * (n - 1) // 2
+    same_pairs = int((counts * (counts - 1) // 2).sum())
+    # exact integer ratio, as the boolean mean over every pair was
+    frac_same = same_pairs / pairs if pairs else 0.0
     # p_in/p_out calibrated so the expected edge homophily equals `homophily`
     # and the expected average degree equals `avg_degree`
     p_avg = min(1.0, avg_degree / max(n - 1, 1))
     p_in = min(1.0, p_avg * homophily / max(frac_same, 1e-12))
     p_out = min(1.0, p_avg * (1.0 - homophily) / max(1.0 - frac_same, 1e-12))
-    idx_i, idx_j = np.triu_indices(n, k=1)
-    p_pair = np.where(same[idx_i, idx_j], p_in, p_out)
-    keep = rng.random(idx_i.size) < p_pair
-    g = Graph.from_edges(n, np.stack([idx_i[keep], idx_j[keep]], axis=1))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for i, j, u in _pair_draws(n, rng, max(p_in, p_out)):
+        keep = u < np.where(y[i] == y[j], p_in, p_out)
+        edges.append(np.stack([i[keep], j[keep]], axis=1))
+    g = Graph.from_edges(n, np.concatenate(edges, axis=0))
     prototypes = rng.normal(size=(num_classes, d0)) * 3.0
     H = prototypes[y] + rng.normal(size=(n, d0)) * noise
     H = np.abs(H)  # keep features nonnegative like bag-of-words inputs

@@ -16,7 +16,7 @@ flattened (n * d_v,) form.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class ModelParams:
     W_mix: np.ndarray    # (d_v, 2 d_v)
     W_cls: np.ndarray    # (C, d_v)
     frozen: frozenset = frozenset()
+    # the fit's best-epoch outputs: set by training.fit, read by
+    # training.evaluate; with_updates and replace() never carry it
+    fit_memo: object = field(default=None, init=False, compare=False,
+                             repr=False)
 
     def trainable(self) -> dict[str, np.ndarray]:
         weights = {"W_theta": self.W_theta, "gamma": self.gamma,

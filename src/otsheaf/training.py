@@ -12,7 +12,8 @@ an error leaves the parameters and optimizer moments as they were.  The
 transport plans depend only on the frozen feature projection, so
 `epoch_context` projects the features and lifts them once per parameter
 set.  An epoch and `evaluate` share one path to calibrated, scored
-predictions: `calibrate`, whose array the loss reads too, then `score`.
+predictions: `calibrate`, whose array the loss reads too, then `score`;
+on a fit's own result `evaluate` scores the best epoch's array again.
 
 The loss on the tape is the calibrated cross-entropy alone.  Within an
 epoch the plans and calibration weights are constants of it, and
@@ -32,6 +33,7 @@ informative band O(1) and a fixed cutoff meaningful.
 
 from __future__ import annotations
 
+import copy
 import csv
 import time
 from dataclasses import InitVar, dataclass, field, replace
@@ -145,7 +147,8 @@ class EpochReport:
     kl: float
     spec: float
     bound: float
-    lambda2: float       # after the epoch's ascent steps
+    lambda2: float       # the epoch's one gap estimate (the deprecated
+                         # ascent's last, when gap_steps > 0)
     train_acc: float
     val_acc: float
     test_acc: float
@@ -161,6 +164,9 @@ class TrainState:
     epoch: int = 0
     opt_m: dict = field(default_factory=dict)
     opt_v: dict = field(default_factory=dict)
+    # the last epoch's calibrated probabilities and last-layer embedding,
+    # computed from its parameters before the update
+    evaluated: tuple | None = None
 
 
 def pac_bayes_bound(emp_risk: float, kl: float, spec: float) -> float:
@@ -240,6 +246,7 @@ def train_epoch(state: TrainState, data: Dataset,
     y_hat = softmax(logits.value)
     cg_iters = int(aux["cg_iters"])
     L = replace(aux["L"], _bsr=None)
+    embedding = aux["embeddings"][-1]
     del aux
 
     cal = calibrate(y_hat, data, cfg)
@@ -278,6 +285,7 @@ def train_epoch(state: TrainState, data: Dataset,
         cg_iters=cg_iters,
         wall_ms=(time.perf_counter() - t0) * 1e3)
     state.params = new_params
+    state.evaluated = (cal.probs, embedding)
     state.epoch += 1
     return state, report
 
@@ -321,6 +329,30 @@ def init_state(data: Dataset, cfg: TrainConfig,
                       ctx=epoch_context(data, params.W_proj, cfg, variant))
 
 
+def _weights(params: ModelParams) -> tuple[np.ndarray, ...]:
+    return (params.W_proj, params.W_theta, params.gamma, params.W_mix,
+            params.W_cls)
+
+
+@dataclass(frozen=True, eq=False)
+class _FitMemo:
+    """A fit's best-epoch outputs and the inputs they were computed from."""
+
+    data: Dataset
+    cfg: TrainConfig         # a copy
+    variant: str
+    weights: tuple           # copies of _weights(params)
+    probs: np.ndarray        # calibrated class probabilities
+    embedding: np.ndarray    # last-layer embedding
+
+    def holds_for(self, params: ModelParams, data: Dataset,
+                  cfg: TrainConfig, variant: str) -> bool:
+        return (data is self.data and variant == self.variant
+                and cfg == self.cfg
+                and all(np.array_equal(w, kept) for w, kept
+                        in zip(_weights(params), self.weights)))
+
+
 def fit(data: Dataset, cfg: TrainConfig, variant: str = "we_lift"
         ) -> tuple[ModelParams, list[EpochReport]]:
     """Descent with early stopping on validation accuracy.
@@ -330,6 +362,11 @@ def fit(data: Dataset, cfg: TrainConfig, variant: str = "we_lift"
     report series.  Raises TrainingDiverged if an epoch's calibrated CE,
     the loss the tape descends, is not finite.  An update builds new
     arrays, so a parameter set is kept by reference, not copied.
+
+    The returned parameters carry the best epoch's calibrated probabilities
+    and last-layer embedding, with `data`, a copy of `cfg`, `variant` and
+    copies of the weights, so that `evaluate` on them need not repeat that
+    epoch; a fit of zero epochs returns its initial draw without them.
     """
     state = init_state(data, cfg, variant)
     best_acc = -np.inf
@@ -343,9 +380,14 @@ def fit(data: Dataset, cfg: TrainConfig, variant: str = "we_lift"
         if rep.val_acc > best_acc:
             best_acc = rep.val_acc
             best_params = evaluated
+            best_outputs = state.evaluated
             best_epoch = t
         elif t - best_epoch >= cfg.patience:
             break
+    if best_epoch >= 0:
+        best_params.fit_memo = _FitMemo(
+            data, copy.copy(cfg), variant,
+            tuple(w.copy() for w in _weights(best_params)), *best_outputs)
     return best_params, reports
 
 
@@ -362,16 +404,30 @@ class EvalResult:
 
 def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
              variant: str = "we_lift") -> EvalResult:
-    """Forward pass plus one calibration stage, no parameter movement."""
-    ctx = epoch_context(data, params.W_proj, cfg, variant)
-    logits, _, aux = forward_tape(params, ctx)
-    y_hat = softmax(logits.value)
-    embedding = aux["embeddings"][-1]
-    del logits, aux   # the tape is freed before the posterior runs
-    cal = calibrate(y_hat, data, cfg)
-    scores, rows = score(cal.probs, data)
+    """Forward pass plus one calibration stage, no parameter movement.
+
+    On the parameters `fit` returned, given the fit's own Dataset object
+    (`is`, not an equal one), an equal config, the same variant and weights
+    still equal to those the fit evaluated, it scores the best epoch's
+    calibrated probabilities and embedding, which is what the forward pass
+    and calibration would compute again, bit for bit.  Any other call (a
+    Dataset built anew, even from the same arrays; another config or
+    variant; a weight edited in place; parameters no fit returned) runs the
+    forward pass and calibration.
+    """
+    memo = params.fit_memo
+    if memo is not None and memo.holds_for(params, data, cfg, variant):
+        probs, embedding = memo.probs.copy(), memo.embedding
+    else:
+        ctx = epoch_context(data, params.W_proj, cfg, variant)
+        logits, _, aux = forward_tape(params, ctx)
+        y_hat = softmax(logits.value)
+        embedding = aux["embeddings"][-1]
+        del logits, aux   # the tape is freed before the posterior runs
+        probs = calibrate(y_hat, data, cfg).probs
+    scores, rows = score(probs, data)
     return EvalResult(**scores, nrs=nrs(embedding, data.g),
-                      predictions=cal.probs, reliability=rows)
+                      predictions=probs, reliability=rows)
 
 
 # ------------------------------------------------------------ theory series

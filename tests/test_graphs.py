@@ -242,7 +242,7 @@ class TestSynthetic:
         assert abs(g.degrees.mean() - 10.0) < 1.5
 
     def test_erdos_renyi_draws_one_uniform_per_pair_in_triu_order(self):
-        # n=2100 spans three blocks of rows; the edges are those of one
+        # n=2100 spans five blocks of rows; the edges are those of one
         # draw over every i<j pair, so the block size cannot move them
         n = 2100
         i, j = np.triu_indices(n, k=1)
@@ -252,7 +252,7 @@ class TestSynthetic:
 
     def test_erdos_renyi_builds_no_index_array_over_all_pairs(self):
         # n=3000 has 4.5 M pairs: their (i, j) index arrays alone are 72 MB,
-        # one block of rows draws about 2 M uniforms (16 MB)
+        # one block of rows draws about 1 M uniforms (8 MB)
         tracemalloc.start()
         try:
             erdos_renyi(3000, 6.0, seed=5, ensure_connected=True)
@@ -260,6 +260,53 @@ class TestSynthetic:
         finally:
             tracemalloc.stop()
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+    @staticmethod
+    def _dense_synthetic(n, num_classes, d0, seed, homophily=0.8,
+                         avg_degree=6.0, noise=1.0):
+        # synthetic_dataset as it was, with (n, n) and all-pairs arrays
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, num_classes, size=n)
+        same = y[:, None] == y[None, :]
+        frac_same = float(same[np.triu_indices(n, k=1)].mean())
+        p_avg = min(1.0, avg_degree / max(n - 1, 1))
+        p_in = min(1.0, p_avg * homophily / max(frac_same, 1e-12))
+        p_out = min(1.0, p_avg * (1.0 - homophily)
+                    / max(1.0 - frac_same, 1e-12))
+        idx_i, idx_j = np.triu_indices(n, k=1)
+        p_pair = np.where(same[idx_i, idx_j], p_in, p_out)
+        keep = rng.random(idx_i.size) < p_pair
+        g = Graph.from_edges(n, np.stack([idx_i[keep], idx_j[keep]], axis=1))
+        prototypes = rng.normal(size=(num_classes, d0)) * 3.0
+        H = np.abs(prototypes[y] + rng.normal(size=(n, d0)) * noise)
+        return g, H, y
+
+    @pytest.mark.parametrize("shape", [
+        # the ascent_n40 and lift_n300 benchmark fixtures, the Cornell
+        # shape, and n=1000, whose pairs span several blocks of rows
+        dict(n=40, num_classes=3, d0=8, seed=0, noise=0.4),
+        dict(n=300, num_classes=5, d0=64, seed=0),
+        dict(n=183, num_classes=5, d0=1703, seed=0, homophily=0.1,
+             avg_degree=3.0),
+        dict(n=1000, num_classes=4, d0=6, seed=7, homophily=0.3),
+    ])
+    def test_synthetic_matches_the_all_pairs_draw(self, shape):
+        g, feats, labels = synthetic_dataset(**shape)
+        want_g, want_H, want_y = self._dense_synthetic(**shape)
+        assert np.array_equal(g.edges, want_g.edges)
+        assert np.array_equal(feats.H, want_H)
+        assert np.array_equal(labels.y, want_y)
+
+    def test_synthetic_builds_no_array_over_all_pairs(self):
+        # n=3000 has 4.5 M pairs; the (n, n) class mask, the index arrays
+        # and the per-pair probabilities peaked at 157 MB
+        tracemalloc.start()
+        try:
+            synthetic_dataset(3000, 5, 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_synthetic_homophily_tracks_target(self):
         for target in (0.1, 0.5, 0.9):

@@ -120,6 +120,30 @@ def count_spectral_calls(monkeypatch) -> dict:
     return calls
 
 
+def count_pipeline_calls(monkeypatch) -> dict:
+    """Count forward passes, lifts and posterior updates in `training`."""
+    import otsheaf.training as training
+    calls = dict.fromkeys(("forward_tape", "edge_plans", "posterior_update"),
+                          0)
+    for name in calls:
+        def counted(*args, real=getattr(training, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(training, name, counted)
+    return calls
+
+
+def assert_same_eval(got, want):
+    """Every EvalResult field equal bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
 def fake_reports(bounds):
     return [EpochReport(epoch=t, emp_risk=float(b), raw_loss=float(b),
                         kl=0.0, spec=0.0, bound=float(b), lambda2=1.0,
@@ -761,19 +785,81 @@ class TestFit:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_evaluate_reproduces_best_epoch(self, variant):
         # the best epoch's posterior also absorbs one round from the
-        # initial prior, so evaluate reproduces its calibrated numbers; the
-        # second fixture is the ascent_n40 benchmark shape, whose epochs
-        # run Adam steps
+        # initial prior, so a new forward pass and calibration (evaluate on
+        # a memo-free copy of the parameters) reproduce its calibrated
+        # numbers, and evaluate on the fit's own result, which reuses that
+        # epoch, returns the same EvalResult bit for bit; the second
+        # fixture is the ascent_n40 benchmark shape, whose epochs run Adam
+        # steps, the third a two-layer fit
         fixtures = [(two_cluster_dataset(),
                      small_cfg(epochs=10, lr=0.3, patience=10)),
                     benchmark_shape(40, 3, 8, 5, fit=1, noise=0.4, d_v=6,
-                                    epochs=5)]
+                                    epochs=5),
+                    (two_cluster_dataset(),
+                     small_cfg(epochs=6, lr=0.3, patience=6, n_layers=2))]
         for data, cfg in fixtures:
             params, reports = fit(data, cfg, variant=variant)
             best = max(reports, key=lambda r: r.val_acc)
-            res = evaluate(params, data, cfg, variant=variant)
+            assert params.fit_memo is not None
+            computed = evaluate(dataclasses.replace(params), data, cfg,
+                                variant=variant)
             for name in ("train_acc", "val_acc", "test_acc", "ece"):
-                assert getattr(res, name) == getattr(best, name), name
+                assert getattr(computed, name) == getattr(best, name), name
+            assert_same_eval(evaluate(params, data, cfg, variant=variant),
+                             computed)
+
+    def test_evaluate_on_its_fit_repeats_nothing(self, monkeypatch):
+        calls = count_pipeline_calls(monkeypatch)
+        data, cfg = benchmark_shape(40, 3, 8, 5, fit=1, noise=0.4, d_v=6,
+                                    epochs=5)
+        params, _ = fit(data, cfg)
+        assert calls["edge_plans"] == 1
+        calls.update(dict.fromkeys(calls, 0))
+        res = evaluate(params, data, cfg)
+        assert calls == dict.fromkeys(calls, 0)
+        computed = evaluate(dataclasses.replace(params), data, cfg)
+        assert calls == dict.fromkeys(calls, 1)
+        assert_same_eval(res, computed)
+        # a second call still reuses, and the caller's predictions array
+        # is its own
+        res.predictions[:] = 0.0
+        assert_same_eval(evaluate(params, data, cfg), computed)
+        assert calls == dict.fromkeys(calls, 1)
+
+    def test_evaluate_recomputes_when_anything_differs(self, monkeypatch):
+        calls = count_pipeline_calls(monkeypatch)
+        data, cfg = benchmark_shape(40, 3, 8, 5, fit=1, noise=0.4, d_v=6,
+                                    epochs=5)
+        params, _ = fit(data, cfg)
+        same_arrays = Dataset(data.g, data.feats, data.labels, data.split)
+        empty, _ = fit(data, dataclasses.replace(cfg, epochs=0))
+        assert empty.fit_memo is None
+        cases = [(params, same_arrays, cfg, "we_lift"),
+                 (params, data, dataclasses.replace(cfg, dt=0.2), "we_lift"),
+                 (params, data, cfg, "scalar_edge"),
+                 (empty, data, cfg, "we_lift")]
+        for p, d, c, variant in cases:
+            calls.update(dict.fromkeys(calls, 0))
+            res = evaluate(p, d, c, variant=variant)
+            assert calls["forward_tape"] == 1, (c, variant)
+            assert calls["posterior_update"] == 1, (c, variant)
+            assert_same_eval(res, evaluate(dataclasses.replace(p), d, c,
+                                           variant=variant))
+        params.W_cls[0, 0] += 1.0
+        calls.update(dict.fromkeys(calls, 0))
+        res = evaluate(params, data, cfg)
+        assert calls == dict.fromkeys(calls, 1)
+        assert_same_eval(res, evaluate(dataclasses.replace(params), data,
+                                       cfg))
+
+    def test_new_parameter_sets_carry_no_memo(self):
+        data, cfg = benchmark_shape(40, 3, 8, 5, fit=1, noise=0.4, d_v=6,
+                                    epochs=2)
+        params, _ = fit(data, cfg)
+        assert params.fit_memo is not None
+        assert params.with_updates({"W_cls": params.W_cls}).fit_memo is None
+        assert dataclasses.replace(params).fit_memo is None
+        assert "fit_memo" not in repr(params)
 
     def test_only_lambda2_reads_the_ascent(self):
         # the deprecated ascent's iterate never reaches the model: on the
