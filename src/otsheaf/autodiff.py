@@ -134,8 +134,3 @@ def relu(x: Var) -> Var:
     return Var(np.where(mask, x.value, 0.0), (x,),
                lambda g, live: (g * mask,))
 
-
-def concat_cols(a: Var, b: Var) -> Var:
-    ka = a.value.shape[1]
-    out = np.concatenate([a.value, b.value], axis=1)
-    return Var(out, (a, b), lambda g, live: (g[:, :ka], g[:, ka:]))

@@ -10,10 +10,11 @@ L = B^T B accumulates per edge:
 so x^T L x = sum_e ||R_ij x_i - R_ji x_j||^2 >= 0 by construction.
 
 Every matrix with this block pattern (L, the incidence B and the
-compressed normalized operator) is built by block_sparse and held and
-applied as BSR (block sparse rows, d_v x d_v blocks) through
-SheafLaplacian.matvec; CSR copies are made only to restrict rows and
-columns and to densify.  The normalized S L S is never built: the model
+compressed normalized operator) is built by block_sparse.  L and B are
+held and applied as BSR (block sparse rows, d_v x d_v blocks) through
+SheafLaplacian.matvec; the compressed operator is held only as CSR,
+built a range of block rows at a time, and other CSR copies are made
+only to densify.  The normalized S L S is never built: the model
 applies it as S (L (S x)).  pattern_outer is the gradient of a bilinear
 form in the blocks.
 """
@@ -121,10 +122,9 @@ class SheafIncidence:
 class SheafLaplacian:
     """Symmetric block operator stored as diagonal and (i, j) off blocks.
 
-    Holds L itself and every other matrix on L's pattern: a gradient
-    direction, the compressed normalized operator before its restriction.
-    Its BSR form is built once, on first use, and matvec is the one way the
-    package applies such a matrix.
+    Holds L itself and every other matrix on L's pattern, such as a
+    gradient direction.  Its BSR form is built once, on first use, and
+    matvec is the one way the package applies such a matrix.
     """
 
     n: int
@@ -478,31 +478,6 @@ def _gap_above_cutoff(A: sp.csr_matrix, seed: int) -> SpectralEstimates:
                              residual2=res, converged=converged)
 
 
-def _kept_rows(A: sp.bsr_matrix, keep: np.ndarray) -> list:
-    """A restricted to the rows and columns where keep is True, in CSR pieces.
-
-    About BLOCK_CHUNK blocks of block rows at a time are copied out by
-    block_sparse, go to CSR and lose their dropped rows and columns, so no
-    CSR copy of all of A is made.  Stacked in order, the pieces are
-    A.tocsr()[k][:, k] with k the kept indices, array for array.  The
-    caller stacks them once A is freed.
-    """
-    d = A.blocksize[0]
-    n, n_cols = A.shape[0] // d, A.shape[1] // d
-    idx = np.flatnonzero(keep)
-    step = max(1, BLOCK_CHUNK * n // max(A.indptr[-1], 1))
-    parts = []
-    for r in range(0, n, step):
-        ptr = A.indptr[r:r + step + 1]
-        blocks = slice(ptr[0], ptr[-1])
-        rows = block_sparse(np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
-                            A.indices[blocks], [A.data[blocks]],
-                            len(ptr) - 1, n_cols)
-        parts.append(rows.tocsr()[np.flatnonzero(keep[r * d:(r + step) * d])]
-                     [:, idx])
-    return parts
-
-
 def _compressed_normalized(L: SheafLaplacian):
     """S L S compressed to range(S): A = T' L T, with T = blockdiag(T_i).
 
@@ -512,28 +487,51 @@ def _compressed_normalized(L: SheafLaplacian):
     the structural zeros of null(S).  Its diagonal blocks T_i' D_i T_i are
     the identity up to roundoff divided by the smallest kept w; they are
     computed, not assumed, so A is the compression of the S L S that the
-    tape's Chebyshev filter applies as S (L (S x)).  A is the CSR form of
-    the blocks T_i' D_i T_i and T_I' O T_J on L's pattern, restricted to
-    the kept rows and columns.  The off blocks are formed BLOCK_CHUNK
-    edges at a time, so no gather of every edge is held beside them.
-    Returns (A, T, kept): A of dimension kept.sum(), T (n, d, d) with zero
-    columns where a direction was dropped, and the (n, d) kept mask in the
-    row order of A.
+    tape's Chebyshev filter applies as S (L (S x)).
+
+    A is the CSR form of the blocks T_i' D_i T_i and T_I' O T_J on L's
+    pattern, restricted to the kept rows and columns.  It is built straight
+    from L's blocks, a range of block rows holding about BLOCK_CHUNK
+    blocks at a time: the range's diagonal blocks, the off blocks of the
+    edges that start in it and the transposed off blocks of the edges that
+    end in it are compressed by T, go through block_sparse to CSR and lose
+    their dropped rows and columns.  So no matrix of all of T' L T is
+    held; an edge's block is formed once for each of its ends instead.
+    Every block is the same products as in one whole build, and blocks at
+    one position are summed in the same order, so the stacked pieces are
+    B.tocsr()[k][:, k] array for array, with B the BSR matrix block_sparse
+    builds from all of the blocks at once and k the kept indices.  Returns
+    (A, T, kept): A of dimension kept.sum(), T (n, d, d) with zero columns
+    where a direction was dropped, and the (n, d) kept mask in the row
+    order of A.
     """
+    n = L.n
     w, V = L.diag_eigh if L.diag_eigh is not None else np.linalg.eigh(L.diag)
     T, kept = _block_frames(w, V)
     Tt = T.transpose(0, 2, 1)
-    Pd = Tt @ L.diag @ T
-    off = np.empty_like(L.off)
-    for s in range(0, L.m, BLOCK_CHUNK):
-        e = slice(s, s + BLOCK_CHUNK)
-        np.matmul(Tt[L.edges[e, 0]] @ L.off[e], T[L.edges[e, 1]], out=off[e])
-    A = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges,
-                       diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
-                       off=off).to_bsr()
-    del Pd, off   # A holds its own copy of the blocks
-    parts = _kept_rows(A, kept.reshape(-1))
-    del A
+    idx = np.flatnonzero(kept)
+    I, J = L.edges[:, 0], L.edges[:, 1]
+    # the edges that start, and that end, in each range of block rows
+    by_I, by_J = np.argsort(I, kind="stable"), np.argsort(J, kind="stable")
+    step = max(1, BLOCK_CHUNK * n // (2 * L.m + n))
+    starts = np.arange(0, n + step, step).clip(max=n)
+    cut_I = np.searchsorted(I[by_I], starts)
+    cut_J = np.searchsorted(J[by_J], starts)
+
+    def compressed_off(e):
+        return np.matmul(Tt[I[e]] @ L.off[e], T[J[e]])
+
+    parts = []
+    for c, (r, top) in enumerate(zip(starts[:-1], starts[1:])):
+        ei, ej = by_I[cut_I[c]:cut_I[c + 1]], by_J[cut_J[c]:cut_J[c + 1]]
+        Pd = Tt[r:top] @ L.diag[r:top] @ T[r:top]
+        nodes = np.arange(r, top)
+        rows = block_sparse(
+            np.concatenate([I[ei], J[ej], nodes]) - r,
+            np.concatenate([J[ei], I[ej], nodes]),
+            [compressed_off(ei), compressed_off(ej).transpose(0, 2, 1),
+             0.5 * (Pd + Pd.transpose(0, 2, 1))], top - r, n)
+        parts.append(rows.tocsr()[np.flatnonzero(kept[r:top])][:, idx])
     return sp.vstack(parts, format="csr"), T, kept
 
 

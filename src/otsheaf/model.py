@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Var, backward, concat_cols, linear, relu, value_of
+from .autodiff import Var, backward, linear, relu, value_of
 from .calibration import calibrate_prediction
 from .diffusion import CGConfig, chebyshev_apply, chebyshev_weights, svr_diffuse
 from .laplacian import (
@@ -185,34 +185,6 @@ def _warn_unconverged(solve: str, info) -> None:
                        info.residual)
 
 
-def svr_branch(diag: Var, off: Var, L: SheafLaplacian, x,
-               ctx: EpochContext) -> tuple[Var, object]:
-    """(I + dt L)^(-1) x via CG; adjoint solves the same system once more.
-
-    L is the operator with the blocks (diag.value, off.value); sharing one
-    instance across layers builds its BSR form once.  With A = I + dt L
-    symmetric, y = A~x gives dL = -dt * (A~g) y' restricted to the pattern,
-    and dx = A~g; the outer product on the pattern is formed only when a
-    block is live.  An unconverged forward or adjoint solve logs a warning.
-    """
-    xv = value_of(x)
-    cg = CGConfig(tol=ctx.cg_tol, max_iter=ctx.cg_max_iter)
-    y, info = svr_diffuse(L, xv.reshape(-1), ctx.dt, cg)
-    _warn_unconverged("svr forward", info)
-
-    def solve_adjoint(g, live):
-        u, adj_info = svr_diffuse(L, g.reshape(-1), ctx.dt, cg)
-        _warn_unconverged("svr adjoint", adj_info)
-        gd = go = None
-        if live[0] or live[1]:
-            gd, go = pattern_outer(ctx.edges, u, y, ctx.n, ctx.d_v)
-            gd *= -ctx.dt
-            go *= -ctx.dt
-        return gd, go, u.reshape(xv.shape)
-
-    return Var(y.reshape(xv.shape), (diag, off, x), solve_adjoint), info
-
-
 def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
     """Per-block pinv-sqrt through eigh, with the matrix-function adjoint.
 
@@ -231,14 +203,23 @@ def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
 
     def vjp(g, live):
         Vt = V.transpose(0, 2, 1)
-        gt = Vt @ g @ V
+        # the weights phi are formed in place: divided differences of h,
+        # and the mean of h' where a pair of eigenvalues (nearly) coincides
         dw = w[:, :, None] - w[:, None, :]
-        dh = h[:, :, None] - h[:, None, :]
         close = np.abs(dw) < 1e-9 * wscale[:, :, None]
-        avg_hp = 0.5 * (hp[:, :, None] + hp[:, None, :])
-        phi = np.where(close, avg_hp, dh / np.where(close, 1.0, dw))
-        gb = V @ (phi * gt) @ Vt
-        return (0.5 * (gb + gb.transpose(0, 2, 1)),)
+        dw[close] = 1.0
+        phi = h[:, :, None] - h[:, None, :]
+        phi /= dw
+        np.add(hp[:, :, None], hp[:, None, :], out=dw)
+        dw *= 0.5
+        np.copyto(phi, dw, where=close)
+        del dw, close
+        phi *= Vt @ g @ V
+        gb = V @ phi @ Vt
+        del phi
+        out = gb + gb.transpose(0, 2, 1)
+        out *= 0.5
+        return (out,)
 
     return Var(S, (diag,), vjp), (w, V)
 
@@ -247,9 +228,9 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
                     edges: np.ndarray) -> tuple[Var, Var]:
     """Blocks of S L S: md_i = S_i D_i S_i, mo_e = S_i O_e S_j.
 
-    The model applies S L S as a composition (cheb_branch) and never forms
-    these blocks; they are the blockwise reference for S L S, with their
-    VJPs, and the benchmark's traced runs time this function by name.
+    The model applies S L S as a composition (diffusion_layer) and never
+    forms these blocks; they are the blockwise reference for S L S, with
+    their VJPs, and the benchmark's traced runs time this function by name.
     """
     Sv, Dv, Ov = S.value, diag.value, off.value
     I, J = edges[:, 0], edges[:, 1]
@@ -276,27 +257,49 @@ def sandwich_blocks(S: Var, diag: Var, off: Var,
     return Var(md, (S, diag), d_md), Var(mo, (S, off), d_mo)
 
 
-def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
-                x, ctx: EpochContext) -> Var:
-    """Chebyshev filter bank on M = I - S L S, reverse recurrence VJP.
+def diffusion_layer(S: Var, diag: Var, off: Var, L: SheafLaplacian,
+                    gamma: Var, x, ctx: EpochContext, deferred: list,
+                    release: bool) -> tuple[Var, object]:
+    """One layer's two diffusion branches, side by side in (n, 2 d_v) columns.
 
-    M needs no rescaling into [-1, 1]: x'Lx = sum_e ||R_ij x_i - R_ji x_j||^2
-    <= 2 x'Dx for every sheaf Laplacian, so 0 <= S L S <= 2 S D S, and
-    S D S is the projector onto range(S).  M is applied as the composition
-    M v = v - S (L (S v)): S.value is the block-diagonal stack from
-    isqrt_blocks, applied as one batched block product, and L the operator
-    with the blocks (diag.value, off.value) that the CG solves share, so
-    no matrix but L is built.  S is symmetric, so M is too, and each pair
-    <a, M b> of the reverse recurrence sends -pattern_outer(S a, S b) to
-    L's blocks and -(a (L S b)' + (L S a) b') block by block to S.  The
-    forward keeps S b and L S b of every term, and the reverse forms S a
-    and L S a as it applies M, so the gradient adds no matvec.  When S,
-    the blocks and x are all constants, gamma's gradient comes from the
-    forward terms alone and the reverse recurrence does not run.  A node
-    without edges has S = 0, so M passes its signal through.
+    L is the operator with the blocks (diag.value, off.value); every layer
+    shares one instance, so its BSR form is built once.  The first d_v
+    columns are the heat step (I + dt L)^(-1) x, by CG: with A = I + dt L
+    symmetric, y = A~x gives dx = A~g, one adjoint solve, and dL = -dt
+    (A~g) y' on the pattern.  An unconverged forward or adjoint solve logs
+    a warning.
+
+    The last d_v columns are the Chebyshev filter bank on M = I - S L S.
+    M needs no rescaling into [-1, 1]: x'Lx = sum_e ||R_ij x_i - R_ji
+    x_j||^2 <= 2 x'Dx for every sheaf Laplacian, so 0 <= S L S <= 2 S D S,
+    and S D S is the projector onto range(S).  M is applied as the
+    composition M v = v - S (L (S v)): S.value is the block-diagonal stack
+    from isqrt_blocks, applied as one batched block product, so no matrix
+    but L is built.  S is symmetric, so M is too, and each pair <a, M b> of
+    the reverse recurrence sends -pattern_outer(S a, S b) to L's blocks and
+    -(a (L S b)' + (L S a) b') block by block to S.  The forward keeps S b
+    and L S b of every term, and the reverse forms S a and L S a as it
+    applies M, so the gradient adds no matvec.  A node without edges has
+    S = 0, so M passes its signal through.
+
+    No block gradient is formed beside L's BSR form.  Each VJP applies L,
+    in the adjoint solve and the reverse recurrence, and appends the
+    pattern_outer arguments of its block gradients, the heat step's first,
+    to deferred, which every layer of a tape shares.  Only the node that
+    backward reaches last, layer 0's, is built with release set and has
+    the blocks as parents: it drops L's BSR form, which no later node
+    applies, then forms the deferred block gradients and sums them in the
+    order they were appended.  The adjoint solve runs only when the blocks
+    or x are live, the reverse recurrence only when S, the blocks or x
+    are; gamma's gradient comes from the forward terms alone.
     """
     xv = value_of(x)
     n, d_v = ctx.n, ctx.d_v
+    blocks = diag.live
+    cg = CGConfig(tol=ctx.cg_tol, max_iter=ctx.cg_max_iter)
+    y, info = svr_diffuse(L, xv.reshape(-1), ctx.dt, cg)
+    _warn_unconverged("svr forward", info)
+
     Sv = S.value
     alphas = chebyshev_weights(gamma.value)
     Q = len(alphas) - 1
@@ -315,42 +318,71 @@ def cheb_branch(S: Var, diag: Var, off: Var, L: SheafLaplacian, gamma: Var,
         q = next(rows)
         return compose(v, ST[q], LST[q])
 
-    out_flat, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
+    h_afm, terms = chebyshev_apply(apply_M, xv.reshape(-1), alphas)
+    out = np.concatenate([y.reshape(xv.shape), h_afm.reshape(xv.shape)],
+                         axis=1)
 
-    def reverse(g, live):
-        gf = g.reshape(-1)
-        d_alpha = np.array([float(gf @ t) for t in terms])
-        d_gamma = alphas * (d_alpha - float(alphas @ d_alpha))
-        if not (any(live[:3]) or live[4]):
-            return None, None, None, d_gamma, None
-        u = [a * gf for a in alphas]
-        dx = u[0]
-        # a_q, S a_q and L S a_q of the pair <a_q, M T_q>, as rows;
-        # M = I - S L S, so the sign of every block gradient rides on a_q
-        A, SA, LSA = np.empty((3, Q, n * d_v))
+    def reverse(gf):
+        """The filter's dx, the rows a_q and L S a_q, and the rows S a_q.
+
+        a_q pairs with M T_q and carries the sign of M = I - S L S.
+        """
+        v = [a * gf for a in alphas]
+        dx = v[0]
+        AL, SA = np.empty((2, Q, n * d_v)), np.empty((Q, n * d_v))
+        A, LSA = AL
         for q in range(Q - 1, -1, -1):
-            Mu = compose(u[q + 1], SA[q], LSA[q])
+            Mv = compose(v[q + 1], SA[q], LSA[q])
             c = -2.0 if q else -1.0
-            A[q] = c * u[q + 1]
+            A[q] = c * v[q + 1]
             SA[q] *= c
             LSA[q] *= c
             if q:
-                u[q] = u[q] + 2.0 * Mu
-                u[q - 1] = u[q - 1] - u[q + 1]
+                v[q] = v[q] + 2.0 * Mv
+                v[q - 1] = v[q - 1] - v[q + 1]
             else:
-                dx = Mu + u[0]
-        gS = gd = go = None
-        if live[1] or live[2]:
-            gd, go = pattern_outer(ctx.edges, SA.T, ST.T, n, d_v)
-        if live[0]:
-            # the sum over pairs of a_q (L S T_q)' + (L S a_q) T_q', node
-            # by node
-            left = np.vstack([A, LSA]).T.reshape(n, d_v, 2 * Q)
+                dx = Mv + v[0]
+        return dx, AL, SA
+
+    def vjp(g, live):
+        S_live, x_live = live[-3], live[-1]
+        gf = g[:, d_v:].reshape(-1)
+        d_alpha = np.array([float(gf @ t) for t in terms])
+        d_gamma = alphas * (d_alpha - float(alphas @ d_alpha))
+        gS = gd = go = dx = None
+        if blocks or x_live:
+            u, adj_info = svr_diffuse(L, g[:, :d_v].reshape(-1), ctx.dt, cg)
+            _warn_unconverged("svr adjoint", adj_info)
+        if blocks or S_live or x_live:
+            dx, AL, SA = reverse(gf)
+        if x_live:
+            dx = (u + dx).reshape(xv.shape)
+        if blocks:
+            deferred.extend([(u, y, -ctx.dt), (SA.T, ST.T, None)])
+        if release:
+            L._bsr = None
+            while deferred:
+                a, b, scale = deferred.pop(0)
+                pd, po = pattern_outer(ctx.edges, a, b, n, d_v)
+                if scale is not None:
+                    pd *= scale
+                    po *= scale
+                if gd is None:
+                    gd, go = pd, po
+                else:
+                    gd += pd
+                    go += po
+                del pd, po   # not held beside the next pair
+        if S_live:
+            # the sum over pairs of a_q (L S T_q)' + (L S a_q) T_q', node by
+            # node, formed last: AL, which left views, is smaller than it
+            left = AL.reshape(2 * Q, -1).T.reshape(n, d_v, 2 * Q)
             right = np.vstack([LST, *terms[:Q]]).T.reshape(n, d_v, 2 * Q)
             gS = left @ right.transpose(0, 2, 1)
-        return gS, gd, go, d_gamma, dx.reshape(xv.shape)
+        return (gd, go, gS, d_gamma, dx) if release else (gS, d_gamma, dx)
 
-    return Var(out_flat.reshape(xv.shape), (S, diag, off, gamma, x), reverse)
+    parents = (diag, off, S, gamma, x) if release else (S, gamma, x)
+    return Var(out, parents, vjp), info
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -397,9 +429,11 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     SheafLaplacian built once from their values (it carries the
     blocks' eigendecomposition from isqrt_blocks, which the epoch's gap
     estimate reuses), forward CG iteration counts, and the fused
-    embeddings per layer.  L is the only operator on the tape: every
-    layer's CG solves apply it, and so does every layer's Chebyshev
-    filter, between two products with the blocks of S.
+    embeddings per layer.  L is the only operator on the tape: each layer
+    is one diffusion_layer node, whose CG solves apply it, and so does its
+    Chebyshev filter, between two products with the blocks of S.  Layer
+    0's node, the last that backward reaches, drops L's BSR form before it
+    forms the block gradients of every layer.
     """
     leaves = {name: Var(value) for name, value in params.trainable().items()}
     diag, off = laplacian_blocks(leaves.get("W_theta", params.W_theta),
@@ -412,11 +446,12 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     embeddings = []
     pre_acts = []
     z = None
-    for _ in range(ctx.n_layers):
-        h_svr, info = svr_branch(diag, off, L, x, ctx)
+    deferred = []
+    for layer in range(ctx.n_layers):
+        h, info = diffusion_layer(S, diag, off, L, leaves["gamma"], x, ctx,
+                                  deferred, release=layer == 0)
         cg_iters += info.total_iterations
-        h_afm = cheb_branch(S, diag, off, L, leaves["gamma"], x, ctx)
-        pre = linear(concat_cols(h_svr, h_afm), leaves["W_mix"])
+        pre = linear(h, leaves["W_mix"])
         pre_acts.append(pre.value)
         z = relu(pre)
         embeddings.append(z.value)

@@ -25,7 +25,12 @@ from otsheaf.laplacian import (
     sparsify,
     top_eigenvalue,
 )
-from otsheaf.model import EpochContext, cheb_branch, isqrt_blocks, sandwich_blocks
+from otsheaf.model import (
+    EpochContext,
+    diffusion_layer,
+    isqrt_blocks,
+    sandwich_blocks,
+)
 
 
 def random_sheaf(g: Graph, d_v: int, d_e: int, seed: int = 0) -> SheafIncidence:
@@ -52,8 +57,8 @@ def dense_sls(L: SheafLaplacian) -> np.ndarray:
 def tape_blocks(L: SheafLaplacian):
     """The blocks (md, mo) of S L S from sandwich_blocks.
 
-    They are the blockwise reference for the S L S that cheb_branch
-    applies as the composition S (L (S v)).
+    They are the blockwise reference for the S L S that diffusion_layer's
+    filter applies as the composition S (L (S v)).
     """
     D = Var(L.diag)
     return sandwich_blocks(isqrt_blocks(D)[0], D, Var(L.off), L.edges)
@@ -192,6 +197,37 @@ def compressed_reference(L: SheafLaplacian) -> sp.csr_matrix:
         shape=(r, r)).tocsr()
 
 
+def whole_bsr_compressed(L: SheafLaplacian) -> sp.csr_matrix:
+    """B.tocsr()[k][:, k], B the BSR of all of T' L T built in one piece."""
+    _, T, kept = _compressed_normalized(L)
+    Tt = T.transpose(0, 2, 1)
+    Pd = Tt @ L.diag @ T
+    I, J = L.edges[:, 0], L.edges[:, 1]
+    B = SheafLaplacian(n=L.n, d_v=L.d_v, edges=L.edges,
+                       diag=0.5 * (Pd + Pd.transpose(0, 2, 1)),
+                       off=np.matmul(Tt[I] @ L.off, T[J])).to_bsr()
+    k = np.flatnonzero(kept)
+    return B.tocsr()[k][:, k]
+
+
+def duplicate_edge_sheaf() -> SheafIncidence:
+    """Repeated edges, an edge given in both directions and isolated node 5;
+    d_e < d_v, so every diagonal block is rank-deficient."""
+    edges = np.array([(0, 1), (1, 0), (0, 1), (2, 3), (3, 4), (1, 2), (4, 3)])
+    rng = np.random.default_rng(8)
+    return SheafIncidence(n=6, edges=edges, Rij=rng.normal(size=(7, 2, 3)),
+                          Rji=rng.normal(size=(7, 2, 3)))
+
+
+COMPRESSED_FIXTURES = {
+    "duplicate_edges": lambda: assemble_laplacian(duplicate_edge_sheaf()),
+    "isolated": lambda: assemble_laplacian(BUILDER_FIXTURES["isolated"]()),
+    "rank_deficient": lambda: large_kernel_operator(),
+    "several_chunks": lambda: assemble_laplacian(random_sheaf(
+        erdos_renyi(300, 6.0, seed=2), d_v=4, d_e=3, seed=2)),
+}
+
+
 def incidence_loop_reference(B: SheafIncidence) -> np.ndarray:
     """Dense B written block by block."""
     m, d_e, d_v = B.Rij.shape
@@ -263,6 +299,18 @@ class TestBlockSparse:
         assert kept.sum() < L.N
         assert_same_csr(A, compressed_reference(L))
 
+    @pytest.mark.parametrize("fixture", sorted(COMPRESSED_FIXTURES))
+    def test_compressed_operator_matches_whole_bsr(self, fixture):
+        # the row-chunked build keeps the arrays of the whole BSR of T' L T
+        # restricted to the kept rows and columns, duplicates summed in the
+        # same order
+        L = COMPRESSED_FIXTURES[fixture]()
+        if fixture == "several_chunks":
+            assert 2 * L.m + L.n > 4 * laplacian.BLOCK_CHUNK
+        A, _, kept = _compressed_normalized(L)
+        assert 0 < kept.sum() < L.N
+        assert_same_csr(A, whole_bsr_compressed(L))
+
     def test_blocks_at_one_position_are_summed(self):
         rng = np.random.default_rng(5)
         blocks = rng.normal(size=(4, 2, 3))
@@ -297,8 +345,8 @@ class TestNormalized:
                                    [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_isolated_node_identity_contribution(self):
-        # cheb_branch passes an isolated node's signal through unchanged:
-        # its block of S is zero
+        # diffusion_layer's filter, its last d_v columns, passes an isolated
+        # node's signal through unchanged: its block of S is zero
         g = Graph.from_edges(3, [[0, 1]])  # node 2 isolated
         L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=2, seed=3))
         D = Var(L.diag)
@@ -308,8 +356,9 @@ class TestNormalized:
                            y=None, train_idx=None, kappa=None, dt=0.1,
                            cg_tol=1e-8, cg_max_iter=1000, n_layers=1)
         x = np.random.default_rng(3).normal(size=(3, 2))
-        out = cheb_branch(S, D, Var(L.off), L,
-                          Var(np.array([0.3, -0.2, 0.5, 0.1])), x, ctx).value
+        out = diffusion_layer(S, D, Var(L.off), L,
+                              Var(np.array([0.3, -0.2, 0.5, 0.1])), x, ctx,
+                              [], release=True)[0].value[:, 2:]
         np.testing.assert_allclose(out[2], x[2], rtol=1e-14)
         assert not np.allclose(out[:2], x[:2])
 

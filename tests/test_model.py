@@ -23,7 +23,7 @@ from otsheaf.laplacian import (
 )
 from otsheaf.model import (
     calibrated_ce,
-    cheb_branch,
+    diffusion_layer,
     finite_difference_gradients,
     forward_tape,
     grad_params,
@@ -35,7 +35,6 @@ from otsheaf.model import (
     sandwich_blocks,
     sheaf_laplacian,
     softmax,
-    svr_branch,
 )
 from otsheaf.verify import _gradcheck_fixture
 from tests.test_laplacian import dense_sls
@@ -248,47 +247,51 @@ class TestPrimitiveGradients:
         backward(s)
         assert rel_err(Dv.grad, fd_tensor(value, D, step=1e-6)) < 1e-6
 
-    def test_svr_branch(self):
-        _, _, aux = forward_tape(self.params, self.ctx)
-        D0 = aux["diag"].value.copy()
-        O0 = aux["off"].value.copy()
-        probe = self.rng.standard_normal(self.ctx.X0.shape)
+    def layer_probe(self, half):
+        """The layer's blocks, S and one probe on its columns of `half`.
 
-        def operator():
-            return SheafLaplacian(n=self.ctx.n, d_v=self.ctx.d_v,
-                                  edges=self.ctx.edges, diag=D0, off=O0)
-
-        def value():
-            h, _ = svr_branch(Var(D0), Var(O0), operator(), self.ctx.X0,
-                              self.ctx)
-            return float(np.vdot(probe, h.value))
-
-        Dv, Ov = Var(D0), Var(O0)
-        h, _ = svr_branch(Dv, Ov, operator(), self.ctx.X0, self.ctx)
-        backward(probe_sum(h, probe))
-        assert rel_err(Dv.grad, fd_tensor(value, D0)) < 1e-6
-        assert rel_err(Ov.grad, fd_tensor(value, O0)) < 1e-6
-
-    def test_cheb_branch(self):
+        The probe on the other branch's d_v columns is zero, so the layer's
+        gradient is that branch's alone.
+        """
         _, _, aux = forward_tape(self.params, self.ctx)
         D0 = aux["diag"].value.copy()
         O0 = aux["off"].value.copy()
         S0 = isqrt_blocks(Var(D0))[0].value.copy()
-        gam = self.params.gamma.copy()
-        probe = self.rng.standard_normal(self.ctx.X0.shape)
+        probe = np.zeros((self.ctx.n, 2 * self.ctx.d_v))
+        cols = slice(0, self.ctx.d_v) if half == "svr" else slice(
+            self.ctx.d_v, None)
+        probe[:, cols] = self.rng.standard_normal(self.ctx.X0.shape)
+        return D0, O0, S0, probe
 
-        def operator():
-            return SheafLaplacian(n=self.ctx.n, d_v=self.ctx.d_v,
-                                  edges=self.ctx.edges, diag=D0, off=O0)
+    def layer(self, S, D, O, gamma):
+        L = SheafLaplacian(n=self.ctx.n, d_v=self.ctx.d_v,
+                           edges=self.ctx.edges, diag=D.value, off=O.value)
+        return diffusion_layer(S, D, O, L, gamma, self.ctx.X0, self.ctx,
+                               [], release=True)[0]
+
+    def test_svr_branch(self):
+        D0, O0, S0, probe = self.layer_probe("svr")
+        gam = self.params.gamma.copy()
 
         def value():
-            h = cheb_branch(Var(S0), Var(D0), Var(O0), operator(), Var(gam),
-                            self.ctx.X0, self.ctx)
+            h = self.layer(Var(S0), Var(D0), Var(O0), Var(gam))
+            return float(np.vdot(probe, h.value))
+
+        Dv, Ov = Var(D0), Var(O0)
+        backward(probe_sum(self.layer(Var(S0), Dv, Ov, Var(gam)), probe))
+        assert rel_err(Dv.grad, fd_tensor(value, D0)) < 1e-6
+        assert rel_err(Ov.grad, fd_tensor(value, O0)) < 1e-6
+
+    def test_cheb_branch(self):
+        D0, O0, S0, probe = self.layer_probe("cheb")
+        gam = self.params.gamma.copy()
+
+        def value():
+            h = self.layer(Var(S0), Var(D0), Var(O0), Var(gam))
             return float(np.vdot(probe, h.value))
 
         Sv, Dv, Ov, gv = Var(S0), Var(D0), Var(O0), Var(gam)
-        h = cheb_branch(Sv, Dv, Ov, operator(), gv, self.ctx.X0, self.ctx)
-        backward(probe_sum(h, probe))
+        backward(probe_sum(self.layer(Sv, Dv, Ov, gv), probe))
         assert rel_err(Sv.grad, fd_tensor(value, S0)) < 1e-6
         assert rel_err(Dv.grad, fd_tensor(value, D0)) < 1e-6
         assert rel_err(Ov.grad, fd_tensor(value, O0)) < 1e-6
@@ -429,11 +432,15 @@ class TestSolverStatus:
         _, _, aux = forward_tape(params, ctx)
         Dv = Var(aux["diag"].value.copy())
         Ov = Var(aux["off"].value.copy())
+        S = isqrt_blocks(Var(Dv.value))[0]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="otsheaf.model"):
-            h, info = svr_branch(Dv, Ov, aux["L"], ctx.X0, ctx)
+            h, info = diffusion_layer(S, Dv, Ov, aux["L"], Var(params.gamma),
+                                      ctx.X0, ctx, [], release=True)
             assert not info.converged
-            backward(probe_sum(h, np.ones(h.value.shape)))
+            probe = np.zeros(h.value.shape)
+            probe[:, :ctx.d_v] = 1.0
+            backward(probe_sum(h, probe))
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "otsheaf.model"]
         assert len(msgs) == 2

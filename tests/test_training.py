@@ -289,14 +289,30 @@ class TestTrainEpoch:
     def test_backward_runs_only_toward_trained_weights(
             self, monkeypatch, variant, outer, solves, isqrt_vjps):
         # at one layer a frozen W_theta leaves the blocks, S and the svr
-        # solve of X0 constants: no block gradient is formed, the adjoint
-        # CG solve does not run and neither does the isqrt VJP.  we_lift
-        # trains W_theta, so its svr and Chebyshev VJPs both form block
+        # solve of X0 constants: no block gradient is formed, neither the
+        # adjoint CG solve nor the Chebyshev reverse recurrence runs, so
+        # backward never applies L, and the isqrt VJP does not run.  we_lift
+        # trains W_theta, so its heat step and its filter both form block
         # gradients, and both CG solves run
         import otsheaf.model as model
+        import otsheaf.training as training
+        from otsheaf.laplacian import SheafLaplacian
         counts = {"outer": 0, "solves": 0, "isqrt_vjps": 0}
         real_outer, real_solve = model.pattern_outer, model.svr_diffuse
         real_isqrt = model.isqrt_blocks
+        real_backward, real_matvec = training.backward, SheafLaplacian.matvec
+        backward_products = []
+
+        def matvec_counted(self, x):
+            backward_products.append(id(self))
+            return real_matvec(self, x)
+
+        def backward_traced(root):
+            monkeypatch.setattr(SheafLaplacian, "matvec", matvec_counted)
+            try:
+                real_backward(root)
+            finally:
+                monkeypatch.setattr(SheafLaplacian, "matvec", real_matvec)
 
         def outer_counted(*args):
             counts["outer"] += 1
@@ -320,11 +336,13 @@ class TestTrainEpoch:
         monkeypatch.setattr(model, "pattern_outer", outer_counted)
         monkeypatch.setattr(model, "svr_diffuse", solve_counted)
         monkeypatch.setattr(model, "isqrt_blocks", isqrt_counted)
+        monkeypatch.setattr(training, "backward", backward_traced)
         data = two_cluster_dataset()
         cfg = small_cfg(n_layers=1)
         train_epoch(init_state(data, cfg, variant), data, cfg)
         assert counts == {"outer": outer, "solves": solves,
                           "isqrt_vjps": isqrt_vjps}
+        assert bool(backward_products) == (variant == "we_lift")
 
     def test_one_eigensolve_per_epoch_above_dense_cutoff(self, monkeypatch):
         # the epoch reads lambda2 alone: the ARPACK path runs its low-end
@@ -415,14 +433,17 @@ class TestTrainEpoch:
         assert "k=16, dim A=257" in records[0]
 
     def test_one_csr_build_per_epoch(self, monkeypatch):
-        # two operators are built, each once: L, which both layers' CG
-        # solves and Chebyshev recurrences apply, and T' L T, which the gap
-        # estimate restricts to range(S).  builds holds the operators
-        # themselves: an id alone could be reused once L is freed
+        # one operator is built, once: L, which both layers' CG solves and
+        # Chebyshev recurrences apply.  The gap estimate builds T' L T
+        # from L's blocks one range of block rows at a time, through
+        # block_sparse, and never as a whole operator.  builds holds the
+        # operators themselves: an id alone could be reused once L is freed
+        import otsheaf.laplacian as laplacian
         import otsheaf.training as training
         from otsheaf.laplacian import SheafLaplacian
-        builds, applied = [], []
+        builds, applied, chunks = [], [], []
         real_to_bsr, real_matvec = SheafLaplacian.to_bsr, SheafLaplacian.matvec
+        real_block_sparse = laplacian.block_sparse
 
         def counted(self):
             if self._bsr is None:
@@ -433,26 +454,45 @@ class TestTrainEpoch:
             applied.append(id(self))
             return real_matvec(self, x)
 
+        def chunk(rows, cols, blocks, n_rows, n_cols):
+            chunks.append((n_rows, n_cols))
+            return real_block_sparse(rows, cols, blocks, n_rows, n_cols)
+
         tapes = []
         real_tape = training.forward_tape
+        real_estimate = training.normalized_range_gap
 
         def kept_tape(*args, **kwargs):
             out = real_tape(*args, **kwargs)
             tapes.append(out[2])
             return out
 
+        def chunked_estimate(*args, **kwargs):
+            monkeypatch.setattr(laplacian, "block_sparse", chunk)
+            try:
+                return real_estimate(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(laplacian, "block_sparse",
+                                    real_block_sparse)
+
         monkeypatch.setattr(SheafLaplacian, "to_bsr", counted)
         monkeypatch.setattr(SheafLaplacian, "matvec", traced)
         monkeypatch.setattr(training, "forward_tape", kept_tape)
+        monkeypatch.setattr(training, "normalized_range_gap", chunked_estimate)
+        # 62 blocks of T' L T, in chunks of about 16
+        monkeypatch.setattr(laplacian, "BLOCK_CHUNK", 16)
         data = two_cluster_dataset()
         cfg = small_cfg(n_layers=2)
         train_epoch(init_state(data, cfg), data, cfg)
         assert len(tapes) == 1
         L = tapes[0]["L"]
-        assert len(builds) == len(set(builds)) == 2
-        assert builds[0] is L
+        assert len(builds) == 1 and builds[0] is L
         # one operator is applied: L, across both layers
         assert set(applied) == {id(L)}
+        n = data.g.n
+        assert len(chunks) == 4
+        assert all(cols == n and rows < n for rows, cols in chunks)
+        assert sum(rows for rows, _ in chunks) == n
 
     def test_gap_estimate_runs_after_the_tape_is_freed(self, monkeypatch):
         import otsheaf.training as training
