@@ -9,16 +9,16 @@ degree-normalized operator separates genuine mixing from that clutter.
 import numpy as np
 from scipy.linalg import block_diag
 
+from otsheaf.autodiff import Var
 from otsheaf.graphs import Graph, erdos_renyi
 from otsheaf.laplacian import (
     SheafIncidence,
-    _block_isqrt,
     assemble_laplacian,
     estimate_spectrum,
     normalized_range_gap,
     top_eigenvalue,
 )
-from otsheaf.model import sheaf_laplacian
+from otsheaf.model import isqrt_blocks, sheaf_laplacian
 from otsheaf.transport import edge_plans
 
 # --- scalar sheaf on a cycle: closed-form cross-check ----------------------
@@ -53,7 +53,7 @@ print(f"  {np.sum(w < 1e-6)} of {Ls.N} raw modes sit below 1e-6: "
 gap = normalized_range_gap(Ls)
 # S L S densely, S the blockwise pseudo-inverse square root of the degrees
 # that the model's normalization uses
-S = block_diag(*_block_isqrt(Ls.diag)[0])
+S = block_diag(*isqrt_blocks(Var(Ls.diag), Ls).value)
 print(f"  normalized mixing gap lambda_2 = {gap.lambda2:.5f} "
       f"(lambda_max = {top_eigenvalue(S @ Ls.to_dense() @ S, 0):.5f}, "
       f"spectrum lives in [0, 2])")

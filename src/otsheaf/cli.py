@@ -42,6 +42,12 @@ def _load_dataset(cfg) -> Dataset:
     g, feats, labels = load_graph(Path(path).resolve())
     split = make_split(labels, cfg["data.per_class"], cfg.seed,
                        cfg["data.val_fraction"])
+    if not (split.val.size and split.test.size):   # metrics over no nodes
+        raise ValueError(
+            f"the split leaves {split.val.size} validation and "
+            f"{split.test.size} test nodes of {g.n} (data.per_class="
+            f"{cfg['data.per_class']}, data.val_fraction="
+            f"{cfg['data.val_fraction']:g}); both must be non-empty")
     return Dataset(g=g, feats=feats, labels=labels, split=split)
 
 

@@ -70,14 +70,12 @@ def cg_solve(apply_A, b: np.ndarray, cfg: CGConfig, precond=None) -> CGResult:
 def jacobi_block_preconditioner(L, dt: float):
     """Inverse of the block diagonal of I + dt L, applied block by block.
 
-    One factorization per block: with D_i = V_i diag(w_i) V_i', the inverse
-    of I + dt D_i is V_i diag(1 / (1 + dt w_i)) V_i'.  (w, V) is
-    L.diag_eigh, the decomposition the tape's isqrt_blocks already made,
-    or eigh(L.diag) when L carries none.  The inverse is applied as one
-    batched matmul.
+    With (w, V) = L.block_eigh(), the one decomposition of L's blocks
+    D_i = V_i diag(w_i) V_i', the inverse of I + dt D_i is
+    V_i diag(1 / (1 + dt w_i)) V_i', applied as one batched matmul.
     """
     n, d = L.n, L.d_v
-    w, V = L.diag_eigh if L.diag_eigh is not None else np.linalg.eigh(L.diag)
+    w, V = L.block_eigh()
     inv = (V / (1.0 + dt * w)[:, None, :]) @ V.transpose(0, 2, 1)
 
     def apply(r: np.ndarray) -> np.ndarray:

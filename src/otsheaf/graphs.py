@@ -79,13 +79,22 @@ class SplitMask:
     seed: int
 
 
+def _integers(path, key: str, value) -> np.ndarray:
+    """value as int64; ValueError naming path and key for a non-integer."""
+    a = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(a) & (a == np.round(a))):
+        raise ValueError(f"{path}: '{key}' must hold integers")
+    return a.astype(np.int64)
+
+
 def load_graph(path) -> tuple[Graph, NodeFeatures, Labels]:
     """Load a dataset from the JSON graph format.
 
     Parameters
     ----------
     path : str or Path to a JSON file with keys n, num_classes, d0, edges,
-        features (row-major, length n*d0) and labels (length n).
+        features (row-major, length n*d0) and labels (length n); n,
+        num_classes, d0, edges and labels hold integers (2.0 counts as one).
 
     Returns
     -------
@@ -99,19 +108,18 @@ def load_graph(path) -> tuple[Graph, NodeFeatures, Labels]:
     for key in ("n", "num_classes", "d0", "edges", "features", "labels"):
         if key not in obj:
             raise ValueError(f"{path}: missing required key '{key}'")
-    n = int(obj["n"])
-    C = int(obj["num_classes"])
+    n, C, d0 = (int(_integers(path, key, obj[key]))
+                for key in ("n", "num_classes", "d0"))
     if C < 2:
         raise ValueError(f"{path}: num_classes is {C}; a dataset needs at "
                          f"least 2 classes")
-    d0 = int(obj["d0"])
-    g = Graph.from_edges(n, obj["edges"] if obj["edges"] else np.zeros((0, 2)))
+    g = Graph.from_edges(n, _integers(path, "edges", obj["edges"]))
     feats = np.asarray(obj["features"], dtype=np.float64)
     if feats.size != n * d0:
         raise ValueError(
             f"{path}: features length {feats.size} != n*d0 = {n * d0}"
         )
-    y = np.asarray(obj["labels"], dtype=np.int64)
+    y = _integers(path, "labels", obj["labels"])
     if y.shape != (n,):
         raise ValueError(f"{path}: labels length {y.size} != n = {n}")
     if y.size and (y.min() < 0 or y.max() >= C):

@@ -123,8 +123,8 @@ class SheafLaplacian:
     """Symmetric block operator stored as diagonal and (i, j) off blocks.
 
     Holds L itself and every other matrix on L's pattern, such as a
-    gradient direction.  Its BSR form is built once, on first use, and
-    matvec is the one way the package applies such a matrix.
+    gradient direction.  Its BSR form and block_eigh are built once, on
+    first use; matvec is the one way the package applies such a matrix.
     """
 
     n: int
@@ -132,11 +132,8 @@ class SheafLaplacian:
     edges: np.ndarray            # (m, 2)
     diag: np.ndarray             # (n, d_v, d_v) symmetric blocks
     off: np.ndarray              # (m, d_v, d_v) block at (i, j); (j, i) = off^T
-    # eigh(diag) as (w, V), when whoever built L already decomposed its
-    # blocks; _compressed_normalized and the CG preconditioner decompose
-    # them themselves otherwise
-    diag_eigh: tuple | None = field(default=None, repr=False)
     _bsr: sp.bsr_matrix | None = field(default=None, repr=False)
+    _eigh: tuple | None = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
@@ -158,6 +155,17 @@ class SheafLaplacian:
 
     def to_dense(self) -> np.ndarray:
         return self.to_bsr().tocsr().toarray()
+
+    def block_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) = eigh((D + D') / 2) of the diagonal blocks D, made once.
+
+        The package's one per-block eigendecomposition; an assembly's blocks
+        are exactly symmetric, so symmetrizing leaves their bits unchanged.
+        """
+        if self._eigh is None:
+            D = self.diag
+            self._eigh = np.linalg.eigh(0.5 * (D + D.transpose(0, 2, 1)))
+        return self._eigh
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply L to a vector (N,) or to k stacked signals (N, k)."""
@@ -235,27 +243,15 @@ BLOCK_CUTOFF_REL = 1e-12
 def _block_frames(w: np.ndarray, V: np.ndarray):
     """T_i = V_i w_i^{-1/2} on the directions that clear the cutoff, else 0.
 
-    A direction is kept when its eigenvalue exceeds BLOCK_CUTOFF_REL *
-    max(w_max, 1) of its block.  Returns (T, kept) with T (n, d, d) and
-    kept (n, d); since w ascends, the kept columns of each block are its
-    last ones.
+    (w, V) is L.block_eigh(); a direction is kept when its eigenvalue
+    exceeds BLOCK_CUTOFF_REL * max(w_max, 1) of its block.  Returns (T,
+    kept), T (n, d, d) and kept (n, d); since w ascends, the kept columns
+    of each block are its last ones.
     """
     scale = np.maximum(w[:, -1:], 1.0)
     kept = w > BLOCK_CUTOFF_REL * scale
     inv = np.where(kept, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
     return V * inv[:, None, :], kept
-
-
-def _block_isqrt(diag: np.ndarray):
-    """Per-block inverse square root via eigh, zeroing near-null directions.
-
-    Returns (S, eigvals, eigvecs, kept) so callers can reuse the
-    factorizations and the cutoff's (n, d) mask of kept directions.
-    """
-    w, V = np.linalg.eigh(diag)  # (n, d), (n, d, d)
-    T, kept = _block_frames(w, V)
-    S = T @ V.transpose(0, 2, 1)
-    return S, w, V, kept
 
 
 def blockwise_constant_basis(n: int, d_v: int) -> np.ndarray:
@@ -482,32 +478,27 @@ def _compressed_normalized(L: SheafLaplacian):
     """S L S compressed to range(S): A = T' L T, with T = blockdiag(T_i).
 
     T_i = V_i w_i^{-1/2} over the directions of the diagonal block D_i that
-    clear _block_frames' cutoff, so S_i = T_i T_i' and S L S = Q A Q' with
-    Q = blockdiag(V_i kept) orthonormal: A has the spectrum of S L S minus
-    the structural zeros of null(S).  Its diagonal blocks T_i' D_i T_i are
-    the identity up to roundoff divided by the smallest kept w; they are
-    computed, not assumed, so A is the compression of the S L S that the
-    tape's Chebyshev filter applies as S (L (S x)).
+    clear _block_frames' cutoff, with (w, V) = L.block_eigh(), so S_i =
+    T_i T_i' and S L S = Q A Q' with Q = blockdiag(V_i kept) orthonormal:
+    A has the spectrum of S L S minus the structural zeros of null(S).
+    Its diagonal blocks T_i' D_i T_i, the identity up to roundoff over the
+    smallest kept w, are computed, not assumed, so A compresses the S L S
+    that the tape's Chebyshev filter applies as S (L (S x)).
 
     A is the CSR form of the blocks T_i' D_i T_i and T_I' O T_J on L's
-    pattern, restricted to the kept rows and columns.  It is built straight
-    from L's blocks, a range of block rows holding about BLOCK_CHUNK
-    blocks at a time: the range's diagonal blocks, the off blocks of the
-    edges that start in it and the transposed off blocks of the edges that
-    end in it are compressed by T, go through block_sparse to CSR and lose
-    their dropped rows and columns.  So no matrix of all of T' L T is
-    held; an edge's block is formed once for each of its ends instead.
-    Every block is the same products as in one whole build, and blocks at
-    one position are summed in the same order, so the stacked pieces are
-    B.tocsr()[k][:, k] array for array, with B the BSR matrix block_sparse
-    builds from all of the blocks at once and k the kept indices.  Returns
-    (A, T, kept): A of dimension kept.sum(), T (n, d, d) with zero columns
-    where a direction was dropped, and the (n, d) kept mask in the row
-    order of A.
+    pattern, restricted to the kept rows and columns, built a range of
+    block rows (about BLOCK_CHUNK blocks) at a time: the range's diagonal
+    blocks and the off blocks of the edges that start or end in it are
+    compressed by T, go through block_sparse to CSR and lose their dropped
+    rows and columns, so no matrix of all of T' L T is held.  Blocks at
+    one position are summed in the order of one whole build, so the
+    stacked pieces equal B.tocsr()[k][:, k], B the BSR of all the blocks
+    and k the kept indices.  Returns (A, T, kept): A of dimension
+    kept.sum(), T (n, d, d) with zero columns where a direction was
+    dropped, and the (n, d) kept mask in the row order of A.
     """
     n = L.n
-    w, V = L.diag_eigh if L.diag_eigh is not None else np.linalg.eigh(L.diag)
-    T, kept = _block_frames(w, V)
+    T, kept = _block_frames(*L.block_eigh())
     Tt = T.transpose(0, 2, 1)
     idx = np.flatnonzero(kept)
     I, J = L.edges[:, 0], L.edges[:, 1]

@@ -27,7 +27,7 @@ from .laplacian import (
     BLOCK_CHUNK,
     SheafIncidence,
     SheafLaplacian,
-    _block_isqrt,
+    _block_frames,
     assemble_laplacian,
     pattern_outer,
     scatter_add,
@@ -148,14 +148,14 @@ def restriction_vjp(W_theta: np.ndarray, plans: np.ndarray, grad) -> np.ndarray:
 
 
 def laplacian_blocks(W_theta, plans: np.ndarray, edges: np.ndarray,
-                     n: int) -> tuple[Var, Var]:
+                     n: int) -> tuple[Var, Var, SheafLaplacian]:
     """Assemble diag_i = sum R'R over incident edges and off_e = -R_ij'R_ji.
 
-    The blocks are those of sheaf_laplacian(W_theta, plans, edges, n).
-    W_theta is a Var or, when it is not trained, an array: then both
-    blocks are constants on the tape.  W_theta's gradient is formed in
-    each VJP by restriction_vjp, which forms R again, so no restriction
-    stack is held on the tape.
+    Returns both as Vars and L = sheaf_laplacian(W_theta, plans, edges, n),
+    whose arrays they hold.  W_theta is a Var or, when it is not trained,
+    an array: then both blocks are constants on the tape.  W_theta's
+    gradient is formed in each VJP by restriction_vjp, which forms R
+    again, so no restriction stack is held on the tape.
     """
     W = value_of(W_theta)
     L = sheaf_laplacian(W, plans, edges, n)
@@ -175,7 +175,7 @@ def laplacian_blocks(W_theta, plans: np.ndarray, edges: np.ndarray,
             return dR
         return (-restriction_vjp(W, plans, grad),)
 
-    return Var(L.diag, (W_theta,), d_diag), Var(L.off, (W_theta,), d_off)
+    return Var(L.diag, (W_theta,), d_diag), Var(L.off, (W_theta,), d_off), L
 
 
 def _warn_unconverged(solve: str, info) -> None:
@@ -185,17 +185,17 @@ def _warn_unconverged(solve: str, info) -> None:
                        info.residual)
 
 
-def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
-    """Per-block pinv-sqrt through eigh, with the matrix-function adjoint.
+def isqrt_blocks(diag: Var, L: SheafLaplacian) -> Var:
+    """Per-block pinv-sqrt from L.block_eigh(), with the matrix-function adjoint.
 
-    The forward symmetrizes the blocks first (they are symmetric whenever
-    they come from an assembly, so this is the identity on the model path);
-    the adjoint maps upstream gradients through the eigenbasis with
+    L holds diag's values; block_eigh symmetrizes and decomposes them once
+    and keeps (w, V) for the CG preconditioner and the gap estimate.  The
+    adjoint maps upstream gradients through the eigenbasis with
     divided-difference weights, using h' on (near-)coincident eigenvalues.
-    Returns the Var and the blocks' eigendecomposition (w, V).
     """
-    D = 0.5 * (diag.value + diag.value.transpose(0, 2, 1))
-    S, w, V, keep = _block_isqrt(D)
+    w, V = L.block_eigh()
+    T, keep = _block_frames(w, V)
+    S = T @ V.transpose(0, 2, 1)
     wscale = np.maximum(w[:, -1:], 1.0)
     wsafe = np.where(keep, w, 1.0)   # dropped modes never feed the powers
     h = np.where(keep, 1.0 / np.sqrt(wsafe), 0.0)
@@ -221,7 +221,7 @@ def isqrt_blocks(diag: Var) -> tuple[Var, tuple]:
         out *= 0.5
         return (out,)
 
-    return Var(S, (diag,), vjp), (w, V)
+    return Var(S, (diag,), vjp)
 
 
 def sandwich_blocks(S: Var, diag: Var, off: Var,
@@ -425,22 +425,18 @@ def forward_tape(params: ModelParams, ctx: EpochContext):
     Returns (logits Var, leaves dict, aux dict).  leaves holds one Var per
     trainable weight; a frozen W_theta enters as its array, so the blocks,
     S and every solve that reads only them and X0 are constants, and
-    backward runs no VJP toward them.  aux carries the block Vars, the
-    SheafLaplacian built once from their values (it carries the
-    blocks' eigendecomposition from isqrt_blocks, which the epoch's gap
-    estimate reuses), forward CG iteration counts, and the fused
-    embeddings per layer.  L is the only operator on the tape: each layer
-    is one diffusion_layer node, whose CG solves apply it, and so does its
-    Chebyshev filter, between two products with the blocks of S.  Layer
-    0's node, the last that backward reaches, drops L's BSR form before it
-    forms the block gradients of every layer.
+    backward runs no VJP toward them.  aux carries the block Vars, L (the
+    pass's one SheafLaplacian, from laplacian_blocks), forward CG
+    iteration counts, and the fused embeddings per layer.  L is the only
+    operator on the tape: S is made from its block_eigh, and each layer is
+    one diffusion_layer node, whose CG solves and Chebyshev filter apply
+    it.  Layer 0's node, the last that backward reaches, drops L's BSR
+    form before it forms the block gradients of every layer.
     """
     leaves = {name: Var(value) for name, value in params.trainable().items()}
-    diag, off = laplacian_blocks(leaves.get("W_theta", params.W_theta),
-                                 ctx.plans, ctx.edges, ctx.n)
-    S, diag_eigh = isqrt_blocks(diag)
-    L = SheafLaplacian(n=ctx.n, d_v=ctx.d_v, edges=ctx.edges,
-                       diag=diag.value, off=off.value, diag_eigh=diag_eigh)
+    diag, off, L = laplacian_blocks(leaves.get("W_theta", params.W_theta),
+                                    ctx.plans, ctx.edges, ctx.n)
+    S = isqrt_blocks(diag, L)
     x = ctx.X0
     cg_iters = 0
     embeddings = []

@@ -242,6 +242,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown config key: 'train.gap_steps'" in err
 
+    @pytest.mark.parametrize("extra, val, test", [
+        ([], 0, 0),                               # 40 nodes, 3 x 20 to train
+        (["data.per_class=5", "data.val_fraction=0"], 0, 25),
+        (["data.per_class=5", "data.val_fraction=1"], 25, 0),
+    ])
+    def test_empty_validation_or_test_set_exits_one_before_fitting(
+            self, tmp_path, capsys, monkeypatch, extra, val, test):
+        # over an empty set val_acc, test_acc and ece would read 0.0
+        import otsheaf.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(cli, "fit", never)
+        g, feats, labels = synthetic_dataset(n=40, num_classes=3, d0=8,
+                                             seed=0)
+        path = tmp_path / "small.json"
+        save_graph(path, g, feats, labels)
+        sets = [arg for key in extra for arg in ("--set", key)]
+        code = main(["train", "--set", f"data.path={path}", *sets,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{val} validation and {test} test nodes of 40" in err
+        assert "data.per_class=" in err and "data.val_fraction=" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_no_epochs_exits_one_before_fitting(self, toy_json, tmp_path,
                                                 capsys, monkeypatch, epochs):

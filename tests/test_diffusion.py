@@ -123,14 +123,15 @@ class TestSvrDiffuse:
             M[sl, sl] = np.eye(L.d_v) + 0.2 * L.diag[i]
         np.testing.assert_allclose(pre(r), np.linalg.solve(M, r), atol=1e-10)
 
-    @pytest.mark.parametrize("with_eigh", [False, True])
-    def test_jacobi_preconditioner_matches_block_solves(self, with_eigh):
+    @pytest.mark.parametrize("tape_first", [False, True])
+    def test_jacobi_preconditioner_matches_block_solves(self, tape_first):
         # d_e = 1 < d_v: the end nodes 0 and 3 have rank-one blocks, 1 and 2
-        # rank two, and the isolated node 4 a zero block
+        # rank two, and the isolated node 4 a zero block; with tape_first
+        # the preconditioner reads the decomposition the tape's S made
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
         L = assemble_laplacian(random_sheaf(g, d_v=3, d_e=1, seed=7))
-        if with_eigh:
-            L.diag_eigh = isqrt_blocks(Var(L.diag))[1]
+        if tape_first:
+            isqrt_blocks(Var(L.diag), L)
         ranks = np.linalg.matrix_rank(L.diag)
         assert list(ranks) == [1, 2, 2, 1, 0]
         dt = 0.3
@@ -142,16 +143,38 @@ class TestSvrDiffuse:
         assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
         np.testing.assert_array_equal(out[4], r[4])
 
-    def test_jacobi_preconditioner_reads_the_carried_decomposition(self):
-        # L.diag_eigh is taken as given: no block is factored again, so a
-        # decomposition of 2 D_i yields the inverse of I + dt 2 D_i
+    def test_jacobi_preconditioner_reads_the_cached_decomposition(self):
+        # L.block_eigh() is kept from its first call: no block is factored
+        # again, so blocks replaced after it leave the preconditioner the
+        # inverse of I + dt D_i of the blocks it decomposed
         L = self._fixture(seed=6)
-        L.diag_eigh = np.linalg.eigh(2.0 * L.diag)
+        D = L.diag
+        L.block_eigh()
+        L.diag = 2.0 * D
         r = np.random.default_rng(6).normal(size=(L.n, L.d_v))
         out = jacobi_block_preconditioner(L, dt=0.2)(r.reshape(-1))
-        ref = np.linalg.solve(np.eye(L.d_v) + 0.4 * L.diag, r[:, :, None])
+        ref = np.linalg.solve(np.eye(L.d_v) + 0.2 * D, r[:, :, None])
         np.testing.assert_allclose(out, ref.reshape(-1), rtol=1e-12,
                                    atol=1e-14)
+
+    def test_svr_diffuse_decomposes_the_blocks_once(self, monkeypatch):
+        # two solves on one assembled L, as the forward and adjoint solves
+        # of a layer are: one per-block eigh, on the first
+        L = self._fixture(seed=8)
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        X = np.random.default_rng(8).normal(size=(L.N,))
+        cg = CGConfig(tol=1e-10, max_iter=1000)
+        first, _ = svr_diffuse(L, X, 0.3, cg)
+        again, _ = svr_diffuse(L, X, 0.3, cg)
+        assert calls == [(L.n, L.d_v, L.d_v)]
+        np.testing.assert_array_equal(first, again)
 
 
 class TestChebyshev:

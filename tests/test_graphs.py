@@ -80,6 +80,30 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match=r"g\.json: .*at least 2 classes"):
             load_graph(_write_json(tmp_path, obj))
 
+    @pytest.mark.parametrize("key, value", [
+        ("edges", [[0, 1.9], [1, 2]]),
+        ("edges", [[0, 1], [2.5, 1]]),
+        ("labels", [0, 1.7, 1]),
+        ("n", 3.5),
+        ("num_classes", 2.5),
+        ("d0", 2.2),
+    ])
+    def test_non_integral_value_rejected(self, tmp_path, key, value):
+        # int() would truncate each of these to a valid dataset
+        obj = _toy_payload()
+        obj[key] = value
+        with pytest.raises(ValueError, match=rf"g\.json: '{key}' must hold "
+                                             r"integers"):
+            load_graph(_write_json(tmp_path, obj))
+
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        obj = _toy_payload()
+        obj["n"], obj["labels"] = 3.0, [0.0, 1.0, 1.0]
+        obj["edges"] = [[1.0, 2.0], [0, 1]]
+        g, _, labels = load_graph(_write_json(tmp_path, obj))
+        assert g.n == 3 and g.edges.tolist() == [[0, 1], [1, 2]]
+        assert labels.y.dtype == np.int64 and labels.y.tolist() == [0, 1, 1]
+
     def test_roundtrip(self, tmp_path):
         g, feats, labels = load_graph(_write_json(tmp_path, _toy_payload()))
         out = tmp_path / "copy.json"

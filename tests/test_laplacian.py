@@ -12,7 +12,6 @@ from otsheaf.graphs import Graph, erdos_renyi, synthetic_dataset
 from otsheaf.laplacian import (
     SheafIncidence,
     SheafLaplacian,
-    _block_isqrt,
     _compressed_normalized,
     _edge_leverage_dense,
     assemble_laplacian,
@@ -48,9 +47,16 @@ def scalar_sheaf(g: Graph) -> SheafIncidence:
     return SheafIncidence(n=g.n, edges=g.edges, Rij=ones.copy(), Rji=ones.copy())
 
 
+def diag_operator(D: np.ndarray) -> SheafLaplacian:
+    """The edgeless operator whose diagonal blocks are D, for isqrt_blocks."""
+    n, d, _ = D.shape
+    return SheafLaplacian(n=n, d_v=d, edges=np.empty((0, 2), int), diag=D,
+                          off=np.empty((0, d, d)))
+
+
 def dense_sls(L: SheafLaplacian) -> np.ndarray:
     """Dense S L S, S the block-diagonal pinv-sqrt of L's diagonal blocks."""
-    S = block_diag(*_block_isqrt(L.diag)[0])
+    S = block_diag(*isqrt_blocks(Var(L.diag), L).value)
     return S @ L.to_dense() @ S
 
 
@@ -61,7 +67,7 @@ def tape_blocks(L: SheafLaplacian):
     filter applies as the composition S (L (S v)).
     """
     D = Var(L.diag)
-    return sandwich_blocks(isqrt_blocks(D)[0], D, Var(L.off), L.edges)
+    return sandwich_blocks(isqrt_blocks(D, L), D, Var(L.off), L.edges)
 
 
 def combinatorial_laplacian(g: Graph) -> np.ndarray:
@@ -350,7 +356,7 @@ class TestNormalized:
         g = Graph.from_edges(3, [[0, 1]])  # node 2 isolated
         L = assemble_laplacian(random_sheaf(g, d_v=2, d_e=2, seed=3))
         D = Var(L.diag)
-        S, _ = isqrt_blocks(D)
+        S = isqrt_blocks(D, L)
         assert not S.value[2].any()
         ctx = EpochContext(n=3, d_v=2, edges=g.edges, plans=None, X0=None,
                            y=None, train_idx=None, kappa=None, dt=0.1,
@@ -394,7 +400,9 @@ class TestNormalized:
         D = np.einsum("nab,ncb->nac", base, base)
         D[3] = 0.0                       # a null block keeps S = 0
         D[5, :, 0] = D[5, 0, :] = 0.0    # and a rank-deficient one
-        S, w, V, _ = _block_isqrt(D)
+        L = diag_operator(D)
+        S = isqrt_blocks(Var(D), L).value
+        w, V = L.block_eigh()
         scale = np.maximum(w[:, -1:], 1.0)
         inv = np.where(w > 1e-12 * scale,
                        1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
@@ -600,7 +608,7 @@ class TestRangeGap:
         est = normalized_range_gap(L)
         v2 = est.v2
         assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
-        S = block_diag(*_block_isqrt(L.diag)[0])
+        S = block_diag(*isqrt_blocks(Var(L.diag), L).value)
         SD = S @ block_diag(*L.diag)
         res = np.linalg.norm(S @ L.matvec(v2) - est.lambda2 * (SD @ v2))
         assert res <= 1e-8 * np.linalg.norm(SD @ v2)

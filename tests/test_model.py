@@ -37,7 +37,7 @@ from otsheaf.model import (
     softmax,
 )
 from otsheaf.verify import _gradcheck_fixture
-from tests.test_laplacian import dense_sls
+from tests.test_laplacian import dense_sls, diag_operator
 
 
 def rel_err(a, b):
@@ -219,14 +219,14 @@ class TestPrimitiveGradients:
         po = self.rng.standard_normal((12, 3, 3))
 
         def value(wd, wo):
-            d, o = laplacian_blocks(Var(W), plans, self.ctx.edges, 10)
+            d, o, _ = laplacian_blocks(Var(W), plans, self.ctx.edges, 10)
             return float(wd * np.vdot(pd, d.value) + wo * np.vdot(po, o.value))
 
         # the diagonal blocks alone, the off blocks alone, and both, whose
         # two gradients the tape sums into W's
         for wd, wo in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
             Wv = Var(W)
-            d, o = laplacian_blocks(Wv, plans, self.ctx.edges, 10)
+            d, o, _ = laplacian_blocks(Wv, plans, self.ctx.edges, 10)
             s = Var(wd * np.vdot(pd, d.value) + wo * np.vdot(po, o.value),
                     (d, o), lambda g, live: (g * wd * pd, g * wo * po))
             backward(s)
@@ -239,11 +239,11 @@ class TestPrimitiveGradients:
         probe = self.rng.standard_normal(D.shape)
 
         def value():
-            S, _ = isqrt_blocks(Var(D))
+            S = isqrt_blocks(Var(D), diag_operator(D))
             return float(np.vdot(probe, S.value))
 
         Dv = Var(D)
-        s = probe_sum(isqrt_blocks(Dv)[0], probe)
+        s = probe_sum(isqrt_blocks(Dv, diag_operator(D)), probe)
         backward(s)
         assert rel_err(Dv.grad, fd_tensor(value, D, step=1e-6)) < 1e-6
 
@@ -256,7 +256,7 @@ class TestPrimitiveGradients:
         _, _, aux = forward_tape(self.params, self.ctx)
         D0 = aux["diag"].value.copy()
         O0 = aux["off"].value.copy()
-        S0 = isqrt_blocks(Var(D0))[0].value.copy()
+        S0 = isqrt_blocks(Var(D0), aux["L"]).value.copy()
         probe = np.zeros((self.ctx.n, 2 * self.ctx.d_v))
         cols = slice(0, self.ctx.d_v) if half == "svr" else slice(
             self.ctx.d_v, None)
@@ -368,7 +368,7 @@ class TestContractionFormulas:
         g_d = self.rng.normal(size=self.D.shape)   # not symmetric
         g_o = self.rng.normal(size=self.O.shape)
         Wv = Var(W)
-        d, o = laplacian_blocks(Wv, plans, self.edges, 12)
+        d, o, _ = laplacian_blocks(Wv, plans, self.edges, 12)
         backward(Var(np.vdot(g_d, d.value) + np.vdot(g_o, o.value),
                      (d, o), lambda g, live: (g * g_d, g * g_o)))
         # the gradients the parent tape sent to R_ij and R_ji, taken to W
@@ -412,7 +412,7 @@ class TestContractionFormulas:
     def test_isqrt_blocks_vjp(self):
         g = self.rng.normal(size=self.D.shape)
         Dv = Var(self.D)
-        backward(probe_sum(isqrt_blocks(Dv)[0], g))
+        backward(probe_sum(isqrt_blocks(Dv, diag_operator(self.D)), g))
         w, V = np.linalg.eigh(self.D)
         h, hp = w ** -0.5, -0.5 * w ** -1.5
         dw = w[:, :, None] - w[:, None, :]
@@ -432,7 +432,7 @@ class TestSolverStatus:
         _, _, aux = forward_tape(params, ctx)
         Dv = Var(aux["diag"].value.copy())
         Ov = Var(aux["off"].value.copy())
-        S = isqrt_blocks(Var(Dv.value))[0]
+        S = isqrt_blocks(Var(Dv.value), aux["L"])
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="otsheaf.model"):
             h, info = diffusion_layer(S, Dv, Ov, aux["L"], Var(params.gamma),
@@ -516,6 +516,23 @@ class TestForwardParity:
         L = aux["L"]
         assert L.diag is aux["diag"].value and L.off is aux["off"].value
         assert L._bsr is not None   # built by the first layer's CG solve
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_one_forward_constructs_one_operator(self, monkeypatch, n_layers):
+        # laplacian_blocks' L is the pass's one SheafLaplacian: S, every
+        # layer's solves and filter, and aux["L"] all read it
+        params, ctx = _gradcheck_fixture(n_layers=n_layers)
+        built = []
+        real_init = SheafLaplacian.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SheafLaplacian, "__init__", counted)
+        _, _, aux = forward_tape(params, ctx)
+        assert len(built) == 1 and built[0] is aux["L"]
+        assert aux["L"]._eigh is not None
 
     def test_loss_deterministic(self):
         params, ctx = _gradcheck_fixture()

@@ -1,10 +1,11 @@
 """Each diagonal block is factored once.
 
-The tape's isqrt_blocks eigendecomposes every diagonal block D_i, and the
-CG preconditioner forms (I + dt D_i)^-1 from that same decomposition
-(`jacobi_block_preconditioner`).  An explicit inverse, from numpy or
-scipy, would bring back a second factorization of blocks the package has
-already decomposed, so no `linalg.inv` is called under src/otsheaf/.
+`SheafLaplacian.block_eigh` eigendecomposes every diagonal block D_i
+once; the tape's S reads it, and the CG preconditioner forms
+(I + dt D_i)^-1 from it (`jacobi_block_preconditioner`).  An explicit
+inverse, from numpy or scipy, would bring back a second factorization of
+blocks the package has already decomposed, so no `linalg.inv` is called
+under src/otsheaf/.
 """
 
 import ast

@@ -322,8 +322,8 @@ class TestTrainEpoch:
             counts["solves"] += 1
             return real_solve(*args)
 
-        def isqrt_counted(diag):
-            S, eigh = real_isqrt(diag)
+        def isqrt_counted(diag, L):
+            S = real_isqrt(diag, L)
             if S.vjp is not None:
                 vjp = S.vjp
 
@@ -331,7 +331,7 @@ class TestTrainEpoch:
                     counts["isqrt_vjps"] += 1
                     return vjp(g, live)
                 S.vjp = vjp_counted
-            return S, eigh
+            return S
 
         monkeypatch.setattr(model, "pattern_outer", outer_counted)
         monkeypatch.setattr(model, "svr_diffuse", solve_counted)
@@ -369,8 +369,9 @@ class TestTrainEpoch:
         assert calls == [("SA", 16)]
 
     def test_one_block_eigendecomposition_per_epoch(self, monkeypatch):
-        # the tape's isqrt_blocks decomposes the diagonal blocks and the
-        # epoch's gap estimate reuses (w, V) instead of decomposing them again
+        # the forward's one L decomposes its diagonal blocks when the
+        # tape's isqrt_blocks first asks; the CG preconditioner and the
+        # epoch's gap estimate read the kept (w, V) of L.block_eigh()
         calls = []
         real = np.linalg.eigh
 
@@ -690,7 +691,7 @@ class TestNormalizedSpectrum:
     def test_sls_spectrum_on_two_cluster_operators(self):
         # S L S lies in [0, 2] for every sheaf; on the first-epoch operators
         # of two-cluster fits the dense product strays from it by roundoff
-        # that S amplifies (_block_isqrt keeps directions down to 1e-12 of
+        # that S amplifies (isqrt_blocks keeps directions down to 1e-12 of
         # a block's largest eigenvalue): up to 1.4e-5 above 2, 6.1e-8 below 0
         for n_per in (20, 30, 40, 50):
             data = two_cluster_dataset(n_per=n_per)
