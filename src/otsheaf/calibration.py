@@ -6,6 +6,13 @@ predictions, rescaled by a class-coupling calibration factor, absorbed into
 the posterior (with a cap on total concentration), and the posterior means
 kappa shrink node predictions toward the uniform prior.  The summed KL to the
 initial prior feeds a deviation term of PAC-Bayes form.
+
+That KL needs ln Gamma and the digamma function psi.  They are evaluated
+here in numpy: scipy's special-function module would cost every process
+about 3.5 MB and 0.1 s to import.  Arguments below LGAMMA_SHIFT are
+moved up by the recurrences Gamma(x + 1) = x Gamma(x) and
+psi(x + 1) = psi(x) + 1/x, and the Stirling series (Abramowitz & Stegun
+1964, 6.1.41 and 6.3.18) is summed above it.
 """
 
 from __future__ import annotations
@@ -13,12 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, digamma
 
 from .graphs import Graph, Labels
 
 POSTERIOR_MAX_SWEEPS = 10
 POSTERIOR_TOL = 1e-6
+
+# ln Gamma and psi: the shift is even, since _lgamma_digamma pairs its
+# factors, and from x >= 10 seven series terms reach double precision.
+# They run from the highest power of 1/x^2 down: B_2k / (2k (2k - 1)) for
+# ln Gamma and B_2k / (2k) for psi, k = 7..1.
+LGAMMA_SHIFT = 10
+_LGAMMA_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
+                  -1 / 360, 1 / 12)
+_DIGAMMA_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252,
+                   -1 / 120, 1 / 12)
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -145,12 +162,72 @@ def calibrate_prediction(y_hat: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return k * y_hat + (1.0 - k) / y_hat.shape[-1]
 
 
+def _lgamma_digamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln Gamma(x) and psi(x) for a 1-D float array of x > 0.
+
+    x below LGAMMA_SHIFT is raised to z = x + LGAMMA_SHIFT, and the
+    recurrences subtract ln prod_k (x + k) and sum_k 1/(x + k), k < SHIFT.
+    The factors are paired, (x + k)(x + SHIFT-1 - k) = q + k(SHIFT-1 - k)
+    with q = x (x + SHIFT-1), and a pair's reciprocals sum to
+    (2x + SHIFT-1) / (q + k(SHIFT-1 - k)).
+    """
+    small = x < LGAMMA_SHIFT
+    xs = x[small]
+    z = x.copy()
+    z[small] += LGAMMA_SHIFT
+    inv = 1.0 / z
+    inv2 = inv * inv
+    log_z = np.log(z)
+    lg = _LGAMMA_SERIES[0] * inv2
+    psi = _DIGAMMA_SERIES[0] * inv2
+    for c_lg, c_psi in zip(_LGAMMA_SERIES[1:-1], _DIGAMMA_SERIES[1:-1]):
+        lg += c_lg
+        lg *= inv2
+        psi += c_psi
+        psi *= inv2
+    lg += _LGAMMA_SERIES[-1]
+    lg *= inv
+    lg += (z - 0.5) * log_z - z + _HALF_LOG_2PI
+    psi += _DIGAMMA_SERIES[-1]
+    psi *= inv2
+    psi += 0.5 * inv
+    np.subtract(log_z, psi, out=psi)
+    top = LGAMMA_SHIFT - 1
+    q = xs * (xs + top)
+    prod, recip = q.copy(), 1.0 / q
+    for k in range(1, LGAMMA_SHIFT // 2):
+        pair = q + k * (top - k)
+        prod *= pair
+        recip += 1.0 / pair
+    lg[small] -= np.log(prod)
+    psi[small] -= (2.0 * xs + top) * recip
+    return lg, psi
+
+
 def beta_kl(a1, b1, a0, b0):
-    """KL(Beta(a1, b1) || Beta(a0, b0)) in closed form."""
-    return (betaln(a0, b0) - betaln(a1, b1)
-            + (a1 - a0) * digamma(a1)
-            + (b1 - b0) * digamma(b1)
-            + (a0 - a1 + b0 - b1) * digamma(a1 + b1))
+    """KL(Beta(a1, b1) || Beta(a0, b0)) in closed form.
+
+    With betaln(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), every
+    ln Gamma and psi argument of the call goes through one
+    `_lgamma_digamma` pass.  That form cancels, so betaln's error scales
+    with its largest ln Gamma term rather than with betaln itself; this is
+    felt only when one argument is orders of magnitude above the other.
+    """
+    a1, b1 = np.broadcast_arrays(np.asarray(a1, dtype=np.float64),
+                                 np.asarray(b1, dtype=np.float64))
+    a0, b0 = np.broadcast_arrays(np.asarray(a0, dtype=np.float64),
+                                 np.asarray(b0, dtype=np.float64))
+    lg, psi = _lgamma_digamma(np.concatenate(
+        [a1.ravel(), b1.ravel(), (a1 + b1).ravel(),
+         a0.ravel(), b0.ravel(), (a0 + b0).ravel()]))
+    post = 3 * a1.size
+    lg1 = lg[:post].reshape(3, *a1.shape)
+    psi1 = psi[:post].reshape(3, *a1.shape)
+    lg0 = lg[post:].reshape(3, *a0.shape)
+    return (lg0[0] + lg0[1] - lg0[2] - (lg1[0] + lg1[1] - lg1[2])
+            + (a1 - a0) * psi1[0]
+            + (b1 - b0) * psi1[1]
+            + (a0 - a1 + b0 - b1) * psi1[2])
 
 
 def kl_term(posterior: PosteriorState, n: int, delta: float) -> float:

@@ -79,11 +79,20 @@ class SplitMask:
     seed: int
 
 
-def _integers(path, key: str, value) -> np.ndarray:
-    """value as int64; ValueError naming path and key for a non-integer."""
-    a = np.asarray(value, dtype=np.float64)
+def _integers(path, key: str, value, scalar: bool = False) -> np.ndarray:
+    """value as int64; ValueError naming path and key unless every entry is
+    an integral JSON number (a bool is not one, though numpy reads true as
+    1), the list is rectangular and, with `scalar`, value is one number.
+    """
+    entries = np.asarray(value, dtype=object)   # a ragged list nests lists
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in entries.flat):
+        raise ValueError(f"{path}: '{key}' must hold integers")
+    a = entries.astype(np.float64)
     if not np.all(np.isfinite(a) & (a == np.round(a))):
         raise ValueError(f"{path}: '{key}' must hold integers")
+    if scalar and a.ndim:
+        raise ValueError(f"{path}: '{key}' must be one integer")
     return a.astype(np.int64)
 
 
@@ -108,13 +117,16 @@ def load_graph(path) -> tuple[Graph, NodeFeatures, Labels]:
     for key in ("n", "num_classes", "d0", "edges", "features", "labels"):
         if key not in obj:
             raise ValueError(f"{path}: missing required key '{key}'")
-    n, C, d0 = (int(_integers(path, key, obj[key]))
+    n, C, d0 = (int(_integers(path, key, obj[key], scalar=True))
                 for key in ("n", "num_classes", "d0"))
     if C < 2:
         raise ValueError(f"{path}: num_classes is {C}; a dataset needs at "
                          f"least 2 classes")
     g = Graph.from_edges(n, _integers(path, "edges", obj["edges"]))
-    feats = np.asarray(obj["features"], dtype=np.float64)
+    try:
+        feats = np.asarray(obj["features"], dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: 'features' must hold numbers") from exc
     if feats.size != n * d0:
         raise ValueError(
             f"{path}: features length {feats.size} != n*d0 = {n * d0}"

@@ -111,6 +111,12 @@ class TrainConfig:
         if gap_steps < 0:
             raise ValueError("gap_steps must be nonnegative")
         self.gap_steps = gap_steps   # not a field, so no config key
+        # an infinite rate, step, tolerance, prior or lift eps would fail
+        # deep in the fit; gamma_cap=inf is legal and means no cap
+        for name in ("lr", "weight_decay", "dt", "cg_tol", "a0", "b0",
+                     "lift_eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("lr", "weight_decay", "dt", "cg_tol"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")

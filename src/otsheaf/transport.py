@@ -49,7 +49,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +97,16 @@ def normalize_to_measure(h: np.ndarray) -> np.ndarray:
     return v / v.sum(axis=-1, keepdims=True)
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along axis, shifted by the maximum so nothing overflows.
+
+    The maximum is taken as finite: every row and column of sinkhorn's log
+    kernel -C/eps has a finite entry when some coupling has finite cost.
+    """
+    top = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+
+
 def sinkhorn(mu: np.ndarray, nu: np.ndarray, C: np.ndarray,
              eps: float) -> TransportPlan:
     """Entropy-regularized optimal transport plan between two measures.
@@ -120,8 +129,8 @@ def sinkhorn(mu: np.ndarray, nu: np.ndarray, C: np.ndarray,
     log_v = np.zeros_like(log_nu)
     violation = np.inf
     for it in range(1, SINKHORN_MAX_SWEEPS + 1):
-        log_u = log_mu - logsumexp(log_K + log_v[None, :], axis=1)
-        log_v = log_nu - logsumexp(log_K + log_u[:, None], axis=0)
+        log_u = log_mu - _logsumexp(log_K + log_v[None, :], axis=1)
+        log_v = log_nu - _logsumexp(log_K + log_u[:, None], axis=0)
         if it % 5 == 0 or it == SINKHORN_MAX_SWEEPS:
             P = np.exp(log_K + log_u[:, None] + log_v[None, :])
             violation = max(np.abs(P.sum(axis=1) - mu).sum(),

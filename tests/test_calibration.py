@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import otsheaf.calibration as calibration
 from otsheaf.calibration import (
@@ -94,6 +94,79 @@ class TestBetaKL:
         out = beta_kl(a, 1.0, 1.0, 1.0)
         assert out.shape == (3,)
         assert out[0] == pytest.approx(0.0, abs=1e-12)
+
+
+# scipy.special is the oracle here only; the package evaluates ln Gamma and
+# psi itself (tests/test_no_scipy_special.py keeps it so)
+LOG_GRID = np.geomspace(1e-3, 1e4, 4001)
+
+
+def _scaled_error(got, ref):
+    """|got - ref| relative to |ref|, absolute where |ref| < 1 (near zeros)."""
+    return np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+
+
+def _betaln(a, b):
+    lg, _ = calibration._lgamma_digamma(np.concatenate([a, b, a + b]))
+    return lg[:a.size] + lg[a.size:2 * a.size] - lg[2 * a.size:]
+
+
+def beta_kl_scipy(a1, b1, a0, b0):
+    return (special.betaln(a0, b0) - special.betaln(a1, b1)
+            + (a1 - a0) * special.digamma(a1)
+            + (b1 - b0) * special.digamma(b1)
+            + (a0 - a1 + b0 - b1) * special.digamma(a1 + b1))
+
+
+class TestSpecialFunctions:
+    def test_lgamma_and_digamma_match_scipy_on_a_log_grid(self):
+        lg, psi = calibration._lgamma_digamma(LOG_GRID)
+        assert _scaled_error(lg, special.gammaln(LOG_GRID)).max() <= 1e-13
+        assert _scaled_error(psi, special.digamma(LOG_GRID)).max() <= 1e-13
+
+    def test_both_sides_of_the_shift(self):
+        # the recurrence stops at LGAMMA_SHIFT and the series starts there
+        x = np.array([np.nextafter(calibration.LGAMMA_SHIFT, 0.0),
+                      float(calibration.LGAMMA_SHIFT), 1.0, 2.0])
+        lg, psi = calibration._lgamma_digamma(x)
+        assert _scaled_error(lg, special.gammaln(x)).max() <= 1e-13
+        assert _scaled_error(psi, special.digamma(x)).max() <= 1e-13
+        assert abs(lg[2]) <= 1e-14 and abs(lg[3]) <= 1e-14  # ln 0! = ln 1! = 0
+
+    def test_betaln_matches_scipy_on_a_log_grid(self):
+        g = np.geomspace(1e-3, 1e4, 201)
+        a, b = (v.ravel() for v in np.meshgrid(g, g))
+        err = np.abs(_betaln(a, b) - special.betaln(a, b))
+        # within two decades of each other the three-term form keeps 1e-13
+        near = np.maximum(a, b) <= 100.0 * np.minimum(a, b)
+        ref = special.betaln(a, b)
+        assert (err / np.maximum(np.abs(ref), 1.0))[near].max() <= 1e-13
+        # beyond, it keeps 1e-13 of its largest ln Gamma term (beta_kl's
+        # docstring): betaln(1e4, 1e-3) = 6.9 from terms near 8e4
+        terms = (np.abs(special.gammaln(a)) + np.abs(special.gammaln(b))
+                 + np.abs(special.gammaln(a + b)))
+        assert (err / np.maximum(terms, 1.0)).max() <= 1e-13
+
+    def test_beta_kl_matches_scipy_closed_form(self):
+        rng = np.random.default_rng(11)
+        a1, b1 = rng.uniform(0.05, 60.0, (2, 500))
+        a1[:100] = rng.uniform(0.05, 1.0, 100)   # shapes below 1
+        a0, b0 = rng.uniform(1.0, 5.0, 2)
+        got = beta_kl(a1, b1, a0, b0)
+        ref = beta_kl_scipy(a1, b1, a0, b0)
+        assert _scaled_error(got, ref).max() <= 1e-12
+        # the summed KL that kl_term reports
+        assert abs(got.sum() - ref.sum()) <= 1e-13 * abs(ref.sum())
+
+    def test_beta_kl_broadcasts_priors_and_shapes(self):
+        a1 = np.array([[0.5, 2.0], [3.0, 7.5]])
+        b1 = np.array([1.5, 4.0])
+        a0 = np.array([[1.0], [2.0]])
+        got = beta_kl(a1, b1, a0, 3.0)
+        assert got.shape == (2, 2)
+        ref = beta_kl_scipy(a1, b1, a0, 3.0)
+        assert _scaled_error(got, ref).max() <= 1e-12
+        assert np.ndim(beta_kl(2.0, 3.0, 1.0, 1.0)) == 0
 
 
 class TestVarianceFormulaAndBound:

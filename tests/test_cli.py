@@ -269,6 +269,25 @@ class TestTrain:
         assert "data.per_class=" in err and "data.val_fraction=" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, name", [
+        ("train.lr", "lr"), ("train.weight_decay", "weight_decay"),
+        ("train.dt", "dt"), ("train.cg_tol", "cg_tol"), ("train.a0", "a0"),
+        ("train.b0", "b0"), ("ot.eps", "lift_eps")])
+    def test_non_finite_setting_exits_one_before_fitting(
+            self, toy_json, tmp_path, capsys, monkeypatch, key, name):
+        import otsheaf.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr(cli, "fit", never)
+        code = main(["train", "--set", f"data.path={toy_json}",
+                     "--set", "data.per_class=5", "--set", f"{key}=inf",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_no_epochs_exits_one_before_fitting(self, toy_json, tmp_path,
                                                 capsys, monkeypatch, epochs):

@@ -96,6 +96,33 @@ class TestLoadGraph:
                                              r"integers"):
             load_graph(_write_json(tmp_path, obj))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "abc", "must hold integers"),            # a non-number
+        ("labels", [0, "1", 1], "must hold integers"),
+        ("edges", [[0, 1], [2]], "must hold integers"),  # a ragged list
+        ("edges", [[0, 1], None], "must hold integers"),
+        ("n", [3], "must be one integer"),             # a list for a count
+        ("num_classes", [2], "must be one integer"),
+        ("d0", [[2]], "must be one integer"),
+        ("labels", [False, True, True], "must hold integers"),  # booleans
+        ("edges", [[0, True], [1, 2]], "must hold integers"),
+        ("n", True, "must hold integers"),
+    ])
+    def test_bad_integer_value_names_file_and_key(self, tmp_path, key, value,
+                                                  message):
+        # numpy's own errors name neither, and it reads true as 1
+        obj = _toy_payload()
+        obj[key] = value
+        with pytest.raises(ValueError, match=rf"g\.json: '{key}' {message}"):
+            load_graph(_write_json(tmp_path, obj))
+
+    def test_non_number_feature_names_file_and_key(self, tmp_path):
+        obj = _toy_payload()
+        obj["features"][3] = "abc"
+        with pytest.raises(ValueError,
+                           match=r"g\.json: 'features' must hold numbers"):
+            load_graph(_write_json(tmp_path, obj))
+
     def test_integral_floats_load_as_integers(self, tmp_path):
         obj = _toy_payload()
         obj["n"], obj["labels"] = 3.0, [0.0, 1.0, 1.0]

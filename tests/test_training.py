@@ -206,6 +206,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["lr", "weight_decay", "dt", "cg_tol",
+                                      "a0", "b0", "lift_eps"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_rejects_non_finite_setting(self, name, value):
+        # each would otherwise fail deep in the fit, under another name
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            TrainConfig(**{name: value})
+
+    def test_infinite_gamma_cap_means_no_cap(self):
+        assert TrainConfig(gamma_cap=float("inf")).gamma_cap == float("inf")
+
     @pytest.mark.parametrize("name", ["a0", "b0"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_rejects_prior_below_one(self, name, value):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 import otsheaf.transport as transport
 from otsheaf.graphs import Graph, make_split, synthetic_dataset
@@ -169,6 +170,60 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn(np.array([1.0, 0.0]), np.array([0.5, 0.5]),
                      feature_cost_matrix(2), 0.5)
+
+
+class TestSinkhornLogsumexp:
+    """The solver's numpy logsumexp against scipy's, as the solver had it.
+
+    scipy.special is the oracle in tests only; the package keeps it out of
+    the process (tests/test_no_scipy_special.py).
+    """
+
+    @staticmethod
+    def _scipy_sinkhorn(monkeypatch, *args):
+        with monkeypatch.context() as m:
+            m.setattr(transport, "_logsumexp",
+                      lambda a, axis: logsumexp(a, axis=axis))
+            return sinkhorn(*args)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_scipy_with_underflow_and_infinite_cost(self, axis):
+        rng = np.random.default_rng(5)
+        a = rng.normal(scale=300.0, size=(7, 9))
+        a[2, 3] = -np.inf
+        np.testing.assert_allclose(transport._logsumexp(a, axis),
+                                   logsumexp(a, axis=axis), rtol=1e-14)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.7, 1e6])
+    def test_plans_match_on_random_measures(self, monkeypatch, eps):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            p = int(rng.integers(2, 17))
+            mu = normalize_to_measure(rng.random(p))
+            nu = normalize_to_measure(rng.random(p))
+            C = feature_cost_matrix(p)
+            plan = sinkhorn(mu, nu, C, eps)
+            ref = self._scipy_sinkhorn(monkeypatch, mu, nu, C, eps)
+            assert plan.iterations == ref.iterations
+            np.testing.assert_allclose(plan.P, ref.P, rtol=0, atol=1e-13)
+
+    def test_plans_match_on_the_lift_fixture(self, monkeypatch):
+        # the 4-cycle of test_batch_matches_dense_per_edge, with its
+        # proximal cost, whose log P0 holds -inf where the plan underflows
+        g, H, W_proj, _ = _lift_fixture(n=4, p=4)
+        M = normalize_to_measure(H @ W_proj)
+        C = feature_cost_matrix(4)
+        for i, j in g.edges:
+            for eps in (0.01, 0.5):
+                P0 = sinkhorn(M[i], M[j], C, eps).P
+                ref = self._scipy_sinkhorn(monkeypatch, M[i], M[j], C, eps)
+                np.testing.assert_allclose(P0, ref.P, rtol=0, atol=1e-13)
+                with np.errstate(divide="ignore"):
+                    C_prox = (5.0 * C - np.log(P0)) / (1.0 + eps * 5.0)
+                plan = sinkhorn(M[i], M[j], C_prox, 1.0)
+                ref = self._scipy_sinkhorn(monkeypatch, M[i], M[j], C_prox,
+                                           1.0)
+                np.testing.assert_allclose(plan.P, ref.P, rtol=0, atol=1e-13)
 
 
 def _lift_fixture(seed=0, n=6, d0=10, p=5, d_e=3):
