@@ -16,23 +16,14 @@ from pathlib import Path
 from .training import TrainConfig
 
 
-def _optional_int(text: str):
-    low = text.strip().lower()
-    if low in ("", "none"):
-        return None
-    return int(text)
-
-
 # TrainConfig annotation -> coercion; the annotations are strings under
 # postponed evaluation
-_COERCIONS = {"int": int, "float": float, "str": str,
-              "int | None": _optional_int}
-# TrainConfig fields whose key is not train.<field>
-_TRAIN_KEYS = {"seed": "seed", "lift_eps": "ot.eps"}
+_COERCIONS = {"int": int, "float": float, "str": str}
 
 
 def _train_key(name: str) -> str:
-    return _TRAIN_KEYS.get(name, f"train.{name}")
+    """A TrainConfig field's key: train.<field>, and seed for the seed."""
+    return name if name == "seed" else f"train.{name}"
 
 
 # dotted key -> (coercion, default); trainer defaults come from TrainConfig

@@ -79,16 +79,23 @@ class SplitMask:
     seed: int
 
 
-def _integers(path, key: str, value, scalar: bool = False) -> np.ndarray:
-    """value as int64; ValueError naming path and key unless every entry is
-    an integral JSON number (a bool is not one, though numpy reads true as
-    1), the list is rectangular and, with `scalar`, value is one number.
+def _numbers(path, key: str, value, what: str = "numbers") -> np.ndarray:
+    """value as float64; ValueError naming path and key unless every entry is
+    a JSON number (a bool is not one, though numpy reads true as 1) and the
+    list is rectangular.  One pass over the entries' types.
     """
     entries = np.asarray(value, dtype=object)   # a ragged list nests lists
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in entries.flat):
-        raise ValueError(f"{path}: '{key}' must hold integers")
-    a = entries.astype(np.float64)
+    if not set(map(type, entries.flat)) <= {int, float}:
+        raise ValueError(f"{path}: '{key}' must hold {what}")
+    return entries.astype(np.float64)
+
+
+def _integers(path, key: str, value, scalar: bool = False) -> np.ndarray:
+    """value as int64; ValueError naming path and key unless `_numbers`
+    accepts it, every entry is integral and, with `scalar`, value is one
+    number.
+    """
+    a = _numbers(path, key, value, "integers")
     if not np.all(np.isfinite(a) & (a == np.round(a))):
         raise ValueError(f"{path}: '{key}' must hold integers")
     if scalar and a.ndim:
@@ -123,10 +130,7 @@ def load_graph(path) -> tuple[Graph, NodeFeatures, Labels]:
         raise ValueError(f"{path}: num_classes is {C}; a dataset needs at "
                          f"least 2 classes")
     g = Graph.from_edges(n, _integers(path, "edges", obj["edges"]))
-    try:
-        feats = np.asarray(obj["features"], dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: 'features' must hold numbers") from exc
+    feats = _numbers(path, "features", obj["features"])
     if feats.size != n * d0:
         raise ValueError(
             f"{path}: features length {feats.size} != n*d0 = {n * d0}"

@@ -37,6 +37,7 @@ import copy
 import csv
 import time
 from dataclasses import InitVar, dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -84,24 +85,26 @@ class Dataset:
     split: SplitMask
 
 
+# Trainer settings that every fit uses with one value.  Each is read at
+# call time, so a test that needs another value monkeypatches it.
+WEIGHT_DECAY = 5e-4
+KL_DELTA = 0.05               # confidence of the PAC-Bayes bound
+HEAT_DT = 0.1                 # implicit diffusion step
+CHEB_ORDER = 3
+CG_TOL = 1e-8
+CG_MAX_ITER = 1000
+PRIOR_A0 = PRIOR_B0 = 1.0     # the Beta prior every edge starts from
+GAMMA_CAP = 50.0              # cap on a posterior's concentration
+LIFT_EPS = 0.5                # entropic regularization of the lift
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    weight_decay: float = 5e-4
     epochs: int = 200
     patience: int = 30
-    delta: float = 0.05
-    dt: float = 0.1
     d_v: int = 16
-    d_e: int | None = None   # edge stalk dimension; None: init_state uses d_v
     n_layers: int = 1
-    cheb_order: int = 3
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 1000
-    a0: float = 1.0
-    b0: float = 1.0
-    gamma_cap: float = 50.0
-    lift_eps: float = 0.5
     optimizer: str = "gd"
     seed: int = 0
     # deprecated ascent steps per epoch, for ascent_n40 until ROADMAP 1a
@@ -111,38 +114,25 @@ class TrainConfig:
         if gap_steps < 0:
             raise ValueError("gap_steps must be nonnegative")
         self.gap_steps = gap_steps   # not a field, so no config key
-        # an infinite rate, step, tolerance, prior or lift eps would fail
-        # deep in the fit; gamma_cap=inf is legal and means no cap
-        for name in ("lr", "weight_decay", "dt", "cg_tol", "a0", "b0",
-                     "lift_eps"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("lr", "weight_decay", "dt", "cg_tol"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("a0", "b0"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        for name in ("epochs", "patience", "d_v", "n_layers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
+        # an infinite rate would fail deep in the fit
+        if not np.isfinite(self.lr):
+            raise ValueError("lr must be finite")
+        if not self.lr >= 0:
+            raise ValueError("lr must be nonnegative")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be at least 1")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError("optimizer must be 'gd' or 'adam'")
-        if self.d_v < 1 or self.d_e is not None and self.d_e < 1:
+        if self.d_v < 1:
             raise ValueError("stalk dimensions must be positive")
         if self.n_layers < 1:
             raise ValueError("n_layers must be at least 1")
-        if self.cheb_order < 0:
-            raise ValueError("cheb_order must be nonnegative")
-        if not self.gamma_cap > 0:
-            raise ValueError("gamma_cap must be positive")
-        if not self.lift_eps > 0:
-            raise ValueError("lift_eps must be positive")
 
 
 @dataclass
@@ -192,11 +182,11 @@ def calibrate(probs: np.ndarray, data: Dataset,
     """The calibration stage: Beta posterior, node trust, calibrated probs.
 
     One round of n_layers messages per edge is absorbed from the
-    Beta(a0, b0) prior over the train mask.
+    Beta(PRIOR_A0, PRIOR_B0) prior over the train mask.
     """
     g = data.g
-    posterior = posterior_update(cfg.a0, cfg.b0, probs, g, data.labels,
-                                 data.split.train, gamma_cap=cfg.gamma_cap,
+    posterior = posterior_update(PRIOR_A0, PRIOR_B0, probs, g, data.labels,
+                                 data.split.train, gamma_cap=GAMMA_CAP,
                                  n_msg=cfg.n_layers)
     kappa = node_kappa(posterior, g)
     return Calibration(posterior=posterior, kappa=kappa,
@@ -219,7 +209,7 @@ def _apply_update(state: TrainState, grads: dict, cfg: TrainConfig,
     """One descent step with weight decay; Adam keeps moments in the state."""
     updates = {}
     for name, theta in state.params.trainable().items():
-        g = grads[name] + cfg.weight_decay * theta
+        g = grads[name] + WEIGHT_DECAY * theta
         if cfg.optimizer == "adam":
             b1, b2, eps = 0.9, 0.999, 1e-8
             m = state.opt_m.get(name, np.zeros_like(theta))
@@ -256,7 +246,7 @@ def train_epoch(state: TrainState, data: Dataset,
     del aux
 
     cal = calibrate(y_hat, data, cfg)
-    kl = kl_term(cal.posterior, data.split.train.size, cfg.delta)
+    kl = kl_term(cal.posterior, data.split.train.size, KL_DELTA)
     ce = calibrated_ce(logits, y_hat, cal.probs,
                        replace(state.ctx, kappa=cal.kappa))
     del logits
@@ -310,12 +300,12 @@ def epoch_context(data: Dataset, W_proj: np.ndarray, cfg: TrainConfig,
     if variant == "scalar_edge":
         plans = np.tile(np.eye(cfg.d_v), (g.m, 1, 1))
     else:
-        plans = edge_plans(g.edges, X0, cfg.lift_eps)
+        plans = edge_plans(g.edges, X0, LIFT_EPS)
     return EpochContext(
         n=g.n, d_v=X0.shape[1], edges=g.edges, plans=plans, X0=X0,
         y=labels.y, train_idx=data.split.train,
-        kappa=np.zeros(g.n), dt=cfg.dt, cg_tol=cfg.cg_tol,
-        cg_max_iter=cfg.cg_max_iter, n_layers=cfg.n_layers)
+        kappa=np.zeros(g.n), dt=HEAT_DT, cg_tol=CG_TOL,
+        cg_max_iter=CG_MAX_ITER, n_layers=cfg.n_layers)
 
 
 def init_state(data: Dataset, cfg: TrainConfig,
@@ -323,11 +313,11 @@ def init_state(data: Dataset, cfg: TrainConfig,
     """Seeded parameter draw plus the fit's frozen inputs.
 
     scalar_edge pins every restriction map to the identity (the plain graph
-    Laplacian baseline) and freezes W_theta in the parameters.
+    Laplacian baseline) and freezes W_theta in the parameters.  W_theta is
+    square: the edge stalks are as wide as the node stalks.
     """
-    d_e = cfg.d_v if variant == "scalar_edge" or cfg.d_e is None else cfg.d_e
-    params = init_params(data.feats.d0, cfg.d_v, d_e, data.labels.C,
-                         cfg.cheb_order, cfg.seed)
+    params = init_params(data.feats.d0, cfg.d_v, cfg.d_v, data.labels.C,
+                         CHEB_ORDER, cfg.seed)
     if variant == "scalar_edge":
         params.W_theta = np.eye(cfg.d_v)
         params.frozen = frozenset({"W_theta"})
@@ -419,7 +409,8 @@ def evaluate(params: ModelParams, data: Dataset, cfg: TrainConfig,
     and calibration would compute again, bit for bit.  Any other call (a
     Dataset built anew, even from the same arrays; another config or
     variant; a weight edited in place; parameters no fit returned) runs the
-    forward pass and calibration.
+    forward pass and calibration.  The module's trainer constants count as
+    fixed: the memo does not record them.
     """
     memo = params.fit_memo
     if memo is not None and memo.holds_for(params, data, cfg, variant):

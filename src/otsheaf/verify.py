@@ -5,7 +5,7 @@ synthetic fixture and returns it with the stated bound, a PASS/FAIL verdict
 and per-fixture detail lines; nothing is asserted here so drivers can
 decide how to report.  No check takes a parameter; the fixtures are:
 - cg-bound: Erdos-Renyi n = 100, 1000, 10 000 (degree 6, seeds 100-102),
-  eps 0.3, 100 right-hand sides each, CG tolerance 1e-8;
+  ceiling slack eps 0.3, 100 right-hand sides each, CG tolerance 1e-8;
 - gap-ascent: ER(20, degree 4, seed 7), random 2x2 maps, 50 accepted steps;
 - variance: gamma 2..10 by n_tot 0..50, every count s;
 - contraction, bound-validity: one 60-epoch planted-partition run (n=40,
@@ -77,12 +77,12 @@ def check_cg_bound() -> CheckResult:
     """Implicit-diffusion CG iteration counts against the kappa ceiling.
 
     With dt = 1/lambda_max the system (I + dt L) has condition number at
-    most 2, plus the sparsifier's (1 +- eps) slack, so unpreconditioned CG
-    must finish within ceil(sqrt(2 + eps) * ln(||r0|| / tol)) iterations.
+    most 2, so unpreconditioned CG must finish within
+    ceil(sqrt(2 + eps) * ln(||r0|| / tol)) iterations; the ceiling keeps
+    the (1 +- eps) slack of a sparsified operator, although L is the full
+    one (a sparsifier at eps = 0.3 would keep all m = 380, 3908 and
+    40 274 edges, against targets of 5117, 76 753 and 1 023 372 draws).
     Also checks that iteration counts barely move across graph sizes.
-    sparsify passes all three graphs through unchanged: it samples only
-    when m > ceil(n ln n / eps^2), and at eps = 0.3 they have m = 380,
-    3908 and 40 274 against 5117, 76 753 and 1 023 372.
     """
     eps, cg_tol = 0.3, 1e-8
     detail = []
@@ -92,7 +92,7 @@ def check_cg_bound() -> CheckResult:
     all_within = True
     for size_idx, n in enumerate((100, 1000, 10000)):
         g = erdos_renyi(n, 6.0, seed=100 + size_idx, ensure_connected=True)
-        L = sparsify(_scalar_sheaf(g), eps, size_idx)
+        L = assemble_laplacian(_scalar_sheaf(g))
         dt = 1.0 / top_eigenvalue(L.to_bsr(), 0)
 
         def apply_A(v, L=L, dt=dt):

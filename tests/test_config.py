@@ -22,15 +22,12 @@ class TestCoercion:
 
     def test_int_float_parsing(self):
         assert coerce("seed", "7") == 7
-        assert coerce("ot.eps", "0.05") == pytest.approx(0.05)
-
-    def test_optional_edge_dimension(self):
-        assert coerce("train.d_e", "none") is None
-        assert coerce("train.d_e", "4") == 4
+        assert coerce("train.lr", "0.05") == pytest.approx(0.05)
+        assert coerce("train.optimizer", "adam") == "adam"
 
     def test_unknown_key_rejected_by_name(self):
-        with pytest.raises(KeyError, match="ot.epss"):
-            coerce("ot.epss", "0.1")
+        with pytest.raises(KeyError, match="train.lrr"):
+            coerce("train.lrr", "0.1")
 
     def test_unparseable_value_names_the_key(self):
         with pytest.raises(ValueError, match="train.epochs"):
@@ -40,9 +37,9 @@ class TestCoercion:
 class TestConfigFile:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# experiment\n\not.eps = 0.05  # tight lift\nseed=3\n")
+        p.write_text("# experiment\n\ntrain.lr = 0.05  # fast\nseed=3\n")
         values = parse_config_file(p)
-        assert values == {"ot.eps": 0.05, "seed": 3}
+        assert values == {"train.lr": 0.05, "seed": 3}
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -54,7 +51,9 @@ class TestConfigFile:
         # a misspelled key, and removed ones
         for key, text in (("train.lerning_rate", "0.1"),
                           ("train.lambda_kl", "0.1"),
-                          ("train.fd_check", "true")):
+                          ("train.fd_check", "true"),
+                          ("train.dt", "0.2"), ("train.d_e", "none"),
+                          ("ot.eps", "0.1")):
             p = tmp_path / "run.cfg"
             p.write_text(f"{key} = {text}\n")
             with pytest.raises(KeyError, match=key):
@@ -86,14 +85,12 @@ class TestBuildConfig:
 
     def test_train_config_mapping(self):
         cfg = build_config(overrides=[
-            "ot.eps=0.07", "seed=9", "train.d_v=5"])
+            "train.lr=0.07", "seed=9", "train.d_v=5"])
         tc = cfg.train_config()
-        assert tc.lift_eps == pytest.approx(0.07)
+        assert tc.lr == pytest.approx(0.07)
         assert tc.seed == 9
         assert tc.d_v == 5
-        # the unset edge dimension stays unset and follows d_v where
-        # init_state draws W_theta
-        assert tc.d_e is None
+        # the edge stalks follow d_v where init_state draws W_theta
         g, feats, labels = synthetic_dataset(n=12, num_classes=2, d0=3, seed=0)
         data = Dataset(g, feats, labels, make_split(labels, 2, seed=0))
         assert init_state(data, tc).params.W_theta.shape == (5, 5)

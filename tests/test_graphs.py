@@ -123,6 +123,26 @@ class TestLoadGraph:
                            match=r"g\.json: 'features' must hold numbers"):
             load_graph(_write_json(tmp_path, obj))
 
+    @pytest.mark.parametrize("features", [
+        [True, False, 0.0, 1.0, 1.0, 1.0],       # numpy reads true as 1.0
+        [1.0, 0.0, 0.0, 1.0, 1.0, False],
+        [True] * 6,
+        [[1.0, 0.0], [0.0, True], [1.0, 1.0]],   # rows, one per node
+        [1.0, 0.0, 0.0, 1.0, 1.0, None]])
+    def test_boolean_feature_names_file_and_key(self, tmp_path, features):
+        obj = _toy_payload()
+        obj["features"] = features
+        with pytest.raises(ValueError,
+                           match=r"g\.json: 'features' must hold numbers"):
+            load_graph(_write_json(tmp_path, obj))
+
+    def test_feature_rows_and_integers_load(self, tmp_path):
+        obj = _toy_payload()
+        obj["features"] = [[1, 0], [0.5, 1], [1, 1]]
+        _, feats, _ = load_graph(_write_json(tmp_path, obj))
+        assert feats.H.dtype == np.float64
+        assert feats.H.tolist() == [[1.0, 0.0], [0.5, 1.0], [1.0, 1.0]]
+
     def test_integral_floats_load_as_integers(self, tmp_path):
         obj = _toy_payload()
         obj["n"], obj["labels"] = 3.0, [0.0, 1.0, 1.0]

@@ -18,8 +18,12 @@ reads it.
 The same holds for the acceptance checks' fixtures and the scoring
 helpers' settings: no check and no shared fixture run takes a parameter,
 and `ece`'s bin count, the contraction slack and the sweep's variants are
-no parameters either.  Trainer defaults live only in `TrainConfig`, so the
-functions it feeds declare no default for a value it holds.
+no parameters either.  A trainer setting that every fit leaves at one
+value (weight decay, the bound's delta, the heat step, the Chebyshev order,
+the CG tolerance and budget, the Beta prior, the concentration cap and the
+lift's eps) is a constant of `training`, read at call time, and the rest
+live in `TrainConfig`; the functions they feed declare no default for
+either.
 """
 
 import ast
@@ -179,7 +183,7 @@ def test_checks_and_their_shared_run_take_no_parameter():
     assert takers == {}
 
 
-# each function fed from TrainConfig -> its parameters for TrainConfig values
+# each function fed by the trainer -> its parameters for trainer values
 TRAINER_VALUES = {posterior_update: ("gamma_cap", "n_msg"),
                   kl_term: ("delta",),
                   CGConfig: ("tol", "max_iter")}

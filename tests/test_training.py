@@ -86,7 +86,7 @@ def two_cluster_dataset(n_per=10, noise=0.05, seed=0, cross_edges=1):
 
 
 def small_cfg(**kw):
-    base = dict(epochs=3, d_v=4, d_e=2, seed=0)
+    base = dict(epochs=3, d_v=4, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -174,9 +174,17 @@ class TestLossArithmetic:
 
 
 class TestConfig:
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            TrainConfig(delta=1.5)
+    def test_fields_and_config_keys_are_pinned(self):
+        # every other trainer setting is a module constant of `training`;
+        # a new field or key is a change to this check
+        from otsheaf.config import REGISTRY
+        assert {f.name for f in dataclasses.fields(TrainConfig)} == {
+            "lr", "epochs", "patience", "d_v", "n_layers", "optimizer",
+            "seed"}
+        assert set(REGISTRY) == {
+            "data.path", "data.per_class", "data.val_fraction", "train.lr",
+            "train.epochs", "train.patience", "train.d_v", "train.n_layers",
+            "train.optimizer", "seed"}
 
     def test_rejects_unknown_optimizer(self):
         with pytest.raises(ValueError):
@@ -186,69 +194,99 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_layers"):
             TrainConfig(n_layers=0)
 
-    def test_rejects_negative_cheb_order(self):
-        with pytest.raises(ValueError, match="cheb_order"):
-            TrainConfig(cheb_order=-1)
-
-    @pytest.mark.parametrize("cap", [0.0, -1.0])
-    def test_rejects_nonpositive_gamma_cap(self, cap):
-        with pytest.raises(ValueError, match="gamma_cap"):
-            TrainConfig(gamma_cap=cap)
-
-    @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
-    def test_rejects_nonpositive_lift_eps(self, eps):
-        with pytest.raises(ValueError, match="lift_eps"):
-            TrainConfig(lift_eps=eps)
-
-    @pytest.mark.parametrize("name", ["lr", "weight_decay", "dt", "cg_tol"])
+    @pytest.mark.parametrize("name", ["lr"])
     @pytest.mark.parametrize("value", [-1.0, float("nan")])
     def test_rejects_negative_or_nan_rate(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", ["lr", "weight_decay", "dt", "cg_tol",
-                                      "a0", "b0", "lift_eps"])
+    @pytest.mark.parametrize("name", ["lr"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
                                        float("nan")])
     def test_rejects_non_finite_setting(self, name, value):
-        # each would otherwise fail deep in the fit, under another name
+        # it would otherwise fail deep in the fit, under another name
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             TrainConfig(**{name: value})
 
-    def test_infinite_gamma_cap_means_no_cap(self):
-        assert TrainConfig(gamma_cap=float("inf")).gamma_cap == float("inf")
-
-    @pytest.mark.parametrize("name", ["a0", "b0"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    def test_rejects_prior_below_one(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            TrainConfig(**{name: value})
+    def test_infinite_gamma_cap_means_no_cap(self, monkeypatch):
+        # 60 messages per edge would put every posterior above the cap of
+        # 50; without a cap each keeps its full concentration 2 + 60
+        import otsheaf.training as training
+        data = two_cluster_dataset()
+        probs = np.full((data.g.n, 2), 0.5)
+        cfg = TrainConfig(n_layers=60)
+        capped = training.calibrate(probs, data, cfg).posterior
+        monkeypatch.setattr(training, "GAMMA_CAP", float("inf"))
+        free = training.calibrate(probs, data, cfg).posterior
+        assert np.allclose(capped.alpha_bar + capped.beta_bar, 50.0)
+        assert np.allclose(free.alpha_bar + free.beta_bar, 62.0)
 
     @pytest.mark.parametrize("name, value", [("epochs", -1), ("patience", 0),
-                                             ("gap_steps", -1),
-                                             ("cg_max_iter", 0)])
+                                             ("gap_steps", -1)])
     def test_rejects_bad_count(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", ["d_v", "d_e"])
+    @pytest.mark.parametrize("name", ["epochs", "patience", "d_v",
+                                      "n_layers", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "3"])
+    def test_rejects_a_count_that_is_not_an_integer(self, name, value):
+        # each would otherwise reach the fit and fail there unnamed, or
+        # (patience=1.5) be taken as it stands
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["epochs", "patience", "d_v",
+                                      "n_layers", "seed"])
+    def test_accepts_numpy_integers(self, name):
+        cfg = TrainConfig(**{name: np.int64(3)})
+        assert getattr(cfg, name) == 3
+
+    @pytest.mark.parametrize("name", ["d_v"])
     def test_rejects_nonpositive_stalk_dimension(self, name):
         with pytest.raises(ValueError, match="stalk dimensions"):
             TrainConfig(**{name: 0})
 
     def test_unset_edge_dimension_follows_a_replaced_d_v(self):
-        # d_e stays None in the config, so a copy with another d_v draws
-        # W_theta at the new width instead of the default 16
+        # W_theta is square, so a copy with another d_v draws it at the
+        # new width instead of the default 16
         cfg = dataclasses.replace(TrainConfig(), d_v=3)
-        assert cfg.d_e is None
         state = init_state(two_cluster_dataset(), cfg)
         assert state.params.W_theta.shape == (3, 3)
 
 
+class TestTrainerConstants:
+    @pytest.mark.parametrize("name, value", [
+        ("WEIGHT_DECAY", 0.5), ("KL_DELTA", 0.5), ("HEAT_DT", 1.0),
+        ("CHEB_ORDER", 1), ("CG_TOL", 1e-2), ("CG_MAX_ITER", 1),
+        ("PRIOR_A0", 2.0), ("PRIOR_B0", 2.0), ("GAMMA_CAP", 1.0),
+        ("LIFT_EPS", 0.05)])
+    def test_each_constant_is_read_at_call_time(self, monkeypatch, name,
+                                                value):
+        # a value bound at import (a default argument, a copy in another
+        # module) would leave the epoch as it was
+        import otsheaf.training as training
+
+        def one_epoch():
+            data = two_cluster_dataset()
+            cfg = small_cfg(epochs=1)
+            state, rep = train_epoch(init_state(data, cfg), data, cfg)
+            return (dataclasses.replace(rep, wall_ms=0.0),
+                    state.params.trainable())
+
+        rep, params = one_epoch()
+        monkeypatch.setattr(training, name, value)
+        rep2, params2 = one_epoch()
+        assert rep2 != rep or any(
+            not np.array_equal(params[k], params2[k]) for k in params)
+
+
 class TestTrainEpoch:
-    def test_zero_rates_leave_params_unchanged(self):
+    def test_zero_rates_leave_params_unchanged(self, monkeypatch):
+        import otsheaf.training as training
+        monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
         data = two_cluster_dataset()
-        cfg = small_cfg(lr=0.0, weight_decay=0.0)
+        cfg = small_cfg(lr=0.0)
         state = init_state(data, cfg)
         before = {k: v.copy() for k, v in state.params.trainable().items()}
         state, rep = train_epoch(state, data, cfg)
@@ -405,7 +443,7 @@ class TestTrainEpoch:
         import otsheaf.laplacian as laplacian
         from scipy.sparse.linalg import ArpackNoConvergence
         data = two_cluster_dataset(n_per=30)
-        cfg = small_cfg(d_v=8, d_e=None)
+        cfg = small_cfg(d_v=8)
         monkeypatch.setattr(laplacian, "DENSE_CUTOFF", 0)
         real = laplacian.eigsh
 
@@ -656,6 +694,7 @@ class TestTrainEpoch:
             train_epoch(state, data, cfg)
 
     def test_one_edge_toy_matches_module_chain(self):
+        import otsheaf.training as training
         g = Graph.from_edges(2, [(0, 1)])
         rng = np.random.default_rng(5)
         H = rng.uniform(0.4, 1.2, size=(2, 3))
@@ -664,7 +703,7 @@ class TestTrainEpoch:
                           test=np.array([0, 1]), seed=0)
         data = Dataset(g=g, feats=NodeFeatures(H=H, d0=3),
                        labels=Labels(y=y, C=2), split=split)
-        cfg = small_cfg(d_v=2, d_e=2, epochs=1)
+        cfg = small_cfg(d_v=2, epochs=1)
         state = init_state(data, cfg)
         params = copy.deepcopy(state.params)
         X0 = state.ctx.X0.copy()
@@ -672,22 +711,23 @@ class TestTrainEpoch:
         _, rep = train_epoch(state, data, cfg)
 
         L = sheaf_laplacian(params.W_theta, plans, g.edges, g.n)
-        h_svr, info = svr_diffuse(L, X0.reshape(-1), cfg.dt,
-                                  CGConfig(tol=cfg.cg_tol,
-                                           max_iter=cfg.cg_max_iter))
+        h_svr, info = svr_diffuse(L, X0.reshape(-1), training.HEAT_DT,
+                                  CGConfig(tol=training.CG_TOL,
+                                           max_iter=training.CG_MAX_ITER))
         SLS = dense_sls(L)
         h_afm, _ = chebyshev_apply(lambda v: v - SLS @ v, X0.reshape(-1),
                                    chebyshev_weights(params.gamma))
         Z = fuse(h_svr.reshape(X0.shape), h_afm.reshape(X0.shape),
                  params.W_mix)
         y_hat = predict(Z, params.W_cls)
-        post = posterior_update(cfg.a0, cfg.b0, y_hat, g, data.labels,
-                                split.train, gamma_cap=cfg.gamma_cap,
+        post = posterior_update(training.PRIOR_A0, training.PRIOR_B0, y_hat,
+                                g, data.labels, split.train,
+                                gamma_cap=training.GAMMA_CAP,
                                 n_msg=cfg.n_layers)
         kappa = node_kappa(post, g)
         cal = calibrate_prediction(y_hat, kappa)
         ce = -np.log(cal[np.arange(2), y]).mean()
-        kl = kl_term(post, 2, cfg.delta)
+        kl = kl_term(post, 2, training.KL_DELTA)
 
         assert rep.cg_iters == info.total_iterations
         assert rep.kl == pytest.approx(kl, abs=1e-12)
@@ -720,7 +760,7 @@ class TestNormalizedSpectrum:
         # reaches the same pair
         import otsheaf.laplacian as laplacian
         data = two_cluster_dataset(n_per=30)
-        state = init_state(data, small_cfg(d_v=12, d_e=None))
+        state = init_state(data, small_cfg(d_v=12))
         L = sheaf_laplacian(state.params.W_theta, state.ctx.plans,
                             data.g.edges, data.g.n)
         A, _, _ = _compressed_normalized(L)
@@ -803,9 +843,11 @@ class TestFit:
         assert np.isfinite(reports[0].raw_loss)
         assert reports[0].lambda2 == 0.0
 
-    def test_separable_toy_reaches_full_train_accuracy(self):
+    def test_separable_toy_reaches_full_train_accuracy(self, monkeypatch):
+        import otsheaf.training as training
+        monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
         data = two_cluster_dataset(noise=0.02)
-        cfg = small_cfg(epochs=200, lr=0.5, weight_decay=0.0, patience=200)
+        cfg = small_cfg(epochs=200, lr=0.5, patience=200)
         params, reports = fit(data, cfg)
         assert max(r.train_acc for r in reports) == pytest.approx(1.0)
 
@@ -888,7 +930,7 @@ class TestFit:
         empty, _ = fit(data, dataclasses.replace(cfg, epochs=0))
         assert empty.fit_memo is None
         cases = [(params, same_arrays, cfg, "we_lift"),
-                 (params, data, dataclasses.replace(cfg, dt=0.2), "we_lift"),
+                 (params, data, dataclasses.replace(cfg, n_layers=2), "we_lift"),
                  (params, data, cfg, "scalar_edge"),
                  (empty, data, cfg, "we_lift")]
         for p, d, c, variant in cases:

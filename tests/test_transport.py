@@ -468,8 +468,10 @@ class TestClosedForm:
         np.testing.assert_allclose(plans, indep, rtol=0, atol=0.05)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1])
-    def test_small_eps_lifts_n300(self, n300, eps):
-        state = init_state(n300, TrainConfig(d_v=16, lift_eps=eps))
+    def test_small_eps_lifts_n300(self, n300, eps, monkeypatch):
+        import otsheaf.training as training
+        monkeypatch.setattr(training, "LIFT_EPS", eps)
+        state = init_state(n300, TrainConfig(d_v=16))
         M = normalize_to_measure(n300.feats.H @ state.params.W_proj)
         E = n300.g.edges
         _assert_structured_optimum(state.ctx.plans, M[E[:, 0]], M[E[:, 1]], eps)
